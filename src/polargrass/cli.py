@@ -1,7 +1,8 @@
 """Command line front end: build codes, run verifications, weigh forms, search.
 
 Exit codes: 0 success, 1 verification mismatch or counterexample, 2 bad or
-inadmissible input, 3 I/O failure.  Identical configurations (including the
+inadmissible input (a malformed POLAR_BUDGET, a negative --samples) or out
+of memory, 3 I/O failure.  Identical configurations (including the
 seed) produce byte-identical output; --workers is a tuning flag that never
 changes output bytes.
 """
@@ -14,6 +15,7 @@ import os
 import sys
 
 from .code import (
+    DEFAULT_BUDGET,
     build_code,
     code_parameters,
     export_code,
@@ -33,8 +35,6 @@ from .field import FieldCtx
 from .forms import AlternatingForm, standard_space
 from .geometry import empirical_census, isotropic_line_count
 from .matrix import format_matrix_text, parse_matrix_text
-
-DEFAULT_BUDGET = 10**7
 
 
 def _add_field_args(p: argparse.ArgumentParser) -> None:
@@ -98,6 +98,19 @@ def _check_workers(workers: int) -> None:
         raise InadmissibleParams(f"workers must be >= 1, got {workers}")
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 0:
+        raise InadmissibleParams(f"samples must be >= 0, got {samples}")
+
+
+def _budget(args) -> int:
+    raw = os.environ.get("POLAR_BUDGET", args.budget)
+    try:
+        return int(raw)
+    except ValueError:
+        raise InadmissibleParams(f"POLAR_BUDGET must be an integer, got {raw!r}") from None
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -141,7 +154,8 @@ def _filter_entries(report: dict, args) -> dict:
 def cmd_verify(args) -> int:
     _field(args)
     _check_workers(args.workers)
-    budget = int(os.environ.get("POLAR_BUDGET", args.budget))
+    _check_samples(args.samples)
+    budget = _budget(args)
     names = args.check if args.check else ["all"]
     if any(x is not None for x in (args.case, args.r, args.d)) and not all(
         n in ("census-all", "equation-counts") for n in names
@@ -191,6 +205,7 @@ def cmd_weight(args) -> int:
 def cmd_search(args) -> int:
     ctx = _field(args)
     _check_workers(args.workers)
+    _check_samples(args.samples)
     code = build_code(standard_space(ctx, args.n))
     try:
         rec = min_distance_certified(code, samples=args.samples, seed=args.seed)
@@ -226,6 +241,9 @@ def main(argv=None) -> int:
         return 2
     except PolargrassError as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller --n, --q or --samples", file=sys.stderr)
         return 2
 
 

@@ -173,19 +173,20 @@ def form_weight_direct(code: PolarCode, af: AlternatingForm) -> int:
     return int((vals != 0).sum())
 
 
-def _canonical_message_count(q: int, k: int) -> int:
-    return (q**k - 1) // (q - 1)
-
-
-def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
-    """Scan every nonzero message up to scaling; exact minimum weight."""
-    q, k = code.params.q, code.params.K
-    total = _canonical_message_count(q, k)
+def check_scan_budget(params: CodeParams, budget: int) -> None:
+    """Raise BudgetExceeded if an exhaustive scan exceeds the budget."""
+    total = (params.q**params.K - 1) // (params.q - 1)
     if total > budget:
         raise BudgetExceeded(
             f"{total} projective messages exceed the budget {budget}",
             bound=total,
         )
+
+
+def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
+    """Scan every nonzero message up to scaling; exact minimum weight."""
+    check_scan_budget(code.params, budget)
+    q, k = code.params.q, code.params.K
     best = code.params.N
     chunk = 1 << 15
     for lead in range(k):

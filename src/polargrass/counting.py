@@ -4,7 +4,9 @@ Every count here is evaluated in exact rational arithmetic and converted to
 an int at the end; a fractional result raises NonIntegerResult.  The
 verification functions return plain report dicts with stable key order and
 never raise on a mismatch; they record status "ok" or "mismatch" so callers
-can decide how to fail.
+can decide how to fail.  The checks run by one run_checks call share one
+list of canonical and sampled forms, and so the points and lines cached on
+its spaces.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from .code import (
+    DEFAULT_BUDGET,
     build_code,
+    check_scan_budget,
     code_parameters,
     min_distance_exact,
     random_alternating_form,
@@ -465,33 +469,58 @@ def _report(check: str, params: dict, expected, observed, ok: bool, **extra) -> 
     return rep
 
 
+_run_forms: dict | None = None  # form lists of the run_checks call in progress
+
+
+def _check_forms(n: int, q: int, samples: int = 0, seed: int = 0) -> list:
+    """(case, space, form) triples: the canonical form of every buildable
+    shape of cases 1-4, then `samples` seeded random forms on the standard
+    space, tagged case 0.  Within one run_checks call each list is built
+    once and shared by the checks; outside it every call builds afresh."""
+    memo = {} if _run_forms is None else _run_forms
+    if (n, q) not in memo:
+        ctx = FieldCtx(q)
+        memo[n, q] = ctx, [
+            (case, *canonical_form(ctx, n, r, d, case))
+            for case in (1, 2, 3, 4)
+            for r, d in admissible_pairs(n, case)
+        ]
+    ctx, canonical = memo[n, q]
+    if (n, q, samples, seed) not in memo:
+        qs, rng = standard_space(ctx, n), np.random.default_rng(seed)
+        memo[n, q, samples, seed] = canonical + [
+            (0, qs, random_alternating_form(ctx, 2 * n + 1, rng)) for _ in range(samples)
+        ]
+    return memo[n, q, samples, seed]
+
+
 def verify_census_all(n: int, q: int) -> dict:
     """Empirical censuses equal the closed forms on every buildable shape
     with a closed form (cases 1-3), including the radical/eigen split."""
-    ctx = FieldCtx(q)
     entries = []
     ok = True
-    for case in (1, 2, 3):
-        for r, d in admissible_pairs(n, case):
-            qs, af = canonical_form(ctx, n, r, d, case)
-            emp = empirical_census(qs, af)
-            pred = closed_form_census(case, n, q, r, d)
-            match = (
-                emp.as_tuple() == pred.as_tuple()
-                and emp.a_radical == pred.a_radical
-                and emp.a_eigen == pred.a_eigen
-            )
-            ok &= match
-            entries.append(
-                {
-                    "case": case,
-                    "r": r,
-                    "d": d,
-                    "expected": pred.as_tuple(),
-                    "observed": emp.as_tuple(),
-                    "status": "ok" if match else "mismatch",
-                }
-            )
+    for case, qs, af in _check_forms(n, q):
+        if case == 4:
+            continue
+        r, d = qs.profile.r, qs.profile.d
+        emp = empirical_census(qs, af)
+        pred = closed_form_census(case, n, q, r, d)
+        match = (
+            emp.as_tuple() == pred.as_tuple()
+            and emp.a_radical == pred.a_radical
+            and emp.a_eigen == pred.a_eigen
+        )
+        ok &= match
+        entries.append(
+            {
+                "case": case,
+                "r": r,
+                "d": d,
+                "expected": pred.as_tuple(),
+                "observed": emp.as_tuple(),
+                "status": "ok" if match else "mismatch",
+            }
+        )
     total = (q ** (2 * n) - 1) // (q - 1)
     return _report(
         "census-all",
@@ -504,28 +533,14 @@ def verify_census_all(n: int, q: int) -> dict:
     )
 
 
-def _sample_forms(ctx: FieldCtx, n: int, samples: int, seed: int):
-    rng = np.random.default_rng(seed)
-    dim = 2 * n + 1
-    for _ in range(samples):
-        yield random_alternating_form(ctx, dim, rng)
-
-
 def verify_line_count_identity(n: int, q: int, samples: int = 100, seed: int = 0) -> dict:
     """(q+1) f equals the weighted census sum, the tau sum, and the reduced
     rewrite, for canonical and random forms."""
-    ctx = FieldCtx(q)
-    qs = standard_space(ctx, n)
     checked = 0
     ok = True
     first_bad = None
-    forms = []
-    for case in (1, 2, 3, 4):
-        for r, d in admissible_pairs(n, case):
-            forms.append(canonical_form(ctx, n, r, d, case))
-    forms.extend((qs, af) for af in _sample_forms(ctx, n, samples, seed))
     c = residue_constants(n, q)
-    for space, af in forms:
+    for _, space, af in _check_forms(n, q, samples, seed):
         census = empirical_census(space, af)
         f_direct = isotropic_line_count(space, af)
         lhs = (q + 1) * f_direct
@@ -554,18 +569,11 @@ def verify_line_count_identity(n: int, q: int, samples: int = 100, seed: int = 0
 def verify_line_types(n: int, q: int, samples: int = 100, seed: int = 0) -> dict:
     """Every singular line matches one of the five types, and the per-class
     flag identities (hence the imbalance identity) hold."""
-    ctx = FieldCtx(q)
-    qs = standard_space(ctx, n)
     lpp = (q ** (2 * n - 2) - 1) // (q - 1)
     ok = True
     first_bad = None
     checked = 0
-    forms = []
-    for case in (1, 2, 3, 4):
-        for r, d in admissible_pairs(n, case):
-            forms.append(canonical_form(ctx, n, r, d, case))
-    forms.extend((qs, af) for af in _sample_forms(ctx, n, samples, seed))
-    for space, af in forms:
+    for _, space, af in _check_forms(n, q, samples, seed):
         try:
             types = line_type_census(space, af)
         except TypeNotInTable as ex:
@@ -703,18 +711,11 @@ def verify_case_maxima(n: int, q: int) -> dict:
 def verify_eigenvector_bound(n: int, q: int, samples: int = 50, seed: int = 0) -> dict:
     """The eigenvector count never exceeds 2(q^m - 1), with equality attained
     by the canonical shape with full-rank induced block."""
-    ctx = FieldCtx(q)
-    qs = standard_space(ctx, n)
     ok = True
     first_bad = None
     equality_seen = False
     checked = 0
-    forms = []
-    for case in (1, 2, 3, 4):
-        for r, d in admissible_pairs(n, case):
-            forms.append(canonical_form(ctx, n, r, d, case))
-    forms.extend((qs, af) for af in _sample_forms(ctx, n, samples, seed))
-    for space, af in forms:
+    for _, space, af in _check_forms(n, q, samples, seed):
         rec = check_eigenvector_bound(space, af)
         if not rec["ok"] and first_bad is None:
             first_bad = rec
@@ -764,18 +765,11 @@ def verify_equation_counts(n: int, q: int) -> dict:
 
 def verify_delta_bound(n: int, q: int, samples: int = 100, seed: int = 0) -> dict:
     """Imbalance bound on canonical and random forms."""
-    ctx = FieldCtx(q)
-    qs = standard_space(ctx, n)
     ok = True
     first_bad = None
     checked = 0
     strict_fails_case1 = 0
-    forms = []
-    for case in (1, 2, 3, 4):
-        for r, d in admissible_pairs(n, case):
-            forms.append((case, canonical_form(ctx, n, r, d, case)))
-    forms.extend((0, (qs, af)) for af in _sample_forms(ctx, n, samples, seed))
-    for case, (space, af) in forms:
+    for case, space, af in _check_forms(n, q, samples, seed):
         census = empirical_census(space, af)
         rec = delta_bound_check(census, n, q)
         if not rec["ok"] and first_bad is None:
@@ -795,9 +789,10 @@ def verify_delta_bound(n: int, q: int, samples: int = 100, seed: int = 0) -> dic
     )
 
 
-def verify_min_distance_exact(n: int, q: int, budget: int = 10**7) -> dict:
+def verify_min_distance_exact(n: int, q: int, budget: int = DEFAULT_BUDGET) -> dict:
     """Exhaustive minimum distance against the closed value."""
     ctx = FieldCtx(q)
+    check_scan_budget(code_parameters(n, q), budget)
     code = build_code(standard_space(ctx, n))
     d = min_distance_exact(code, budget=budget)
     ok = d == code.params.d_claimed
@@ -852,7 +847,7 @@ CHECKS = {
         args["n"], args["q"], args["samples"], args["seed"]
     ),
     "min-distance-exact": lambda args: verify_min_distance_exact(
-        args["n"], args["q"], args.get("budget", 10**7)
+        args["n"], args["q"], args.get("budget", DEFAULT_BUDGET)
     ),
     "canonical-weight": lambda args: verify_canonical_weight(args["n"], args["q"]),
 }
@@ -868,24 +863,29 @@ def run_checks(names, args: dict) -> list[dict]:
     expanded = names == ["all"] or names == "all"
     if expanded:
         names = list(CHECKS)
+    global _run_forms
+    _run_forms = {}
     out = []
-    for name in names:
-        if name not in CHECKS:
-            raise InadmissibleParams(
-                f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}"
-            )
-        try:
-            out.append(CHECKS[name](args))
-        except (InadmissibleParams, BudgetExceeded) as ex:
-            if not expanded:
-                raise
-            out.append(
-                {
-                    "check": name,
-                    "params": {"n": args["n"], "q": args["q"]},
-                    "expected": "not applicable at this scale",
-                    "observed": str(ex),
-                    "status": "skipped",
-                }
-            )
+    try:
+        for name in names:
+            if name not in CHECKS:
+                raise InadmissibleParams(
+                    f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}"
+                )
+            try:
+                out.append(CHECKS[name](args))
+            except (InadmissibleParams, BudgetExceeded) as ex:
+                if not expanded:
+                    raise
+                out.append(
+                    {
+                        "check": name,
+                        "params": {"n": args["n"], "q": args["q"]},
+                        "expected": "not applicable at this scale",
+                        "observed": str(ex),
+                        "status": "skipped",
+                    }
+                )
+    finally:
+        _run_forms = None
     return out

@@ -61,22 +61,6 @@ class BlockProfile:
     def d0_dim(self) -> int:
         return self.r - self.d
 
-    @property
-    def h_range(self) -> range:
-        return range(self.d)
-
-    @property
-    def h0_range(self) -> range:
-        return range(self.d, self.d + self.h0_dim)
-
-    @property
-    def d0_range(self) -> range:
-        return range(self.d + self.h0_dim, self.dim - self.d)
-
-    @property
-    def d_range(self) -> range:
-        return range(self.dim - self.d, self.dim)
-
 
 def check_admissible(n: int, r: int, d: int, case: int, *, buildable: bool = True) -> None:
     """Raise InadmissibleParams unless (r, d, case) is allowed for this n.

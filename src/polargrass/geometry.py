@@ -125,10 +125,6 @@ class LineSet:
     def __len__(self) -> int:
         return len(self.plucker)
 
-    @property
-    def num_lines(self) -> int:
-        return len(self.plucker)
-
     def members(self) -> np.ndarray:
         """(N, q+1) sorted point ids on each line."""
         if self._members is None:

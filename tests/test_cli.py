@@ -174,6 +174,23 @@ def test_verify_bad_workers(capsys):
     assert "workers" in err
 
 
+def test_verify_bad_budget_env(capsys, monkeypatch):
+    monkeypatch.setenv("POLAR_BUDGET", "abc")
+    rc, out, err = run(capsys, "verify", "--q", "3", "--n", "2", "--check", "grid-maxima")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: POLAR_BUDGET")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+def test_negative_samples(capsys, command):
+    rc, out, err = run(capsys, command, "--q", "3", "--n", "2", "--samples", "-5")
+    assert rc == 2
+    assert out == ""
+    assert "samples" in err
+
+
 # ---------------------------------------------------------
 # weight
 # ---------------------------------------------------------
@@ -279,3 +296,15 @@ def test_search_bad_workers(capsys):
     rc, _, err = run(capsys, "search", "--q", "3", "--n", "2", "--workers", "-1")
     assert rc == 2
     assert "workers" in err
+
+
+def test_search_out_of_memory(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("polargrass.cli.min_distance_certified", exhausted)
+    rc, out, err = run(capsys, "search", "--q", "3", "--n", "2")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err

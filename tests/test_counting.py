@@ -1,6 +1,10 @@
 # tests/test_counting.py
+import gc
+import weakref
+
 import pytest
 
+from polargrass import counting
 from polargrass.counting import (
     CHECKS,
     case1_equation_counts,
@@ -396,6 +400,15 @@ def test_verify_min_distance():
         verify_min_distance_exact(3, 3)
 
 
+def test_verify_min_distance_checks_budget_before_build(monkeypatch):
+    def no_build(qs):
+        raise AssertionError("the code was built past the budget")
+
+    monkeypatch.setattr(counting, "build_code", no_build)
+    with pytest.raises(BudgetExceeded, match="projective messages exceed the budget 10000000"):
+        verify_min_distance_exact(3, 3)
+
+
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 3)])
 def test_verify_canonical_weight(n, q):
     rep = verify_canonical_weight(n, q)
@@ -434,3 +447,54 @@ def test_run_checks_named_check_still_raises():
         run_checks(["case-maxima"], args)
     with pytest.raises(BudgetExceeded):
         run_checks(["min-distance-exact"], {"n": 3, "q": 3, "budget": 100})
+
+
+# ---------------------------------------------------------
+# Shared form list of one run_checks call
+# ---------------------------------------------------------
+SAMPLED_CHECKS = ["line-count-identity", "line-type-census", "eigenvector-bound", "delta-bound"]
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5)])
+def test_run_checks_all_matches_single_checks(n, q):
+    args = {"n": n, "q": q, "samples": 5, "seed": 0, "budget": 10**5}
+    reports = run_checks(["all"], args)
+    assert [r["check"] for r in reports] == list(CHECKS)
+    for rep in reports:
+        if rep["status"] != "skipped":
+            assert rep == run_checks([rep["check"]], args)[0]
+
+
+def test_run_checks_back_to_back_seeds():
+    # Different sample counts make a stale list visible in the form counts.
+    for seed, samples in ((0, 5), (1, 8)):
+        args = {"n": 2, "q": 3, "samples": samples, "seed": seed}
+        fresh = [CHECKS[name](args) for name in SAMPLED_CHECKS]
+        assert run_checks(SAMPLED_CHECKS, args) == fresh
+
+
+def test_run_checks_builds_each_shape_once(monkeypatch):
+    calls = []
+
+    def spy(ctx, n, r, d, case, **kw):
+        calls.append((case, r, d))
+        return canonical_form(ctx, n, r, d, case, **kw)
+
+    monkeypatch.setattr(counting, "canonical_form", spy)
+    run_checks(["all"], {"n": 2, "q": 3, "samples": 5, "seed": 0, "budget": 10**5})
+    shapes = [(case, r, d) for case in (1, 2, 3, 4) for r, d in admissible_pairs(2, case)]
+    assert calls == shapes
+
+
+def test_run_checks_keeps_no_forms_alive(monkeypatch):
+    spaces = []
+
+    def spy(ctx, n, r, d, case, **kw):
+        qs, af = canonical_form(ctx, n, r, d, case, **kw)
+        spaces.append(weakref.ref(qs))
+        return qs, af
+
+    monkeypatch.setattr(counting, "canonical_form", spy)
+    run_checks(SAMPLED_CHECKS, {"n": 2, "q": 3, "samples": 5, "seed": 0})
+    gc.collect()
+    assert spaces and all(ref() is None for ref in spaces)
