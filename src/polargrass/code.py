@@ -29,6 +29,9 @@ from .geometry import LineSet, enumerate_singular_lines, quadric_points
 from .matrix import MatrixFq, rank_np
 
 DEFAULT_BUDGET = 10**7
+EVAL_CHUNK_BYTES = 1 << 23  # float64 product block of one _weights_np chunk
+LOW_TABLE_BYTES = 1 << 20  # low-row combination table of the exhaustive scan
+COMPARE_BYTES = 1 << 22  # one target-against-table comparison block of the scan
 
 
 @dataclass(frozen=True)
@@ -121,16 +124,29 @@ def form_from_message(ctx: FieldCtx, dim: int, message) -> AlternatingForm:
     return AlternatingForm(ctx, MatrixFq.from_numpy(ctx, s))
 
 
+def _codeword_chunks(code: PolarCode, batch: np.ndarray):
+    """Codeword values over F_q of a batch of messages (rows), yielded in
+    row chunks of at most EVAL_CHUNK_BYTES of float64 each."""
+    ctx = code.ctx
+    rows = max(1, EVAL_CHUNK_BYTES // (8 * code.params.N))
+    if ctx.e == 1:
+        gmat = code.generator.astype(np.float64)
+        batch = np.asarray(batch, dtype=np.int64) % ctx.p
+    for lo in range(0, len(batch), rows):
+        part = batch[lo : lo + rows]
+        if ctx.e == 1:
+            # entries below p keep every sum under K (p-1)^2 < 2^31, so the
+            # BLAS float64 product is exact and fits int32
+            yield (part.astype(np.float64) @ gmat).astype(np.int32) % ctx.p
+        else:
+            yield ctx.np_matmul(part, code.generator)
+
+
 def _weights_np(code: PolarCode, batch: np.ndarray) -> np.ndarray:
     """Hamming weights of the codewords of a batch of messages (rows)."""
-    ctx = code.ctx
-    g = code.generator
-    if ctx.e == 1:
-        # products stay far below 2^53, so BLAS float64 matmul is exact
-        w = batch.astype(np.float64) @ g.astype(np.float64)
-        return (np.mod(w, ctx.p) != 0).sum(axis=1).astype(np.int64)
-    vals = ctx.np_matmul(batch, g)
-    return (vals != 0).sum(axis=1).astype(np.int64)
+    return np.concatenate(
+        [np.count_nonzero(vals, axis=1) for vals in _codeword_chunks(code, batch)]
+    ).astype(np.int64)
 
 
 def weight_of_message(code: PolarCode, message) -> int:
@@ -154,12 +170,7 @@ def codeword_from_form(code: PolarCode, af: AlternatingForm) -> Codeword:
     msg = message_from_form(af)
     if not msg.any():
         raise ZeroMessage("zero form gives the zero codeword")
-    ctx = code.ctx
-    if ctx.e == 1:
-        vals = (msg.astype(np.float64) @ code.generator.astype(np.float64)) % ctx.p
-        vals = vals.astype(np.int64)
-    else:
-        vals = ctx.np_matmul(msg.reshape(1, -1), code.generator)[0]
+    vals = next(_codeword_chunks(code, msg.reshape(1, -1)))[0].astype(np.int64)
     return Codeword(values=vals, weight=int((vals != 0).sum()))
 
 
@@ -183,28 +194,49 @@ def check_scan_budget(params: CodeParams, budget: int) -> None:
         )
 
 
+def _combinations(ctx: FieldCtx, base: np.ndarray, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """base + c . rows for the coefficient tuples c whose base-q index,
+    first row most significant, lies in [lo, hi)."""
+    index = np.arange(lo, hi, dtype=np.int64)
+    out = np.broadcast_to(base, (hi - lo, len(base)))
+    for j, row in enumerate(rows):
+        digit = index // ctx.q ** (len(rows) - 1 - j) % ctx.q
+        out = ctx.np_add(out, ctx.np_mul(digit[:, None], row[None, :]))
+    return out
+
+
 def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
-    """Scan every nonzero message up to scaling; exact minimum weight."""
+    """Scan every nonzero message up to scaling; exact minimum weight.
+
+    Meet in the middle: a message with leading 1 at `lead` splits into high
+    coordinates h and the last b coordinates l, and its codeword vanishes
+    exactly where the table row of l, c . G[-b:], equals the target
+    -(G[lead] + h . G_high).  One table of the last B rows serves every
+    lead, since its first q^b rows are the table of the last b rows.
+    """
     check_scan_budget(code.params, budget)
-    q, k = code.params.q, code.params.K
-    best = code.params.N
-    chunk = 1 << 15
+    ctx = code.ctx
+    q, k, nn = code.params.q, code.params.K, code.params.N
+    g = np.asarray(code.generator, dtype=np.int64)
+    dtype = np.min_scalar_type(q - 1)
+    low_rows = 0
+    while low_rows < k - 1 and q ** (low_rows + 1) * nn * dtype.itemsize <= LOW_TABLE_BYTES:
+        low_rows += 1
+    low = _combinations(ctx, np.zeros(nn, dtype=np.int64), g[k - low_rows :], 0, q**low_rows)
+    low = low.astype(dtype)
+    best = nn
     for lead in range(k):
-        free = k - 1 - lead
-        count = q**free
-        powers = q ** np.arange(free - 1, -1, -1, dtype=np.int64)
-        for lo in range(0, count, chunk):
-            hi = min(count, lo + chunk)
-            block = np.zeros((hi - lo, k), dtype=np.int64)
-            block[:, lead] = 1
-            if free:
-                block[:, lead + 1 :] = (
-                    np.arange(lo, hi, dtype=np.int64)[:, None] // powers
-                ) % q
-            w = _weights_np(code, block)
-            m = int(w.min())
-            if m < best:
-                best = m
+        b = min(low_rows, k - 1 - lead)
+        table = low[: q**b]
+        high = g[lead + 1 : k - b]
+        count = q ** len(high)
+        step = max(1, COMPARE_BYTES // table.size)
+        for lo in range(0, count, step):
+            targets = _combinations(ctx, g[lead], high, lo, min(count, lo + step))
+            targets = ctx.np_neg(targets).astype(dtype)
+            # int32 holds every weight, since N < 2^31 for any buildable code
+            w = (table[None] != targets[:, None]).sum(axis=2, dtype=np.int32)
+            best = min(best, int(w.min()))
     return best
 
 

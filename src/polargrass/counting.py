@@ -35,14 +35,12 @@ from .forms import (
     AlternatingForm,
     QuadraticSpace,
     admissible_pairs,
-    build_S,
     canonical_form,
     check_admissible,
     elliptic_gram,
     hyperbolic_gram,
     projective_points,
     radical_split,
-    standard_space,
     _case_nu,
 )
 from .geometry import (
@@ -487,11 +485,21 @@ def _check_forms(n: int, q: int, samples: int = 0, seed: int = 0) -> list:
         ]
     ctx, canonical = memo[n, q]
     if (n, q, samples, seed) not in memo:
-        qs, rng = standard_space(ctx, n), np.random.default_rng(seed)
+        qs, rng = _standard_entry(canonical)[0], np.random.default_rng(seed)
         memo[n, q, samples, seed] = canonical + [
             (0, qs, random_alternating_form(ctx, 2 * n + 1, rng)) for _ in range(samples)
         ]
     return memo[n, q, samples, seed]
+
+
+def _standard_entry(forms: list) -> tuple:
+    """(space, form) of the canonical case-1 shape (2n-1, 1): the space is
+    standard_space(ctx, n) and the form build_S(space, s11="auto")."""
+    return next(
+        (qs, af)
+        for case, qs, af in forms
+        if case == 1 and (qs.profile.r, qs.profile.d) == (2 * qs.n - 1, 1)
+    )
 
 
 def verify_census_all(n: int, q: int) -> dict:
@@ -609,8 +617,8 @@ def verify_orbit_counts(n: int, q: int) -> dict:
     dimension and in the two even-dimensional section types."""
     from .forms import orbit_counts as empirical_orbits
 
-    ctx = FieldCtx(q)
-    qs = standard_space(ctx, n)
+    qs = _standard_entry(_check_forms(n, q))[0]
+    ctx = qs.ctx
     emp = empirical_orbits(qs)
     closed = kappa_closed(n, q)
     ok = all(emp[k] == closed[k] for k in closed)
@@ -791,9 +799,8 @@ def verify_delta_bound(n: int, q: int, samples: int = 100, seed: int = 0) -> dic
 
 def verify_min_distance_exact(n: int, q: int, budget: int = DEFAULT_BUDGET) -> dict:
     """Exhaustive minimum distance against the closed value."""
-    ctx = FieldCtx(q)
     check_scan_budget(code_parameters(n, q), budget)
-    code = build_code(standard_space(ctx, n))
+    code = build_code(_standard_entry(_check_forms(n, q))[0])
     d = min_distance_exact(code, budget=budget)
     ok = d == code.params.d_claimed
     return _report(
@@ -808,9 +815,8 @@ def verify_min_distance_exact(n: int, q: int, budget: int = DEFAULT_BUDGET) -> d
 def verify_canonical_weight(n: int, q: int) -> dict:
     """The canonical low-weight form hits the claimed minimum distance and
     its census is the predicted one."""
-    ctx = FieldCtx(q)
-    code = build_code(standard_space(ctx, n))
-    af = build_S(code.qs, s11="auto")
+    qs, af = _standard_entry(_check_forms(n, q))
+    code = build_code(qs)
     from .code import codeword_from_form
 
     w = codeword_from_form(code, af).weight

@@ -3,14 +3,16 @@ import json
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from polargrass import code as code_module
 from polargrass.code import (
     BudgetExceeded,
     PolarCode,
+    _weights_np,
     build_code,
     code_parameters,
     codeword_from_form,
@@ -25,6 +27,7 @@ from polargrass.code import (
     parse_code,
     parse_code_text,
     random_alternating_form,
+    random_messages,
     standard_code,
     weight_of_message,
 )
@@ -246,6 +249,56 @@ def test_min_distance_budget():
     assert exc.value.bound == (3**21 - 1) // 2 == 5230176601
     with pytest.raises(BudgetExceeded):
         min_distance_exact(the_code(3, 2), budget=10)
+
+
+def brute_force_min_distance(code):
+    """Minimum weight over every message with leading coefficient 1."""
+    q, k = code.params.q, code.params.K
+    return min(
+        weight_of_message(code, [0] * lead + [1] + list(tail))
+        for lead in range(k)
+        for tail in product(range(q), repeat=k - 1 - lead)
+    )
+
+
+def leading_rows_code(q, r):
+    """Code spanned by the first r rows of the (2, q) generator matrix."""
+    if q == 27:
+        # enumerating the lines at q = 27 takes about a minute, so a
+        # random generator over F_27 stands in for G
+        rng = np.random.default_rng(27)
+        qs = standard_space(field_ctx(27), 2)
+        gmat = rng.integers(0, 27, size=(r, 300), dtype=np.int64)
+        return PolarCode(qs, None, gmat, replace(code_parameters(2, 27), N=300, K=r))
+    code = the_code(q, 2)
+    return PolarCode(code.qs, code.lines, code.generator[:r], replace(code.params, K=r))
+
+
+@pytest.mark.parametrize("q,r", [(3, 7), (5, 5), (9, 4), (27, 3)])
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_min_distance_exact_matches_brute_force(monkeypatch, q, r, small_blocks):
+    code = leading_rows_code(q, r)
+    if small_blocks:
+        # a one-row low table and two targets per block: every lead but the
+        # last takes the high-row target path, over several blocks
+        monkeypatch.setattr(code_module, "LOW_TABLE_BYTES", q * code.params.N)
+        monkeypatch.setattr(code_module, "COMPARE_BYTES", 2 * q * code.params.N)
+    assert min_distance_exact(code) == brute_force_min_distance(code)
+
+
+# ---------------------------------------------------------
+# Chunked weight evaluation
+# ---------------------------------------------------------
+@pytest.mark.parametrize("q,n", [(3, 3), (9, 2)])
+def test_weights_chunked_match_one_block(monkeypatch, q, n):
+    code = the_code(q, n)
+    batch = random_messages(np.random.default_rng(q), q, code.params.K, 50)
+    whole = _weights_np(code, batch)
+    monkeypatch.setattr(code_module, "EVAL_CHUNK_BYTES", 8 * code.params.N * 7)
+    assert np.array_equal(_weights_np(code, batch), whole)
+    dim = 2 * n + 1
+    for msg, w in zip(batch[:5], whole[:5]):
+        assert w == form_weight_direct(code, form_from_message(code.ctx, dim, msg))
 
 
 # ---------------------------------------------------------

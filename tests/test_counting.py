@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from polargrass import counting
+from polargrass import code, counting, geometry
 from polargrass.counting import (
     CHECKS,
     case1_equation_counts,
@@ -498,3 +498,21 @@ def test_run_checks_keeps_no_forms_alive(monkeypatch):
     run_checks(SAMPLED_CHECKS, {"n": 2, "q": 3, "samples": 5, "seed": 0})
     gc.collect()
     assert spaces and all(ref() is None for ref in spaces)
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (2, 3)])
+def test_run_checks_enumerates_each_space_once(monkeypatch, n, q):
+    # The standard space is the canonical case-1 (2n-1, 1) space, so the
+    # sampled forms, canonical-weight and min-distance-exact share it.
+    enumerated = []
+    original = geometry.enumerate_singular_lines
+
+    def spy(qs):
+        if "lines" not in qs._cache:
+            enumerated.append((qs.profile, qs.gram.to_numpy().tobytes()))
+        return original(qs)
+
+    monkeypatch.setattr(geometry, "enumerate_singular_lines", spy)
+    monkeypatch.setattr(code, "enumerate_singular_lines", spy)
+    run_checks(["all"], {"n": n, "q": q, "samples": 5, "seed": 0, "budget": 10**5})
+    assert enumerated and len(enumerated) == len(set(enumerated))
