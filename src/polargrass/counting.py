@@ -50,7 +50,7 @@ from .geometry import (
     line_type_census,
     tau_values,
 )
-from .matrix import inverse, nonzero_eigenvalues
+from .matrix import MatrixFq, nonzero_eigenvalues
 
 
 def _int(x: Fraction | int, what: str) -> int:
@@ -406,7 +406,7 @@ def even_orbit_empirical(ctx: FieldCtx, t: int, kind: str) -> dict[str, int]:
 def eigenvector_count(qs: QuadraticSpace, af: AlternatingForm) -> int:
     """Number of nonzero vectors that are eigenvectors of M^{-1} S with a
     nonzero base-field eigenvalue."""
-    m = inverse(qs.gram).mul(af.s)
+    m = MatrixFq.from_numpy(qs.ctx, qs.ctx.np_matmul(qs.gram_inv_np(), af.s_np()))
     return sum(qs.ctx.q**dim - 1 for dim in nonzero_eigenvalues(m).values())
 
 

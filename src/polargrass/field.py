@@ -247,6 +247,8 @@ class FieldCtx:
         return self._neg_table[a]
 
     def np_sub(self, a, b):
+        if self.e == 1:
+            return (a - b) % self.p
         return self.np_add(a, self.np_neg(b))
 
     def np_mul(self, a, b):

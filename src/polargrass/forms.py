@@ -371,23 +371,20 @@ def radical_split(qs: QuadraticSpace, af: AlternatingForm) -> dict:
     r, d = form_profile(qs, af)
     if r == qs.dim:
         raise InadmissibleParams("zero form has no radical split")
-    b_r = MatrixFq(ctx, af.radical.basis) if r else MatrixFq.zeros(ctx, 0, qs.dim)
     if r:
-        perp = kernel(b_r.mul(qs.gram))
-        gram_r = b_r.mul(qs.gram).mul(b_r.transpose())
-        d_in_r = kernel(gram_r)
-        d_vecs = MatrixFq(ctx, d_in_r.basis).mul(b_r).rows if d_in_r.dim else []
-        d_space = Subspace(ctx, qs.dim, d_vecs)
+        b_r = MatrixFq(ctx, af.radical.basis)
+        b_m = b_r.mul(qs.gram)
+        perp = kernel(b_m).basis
+        d_in_r = kernel(b_m.mul(b_r.transpose()))
+        d_vecs = MatrixFq(ctx, d_in_r.basis).mul(b_r).rows if d_in_r.dim else ()
     else:
-        perp = Subspace(ctx, qs.dim, [[1 if i == j else 0 for j in range(qs.dim)] for i in range(qs.dim)])
-        d_space = Subspace(ctx, qs.dim, [])
-    # extend the D basis to a basis of perp; the added vectors span an H0
-    chosen = [list(v) for v in d_space.basis]
-    for v in perp.basis:
-        cand = Subspace(ctx, qs.dim, chosen + [list(v)])
-        if cand.dim > len(chosen):
-            chosen.append(list(v))
-    h0 = chosen[d_space.dim :]
+        perp = MatrixFq.identity(ctx, qs.dim).rows
+        d_vecs = ()
+    # extend the D basis to a basis of perp; the added vectors span an H0.
+    # The pivot columns of [D; perp]^T are the rows a greedy pass keeps.
+    rows = d_vecs + perp
+    _, keep = rref(MatrixFq(ctx, rows).transpose())
+    h0 = [rows[i] for i in keep[len(d_vecs) :]]
     if not h0:
         return {"r": r, "d": d, "m": 0}
     h = MatrixFq(ctx, h0)
@@ -409,13 +406,6 @@ def witt_index(ctx: FieldCtx, gram: MatrixFq) -> int:
 
 
 # ---- congruence transport ------------------------------------------------------
-
-
-def _independent_rows(ctx: FieldCtx, vecs: list[list[int]]) -> list[list[int]]:
-    if not vecs:
-        return []
-    reduced, pivots = rref(MatrixFq(ctx, vecs))
-    return [list(row) for row in reduced.rows[: len(pivots)]]
 
 
 def diagonalize_symmetric(ctx: FieldCtx, gram: MatrixFq) -> list[list[int]]:
@@ -447,7 +437,7 @@ def diagonalize_symmetric(ctx: FieldCtx, gram: MatrixFq) -> list[list[int]]:
                     break
         if v is None:
             raise RankDeficient("no nonsingular vector in the remaining block")
-        cols.append(v)
+        cols.append(list(v))
         inv_qv = ctx.inv(bilinear_value(gram, v, v))
         projected = []
         for w in remaining:
@@ -455,7 +445,7 @@ def diagonalize_symmetric(ctx: FieldCtx, gram: MatrixFq) -> list[list[int]]:
             w2 = [ctx.sub(a, ctx.mul(c, b)) for a, b in zip(w, v)]
             if any(w2):
                 projected.append(w2)
-        remaining = _independent_rows(ctx, projected)
+        remaining = Subspace(ctx, k, projected).basis
     return cols
 
 

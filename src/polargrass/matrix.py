@@ -1,8 +1,11 @@
 """Exact linear algebra over a FieldCtx.
 
-Matrices are immutable row tuples of int-encoded field elements.  All
-elimination is exact; canonical forms (reduced row echelon) make subspaces
-comparable by equality.
+Every row reduction in the package is one numpy elimination, `_eliminate`,
+written with the `FieldCtx` array operations, so prime and extension fields
+share it.  `MatrixFq` is the validated, immutable and hashable view of a
+matrix: its rows are tuples of int-encoded field elements, checked entry by
+entry when they come from outside, and its arithmetic runs on numpy arrays.
+Canonical forms (reduced row echelon) make subspaces comparable by equality.
 """
 
 from __future__ import annotations
@@ -15,10 +18,20 @@ from .errors import DimensionMismatch, InadmissibleParams, IoError, RankDeficien
 from .field import FieldCtx
 
 
-class MatrixFq:
-    """Dense matrix over F_q with exact arithmetic."""
+def _check_entries(ctx: FieldCtx, a: np.ndarray) -> None:
+    bad = (a < 0) | (a >= ctx.q)
+    if bad.any():
+        raise InadmissibleParams(f"{int(a[bad][0])!r} is not an element of F_{ctx.q}")
 
-    __slots__ = ("ctx", "rows")
+
+class MatrixFq:
+    """Dense matrix over F_q with exact arithmetic.
+
+    `rows` holds the entries as tuples; the same entries are kept as an
+    int64 array for the numpy arithmetic.
+    """
+
+    __slots__ = ("ctx", "rows", "_a")
 
     def __init__(self, ctx: FieldCtx, rows: Iterable[Iterable[int]]):
         self.ctx = ctx
@@ -26,6 +39,7 @@ class MatrixFq:
         if rs and any(len(r) != len(rs[0]) for r in rs):
             raise DimensionMismatch("ragged rows")
         self.rows = rs
+        self._a = np.array(rs, dtype=np.int64).reshape(len(rs), len(rs[0]) if rs else 0)
 
     # ---- constructors ------------------------------------------------------
 
@@ -39,20 +53,31 @@ class MatrixFq:
 
     @classmethod
     def from_numpy(cls, ctx: FieldCtx, arr) -> "MatrixFq":
-        return cls(ctx, np.asarray(arr, dtype=np.int64).tolist())
+        a = np.array(arr, dtype=np.int64)
+        _check_entries(ctx, a)
+        return cls._of(ctx, a)
+
+    @classmethod
+    def _of(cls, ctx: FieldCtx, a: np.ndarray) -> "MatrixFq":
+        """Wrap a 2-d array of field elements that no one else will change."""
+        m = cls.__new__(cls)
+        m.ctx = ctx
+        m.rows = tuple(map(tuple, a.tolist()))
+        m._a = a if len(a) else a.reshape(0, 0)
+        return m
 
     def to_numpy(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
+        return self._a.copy()
 
     # ---- shape and equality --------------------------------------------------
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return self._a.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return self._a.shape[1]
 
     def __eq__(self, other) -> bool:
         return (
@@ -70,76 +95,40 @@ class MatrixFq:
     # ---- arithmetic ---------------------------------------------------------
 
     def transpose(self) -> "MatrixFq":
-        return MatrixFq(self.ctx, zip(*self.rows)) if self.rows else self
+        return MatrixFq._of(self.ctx, self._a.T) if self.rows else self
 
     def add(self, other: "MatrixFq") -> "MatrixFq":
         self._check_same_shape(other)
-        c = self.ctx
-        return MatrixFq(
-            c,
-            [
-                [c.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return MatrixFq._of(self.ctx, self.ctx.np_add(self._a, other._a))
 
     def neg(self) -> "MatrixFq":
-        c = self.ctx
-        return MatrixFq(c, [[c.neg(a) for a in row] for row in self.rows])
+        return MatrixFq._of(self.ctx, self.ctx.np_neg(self._a))
 
     def sub(self, other: "MatrixFq") -> "MatrixFq":
         return self.add(other.neg())
 
     def scale(self, s: int) -> "MatrixFq":
-        c = self.ctx
-        return MatrixFq(c, [[c.mul(s, a) for a in row] for row in self.rows])
+        return MatrixFq._of(self.ctx, self.ctx.np_mul(s, self._a))
 
     def mul(self, other: "MatrixFq") -> "MatrixFq":
         if other.nrows != self.ncols:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        c = self.ctx
-        bt = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            orow = []
-            for col in bt:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = c.add(acc, c.mul(a, b))
-                orow.append(acc)
-            out.append(orow)
-        return MatrixFq(c, out)
+        return MatrixFq._of(self.ctx, self.ctx.np_matmul(self._a, other._a))
 
     def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length mismatch")
-        c = self.ctx
-        out = []
-        for row in self.rows:
-            acc = 0
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = c.add(acc, c.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        col = np.asarray(v, dtype=np.int64).reshape(-1, 1)
+        return tuple(self.ctx.np_matmul(self._a, col)[:, 0].tolist())
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.transpose().rows
+        return np.array_equal(self._a, self._a.T)
 
     def is_alternating(self) -> bool:
-        c = self.ctx
-        if self.nrows != self.ncols:
-            return False
-        for i in range(self.nrows):
-            if self.rows[i][i] != 0:
-                return False
-            for j in range(i + 1, self.ncols):
-                if self.rows[i][j] != c.neg(self.rows[j][i]):
-                    return False
-        return True
+        # a^T = -a; in odd characteristic this forces a zero diagonal
+        return np.array_equal(self._a.T, self.ctx.np_neg(self._a))
 
     def _check_same_shape(self, other: "MatrixFq") -> None:
         if self.ctx != other.ctx:
@@ -159,74 +148,68 @@ def bilinear_value(m: MatrixFq, u: Sequence[int], v: Sequence[int]) -> int:
     return acc
 
 
-def rref(m: MatrixFq) -> tuple[MatrixFq, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    c = m.ctx
-    rows = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
+def _eliminate(ctx: FieldCtx, arr) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """Gauss-Jordan elimination of a copy of arr over ctx.
+
+    Returns the reduced row echelon form, the pivot columns and the product
+    of the pivots, negated once per row swap; for a square matrix of full
+    rank that product is the determinant.
+    """
+    a = np.array(arr, dtype=np.int64)
+    nr, nc = a.shape
     pivots = []
-    r = 0
+    factor = 1
     for col in range(nc):
+        r = len(pivots)
         if r == nr:
             break
-        sel = next((i for i in range(r, nr) if rows[i][col] != 0), None)
-        if sel is None:
+        nz = a[r:, col].nonzero()[0]
+        if nz.size == 0:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = c.inv(rows[r][col])
-        rows[r] = [c.mul(inv, x) for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [c.sub(x, c.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        sel = r + int(nz[0])
+        if sel != r:
+            a[[r, sel]] = a[[sel, r]]
+            factor = ctx.neg(factor)
+        piv = int(a[r, col])
+        factor = ctx.mul(factor, piv)
+        # row r is zero left of col, so only columns col: change
+        row = ctx.np_mul(ctx.inv(piv), a[r, col:])
+        a[r, col:] = row
+        others = a[:, col].nonzero()[0]
+        others = others[others != r]
+        if others.size:
+            f = a[others, col, None]
+            a[others, col:] = ctx.np_sub(a[others, col:], ctx.np_mul(f, row))
         pivots.append(col)
-        r += 1
-    return MatrixFq(c, rows), tuple(pivots)
+    return a, tuple(pivots), factor
+
+
+def rref(m: MatrixFq) -> tuple[MatrixFq, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot column indices."""
+    red, pivots, _ = _eliminate(m.ctx, m._a)
+    return MatrixFq._of(m.ctx, red), pivots
 
 
 def rank(m: MatrixFq) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m.ctx, m._a)[1])
 
 
 def det(m: MatrixFq) -> int:
     if m.nrows != m.ncols:
         raise DimensionMismatch("determinant needs a square matrix")
-    c = m.ctx
-    rows = [list(r) for r in m.rows]
-    n = m.nrows
-    out = 1
-    for col in range(n):
-        sel = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if sel is None:
-            return 0
-        if sel != col:
-            rows[col], rows[sel] = rows[sel], rows[col]
-            out = c.neg(out)
-        out = c.mul(out, rows[col][col])
-        inv = c.inv(rows[col][col])
-        for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                f = c.mul(inv, rows[i][col])
-                rows[i] = [c.sub(x, c.mul(f, y)) for x, y in zip(rows[i], rows[col])]
-    return out
+    _, pivots, factor = _eliminate(m.ctx, m._a)
+    return factor if len(pivots) == m.nrows else 0
 
 
 def inverse(m: MatrixFq) -> MatrixFq:
     if m.nrows != m.ncols:
         raise DimensionMismatch("inverse needs a square matrix")
     n = m.nrows
-    c = m.ctx
-    aug = MatrixFq(
-        c,
-        [
-            list(m.rows[i]) + [1 if j == i else 0 for j in range(n)]
-            for i in range(n)
-        ],
-    )
+    aug = MatrixFq._of(m.ctx, np.hstack([m._a, np.eye(n, dtype=np.int64)]))
     red, pivots = rref(aug)
-    if len(pivots) < n or pivots[:n] != tuple(range(n)):
+    if pivots[:n] != tuple(range(n)):
         raise RankDeficient("matrix is singular")
-    return MatrixFq(c, [row[n:] for row in red.rows])
+    return MatrixFq._of(m.ctx, red._a[:, n:])
 
 
 class Subspace:
@@ -241,7 +224,7 @@ class Subspace:
                 raise DimensionMismatch("basis vector has wrong length")
         if vecs:
             red, pivots = rref(MatrixFq(ctx, vecs))
-            self.basis = tuple(red.rows[: len(pivots)])
+            self.basis = red.rows[: len(pivots)]
         else:
             self.basis = ()
         self.ctx = ctx
@@ -254,14 +237,7 @@ class Subspace:
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.ambient:
             raise DimensionMismatch("vector has wrong length")
-        c = self.ctx
-        w = [c.validate_element(x) for x in v]
-        for b in self.basis:
-            lead = next(i for i, x in enumerate(b) if x != 0)
-            if w[lead] != 0:
-                f = w[lead]
-                w = [c.sub(x, c.mul(f, y)) for x, y in zip(w, b)]
-        return all(x == 0 for x in w)
+        return Subspace(self.ctx, self.ambient, self.basis + (tuple(v),)).dim == self.dim
 
     def __eq__(self, other) -> bool:
         return (
@@ -300,11 +276,10 @@ def eigenspace(m: MatrixFq, lam: int) -> Subspace:
         raise DimensionMismatch("eigenspace needs a square matrix")
     c = m.ctx
     lam = c.validate_element(lam)
-    shifted = [
-        [c.sub(x, lam) if i == j else x for j, x in enumerate(row)]
-        for i, row in enumerate(m.rows)
-    ]
-    return kernel(MatrixFq(c, shifted))
+    shifted = m.to_numpy()
+    diag = np.arange(m.nrows)
+    shifted[diag, diag] = c.np_sub(shifted[diag, diag], lam)
+    return kernel(MatrixFq._of(c, shifted))
 
 
 def nonzero_eigenvalues(m: MatrixFq) -> dict[int, int]:
@@ -322,34 +297,19 @@ def nonzero_eigenvalues(m: MatrixFq) -> dict[int, int]:
 
 
 def rank_np(ctx: FieldCtx, arr: np.ndarray) -> int:
-    """Rank of a (possibly wide) int matrix; fast path for prime fields."""
-    a = np.array(arr, dtype=np.int64)
+    """Rank of a (possibly wide) int matrix.
+
+    Over a prime field the entries are taken mod p; over an extension field
+    each entry must already be a field element.
+    """
+    a = np.asarray(arr, dtype=np.int64)
     if a.ndim != 2:
         raise DimensionMismatch("rank_np needs a 2-d array")
-    if ctx.e > 1:
-        return rank(MatrixFq.from_numpy(ctx, a))
-    p = ctx.p
-    a %= p
-    nr = a.shape[0]
-    r = 0
-    for col in range(a.shape[1]):
-        if r == nr:
-            break
-        colvals = a[r:, col]
-        nz = np.flatnonzero(colvals)
-        if nz.size == 0:
-            continue
-        sel = r + int(nz[0])
-        if sel != r:
-            a[[r, sel]] = a[[sel, r]]
-        inv = pow(int(a[r, col]), -1, p)
-        a[r] = (a[r] * inv) % p
-        below = a[r + 1 :, col]
-        mask = below != 0
-        if mask.any():
-            a[r + 1 :][mask] = (a[r + 1 :][mask] - np.outer(below[mask], a[r])) % p
-        r += 1
-    return r
+    if ctx.e == 1:
+        a = a % ctx.p
+    else:
+        _check_entries(ctx, a)
+    return len(_eliminate(ctx, a)[1])
 
 
 def format_matrix_text(m: MatrixFq) -> str:

@@ -110,6 +110,13 @@ def test_build_code_med():
     assert rank_np(F3, code.generator) == 21
 
 
+def test_build_code_extension_field():
+    # the wide generator over F_9 takes rank_np's extension-field path
+    code = the_code(9, 2)
+    assert code.generator.shape == (10, 820)
+    assert rank_np(field_ctx(9), code.generator) == 10
+
+
 def test_repr_mentions_parameters():
     assert "N=40" in repr(the_code(3, 2))
 
@@ -376,12 +383,15 @@ def test_minimum_weight_tie_closed_form(q, shared):
 
 def test_minimum_weight_classes_q5():
     code = the_code(5, 2)
+    g = code.generator.astype(np.float64)
     tally = Counter()
     for block in canonical_messages(5, 10):
-        g = code.generator.astype(np.float64)
-        w = ((block.astype(np.float64) @ g) % 5 != 0).sum(axis=1)
-        for i in np.flatnonzero(w == 100):
-            tally[form_profile(code.qs, form_from_message(F5, 5, block[i]))] += 1
+        for lo in range(0, len(block), 65536):
+            part = block[lo : lo + 65536]
+            # every sum is at most 10 * 4 * 4 = 160, so the product is exact
+            w = ((part.astype(np.float64) @ g).astype(np.int32) % 5 != 0).sum(axis=1)
+            for i in np.flatnonzero(w == 100):
+                tally[form_profile(code.qs, form_from_message(F5, 5, part[i]))] += 1
     assert tally == Counter({(3, 1): 2340, (1, 0): 9750})
 
 

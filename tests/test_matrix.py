@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polargrass.errors import DimensionMismatch, IoError, RankDeficient
+from polargrass.errors import DimensionMismatch, InadmissibleParams, IoError, RankDeficient
 from polargrass.field import field_ctx
 from polargrass.forms import canonical_form
 from polargrass.matrix import (
@@ -26,6 +26,7 @@ from polargrass.matrix import (
 F3 = field_ctx(3)
 F5 = field_ctx(5)
 F9 = field_ctx(9)
+FIELDS = {q: field_ctx(q) for q in (3, 5, 9, 25, 27)}
 
 
 def random_matrix(ctx, rng, nr, nc):
@@ -62,6 +63,16 @@ def test_rank_np_matches_rank():
             assert rank_np(ctx, arr) == rank(MatrixFq.from_numpy(ctx, arr))
 
 
+def test_rank_np_checks_entries():
+    # prime fields reduce any int mod p; extension fields need field elements
+    assert rank_np(F3, np.array([[-1, 4], [2, 1]])) == 1
+    for bad in (-1, 9):
+        arr = np.zeros((2, 3), dtype=np.int64)
+        arr[1, 2] = bad
+        with pytest.raises(InadmissibleParams):
+            rank_np(F9, arr)
+
+
 def test_det_and_inverse():
     assert det(MatrixFq.identity(F5, 3)) == 1
     assert det(MatrixFq(F3, [[1, 2], [2, 1]])) == det(
@@ -84,6 +95,95 @@ def test_rref_is_idempotent():
     red, pivots = rref(m)
     again, pivots2 = rref(red)
     assert red == again and pivots == pivots2
+
+
+# ---------------------------------------------------------
+# The numpy elimination against a pure-Python reference
+# ---------------------------------------------------------
+def reference_rref(ctx, rows):
+    """Gauss-Jordan elimination one scalar at a time."""
+    rows = [list(r) for r in rows]
+    nr, nc = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(nc):
+        if r == nr:
+            break
+        sel = next((i for i in range(r, nr) if rows[i][col] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = ctx.inv(rows[r][col])
+        rows[r] = [ctx.mul(inv, x) for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return [tuple(row) for row in rows], tuple(pivots)
+
+
+def reference_det(ctx, rows):
+    """Determinant by forward elimination, one scalar at a time."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    out = 1
+    for col in range(n):
+        sel = next((i for i in range(col, n) if rows[i][col] != 0), None)
+        if sel is None:
+            return 0
+        if sel != col:
+            rows[col], rows[sel] = rows[sel], rows[col]
+            out = ctx.neg(out)
+        out = ctx.mul(out, rows[col][col])
+        inv = ctx.inv(rows[col][col])
+        for i in range(col + 1, n):
+            if rows[i][col] != 0:
+                f = ctx.mul(inv, rows[i][col])
+                rows[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[i], rows[col])]
+    return out
+
+
+@st.composite
+def field_matrices(draw, max_rows=6, max_cols=8):
+    """A field and a matrix over it; half of them a product through a
+    narrow middle, so low ranks are common."""
+    ctx = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    nr = draw(st.integers(1, max_rows))
+    nc = draw(st.integers(1, max_cols))
+
+    def block(r, c):
+        entry = st.integers(0, ctx.q - 1)
+        return np.array(draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)), dtype=np.int64)
+
+    if draw(st.booleans()):
+        k = draw(st.integers(1, min(nr, nc)))
+        return ctx, MatrixFq.from_numpy(ctx, ctx.np_matmul(block(nr, k), block(k, nc)))
+    return ctx, MatrixFq.from_numpy(ctx, block(nr, nc))
+
+
+@given(field_matrices())
+@settings(max_examples=200, deadline=None)
+def test_elimination_matches_reference(fm):
+    ctx, m = fm
+    red, pivots = rref(m)
+    want_rows, want_pivots = reference_rref(ctx, m.rows)
+    assert red.rows == tuple(want_rows)
+    assert pivots == want_pivots
+    assert rank(m) == rank_np(ctx, m.to_numpy()) == len(want_pivots)
+    k = min(m.nrows, m.ncols)
+    square = MatrixFq(ctx, [row[:k] for row in m.rows[:k]])
+    assert det(square) == reference_det(ctx, square.rows)
+
+
+@given(field_matrices(max_cols=4))
+@settings(max_examples=60, deadline=None)
+def test_kernel_dimension_by_brute_force(fm):
+    ctx, m = fm
+    vecs = (np.arange(ctx.q**m.ncols)[:, None] // ctx.q ** np.arange(m.ncols)) % ctx.q
+    zero = ~ctx.np_matmul(vecs, m.to_numpy().T).any(axis=1)
+    assert ctx.q ** kernel(m).dim == int(zero.sum())
 
 
 # ---------------------------------------------------------
