@@ -5,8 +5,9 @@ an int at the end; a fractional result raises NonIntegerResult.  The
 verification functions return plain report dicts with stable key order and
 never raise on a mismatch; they record status "ok" or "mismatch" so callers
 can decide how to fail.  The checks run by one run_checks call share one
-list of canonical and sampled forms, and so the points and lines cached on
-its spaces.
+list of canonical and sampled forms, so the points and lines cached on its
+spaces, and the residue classes and isotropic-line mask of each form (see
+geometry._run_memo).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .forms import (
     radical_split,
     _case_nu,
 )
+from . import geometry
 from .geometry import (
     CensusRecord,
     empirical_census,
@@ -467,15 +469,12 @@ def _report(check: str, params: dict, expected, observed, ok: bool, **extra) -> 
     return rep
 
 
-_run_forms: dict | None = None  # form lists of the run_checks call in progress
-
-
 def _check_forms(n: int, q: int, samples: int = 0, seed: int = 0) -> list:
     """(case, space, form) triples: the canonical form of every buildable
     shape of cases 1-4, then `samples` seeded random forms on the standard
     space, tagged case 0.  Within one run_checks call each list is built
     once and shared by the checks; outside it every call builds afresh."""
-    memo = {} if _run_forms is None else _run_forms
+    memo = {} if geometry._run_memo is None else geometry._run_memo
     if (n, q) not in memo:
         ctx = FieldCtx(q)
         memo[n, q] = ctx, [
@@ -869,8 +868,7 @@ def run_checks(names, args: dict) -> list[dict]:
     expanded = names == ["all"] or names == "all"
     if expanded:
         names = list(CHECKS)
-    global _run_forms
-    _run_forms = {}
+    geometry._run_memo = {}
     out = []
     try:
         for name in names:
@@ -893,5 +891,5 @@ def run_checks(names, args: dict) -> list[dict]:
                     }
                 )
     finally:
-        _run_forms = None
+        geometry._run_memo = None
     return out

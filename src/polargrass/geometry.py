@@ -1,10 +1,17 @@
 """Singular points and totally singular lines of the parabolic quadric.
 
 Points are canonical projective representatives (first nonzero coordinate 1)
-in ascending lexicographic order.  Lines are stored by canonical wedge
-coordinates (entries x_i y_j - x_j y_i over index pairs i < j, scaled to a
-leading 1) in ascending lexicographic order, together with a generator pair
-and the ids of their q+1 member points.
+in ascending lexicographic order.  Each line is found once, from its
+reduced-row-echelon generator pair of points, so its wedge coordinates
+(entries x_i y_j - x_j y_i over index pairs i < j) already have a leading 1
+and no dedup step is needed.  Lines are stored by those coordinates in
+ascending lexicographic order, together with the generator pair and the ids
+of their q+1 member points.
+
+While a run_checks call is in progress, the residue classes and the
+isotropic-line mask of each (space, form) pair are computed once and shared
+by every function here that reads them; outside one they are computed
+afresh on every call.
 """
 
 from __future__ import annotations
@@ -34,6 +41,20 @@ LINE_TALPHA = 2
 LINE_TBETA = 3
 LINE_TMINUS = 4
 LINE_TYPE_NAMES = ("T0", "TPLUS", "TALPHA", "TBETA", "TMINUS")
+
+_run_memo: dict | None = None  # shared results of the run_checks call in progress
+
+
+def _per_form(kind: str, fn, qs: QuadraticSpace, af: AlternatingForm):
+    """fn(qs, af), computed once per (space, form) while a run_checks call
+    is in progress and afresh otherwise."""
+    if _run_memo is None:
+        return fn(qs, af)
+    key = kind, id(qs), id(af)
+    if key not in _run_memo:
+        # the entry holds qs and af, so no other object can take their ids
+        _run_memo[key] = fn(qs, af), qs, af
+    return _run_memo[key][0]
 
 
 @dataclass
@@ -113,7 +134,12 @@ def _ids_for_rows(qs: QuadraticSpace, rows: np.ndarray) -> np.ndarray:
 
 
 class LineSet:
-    """Totally singular lines in canonical order with incidence data."""
+    """Totally singular lines in canonical order with incidence data.
+
+    gens[i] holds the ids of the reduced-echelon pair (v, u) of line i: v
+    has the later leading coordinate, u is zero there, and they are the two
+    lex-smallest points of the line.
+    """
 
     def __init__(self, qs: QuadraticSpace, plucker: np.ndarray, gens: np.ndarray):
         self.qs = qs
@@ -131,12 +157,12 @@ class LineSet:
             qs = self.qs
             ctx = qs.ctx
             pts = quadric_points(qs)
-            u = pts[self.gens[:, 0]]
-            v = pts[self.gens[:, 1]]
-            cols = [self.gens[:, 1]]
+            v = pts[self.gens[:, 0]]
+            u = pts[self.gens[:, 1]]
+            cols = [self.gens[:, 0]]
+            # u + lam v keeps the leading 1 of u, so it is already canonical
             for lam in range(ctx.q):
                 w = ctx.np_add(u, ctx.np_mul(np.int64(lam), v))
-                w = ctx.np_normalize_rows(w)
                 cols.append(_ids_for_rows(qs, w))
             mem = np.stack(cols, axis=1)
             mem.sort(axis=1)
@@ -162,45 +188,44 @@ class LineSet:
 
 
 def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
-    """All lines with every point on the quadric, deduped and lex sorted."""
+    """All totally singular lines, each found once, in lex order.
+
+    Every line has one reduced-row-echelon pair of points (u, v): lead(v) >
+    lead(u) and u[lead(v)] = 0.  Both are singular, so the line is totally
+    singular exactly when B(u, v) = 0.  For each lead b, one product of the
+    points v with lead b against the points u with lead < b and u[b] = 0
+    finds these pairs; the wedge row of a pair has a leading 1 at
+    (lead u, lead v), so it needs no scaling and no dedup.
+    """
     if "lines" in qs._cache:
         return qs._cache["lines"]
     ctx = qs.ctx
     pts = quadric_points(qs)
-    npts = len(pts)
+    lead = (pts != 0).argmax(axis=1)
     pm = ctx.np_matmul(pts, qs.gram_np())
+    u_ids: list[np.ndarray] = []
+    v_ids: list[np.ndarray] = []
+    for b in range(1, qs.dim):
+        vs = np.flatnonzero(lead == b)
+        us = np.flatnonzero((lead < b) & (pts[:, b] == 0))
+        row, col = np.nonzero(ctx.np_matmul(pm[vs], pts[us].T) == 0)
+        v_ids.append(vs[row])
+        u_ids.append(us[col])
+    ui = np.concatenate(u_ids)
+    vi = np.concatenate(v_ids)
+
     iu, ju = np.triu_indices(qs.dim, 1)
-
-    pair_i: list[np.ndarray] = []
-    pair_j: list[np.ndarray] = []
-    chunk = max(1, 2**22 // max(npts, 1))
-    for lo in range(0, npts, chunk):
-        hi = min(npts, lo + chunk)
-        if ctx.e == 1:
-            block = (pm[lo:hi] @ pts.T) % ctx.p
-        else:
-            block = ctx.np_rowsum(ctx.np_mul(pm[lo:hi, None, :], pts[None, :, :]))
-        bi, bj = np.nonzero(block == 0)
-        bi += lo
-        keep = bi < bj
-        pair_i.append(bi[keep])
-        pair_j.append(bj[keep])
-    gi = np.concatenate(pair_i)
-    gj = np.concatenate(pair_j)
-
-    u = pts[gi]
-    v = pts[gj]
+    u = pts[ui]
+    v = pts[vi]
     if ctx.e == 1:
         pl = (u[:, iu] * v[:, ju] - u[:, ju] * v[:, iu]) % ctx.p
     else:
         pl = ctx.np_sub(
             ctx.np_mul(u[:, iu], v[:, ju]), ctx.np_mul(u[:, ju], v[:, iu])
         )
-    pl = ctx.np_normalize_rows(pl)
-    keys = _encode_rows(ctx.q, pl)
-    uniq_keys, first = np.unique(keys, return_index=True)
-    plucker = pl[first].copy()
-    gens = np.stack([gi[first], gj[first]], axis=1).astype(np.int64)
+    order = np.argsort(_encode_rows(ctx.q, pl), kind="stable")
+    plucker = pl[order]
+    gens = np.stack([vi[order], ui[order]], axis=1).astype(np.int64)
     plucker.setflags(write=False)
     ls = LineSet(qs, plucker, gens)
     qs._cache["lines"] = ls
@@ -247,13 +272,13 @@ def residue_classes(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
 def residue_class(qs: QuadraticSpace, af: AlternatingForm, v) -> str:
     """Residue class name of one singular point."""
     pid = point_id(qs, v)
-    codes = residue_classes(qs, af)
+    codes = _per_form("residue", residue_classes, qs, af)
     return RESIDUE_NAMES[codes[pid]]
 
 
 def empirical_census(qs: QuadraticSpace, af: AlternatingForm) -> CensusRecord:
     """Count the residue classes by direct enumeration."""
-    codes = residue_classes(qs, af)
+    codes = _per_form("residue", residue_classes, qs, af)
     counts = np.bincount(codes, minlength=5)
     return CensusRecord(
         a_radical=int(counts[RESIDUE_P_A]),
@@ -267,9 +292,11 @@ def empirical_census(qs: QuadraticSpace, af: AlternatingForm) -> CensusRecord:
 # ---- line census --------------------------------------------------------------
 
 
-def _isotropic_mask(qs: QuadraticSpace, af: AlternatingForm, ls: LineSet) -> np.ndarray:
+def _isotropic_mask(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
+    """Per singular line: whether the form vanishes on it."""
     ctx = qs.ctx
     pts = quadric_points(qs)
+    ls = enumerate_singular_lines(qs)
     u = pts[ls.gens[:, 0]]
     v = pts[ls.gens[:, 1]]
     vals = ctx.np_rowsum(ctx.np_mul(ctx.np_matmul(u, af.s_np()), v))
@@ -278,16 +305,14 @@ def _isotropic_mask(qs: QuadraticSpace, af: AlternatingForm, ls: LineSet) -> np.
 
 def isotropic_line_count(qs: QuadraticSpace, af: AlternatingForm) -> int:
     """Number of totally singular lines on which the form vanishes."""
-    ls = enumerate_singular_lines(qs)
-    return int(_isotropic_mask(qs, af, ls).sum())
+    return int(_per_form("isotropic", _isotropic_mask, qs, af).sum())
 
 
 def tau_values(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     """Per singular point: number of singular lines through it that the form
     kills entirely."""
-    ls = enumerate_singular_lines(qs)
-    iso = _isotropic_mask(qs, af, ls)
-    mem = ls.members()
+    iso = _per_form("isotropic", _isotropic_mask, qs, af)
+    mem = enumerate_singular_lines(qs).members()
     out = np.bincount(mem[iso].ravel(), minlength=len(quadric_points(qs)))
     return out.astype(np.int64)
 
@@ -301,7 +326,7 @@ def line_type_codes(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     """Type code per line from the residue classes of its points."""
     q = qs.ctx.q
     ls = enumerate_singular_lines(qs)
-    mem_cls = residue_classes(qs, af)[ls.members()]
+    mem_cls = _per_form("residue", residue_classes, qs, af)[ls.members()]
     n_plus = (mem_cls == RESIDUE_PLUS).sum(axis=1)
     n_minus = (mem_cls == RESIDUE_MINUS).sum(axis=1)
     n_w = mem_cls.shape[1] - n_plus - n_minus

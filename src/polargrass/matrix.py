@@ -286,11 +286,15 @@ def nonzero_eigenvalues(m: MatrixFq) -> dict[int, int]:
     """Eigenvalues in F_q* with their eigenspace dimensions.
 
     Only base-field eigenvalues are scanned; eigenvectors over extensions
-    never enter any count here.
+    never enter any count here.  Each dimension is n - rank(m - lam I).
     """
+    if m.nrows != m.ncols:
+        raise DimensionMismatch("eigenspace needs a square matrix")
+    c = m.ctx
+    eye = np.eye(m.nrows, dtype=np.int64)
     out = {}
-    for lam in range(1, m.ctx.q):
-        d = eigenspace(m, lam).dim
+    for lam in range(1, c.q):
+        d = m.nrows - len(_eliminate(c, c.np_sub(m._a, c.np_mul(lam, eye)))[1])
         if d:
             out[lam] = d
     return out

@@ -270,13 +270,6 @@ def brute_force_min_distance(code):
 
 def leading_rows_code(q, r):
     """Code spanned by the first r rows of the (2, q) generator matrix."""
-    if q == 27:
-        # enumerating the lines at q = 27 takes about a minute, so a
-        # random generator over F_27 stands in for G
-        rng = np.random.default_rng(27)
-        qs = standard_space(field_ctx(27), 2)
-        gmat = rng.integers(0, 27, size=(r, 300), dtype=np.int64)
-        return PolarCode(qs, None, gmat, replace(code_parameters(2, 27), N=300, K=r))
     code = the_code(q, 2)
     return PolarCode(code.qs, code.lines, code.generator[:r], replace(code.params, K=r))
 

@@ -516,3 +516,24 @@ def test_run_checks_enumerates_each_space_once(monkeypatch, n, q):
     monkeypatch.setattr(code, "enumerate_singular_lines", spy)
     run_checks(["all"], {"n": n, "q": q, "samples": 5, "seed": 0, "budget": 10**5})
     assert enumerated and len(enumerated) == len(set(enumerated))
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (2, 3)])
+def test_run_checks_computes_each_form_once(monkeypatch, n, q):
+    # Every (space, form) entry gets its residue classes and its isotropic
+    # line mask once per run, however many checks read them.
+    computed = {"residue": [], "isotropic": []}
+
+    def counted(kind, fn):
+        def spy(qs, af):
+            computed[kind].append((qs, af))  # held, so the ids stay distinct
+            return fn(qs, af)
+
+        return spy
+
+    monkeypatch.setattr(geometry, "residue_classes", counted("residue", geometry.residue_classes))
+    monkeypatch.setattr(geometry, "_isotropic_mask", counted("isotropic", geometry._isotropic_mask))
+    run_checks(["all"], {"n": n, "q": q, "samples": 5, "seed": 0, "budget": 10**5})
+    for pairs in computed.values():
+        keys = [(id(qs), id(af)) for qs, af in pairs]
+        assert keys and len(keys) == len(set(keys))

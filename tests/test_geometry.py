@@ -5,7 +5,7 @@ import pytest
 from polargrass.code import random_alternating_form
 from polargrass.errors import NotOnQuadric
 from polargrass.field import field_ctx
-from polargrass.forms import canonical_form, standard_space
+from polargrass.forms import admissible_pairs, canonical_form, standard_space
 from polargrass.geometry import (
     RESIDUE_MINUS,
     RESIDUE_NAMES,
@@ -13,6 +13,7 @@ from polargrass.geometry import (
     RESIDUE_P_B,
     RESIDUE_PLUS,
     RESIDUE_ZERO,
+    _encode_rows,
     empirical_census,
     enumerate_singular_lines,
     export_line_list,
@@ -127,6 +128,78 @@ def test_lines_through_every_point(n, q, through):
     assert len(lines_through(qs, pts[0].tolist())) == through
     with pytest.raises(NotOnQuadric):
         lines_through(qs, [0, 1] + [0] * (2 * n - 1))
+
+
+def reference_lines(qs):
+    """(plucker, gens, members) from every perpendicular pair of points,
+    scaled to a leading 1 and deduplicated: the all-pairs enumerator the
+    reduced-echelon one replaced, kept as its test oracle."""
+    ctx = qs.ctx
+    pts = quadric_points(qs)
+    pm = ctx.np_matmul(pts, qs.gram_np())
+    if ctx.e == 1:
+        block = (pm @ pts.T) % ctx.p
+    else:
+        block = ctx.np_rowsum(ctx.np_mul(pm[:, None, :], pts[None, :, :]))
+    gi, gj = np.nonzero(block == 0)
+    keep = gi < gj
+    gi, gj = gi[keep], gj[keep]
+    iu, ju = np.triu_indices(qs.dim, 1)
+    u, v = pts[gi], pts[gj]
+    pl = ctx.np_sub(ctx.np_mul(u[:, iu], v[:, ju]), ctx.np_mul(u[:, ju], v[:, iu]))
+    pl = ctx.np_normalize_rows(pl)
+    _, first = np.unique(_encode_rows(ctx.q, pl), return_index=True)
+    plucker = pl[first]
+    gens = np.stack([gi[first], gj[first]], axis=1)
+    point_keys = _encode_rows(ctx.q, pts)
+    u, v = pts[gens[:, 0]], pts[gens[:, 1]]
+    cols = [gens[:, 1]]
+    for lam in range(ctx.q):
+        w = ctx.np_normalize_rows(ctx.np_add(u, ctx.np_mul(np.int64(lam), v)))
+        pos = np.searchsorted(point_keys, _encode_rows(ctx.q, w))
+        assert (point_keys[pos] == _encode_rows(ctx.q, w)).all()
+        cols.append(pos)
+    return plucker, gens, np.sort(np.stack(cols, axis=1), axis=1)
+
+
+def differential_spaces():
+    for q, n in ((3, 3), (9, 2)):
+        for case in (1, 2, 3, 4):
+            for r, d in admissible_pairs(n, case):
+                yield pytest.param(q, n, (r, d, case), id=f"q{q}-n{n}-case{case}-r{r}-d{d}")
+    for q in (5, 11):
+        yield pytest.param(q, 2, None, id=f"q{q}-n2-standard")
+
+
+@pytest.mark.parametrize("q,n,shape", differential_spaces())
+def test_lines_match_all_pairs_reference(q, n, shape):
+    ctx = field_ctx(q)
+    qs = standard_space(ctx, n) if shape is None else canonical_form(ctx, n, *shape)[0]
+    ls = enumerate_singular_lines(qs)
+    plucker, gens, members = reference_lines(qs)
+    assert ls.plucker.dtype == plucker.dtype and ls.plucker.shape == plucker.shape
+    assert ls.plucker.tobytes() == plucker.tobytes()
+    assert np.array_equal(ls.gens, gens)
+    assert np.array_equal(ls.members(), members)
+    # gens[i] spans line i: its wedge row is a multiple of plucker[i]
+    pts = quadric_points(qs)
+    u, v = pts[ls.gens[:, 0]], pts[ls.gens[:, 1]]
+    iu, ju = np.triu_indices(qs.dim, 1)
+    wedge = ctx.np_sub(ctx.np_mul(u[:, iu], v[:, ju]), ctx.np_mul(u[:, ju], v[:, iu]))
+    assert np.array_equal(ctx.np_normalize_rows(wedge), ls.plucker)
+
+
+def test_lines_q27_incidence():
+    q = 27
+    qs = standard_space(field_ctx(q), 2)
+    ls = enumerate_singular_lines(qs)
+    n_lines = (q**4 - 1) // (q - 1)
+    assert len(ls) == n_lines == 20440
+    mem = ls.members()
+    assert mem.shape == (n_lines, q + 1)
+    assert (np.diff(mem, axis=1) > 0).all()
+    on_point = np.bincount(mem.ravel(), minlength=len(quadric_points(qs)))
+    assert (on_point == q + 1).all()
 
 
 def test_flag_count_matches_line_count():

@@ -251,6 +251,27 @@ def test_nonzero_eigenvalues_empty_at_full_radical():
 # ---------------------------------------------------------
 @given(
     q=st.sampled_from([3, 5, 9]),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+    conjugated=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_nonzero_eigenvalues_match_eigenspaces(q, n, seed, conjugated):
+    ctx = FIELDS[q]
+    rng = np.random.default_rng(seed)
+    m = random_matrix(ctx, rng, n, n)
+    if conjugated:
+        # a conjugated diagonal over {0, 1, 2} repeats its eigenvalues, so
+        # eigenspaces of dimension above 1 come up
+        p = random_invertible(ctx, rng, n)
+        diag = MatrixFq.from_numpy(ctx, np.diag(rng.integers(0, 3, size=n)))
+        m = p.mul(diag).mul(inverse(p))
+    dims = {lam: eigenspace(m, lam).dim for lam in range(1, q)}
+    assert nonzero_eigenvalues(m) == {lam: d for lam, d in dims.items() if d}
+
+
+@given(
+    q=st.sampled_from([3, 5, 9]),
     nr=st.integers(1, 6),
     nc=st.integers(1, 6),
     seed=st.integers(0, 10**6),
