@@ -1,10 +1,11 @@
 """Command line front end: build codes, run verifications, weigh forms, search.
 
 Exit codes: 0 success, 1 verification mismatch or counterexample, 2 bad or
-inadmissible input (a malformed POLAR_BUDGET, a negative --samples) or out
-of memory, 3 I/O failure.  Identical configurations (including the
-seed) produce byte-identical output; --workers is a tuning flag that never
-changes output bytes.
+inadmissible input (a malformed POLAR_BUDGET, a negative --samples, an (n, q)
+whose points, lines or code cannot fit in memory) or out of memory, 3 I/O
+failure.  Identical configurations (including the seed) produce
+byte-identical output; --workers is a tuning flag that never changes output
+bytes.
 """
 
 from __future__ import annotations

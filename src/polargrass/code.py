@@ -10,6 +10,7 @@ not vanish.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +25,28 @@ from .errors import (
     ZeroMessage,
 )
 from .field import FieldCtx
-from .forms import AlternatingForm, QuadraticSpace, build_S, standard_space
-from .geometry import LineSet, enumerate_singular_lines, quadric_points
+from .forms import (
+    AlternatingForm,
+    QuadraticSpace,
+    build_S,
+    check_memory,
+    point_bytes,
+    projective_block,
+    standard_space,
+)
+from .geometry import (
+    PAIR_BLOCK_ENTRIES,
+    LineSet,
+    enumerate_singular_lines,
+    quadric_points,
+    singular_line_count,
+)
 from .matrix import MatrixFq, rank_np
 
 DEFAULT_BUDGET = 10**7
 EVAL_CHUNK_BYTES = 1 << 23  # float64 product block of one _weights_np chunk
-LOW_TABLE_BYTES = 1 << 20  # low-row combination table of the exhaustive scan
-COMPARE_BYTES = 1 << 22  # one target-against-table comparison block of the scan
+SCAN_TABLE_ROWS = 512  # low codewords the exhaustive scan's table aims for
+SCAN_BLOCK_BYTES = 1 << 21  # float32 one-hot of one block of the scan's high parts
 
 
 @dataclass(frozen=True)
@@ -49,10 +64,27 @@ def code_parameters(n: int, q: int) -> CodeParams:
     """Closed-form parameters for given n >= 2 and odd prime power q."""
     if n < 2:
         raise InadmissibleParams(f"need n >= 2, got {n}")
-    nn = (q ** (2 * n - 2) - 1) * (q ** (2 * n) - 1) // ((q**2 - 1) * (q - 1))
+    nn = singular_line_count(n, q)
     kk = (2 * n + 1) * n
     d = q ** (4 * n - 5) - q ** (3 * n - 4)
     return CodeParams(n=n, q=q, N=nn, K=kk, d_claimed=d)
+
+
+def memory_estimate(n: int, q: int) -> float:
+    """Upper bound on the peak bytes build_code reaches for (n, q).
+
+    The points of PG(2n, q) (point_bytes), the line enumerator's product
+    block, and 6K + 2 dim int64 per line: the enumerator's four N x K wedge
+    products with both points of each pair, or later the plucker rows, the
+    generator, rank_np's reduced and working copies and the two products of
+    an elimination step.  N is at least q^(4n-5), so past 2^100 it is inf and
+    a huge n costs no big-integer power.
+    """
+    if (4 * n - 5) * math.log2(q) > 100:
+        return math.inf
+    p = code_parameters(n, q)
+    dim = 2 * n + 1
+    return point_bytes(q, dim) + 24 * PAIR_BLOCK_ENTRIES + 8 * p.N * (6 * p.K + 2 * dim)
 
 
 class PolarCode:
@@ -76,6 +108,7 @@ class PolarCode:
 def build_code(qs: QuadraticSpace) -> PolarCode:
     """Construct the code of qs and check its parameters."""
     params = code_parameters(qs.n, qs.ctx.q)
+    check_memory(memory_estimate(qs.n, qs.ctx.q), f"the code of n={qs.n}, q={qs.ctx.q}")
     lines = enumerate_singular_lines(qs)
     if len(lines) != params.N:
         raise RankDeficient(
@@ -194,49 +227,54 @@ def check_scan_budget(params: CodeParams, budget: int) -> None:
         )
 
 
-def _combinations(ctx: FieldCtx, base: np.ndarray, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """base + c . rows for the coefficient tuples c whose base-q index,
-    first row most significant, lies in [lo, hi)."""
-    index = np.arange(lo, hi, dtype=np.int64)
-    out = np.broadcast_to(base, (hi - lo, len(base)))
-    for j, row in enumerate(rows):
-        digit = index // ctx.q ** (len(rows) - 1 - j) % ctx.q
-        out = ctx.np_add(out, ctx.np_mul(digit[:, None], row[None, :]))
+def _onehot(vals: np.ndarray, q: int) -> np.ndarray:
+    """float32 rows with a 1 at j*q + vals[:, j] for every coordinate j."""
+    rows, nn = vals.shape
+    out = np.zeros((rows, nn * q), dtype=np.float32)
+    hot = vals + q * np.arange(nn) + (nn * q) * np.arange(rows)[:, None]
+    out.reshape(-1)[hot] = 1
     return out
 
 
 def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
     """Scan every nonzero message up to scaling; exact minimum weight.
 
-    Meet in the middle: a message with leading 1 at `lead` splits into high
-    coordinates h and the last b coordinates l, and its codeword vanishes
-    exactly where the table row of l, c . G[-b:], equals the target
-    -(G[lead] + h . G_high).  One table of the last B rows serves every
-    lead, since its first q^b rows are the table of the last b rows.
+    Split a message into its high part h, the first a = K - b coordinates,
+    and its low part l, the last b.  The codeword of (h, -l) vanishes exactly
+    where h . G_high equals l . G_low, so with the one-hot encoding of each
+    coordinate's value the number of its zeros is a dot product, and one
+    float32 GEMM onehot(h codewords) @ onehot(low codewords)^T counts them
+    for a block of h against every l at once (exact, since N < 2^24).  As l
+    runs over F_q^b so does -l, and every projective message is either
+    (h, l) with h a canonical projective point of F_q^a, or (0, l) with
+    l != 0, whose weights are the nonzero rows of the low table itself.
     """
     check_scan_budget(code.params, budget)
-    ctx = code.ctx
     q, k, nn = code.params.q, code.params.K, code.params.N
-    g = np.asarray(code.generator, dtype=np.int64)
-    dtype = np.min_scalar_type(q - 1)
-    low_rows = 0
-    while low_rows < k - 1 and q ** (low_rows + 1) * nn * dtype.itemsize <= LOW_TABLE_BYTES:
-        low_rows += 1
-    low = _combinations(ctx, np.zeros(nn, dtype=np.int64), g[k - low_rows :], 0, q**low_rows)
-    low = low.astype(dtype)
-    best = nn
-    for lead in range(k):
-        b = min(low_rows, k - 1 - lead)
-        table = low[: q**b]
-        high = g[lead + 1 : k - b]
-        count = q ** len(high)
-        step = max(1, COMPARE_BYTES // table.size)
-        for lo in range(0, count, step):
-            targets = _combinations(ctx, g[lead], high, lo, min(count, lo + step))
-            targets = ctx.np_neg(targets).astype(dtype)
-            # int32 holds every weight, since N < 2^31 for any buildable code
-            w = (table[None] != targets[:, None]).sum(axis=2, dtype=np.int32)
-            best = min(best, int(w.min()))
+    if nn >= 1 << 24:
+        raise DimensionMismatch(f"length {nn} is too long for exact float32 counts")
+    # low part: the smallest b whose table reaches SCAN_TABLE_ROWS rows, so
+    # each GEMM is wide enough to run near BLAS speed, then lowered while the
+    # table's one-hot exceeds 16 blocks (32 MiB), which bounds it at large q N
+    b = 0
+    while b < k - 1 and q**b < SCAN_TABLE_ROWS:
+        b += 1
+    while b > 0 and q**b * q * nn * 4 > 16 * SCAN_BLOCK_BYTES:
+        b -= 1
+    a = k - b
+    msgs = np.zeros((q**b, k), dtype=np.int64)
+    msgs[:, a:] = np.arange(q**b)[:, None] // q ** np.arange(b - 1, -1, -1) % q
+    low = np.concatenate(list(_codeword_chunks(code, msgs)))
+    best = int(np.count_nonzero(low[1:], axis=1).min()) if b else nn
+    table = _onehot(low, q)
+    step = max(1, SCAN_BLOCK_BYTES // (4 * q * nn))
+    count = (q**a - 1) // (q - 1)
+    for lo in range(0, count, step):
+        msgs = np.zeros((min(count, lo + step) - lo, k), dtype=np.int64)
+        msgs[:, :a] = projective_block(q, a, lo, lo + len(msgs))
+        vals = np.concatenate(list(_codeword_chunks(code, msgs)))
+        eq = _onehot(vals, q) @ table.T
+        best = min(best, nn - int(eq.max()))
     return best
 
 

@@ -10,6 +10,9 @@ construct those, and the classification helpers work for arbitrary forms.
 
 from __future__ import annotations
 
+import math
+import os
+import resource
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -185,6 +188,8 @@ def build_M(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> QuadraticSpace:
     check_admissible(n, r, d, case)
     nu = _case_nu(n, r, d, case)
     dim = 2 * n + 1
+    # the entry lists below, then the row tuples and int64 array of MatrixFq
+    check_memory(24 * dim * dim, f"a Gram matrix of dimension {dim}")
     profile = BlockProfile(case=case, n=n, r=r, d=d, nu=nu)
     m = [[0] * dim for _ in range(dim)]
     for i in range(d):
@@ -560,6 +565,49 @@ def classify_internal_external(qs: QuadraticSpace, v) -> str:
 _POINT_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
+def check_memory(need: float, what: str) -> None:
+    """Raise InadmissibleParams if need bytes exceed what this process may
+    hold: the physical memory or, if lower, its soft RLIMIT_AS.
+
+    Every function that builds an array growing with n or q calls it first,
+    so parameters too large for memory are rejected instead of killed.
+    """
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limit = min(limit, soft)
+    if need > limit:
+        amount = f"{need / 2**30:.3g} GiB" if need < 2**100 else "over 2^100 bytes"
+        raise InadmissibleParams(f"{what} needs at least {amount}; {limit / 2**30:.3g} GiB available")
+
+
+def point_bytes(q: int, dim: int) -> float:
+    """Peak bytes of the points of PG(dim-1, q) and one quadratic form
+    evaluated on them: four int64 arrays of points x dim at once.
+
+    The count exceeds q^(dim-1), so past 2^100 it is inf and a huge dim
+    costs no big-integer power.
+    """
+    if (dim - 1) * math.log2(q) > 100:
+        return math.inf
+    return 32 * dim * ((q**dim - 1) // (q - 1))
+
+
+def projective_block(q: int, dim: int, lo: int, hi: int) -> np.ndarray:
+    """Points lo, ..., hi-1 of PG(dim-1, q) in the order of projective_points.
+
+    Point i has tail width w, the largest with (q^w - 1)/(q - 1) <= i: a 1
+    at coordinate dim-1-w followed by the w base-q digits of the rest of i.
+    """
+    index = np.arange(lo, hi, dtype=np.int64)
+    starts = (q ** np.arange(dim, dtype=np.int64) - 1) // (q - 1)
+    width = np.searchsorted(starts, index, side="right") - 1
+    tail = index - starts[width]
+    pts = tail[:, None] // q ** np.arange(dim - 1, -1, -1, dtype=np.int64) % q
+    pts[np.arange(len(index)), dim - 1 - width] = 1
+    return pts
+
+
 def projective_points(ctx: FieldCtx, dim: int) -> np.ndarray:
     """Canonical representatives of all points of PG(dim-1, q), ascending lex.
 
@@ -570,19 +618,8 @@ def projective_points(ctx: FieldCtx, dim: int) -> np.ndarray:
     if cached is not None:
         return cached
     q = ctx.q
-    blocks = []
-    for lead in range(dim - 1, -1, -1):
-        tail_w = dim - lead - 1
-        count = q**tail_w
-        block = np.zeros((count, dim), dtype=np.int64)
-        block[:, lead] = 1
-        if tail_w:
-            block[:, lead + 1 :] = (
-                np.arange(count, dtype=np.int64)[:, None]
-                // q ** np.arange(tail_w - 1, -1, -1, dtype=np.int64)
-            ) % q
-        blocks.append(block)
-    pts = np.vstack(blocks)
+    check_memory(point_bytes(q, dim), f"the points of PG({dim - 1}, {q})")
+    pts = projective_block(q, dim, 0, (q**dim - 1) // (q - 1))
     pts.setflags(write=False)
     _POINT_CACHE[key] = pts
     return pts

@@ -26,7 +26,9 @@ from .errors import (
     TypeNotInTable,
     ZeroVector,
 )
-from .forms import AlternatingForm, QuadraticSpace, projective_points
+from .forms import AlternatingForm, QuadraticSpace, check_memory, projective_points
+
+PAIR_BLOCK_ENTRIES = 1 << 20  # point pairs in one product block of enumerate_singular_lines
 
 RESIDUE_P_A = 0
 RESIDUE_P_B = 1
@@ -187,19 +189,32 @@ class LineSet:
         return lines[starts[pid] : starts[pid + 1]]
 
 
+def singular_line_count(n: int, q: int) -> int:
+    """Number of totally singular lines of the parabolic quadric Q(2n, q)."""
+    return (q ** (2 * n - 2) - 1) * (q ** (2 * n) - 1) // ((q**2 - 1) * (q - 1))
+
+
 def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
     """All totally singular lines, each found once, in lex order.
 
     Every line has one reduced-row-echelon pair of points (u, v): lead(v) >
     lead(u) and u[lead(v)] = 0.  Both are singular, so the line is totally
-    singular exactly when B(u, v) = 0.  For each lead b, one product of the
-    points v with lead b against the points u with lead < b and u[b] = 0
-    finds these pairs; the wedge row of a pair has a leading 1 at
-    (lead u, lead v), so it needs no scaling and no dedup.
+    singular exactly when B(u, v) = 0.  For each lead b, products of the
+    points v with lead b against the points u with lead < b and u[b] = 0,
+    in blocks of at most PAIR_BLOCK_ENTRIES pairs, find these pairs; the
+    wedge row of a pair has a leading 1 at (lead u, lead v), so it needs no
+    scaling and no dedup.
     """
     if "lines" in qs._cache:
         return qs._cache["lines"]
     ctx = qs.ctx
+    k = qs.dim * (qs.dim - 1) // 2
+    # three int64 copies of a product block, then per line: four N x K
+    # wedge products, both points of the pair and their ids twice
+    check_memory(
+        24 * PAIR_BLOCK_ENTRIES + 8 * singular_line_count(qs.n, ctx.q) * (4 * k + 2 * qs.dim + 4),
+        f"the singular lines of Q({2 * qs.n}, {ctx.q})",
+    )
     pts = quadric_points(qs)
     lead = (pts != 0).argmax(axis=1)
     pm = ctx.np_matmul(pts, qs.gram_np())
@@ -208,9 +223,13 @@ def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
     for b in range(1, qs.dim):
         vs = np.flatnonzero(lead == b)
         us = np.flatnonzero((lead < b) & (pts[:, b] == 0))
-        row, col = np.nonzero(ctx.np_matmul(pm[vs], pts[us].T) == 0)
-        v_ids.append(vs[row])
-        u_ids.append(us[col])
+        ut = pts[us].T
+        step = max(1, PAIR_BLOCK_ENTRIES // max(1, len(us)))
+        for lo in range(0, len(vs), step):
+            block = vs[lo : lo + step]
+            row, col = np.nonzero(ctx.np_matmul(pm[block], ut) == 0)
+            v_ids.append(block[row])
+            u_ids.append(us[col])
     ui = np.concatenate(u_ids)
     vi = np.concatenate(v_ids)
 

@@ -1,8 +1,13 @@
 # tests/test_cli.py
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polargrass
 from polargrass.cli import main
 from polargrass.code import parse_code
 from polargrass.field import field_ctx
@@ -308,3 +313,79 @@ def test_search_out_of_memory(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: out of memory")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------
+# parameters too big for memory
+# ---------------------------------------------------------
+RLIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from polargrass.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_rlimited(*argv):
+    """The CLI in a child process whose address space is capped at 1 GiB,
+    so a wrongly admitted size fails there instead of filling the host.
+    One BLAS thread keeps the child's address space independent of the
+    host's core count."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(polargrass.__file__).parents[1]),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+    )
+    return subprocess.run(
+        [sys.executable, "-c", RLIMITED_MAIN, *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (("build", "--q", "3", "--n", "99999"), "a Gram matrix of dimension 199999"),
+        (("build", "--q", "3", "--n", "5"), "the code of n=5, q=3"),
+        (("search", "--q", "3", "--n", "5"), "the code of n=5, q=3"),
+        (("verify", "--q", "3", "--n", "5", "--check", "line-count-identity"),
+         "the singular lines of Q(10, 3)"),
+        (("verify", "--q", "3", "--n", "9", "--check", "orbit-counts"),
+         "the points of PG(18, 3)"),
+    ],
+    ids=["build-gram", "build-code", "search-code", "verify-lines", "verify-points"],
+)
+def test_too_large_parameters_rejected(argv, what):
+    res = run_rlimited(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {what} needs at least ")
+    assert res.stderr.endswith(" GiB available\n")
+    assert "Traceback" not in res.stderr
+
+
+def test_weight_too_large_rejected(tmp_path):
+    path = tmp_path / "form13.txt"
+    path.write_text(format_matrix_text(MatrixFq.zeros(F3, 13, 13)))
+    res = run_rlimited("weight", str(path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: the singular lines of Q(12, 3) needs at least ")
+
+
+def test_admitted_parameters_run_under_rlimit():
+    res = run_rlimited("build", "--q", "3", "--n", "2")
+    assert (res.returncode, res.stdout) == (0, "40 10 18\n")
+
+
+def test_closed_form_checks_run_where_the_code_would_not_fit():
+    # grid-maxima and case-maxima build no points, lines or code
+    res = run_rlimited(
+        "verify", "--q", "3", "--n", "5", "--check", "grid-maxima", "--check", "case-maxima"
+    )
+    assert res.returncode == 0, res.stderr
+    reports = json.loads(res.stdout)
+    assert [(r["check"], r["status"]) for r in reports] == [
+        ("grid-maxima", "ok"),
+        ("case-maxima", "ok"),
+    ]

@@ -1,5 +1,6 @@
 # tests/test_code.py
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -7,6 +8,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polargrass import code as code_module
 from polargrass.code import (
@@ -21,6 +24,7 @@ from polargrass.code import (
     export_code_text,
     form_from_message,
     form_weight_direct,
+    memory_estimate,
     message_from_form,
     min_distance_certified,
     min_distance_exact,
@@ -40,8 +44,20 @@ from polargrass.errors import (
     ZeroMessage,
 )
 from polargrass.field import field_ctx
-from polargrass.forms import build_M, build_S, form_profile, standard_space
-from polargrass.geometry import empirical_census, isotropic_line_count, quadric_points
+from polargrass.forms import (
+    build_M,
+    build_S,
+    form_profile,
+    point_bytes,
+    projective_points,
+    standard_space,
+)
+from polargrass.geometry import (
+    PAIR_BLOCK_ENTRIES,
+    empirical_census,
+    isotropic_line_count,
+    quadric_points,
+)
 from polargrass.matrix import rank_np
 
 F3 = field_ctx(3)
@@ -268,10 +284,23 @@ def brute_force_min_distance(code):
     )
 
 
+def generator_code(q, gmat):
+    """A code over F_q with an arbitrary generator; the scan reads only
+    the field, N, K and the generator."""
+    code = the_code(q, 2)
+    k, nn = gmat.shape
+    return PolarCode(code.qs, code.lines, gmat, replace(code.params, N=nn, K=k))
+
+
 def leading_rows_code(q, r):
     """Code spanned by the first r rows of the (2, q) generator matrix."""
-    code = the_code(q, 2)
-    return PolarCode(code.qs, code.lines, code.generator[:r], replace(code.params, K=r))
+    return generator_code(q, the_code(q, 2).generator[:r])
+
+
+def small_scan_blocks(monkeypatch, code):
+    """A table of at most q rows and one high part per block."""
+    monkeypatch.setattr(code_module, "SCAN_TABLE_ROWS", code.params.q)
+    monkeypatch.setattr(code_module, "SCAN_BLOCK_BYTES", 4 * code.params.q * code.params.N)
 
 
 @pytest.mark.parametrize("q,r", [(3, 7), (5, 5), (9, 4), (27, 3)])
@@ -279,11 +308,87 @@ def leading_rows_code(q, r):
 def test_min_distance_exact_matches_brute_force(monkeypatch, q, r, small_blocks):
     code = leading_rows_code(q, r)
     if small_blocks:
-        # a one-row low table and two targets per block: every lead but the
-        # last takes the high-row target path, over several blocks
-        monkeypatch.setattr(code_module, "LOW_TABLE_BYTES", q * code.params.N)
-        monkeypatch.setattr(code_module, "COMPARE_BYTES", 2 * q * code.params.N)
+        small_scan_blocks(monkeypatch, code)
     assert min_distance_exact(code) == brute_force_min_distance(code)
+
+
+def matmul_min_distance(code):
+    """Minimum weight over every canonical message, evaluated by the field's
+    own matrix product."""
+    msgs = np.vstack(list(canonical_messages(code.params.q, code.params.K)))
+    vals = code.ctx.np_matmul(msgs, code.generator)
+    return int(np.count_nonzero(vals, axis=1).min())
+
+
+@given(
+    q=st.sampled_from([3, 5, 9]),
+    k=st.integers(1, 6),
+    nn=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    small_blocks=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_min_distance_exact_random_generators(q, k, nn, seed, small_blocks):
+    gmat = np.random.default_rng(seed).integers(0, q, size=(k, nn))
+    code = generator_code(q, gmat)
+    with pytest.MonkeyPatch.context() as mp:
+        if small_blocks:
+            small_scan_blocks(mp, code)
+        assert min_distance_exact(code) == matmul_min_distance(code)
+
+
+def single_minimum_code(q, mstar):
+    """Columns: every projective point x of F_q^5 with mstar . x = 0, then
+    one unit vector off that hyperplane.  mstar has weight 1; any message
+    that is not a multiple of it is a nonzero functional on the hyperplane,
+    so its weight is at least q^3."""
+    ctx = field_ctx(q)
+    pts = projective_points(ctx, len(mstar))
+    on = ctx.np_matmul(pts, np.asarray(mstar)[:, None])[:, 0] == 0
+    off = np.eye(len(mstar), dtype=np.int64)[[np.flatnonzero(mstar)[0]]]
+    return generator_code(q, np.vstack([pts[on], off]).T.copy())
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+@pytest.mark.parametrize("small_blocks", [False, True])
+@pytest.mark.parametrize("where", ["zero high part", "last high block"])
+def test_min_distance_exact_single_minimum(monkeypatch, q, small_blocks, where):
+    # for every split a + b = 5 with b >= 1, the only minimum word
+    # (0, 0, 0, 0, 1) has a zero high part, and (1, q-1, q-1, q-1, 0) has
+    # the high part (1, q-1, ..., q-1), the last one the scan visits
+    mstar = [0, 0, 0, 0, 1] if where == "zero high part" else [1, q - 1, q - 1, q - 1, 0]
+    code = single_minimum_code(q, mstar)
+    if small_blocks:
+        small_scan_blocks(monkeypatch, code)
+    assert weight_of_message(code, mstar) == 1
+    assert min_distance_exact(code) == 1
+
+
+def test_memory_estimate():
+    # the points of PG(2n, q) (four int64 arrays of points x dim), three
+    # int64 copies of the enumerator's product block, 6K + 2 dim int64 per line
+    block = 24 * PAIR_BLOCK_ENTRIES
+    assert point_bytes(3, 5) == 32 * 5 * 121
+    assert memory_estimate(2, 3) == 32 * 5 * 121 + block + 8 * 40 * (6 * 10 + 2 * 5)
+    assert memory_estimate(3, 5) == 32 * 7 * 19531 + block + 8 * 101556 * (6 * 21 + 2 * 7)
+    p = code_parameters(5, 3)
+    assert memory_estimate(5, 3) > 6 * 8 * p.N * p.K > 50 * 2**30
+    assert point_bytes(3, 199999) == memory_estimate(99999, 3) == float("inf")
+    assert memory_estimate(10**12, 3) == float("inf")
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (27, 2), (5, 3)])
+def test_memory_estimate_bounds_build_peak(q, n):
+    # the points of PG(2n, q) may be cached by earlier tests, which only
+    # lowers the measured peak
+    qs = standard_space(field_ctx(q), n)
+    tracemalloc.start()
+    try:
+        build_code(qs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= memory_estimate(n, q)
 
 
 # ---------------------------------------------------------

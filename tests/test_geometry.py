@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from polargrass import geometry
 from polargrass.code import random_alternating_form
 from polargrass.errors import NotOnQuadric
 from polargrass.field import field_ctx
@@ -26,6 +27,7 @@ from polargrass.geometry import (
     quadric_points,
     residue_class,
     residue_classes,
+    singular_line_count,
     tau,
     tau_values,
 )
@@ -187,6 +189,18 @@ def test_lines_match_all_pairs_reference(q, n, shape):
     iu, ju = np.triu_indices(qs.dim, 1)
     wedge = ctx.np_sub(ctx.np_mul(u[:, iu], v[:, ju]), ctx.np_mul(u[:, ju], v[:, iu]))
     assert np.array_equal(ctx.np_normalize_rows(wedge), ls.plucker)
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (9, 2), (5, 2)])
+def test_lines_in_small_pair_blocks(monkeypatch, q, n):
+    # blocks of at most 7 pairs split every lead into many row blocks
+    ctx = field_ctx(q)
+    whole = enumerate_singular_lines(standard_space(ctx, n))
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_ENTRIES", 7)
+    split = enumerate_singular_lines(standard_space(ctx, n))
+    assert len(split) == singular_line_count(n, q)
+    assert split.plucker.tobytes() == whole.plucker.tobytes()
+    assert np.array_equal(split.gens, whole.gens)
 
 
 def test_lines_q27_incidence():
