@@ -25,7 +25,6 @@ from .code import (
 )
 from .counting import (
     case1_equation_counts,
-    case1_line_count,
     case4_line_count_bound,
     case_line_count,
     check_eigenvector_bound,

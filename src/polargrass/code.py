@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .geometry import (
     PAIR_BLOCK_ENTRIES,
     LineSet,
     enumerate_singular_lines,
-    quadric_points,
+    isotropic_line_count,
     singular_line_count,
 )
 from .matrix import MatrixFq, rank_np
@@ -133,8 +134,12 @@ class Codeword:
     weight: int
 
 
+@lru_cache(maxsize=None)
 def _pair_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(dim, 1)
+    iu, ju = np.triu_indices(dim, 1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
 
 def message_from_form(af: AlternatingForm) -> np.ndarray:
@@ -208,13 +213,9 @@ def codeword_from_form(code: PolarCode, af: AlternatingForm) -> Codeword:
 
 
 def form_weight_direct(code: PolarCode, af: AlternatingForm) -> int:
-    """Weight recomputed line by line from a generator pair of each line."""
-    ctx = code.ctx
-    pts = quadric_points(code.qs)
-    u = pts[code.lines.gens[:, 0]]
-    v = pts[code.lines.gens[:, 1]]
-    vals = ctx.np_rowsum(ctx.np_mul(ctx.np_matmul(u, af.s_np()), v))
-    return int((vals != 0).sum())
+    """Weight recomputed line by line from a generator pair of each line,
+    without the generator matrix."""
+    return len(code.lines) - isotropic_line_count(code.qs, af)
 
 
 def check_scan_budget(params: CodeParams, budget: int) -> None:

@@ -163,10 +163,6 @@ def census_rewrite_sides(census: CensusRecord, n: int, q: int) -> tuple[int, int
     return lhs, rhs
 
 
-def case1_line_count(n: int, q: int, r: int, d: int) -> int:
-    return line_count_from_census(closed_form_census(1, n, q, r, d), n, q)
-
-
 def case_line_count(case: int, n: int, q: int, r: int, d: int) -> int:
     return line_count_from_census(closed_form_census(case, n, q, r, d), n, q)
 
@@ -209,7 +205,7 @@ def objective_grid_argmax(n: int, q: int) -> dict:
 
 def case1_identity_sides(n: int, q: int, r: int, d: int) -> tuple[int, int]:
     """Case-1 line count times (q+1)(q-1)^2 versus its objective expression."""
-    lhs = case1_line_count(n, q, r, d) * (q + 1) * (q - 1) ** 2
+    lhs = case_line_count(1, n, q, r, d) * (q + 1) * (q - 1) ** 2
     tail = (
         _qp(q, 4 * n - 3)
         - _qp(q, 2 * n - 1)
@@ -331,8 +327,7 @@ def case1_equation_counts(ctx: FieldCtx, n: int, r: int, d: int, beta: int = 1) 
     width2 = 1 + 2 * nu
     gram2 = np.zeros((width2, width2), dtype=np.int64)
     gram2[0, 0] = ctx.neg(1)
-    for i in range(nu):
-        gram2[1 + i, 1 + nu + i] = gram2[1 + nu + i, 1 + i] = 1
+    gram2[1:, 1:] = hyperbolic_gram(ctx, nu).to_numpy()
     vecs2 = _all_vectors(ctx, width2)
     vecs2 = vecs2[vecs2[:, 0] != 0]
     vals2 = ctx.np_quad_eval(gram2, vecs2)
@@ -645,7 +640,7 @@ def verify_grid_maxima(n: int, q: int) -> dict:
     arg = None
     identities_ok = True
     for r, d in admissible_pairs(n, 1):
-        v = case1_line_count(n, q, r, d)
+        v = case_line_count(1, n, q, r, d)
         lhs, rhs = case1_identity_sides(n, q, r, d)
         identities_ok &= lhs == rhs
         if best is None or v > best:

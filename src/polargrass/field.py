@@ -124,16 +124,6 @@ class FieldCtx:
         self._square_mask = sq
         self.nonsquare_rep = int(np.flatnonzero(~sq)[0])
 
-    # ---- construction helpers -------------------------------------------
-
-    @classmethod
-    def from_characteristic(cls, p: int, e: int) -> "FieldCtx":
-        if e < 1:
-            raise InadmissibleParams(f"extension degree must be >= 1, got {e}")
-        if not _is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        return cls(p**e)
-
     def _build_tables(self) -> None:
         p, e, q = self.p, self.e, self.q
         mod_asc = list(reversed(self.modulus))
@@ -209,22 +199,9 @@ class FieldCtx:
     def is_square(self, a: int) -> bool:
         return bool(self._square_mask[a])
 
-    def legendre(self, a: int) -> int:
-        if a == 0:
-            return 0
-        return 1 if self._square_mask[a] else -1
-
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Digits (c_{e-1}, ..., c_0) of the element encoding."""
         return tuple((a // self.p**k) % self.p for k in range(self.e - 1, -1, -1))
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) != self.e:
-            raise InadmissibleParams(f"expected {self.e} coefficients")
-        out = 0
-        for c in coeffs:
-            out = out * self.p + (c % self.p)
-        return out
 
     def elements(self) -> range:
         return range(self.q)

@@ -14,6 +14,7 @@ import math
 import os
 import resource
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -113,31 +114,29 @@ def _case_nu(n: int, r: int, d: int, case: int) -> int:
     return n - (r + d + 1) // 2
 
 
+def _hyperbolic_plus(ctx: FieldCtx, t: int, tail: tuple[int, ...]) -> MatrixFq:
+    """Gram [[0, I], [I, 0]] of size 2t followed by diag(tail)."""
+    m = np.zeros((2 * t + len(tail),) * 2, dtype=np.int64)
+    i = np.arange(t)
+    m[i, t + i] = m[t + i, i] = 1
+    j = np.arange(2 * t, len(m))
+    m[j, j] = tail
+    return MatrixFq._of(ctx, m)
+
+
 def hyperbolic_gram(ctx: FieldCtx, t: int) -> MatrixFq:
     """2t x 2t Gram [[0, I], [I, 0]]."""
-    m = [[0] * (2 * t) for _ in range(2 * t)]
-    for i in range(t):
-        m[i][t + i] = m[t + i][i] = 1
-    return MatrixFq(ctx, m)
+    return _hyperbolic_plus(ctx, t, ())
 
 
 def parabolic_gram(ctx: FieldCtx, t: int) -> MatrixFq:
     """(2t+1) x (2t+1) Gram: hyperbolic part plus a final 1."""
-    m = [[0] * (2 * t + 1) for _ in range(2 * t + 1)]
-    for i in range(t):
-        m[i][t + i] = m[t + i][i] = 1
-    m[2 * t][2 * t] = 1
-    return MatrixFq(ctx, m)
+    return _hyperbolic_plus(ctx, t, (1,))
 
 
 def elliptic_gram(ctx: FieldCtx, t: int) -> MatrixFq:
     """(2t+2) x (2t+2) Gram: hyperbolic part plus diag(1, -xi), xi a nonsquare."""
-    m = [[0] * (2 * t + 2) for _ in range(2 * t + 2)]
-    for i in range(t):
-        m[i][t + i] = m[t + i][i] = 1
-    m[2 * t][2 * t] = 1
-    m[2 * t + 1][2 * t + 1] = ctx.neg(ctx.nonsquare_rep)
-    return MatrixFq(ctx, m)
+    return _hyperbolic_plus(ctx, t, (1, ctx.neg(ctx.nonsquare_rep)))
 
 
 class QuadraticSpace:
@@ -162,18 +161,14 @@ class QuadraticSpace:
         self.det = d
         # (-1)^n det(M): a point v is external iff this times eta(v) is a square
         self.disc_sign = ctx.neg(d) if n % 2 else d
-        self._gram_np = gram.to_numpy()
-        self._gram_inv_np = inverse(gram).to_numpy()
+        self._gram_inv_np = inverse(gram)._a
         self._cache: dict = {}
 
     def eta(self, v) -> int:
         return bilinear_value(self.gram, v, v)
 
-    def bilinear(self, u, v) -> int:
-        return bilinear_value(self.gram, u, v)
-
     def gram_np(self) -> np.ndarray:
-        return self._gram_np
+        return self.gram._a
 
     def gram_inv_np(self) -> np.ndarray:
         return self._gram_inv_np
@@ -188,12 +183,12 @@ def build_M(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> QuadraticSpace:
     check_admissible(n, r, d, case)
     nu = _case_nu(n, r, d, case)
     dim = 2 * n + 1
-    # the entry lists below, then the row tuples and int64 array of MatrixFq
+    # the array below, then the augmented copy that inverse reduces
     check_memory(24 * dim * dim, f"a Gram matrix of dimension {dim}")
     profile = BlockProfile(case=case, n=n, r=r, d=d, nu=nu)
-    m = [[0] * dim for _ in range(dim)]
-    for i in range(d):
-        m[i][dim - d + i] = m[dim - d + i][i] = 1
+    m = np.zeros((dim, dim), dtype=np.int64)
+    i = np.arange(d)
+    m[i, dim - d + i] = m[dim - d + i, i] = 1
     if case in (1, 2):
         q0 = parabolic_gram(ctx, nu)
     elif case == 3:
@@ -210,15 +205,10 @@ def build_M(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> QuadraticSpace:
         r0 = parabolic_gram(ctx, (r - d - 1) // 2)
     if r0.nrows != profile.d0_dim:
         raise InadmissibleParams("internal block size mismatch")
-    off = d
-    for i in range(q0.nrows):
-        for j in range(q0.ncols):
-            m[off + i][off + j] = q0.rows[i][j]
     off = d + profile.h0_dim
-    for i in range(r0.nrows):
-        for j in range(r0.ncols):
-            m[off + i][off + j] = r0.rows[i][j]
-    return QuadraticSpace(ctx, n, MatrixFq(ctx, m), profile)
+    m[d:off, d:off] = q0._a
+    m[off : dim - d, off : dim - d] = r0._a
+    return QuadraticSpace(ctx, n, MatrixFq._of(ctx, m), profile)
 
 
 def standard_space(ctx: FieldCtx, n: int) -> QuadraticSpace:
@@ -238,13 +228,9 @@ class AlternatingForm:
         self.radical: Subspace = kernel(s)
         self.r = self.radical.dim
         self.case_params = case_params
-        self._s_np = s.to_numpy()
 
     def s_np(self) -> np.ndarray:
-        return self._s_np
-
-    def value(self, u, v) -> int:
-        return bilinear_value(self.s, u, v)
+        return self.s._a
 
     def __repr__(self) -> str:
         return f"AlternatingForm(q={self.ctx.q}, dim={self.dim}, r={self.r})"
@@ -252,13 +238,11 @@ class AlternatingForm:
 
 def _auto_s11(ctx: FieldCtx, d: int, start_row: int) -> MatrixFq:
     """Pair rows (start_row, start_row+1), ... with J blocks; rest zero."""
-    m = [[0] * d for _ in range(d)]
-    i = start_row
-    while i + 1 < d:
-        m[i][i + 1] = 1
-        m[i + 1][i] = ctx.neg(1)
-        i += 2
-    return MatrixFq(ctx, m)
+    m = np.zeros((d, d), dtype=np.int64)
+    i = np.arange(start_row, d - 1, 2)
+    m[i, i + 1] = 1
+    m[i + 1, i] = ctx.neg(1)
+    return MatrixFq._of(ctx, m)
 
 
 def build_S(
@@ -296,11 +280,11 @@ def build_S(
             raise InadmissibleParams("u_block needs d >= 2")
 
     dim = prof.dim
-    s = [[0] * dim for _ in range(dim)]
+    s = np.zeros((dim, dim), dtype=np.int64)
 
     def put(i: int, j: int, v: int) -> None:
-        s[i][j] = v
-        s[j][i] = ctx.neg(v)
+        s[i, j] = v
+        s[j, i] = ctx.neg(v)
 
     # S22 on H0
     off = d
@@ -327,14 +311,11 @@ def build_S(
             raise InadmissibleParams(f"s11 must be a {d}x{d} matrix")
         if not s11.is_alternating():
             raise InadmissibleParams("s11 must be alternating")
-        for i in range(d):
-            for j in range(d):
-                if s11.rows[i][j]:
-                    s[i][j] = ctx.add(s[i][j], s11.rows[i][j])
+        s[:d, :d] = ctx.np_add(s[:d, :d], s11._a)
 
     af = AlternatingForm(
         qs.ctx,
-        MatrixFq(ctx, s),
+        MatrixFq._of(ctx, s),
         case_params={"case": case, "r": r, "d": d, "alpha": alpha if case == 4 else None, "u_block": u_block},
     )
     if af.r != r:
@@ -423,34 +404,20 @@ def diagonalize_symmetric(ctx: FieldCtx, gram: MatrixFq) -> list[list[int]]:
     if det(gram) == 0:
         raise RankDeficient("Gram matrix is degenerate")
     cols: list[list[int]] = []
-    remaining = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    while remaining:
-        v = None
-        for u in remaining:
-            if bilinear_value(gram, u, u) != 0:
-                v = u
-                break
-        if v is None:
-            # nondegenerate restriction: some sum of basis vectors is nonsingular
-            for i in range(len(remaining)):
-                for j in range(i + 1, len(remaining)):
-                    w = [ctx.add(a, b) for a, b in zip(remaining[i], remaining[j])]
-                    if bilinear_value(gram, w, w) != 0:
-                        v = w
-                        break
-                if v is not None:
-                    break
+    remaining = np.eye(k, dtype=np.int64)
+    while len(remaining):
+        # the first nonsingular basis vector or, the restriction being
+        # nondegenerate, the first nonsingular sum of two of them
+        sums = (ctx.np_add(x, y) for i, x in enumerate(remaining) for y in remaining[i + 1 :])
+        v = next((u for u in chain(remaining, sums) if bilinear_value(gram, u, u)), None)
         if v is None:
             raise RankDeficient("no nonsingular vector in the remaining block")
-        cols.append(list(v))
-        inv_qv = ctx.inv(bilinear_value(gram, v, v))
-        projected = []
-        for w in remaining:
-            c = ctx.mul(bilinear_value(gram, v, w), inv_qv)
-            w2 = [ctx.sub(a, ctx.mul(c, b)) for a, b in zip(w, v)]
-            if any(w2):
-                projected.append(w2)
-        remaining = Subspace(ctx, k, projected).basis
+        cols.append(v.tolist())
+        # project the rest onto the perp of v: w - (B(w, v) / B(v, v)) v
+        bwv = ctx.np_rowsum(ctx.np_mul(ctx.np_matmul(remaining, gram._a), v))
+        c = ctx.np_mul(bwv, ctx.inv(bilinear_value(gram, v, v)))
+        w = ctx.np_sub(remaining, ctx.np_mul(c[:, None], v))
+        remaining = np.array(Subspace(ctx, k, w[w.any(axis=1)]).basis, dtype=np.int64).reshape(-1, k)
     return cols
 
 
@@ -486,11 +453,6 @@ def _normalized_orthogonal_basis(ctx: FieldCtx, gram: MatrixFq) -> tuple[list[li
     return [cols[i] for i in order], [classes[i] for i in order]
 
 
-def _columns_matrix(ctx: FieldCtx, cols: list[list[int]]) -> MatrixFq:
-    k = len(cols)
-    return MatrixFq(ctx, [[cols[j][i] for j in range(k)] for i in range(k)])
-
-
 def quadric_isometry(qs_from: QuadraticSpace, qs_to: QuadraticSpace) -> tuple[MatrixFq, int]:
     """Matrix T and scalar lam with T^T M_from T = lam * M_to.
 
@@ -506,8 +468,8 @@ def quadric_isometry(qs_from: QuadraticSpace, qs_to: QuadraticSpace) -> tuple[Ma
         scaled = qs_to.gram.scale(lam)
         cols_t, cls_t = _normalized_orthogonal_basis(ctx, scaled)
         if cls_f == cls_t:
-            c_f = _columns_matrix(ctx, cols_f)
-            c_t = _columns_matrix(ctx, cols_t)
+            c_f = MatrixFq(ctx, cols_f).transpose()
+            c_t = MatrixFq(ctx, cols_t).transpose()
             return c_f.mul(inverse(c_t)), lam
     raise TableMismatch("no congruence found; discriminant classes irreconcilable")
 
@@ -527,11 +489,6 @@ def transport_form(
 
 
 # ---- pointwise classification ------------------------------------------------
-
-
-def eval_quadratic(qs: QuadraticSpace, v) -> int:
-    """Value of the quadratic form at v."""
-    return qs.eta(v)
 
 
 def point_square_class(qs: QuadraticSpace, v) -> str:
@@ -561,9 +518,6 @@ def classify_internal_external(qs: QuadraticSpace, v) -> str:
 
 
 # ---- projective enumeration and orbit counts ---------------------------------
-
-_POINT_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
 
 def check_memory(need: float, what: str) -> None:
     """Raise InadmissibleParams if need bytes exceed what this process may
@@ -613,16 +567,9 @@ def projective_points(ctx: FieldCtx, dim: int) -> np.ndarray:
 
     Each representative is scaled so its first nonzero coordinate is 1.
     """
-    key = (ctx.q, dim)
-    cached = _POINT_CACHE.get(key)
-    if cached is not None:
-        return cached
     q = ctx.q
     check_memory(point_bytes(q, dim), f"the points of PG({dim - 1}, {q})")
-    pts = projective_block(q, dim, 0, (q**dim - 1) // (q - 1))
-    pts.setflags(write=False)
-    _POINT_CACHE[key] = pts
-    return pts
+    return projective_block(q, dim, 0, (q**dim - 1) // (q - 1))
 
 
 def orbit_counts(qs: QuadraticSpace) -> dict[str, int]:

@@ -376,13 +376,3 @@ def line_type_census(qs: QuadraticSpace, af: AlternatingForm) -> dict[str, int]:
     codes = line_type_codes(qs, af)
     counts = np.bincount(codes, minlength=5)
     return {LINE_TYPE_NAMES[i]: int(counts[i]) for i in range(5)}
-
-
-def export_line_list(qs: QuadraticSpace) -> str:
-    """Readable dump: one 'id : wedge coordinates' row per line."""
-    ls = enumerate_singular_lines(qs)
-    rows = [
-        f"{i} : " + " ".join(str(int(x)) for x in ls.plucker[i])
-        for i in range(len(ls))
-    ]
-    return "\n".join(rows) + "\n"

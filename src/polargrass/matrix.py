@@ -3,13 +3,14 @@
 Every row reduction in the package is one numpy elimination, `_eliminate`,
 written with the `FieldCtx` array operations, so prime and extension fields
 share it.  `MatrixFq` is the validated, immutable and hashable view of a
-matrix: its rows are tuples of int-encoded field elements, checked entry by
-entry when they come from outside, and its arithmetic runs on numpy arrays.
-Canonical forms (reduced row echelon) make subspaces comparable by equality.
+matrix: one read-only int64 array of int-encoded field elements, checked in
+one vectorized step when it comes from outside.  Canonical forms (reduced
+row echelon) make subspaces comparable by equality.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,56 +19,81 @@ from .errors import DimensionMismatch, InadmissibleParams, IoError, RankDeficien
 from .field import FieldCtx
 
 
-def _check_entries(ctx: FieldCtx, a: np.ndarray) -> None:
+def _check_range(ctx: FieldCtx, a: np.ndarray) -> None:
     bad = (a < 0) | (a >= ctx.q)
     if bad.any():
         raise InadmissibleParams(f"{int(a[bad][0])!r} is not an element of F_{ctx.q}")
 
 
-class MatrixFq:
-    """Dense matrix over F_q with exact arithmetic.
+def _check_entries(ctx: FieldCtx, rows: Iterable[Iterable[int]]) -> np.ndarray:
+    """rows as a 2-d int64 array, if every entry is an element of F_q and
+    all rows have one length.
 
-    `rows` holds the entries as tuples; the same entries are kept as an
-    int64 array for the numpy arithmetic.
+    Entries that numpy reads as integers are range-checked in one step.
+    Otherwise some entry is no integer, and the entries are walked only to
+    name the first bad one, in the words of FieldCtx.validate_element.
     """
+    rows = [list(r) for r in rows]
+    flat = list(chain.from_iterable(rows))
+    try:
+        a = np.array(flat)
+    except ValueError:  # an entry is a sequence
+        a = np.array(flat, dtype=object)
+    if a.ndim == 1 and a.dtype.kind in "iub":
+        bad = np.flatnonzero((a < 0) | (a >= ctx.q))
+    else:
+        bad = [i for i, x in enumerate(flat) if not isinstance(x, (int, np.integer)) or not 0 <= x < ctx.q]
+    if len(bad):
+        raise InadmissibleParams(f"{flat[bad[0]]!r} is not an element of F_{ctx.q}")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DimensionMismatch("ragged rows")
+    return a.astype(np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
 
-    __slots__ = ("ctx", "rows", "_a")
+
+class MatrixFq:
+    """Dense matrix over F_q with exact arithmetic, stored as one read-only
+    int64 array; `rows` is the same entries as tuples."""
+
+    __slots__ = ("ctx", "_a")
 
     def __init__(self, ctx: FieldCtx, rows: Iterable[Iterable[int]]):
         self.ctx = ctx
-        rs = tuple(tuple(ctx.validate_element(x) for x in row) for row in rows)
-        if rs and any(len(r) != len(rs[0]) for r in rs):
-            raise DimensionMismatch("ragged rows")
-        self.rows = rs
-        self._a = np.array(rs, dtype=np.int64).reshape(len(rs), len(rs[0]) if rs else 0)
+        self._a = _check_entries(ctx, rows)
+        self._a.setflags(write=False)
 
     # ---- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, ctx: FieldCtx, m: int, n: int) -> "MatrixFq":
-        return cls(ctx, [[0] * n for _ in range(m)])
+        return cls._of(ctx, np.zeros((m, n), dtype=np.int64))
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "MatrixFq":
-        return cls(ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(ctx, np.eye(n, dtype=np.int64))
 
     @classmethod
     def from_numpy(cls, ctx: FieldCtx, arr) -> "MatrixFq":
-        a = np.array(arr, dtype=np.int64)
-        _check_entries(ctx, a)
-        return cls._of(ctx, a)
+        a = np.array(arr)
+        if a.dtype.kind not in "iub":  # the constructor names the entry that is no integer
+            return cls(ctx, a)
+        _check_range(ctx, a)
+        return cls._of(ctx, a.astype(np.int64, copy=False))
 
     @classmethod
     def _of(cls, ctx: FieldCtx, a: np.ndarray) -> "MatrixFq":
         """Wrap a 2-d array of field elements that no one else will change."""
         m = cls.__new__(cls)
         m.ctx = ctx
-        m.rows = tuple(map(tuple, a.tolist()))
         m._a = a if len(a) else a.reshape(0, 0)
+        m._a.setflags(write=False)
         return m
 
     def to_numpy(self) -> np.ndarray:
         return self._a.copy()
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._a.tolist()))
 
     # ---- shape and equality --------------------------------------------------
 
@@ -83,7 +109,7 @@ class MatrixFq:
         return (
             isinstance(other, MatrixFq)
             and other.ctx == self.ctx
-            and other.rows == self.rows
+            and np.array_equal(other._a, self._a)
         )
 
     def __hash__(self) -> int:
@@ -95,7 +121,7 @@ class MatrixFq:
     # ---- arithmetic ---------------------------------------------------------
 
     def transpose(self) -> "MatrixFq":
-        return MatrixFq._of(self.ctx, self._a.T) if self.rows else self
+        return MatrixFq._of(self.ctx, self._a.T)
 
     def add(self, other: "MatrixFq") -> "MatrixFq":
         self._check_same_shape(other)
@@ -139,13 +165,12 @@ class MatrixFq:
 
 def bilinear_value(m: MatrixFq, u: Sequence[int], v: Sequence[int]) -> int:
     """u^T m v as a field element."""
+    if (len(u), len(v)) != m._a.shape:
+        raise DimensionMismatch("vector length mismatch")
     c = m.ctx
-    mv = m.matvec(v)
-    acc = 0
-    for a, b in zip(u, mv):
-        if a and b:
-            acc = c.add(acc, c.mul(a, b))
-    return acc
+    u = np.asarray(u, dtype=np.int64)[None]
+    v = np.asarray(v, dtype=np.int64)[None]
+    return int(c.np_rowsum(c.np_mul(c.np_matmul(u, m._a), v))[0])
 
 
 def _eliminate(ctx: FieldCtx, arr) -> tuple[np.ndarray, tuple[int, ...], int]:
@@ -219,25 +244,18 @@ class Subspace:
 
     def __init__(self, ctx: FieldCtx, ambient: int, vectors: Iterable[Sequence[int]]):
         vecs = [list(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient:
-                raise DimensionMismatch("basis vector has wrong length")
+        if any(len(v) != ambient for v in vecs):
+            raise DimensionMismatch("basis vector has wrong length")
+        self.basis = ()
         if vecs:
-            red, pivots = rref(MatrixFq(ctx, vecs))
-            self.basis = red.rows[: len(pivots)]
-        else:
-            self.basis = ()
+            red, pivots, _ = _eliminate(ctx, _check_entries(ctx, vecs))
+            self.basis = tuple(map(tuple, red[: len(pivots)].tolist()))
         self.ctx = ctx
         self.ambient = ambient
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        if len(v) != self.ambient:
-            raise DimensionMismatch("vector has wrong length")
-        return Subspace(self.ctx, self.ambient, self.basis + (tuple(v),)).dim == self.dim
 
     def __eq__(self, other) -> bool:
         return (
@@ -258,16 +276,12 @@ def kernel(m: MatrixFq) -> Subspace:
     """Right null space: all v with m v = 0."""
     red, pivots = rref(m)
     c = m.ctx
-    nc = m.ncols
-    free = [j for j in range(nc) if j not in pivots]
-    vecs = []
-    for j in free:
-        v = [0] * nc
-        v[j] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = c.neg(red.rows[i][j])
-        vecs.append(v)
-    return Subspace(c, nc, vecs)
+    free = [j for j in range(m.ncols) if j not in pivots]
+    # one vector per free column j: 1 at j, minus column j of red at the pivots
+    vecs = np.zeros((len(free), m.ncols), dtype=np.int64)
+    vecs[np.arange(len(free)), free] = 1
+    vecs[:, list(pivots)] = c.np_neg(red._a[: len(pivots), free].T)
+    return Subspace(c, m.ncols, vecs)
 
 
 def eigenspace(m: MatrixFq, lam: int) -> Subspace:
@@ -312,7 +326,7 @@ def rank_np(ctx: FieldCtx, arr: np.ndarray) -> int:
     if ctx.e == 1:
         a = a % ctx.p
     else:
-        _check_entries(ctx, a)
+        _check_range(ctx, a)
     return len(_eliminate(ctx, a)[1])
 
 

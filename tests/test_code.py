@@ -35,7 +35,7 @@ from polargrass.code import (
     standard_code,
     weight_of_message,
 )
-from polargrass.counting import case1_line_count, case_line_count
+from polargrass.counting import case_line_count
 from polargrass.errors import (
     CounterexampleFound,
     DimensionMismatch,
@@ -476,18 +476,16 @@ def test_minimum_weight_classes_small():
 def test_minimum_weight_tie_closed_form(q, shared):
     # both shapes reach the same line count, so the complement weights tie
     assert case_line_count(3, 2, q, 1, 0) == shared
-    assert case1_line_count(2, q, 3, 1) == shared
+    assert case_line_count(1, 2, q, 3, 1) == shared
 
 
 def test_minimum_weight_classes_q5():
     code = the_code(5, 2)
-    g = code.generator.astype(np.float64)
     tally = Counter()
     for block in canonical_messages(5, 10):
         for lo in range(0, len(block), 65536):
             part = block[lo : lo + 65536]
-            # every sum is at most 10 * 4 * 4 = 160, so the product is exact
-            w = ((part.astype(np.float64) @ g).astype(np.int32) % 5 != 0).sum(axis=1)
+            w = _weights_np(code, part)
             for i in np.flatnonzero(w == 100):
                 tally[form_profile(code.qs, form_from_message(F5, 5, part[i]))] += 1
     assert tally == Counter({(3, 1): 2340, (1, 0): 9750})

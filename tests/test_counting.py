@@ -9,7 +9,6 @@ from polargrass.counting import (
     CHECKS,
     case1_equation_counts,
     case1_identity_sides,
-    case1_line_count,
     case4_line_count_bound,
     case_line_count,
     census_rewrite_sides,
@@ -154,8 +153,6 @@ def test_census_rewrite_sides_agree():
 )
 def test_case_line_count_values(case, n, q, r, d, f):
     assert case_line_count(case, n, q, r, d) == f
-    if case == 1:
-        assert case1_line_count(n, q, r, d) == f
 
 
 # ---------------------------------------------------------

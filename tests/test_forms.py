@@ -1,4 +1,7 @@
 # tests/test_forms.py
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +22,8 @@ from polargrass.forms import (
     build_S,
     canonical_form,
     classify_internal_external,
+    diagonalize_symmetric,
     elliptic_gram,
-    eval_quadratic,
     form_profile,
     hyperbolic_gram,
     orbit_counts,
@@ -33,7 +36,7 @@ from polargrass.forms import (
     transport_form,
     witt_index,
 )
-from polargrass.matrix import MatrixFq, det, rank
+from polargrass.matrix import MatrixFq, Subspace, bilinear_value, det, rank
 
 F3 = field_ctx(3)
 F5 = field_ctx(5)
@@ -189,13 +192,6 @@ def test_alternating_form_rejects_bad_matrix():
 # ---------------------------------------------------------
 # Quadratic evaluation and point classes
 # ---------------------------------------------------------
-def test_eval_quadratic_examples():
-    qs = build_M(F3, 2, 3, 1, 1)
-    assert eval_quadratic(qs, [0, 0, 0, 0, 0]) == 0
-    assert eval_quadratic(qs, [0, 1, 0, 0, 0]) == 1
-    assert eval_quadratic(qs, [1, 0, 0, 0, 0]) == 0
-
-
 def test_point_square_class_examples():
     qs = build_M(F3, 2, 3, 1, 1)
     assert point_square_class(qs, [0, 1, 0, 0, 0]) == "square"
@@ -290,6 +286,25 @@ def test_conic_classification_matches_tangent_oracle():
 # ---------------------------------------------------------
 # Point orbit counts
 # ---------------------------------------------------------
+def test_projective_points_not_kept_after_use():
+    # the full point set of PG(2n, q) is recomputed per call, not held for
+    # the life of the process; each space keeps only its singular points
+    pts = projective_points(F3, 7)
+    assert pts.shape == ((3**7 - 1) // 2, 7)
+    ref = weakref.ref(pts)
+    del pts
+    gc.collect()
+    assert ref() is None
+    assert np.array_equal(projective_points(F3, 7), projective_points(F3, 7))
+
+
+def test_form_arrays_are_shared_and_read_only():
+    qs, af = canonical_form(F3, 2, 3, 1, 1)
+    assert af.s_np() is af.s_np() and qs.gram_np() is qs.gram_np()
+    assert not af.s_np().flags.writeable and not qs.gram_np().flags.writeable
+    assert np.array_equal(af.s_np(), af.s.to_numpy())
+
+
 def test_orbit_count_examples():
     got = orbit_counts(standard_space(F3, 2))
     assert (got["singular"], got["internal"], got["external"]) == (40, 36, 45)
@@ -382,6 +397,41 @@ def test_quadric_isometry_congruence(n, q):
         assert lam in (1, ctx.nonsquare_rep)
         got = t.transpose().mul(src.gram).mul(t)
         assert got == target.gram.scale(lam)
+
+
+def reference_diagonalize(ctx, gram):
+    """Orthogonal basis one scalar at a time: the first nonsingular basis
+    vector (else sum of two), then every other vector projected off it."""
+    k = gram.nrows
+    cols = []
+    remaining = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    while remaining:
+        sums = [
+            [ctx.add(a, b) for a, b in zip(remaining[i], remaining[j])]
+            for i in range(len(remaining))
+            for j in range(i + 1, len(remaining))
+        ]
+        v = next(u for u in remaining + sums if bilinear_value(gram, u, u) != 0)
+        cols.append(list(v))
+        inv_qv = ctx.inv(bilinear_value(gram, v, v))
+        projected = []
+        for w in remaining:
+            c = ctx.mul(bilinear_value(gram, v, w), inv_qv)
+            w2 = [ctx.sub(a, ctx.mul(c, b)) for a, b in zip(w, v)]
+            if any(w2):
+                projected.append(w2)
+        remaining = [list(b) for b in Subspace(ctx, k, projected).basis]
+    return cols
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_diagonalize_matches_reference(q):
+    ctx = field_ctx(q)
+    for n in (2, 3):
+        for case, r, d in cases_with_pairs(n):
+            for lam in (1, ctx.nonsquare_rep):
+                gram = build_M(ctx, n, r, d, case).gram.scale(lam)
+                assert diagonalize_symmetric(ctx, gram) == reference_diagonalize(ctx, gram)
 
 
 def test_transport_preserves_profile():

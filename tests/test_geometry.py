@@ -17,7 +17,6 @@ from polargrass.geometry import (
     _encode_rows,
     empirical_census,
     enumerate_singular_lines,
-    export_line_list,
     isotropic_line_count,
     line_type,
     line_type_census,
@@ -385,18 +384,3 @@ def test_per_class_flag_identities(n, q):
         )
         assert c.n_plus * lpp == plus_flags
         assert c.n_minus * lpp == minus_flags
-
-
-# ---------------------------------------------------------
-# Export
-# ---------------------------------------------------------
-def test_export_line_list_shape():
-    qs = standard_space(F3, 2)
-    text = export_line_list(qs)
-    lines = text.strip().split("\n")
-    assert len(lines) == 40
-    assert lines[0].startswith("0 : ")
-    head, coords = lines[7].split(" : ")
-    assert head == "7"
-    assert len(coords.split()) == 10
-    assert all(t in "012" for t in coords.replace(" ", ""))
