@@ -29,6 +29,7 @@ from .field import FieldCtx
 from .forms import (
     AlternatingForm,
     QuadraticSpace,
+    alternating_forms,
     build_S,
     check_memory,
     point_bytes,
@@ -42,7 +43,7 @@ from .geometry import (
     isotropic_line_count,
     singular_line_count,
 )
-from .matrix import MatrixFq, rank_np
+from .matrix import rank_np
 
 DEFAULT_BUDGET = 10**7
 EVAL_CHUNK_BYTES = 1 << 23  # float64 product block of one _weights_np chunk
@@ -148,18 +149,25 @@ def message_from_form(af: AlternatingForm) -> np.ndarray:
     return af.s_np()[iu, ju].astype(np.int64)
 
 
+def _alternating_stack(ctx: FieldCtx, dim: int, messages: np.ndarray) -> np.ndarray:
+    """(B, dim, dim) alternating matrices whose strict upper triangles are
+    the rows of messages."""
+    iu, ju = _pair_index(dim)
+    s = np.zeros((len(messages), dim, dim), dtype=np.int64)
+    s[:, iu, ju] = messages % ctx.q if ctx.e == 1 else messages
+    s[:, ju, iu] = ctx.np_neg(s[:, iu, ju])
+    return s
+
+
 def form_from_message(ctx: FieldCtx, dim: int, message) -> AlternatingForm:
     """Alternating matrix whose strict upper triangle is the message."""
     m = np.asarray(message, dtype=np.int64)
-    iu, ju = _pair_index(dim)
+    iu, _ = _pair_index(dim)
     if m.shape != iu.shape:
         raise DimensionMismatch(
             f"message length {m.shape} does not match {len(iu)} coordinate pairs"
         )
-    s = np.zeros((dim, dim), dtype=np.int64)
-    s[iu, ju] = m % ctx.q if ctx.e == 1 else m
-    s[ju, iu] = ctx.np_neg(s[iu, ju])
-    return AlternatingForm(ctx, MatrixFq.from_numpy(ctx, s))
+    return alternating_forms(ctx, _alternating_stack(ctx, dim, m[None]))[0]
 
 
 def _codeword_chunks(code: PolarCode, batch: np.ndarray):
@@ -289,11 +297,18 @@ def random_messages(rng: np.random.Generator, q: int, k: int, count: int) -> np.
         out[bad] = rng.integers(0, q, size=(bad.size, k), dtype=np.int64)
 
 
+def random_alternating_forms(ctx: FieldCtx, dim: int, rng: np.random.Generator, count: int) -> list[AlternatingForm]:
+    """count uniform nonzero alternating forms, drawn one after another as
+    by random_alternating_form; their radicals come from one stacked
+    elimination."""
+    k = dim * (dim - 1) // 2
+    msgs = np.array([random_messages(rng, ctx.q, k, 1)[0] for _ in range(count)], dtype=np.int64)
+    return alternating_forms(ctx, _alternating_stack(ctx, dim, msgs.reshape(count, k)))
+
+
 def random_alternating_form(ctx: FieldCtx, dim: int, rng: np.random.Generator) -> AlternatingForm:
     """Uniform nonzero alternating form: uniform strict upper triangle."""
-    k = dim * (dim - 1) // 2
-    msg = random_messages(rng, ctx.q, k, 1)[0]
-    return form_from_message(ctx, dim, msg)
+    return random_alternating_forms(ctx, dim, rng, 1)[0]
 
 
 def min_distance_certified(

@@ -6,8 +6,9 @@ verification functions return plain report dicts with stable key order and
 never raise on a mismatch; they record status "ok" or "mismatch" so callers
 can decide how to fail.  The checks run by one run_checks call share one
 list of canonical and sampled forms, so the points and lines cached on its
-spaces, and the residue classes and isotropic-line mask of each form (see
-geometry._run_memo).
+spaces, and the per-form data of each form: residue classes, isotropic
+lines, eigenvector count and radical split, each computed for all forms of
+a space in one stacked call (see forms._run_memo).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .code import (
     check_scan_budget,
     code_parameters,
     min_distance_exact,
-    random_alternating_form,
+    random_alternating_forms,
 )
 from .errors import (
     BudgetExceeded,
@@ -32,6 +33,7 @@ from .errors import (
     TypeNotInTable,
 )
 from .field import FieldCtx
+from . import forms
 from .forms import (
     AlternatingForm,
     QuadraticSpace,
@@ -52,7 +54,7 @@ from .geometry import (
     line_type_census,
     tau_values,
 )
-from .matrix import MatrixFq, nonzero_eigenvalues
+from .matrix import eigen_nullities
 
 
 def _int(x: Fraction | int, what: str) -> int:
@@ -400,11 +402,23 @@ def even_orbit_empirical(ctx: FieldCtx, t: int, kind: str) -> dict[str, int]:
 # ---- spectral bound -------------------------------------------------------------
 
 
+def _eigenvector_counts(qs: QuadraticSpace, afs) -> np.ndarray:
+    """eigenvector_count of each of a list of forms on qs: the q-1 shifts
+    of every M^{-1} S of a block of forms are ranked in one elimination."""
+    ctx, dim = qs.ctx, qs.dim
+    s = np.stack([af.s_np() for af in afs])
+    out = np.empty(len(afs), dtype=np.int64)
+    # the shifts and the elimination's working copy and products
+    for blk in geometry._blocks(len(afs), 6 * (ctx.q - 1) * dim * dim):
+        m = ctx.np_matmul(qs.gram_inv_np(), s[blk])
+        out[blk] = (ctx.q ** eigen_nullities(ctx, m) - 1).sum(axis=1)
+    return out
+
+
 def eigenvector_count(qs: QuadraticSpace, af: AlternatingForm) -> int:
     """Number of nonzero vectors that are eigenvectors of M^{-1} S with a
     nonzero base-field eigenvalue."""
-    m = MatrixFq.from_numpy(qs.ctx, qs.ctx.np_matmul(qs.gram_inv_np(), af.s_np()))
-    return sum(qs.ctx.q**dim - 1 for dim in nonzero_eigenvalues(m).values())
+    return int(forms._per_form("eigen", _eigenvector_counts, qs, af))
 
 
 def check_eigenvector_bound(qs: QuadraticSpace, af: AlternatingForm) -> dict:
@@ -469,7 +483,7 @@ def _check_forms(n: int, q: int, samples: int = 0, seed: int = 0) -> list:
     shape of cases 1-4, then `samples` seeded random forms on the standard
     space, tagged case 0.  Within one run_checks call each list is built
     once and shared by the checks; outside it every call builds afresh."""
-    memo = {} if geometry._run_memo is None else geometry._run_memo
+    memo = {} if forms._run_memo is None else forms._run_memo
     if (n, q) not in memo:
         ctx = FieldCtx(q)
         memo[n, q] = ctx, [
@@ -481,8 +495,9 @@ def _check_forms(n: int, q: int, samples: int = 0, seed: int = 0) -> list:
     if (n, q, samples, seed) not in memo:
         qs, rng = _standard_entry(canonical)[0], np.random.default_rng(seed)
         memo[n, q, samples, seed] = canonical + [
-            (0, qs, random_alternating_form(ctx, 2 * n + 1, rng)) for _ in range(samples)
+            (0, qs, af) for af in random_alternating_forms(ctx, 2 * n + 1, rng, samples)
         ]
+        forms.share_forms((qs, af) for _, qs, af in memo[n, q, samples, seed])
     return memo[n, q, samples, seed]
 
 
@@ -863,7 +878,7 @@ def run_checks(names, args: dict) -> list[dict]:
     expanded = names == ["all"] or names == "all"
     if expanded:
         names = list(CHECKS)
-    geometry._run_memo = {}
+    forms._run_memo = {}
     out = []
     try:
         for name in names:
@@ -886,5 +901,5 @@ def run_checks(names, args: dict) -> list[dict]:
                     }
                 )
     finally:
-        geometry._run_memo = None
+        forms._run_memo = None
     return out

@@ -247,7 +247,7 @@ class FieldCtx:
             return (a @ b) % self.p
         acc = np.zeros(np.broadcast_shapes(a[..., :1].shape, b[..., :1, :].shape)[:-1] + (b.shape[-1],), dtype=np.int64)
         for k in range(a.shape[-1]):
-            acc = self._add_table[acc, self._mul_table[a[..., k, None], b[..., k, :]]]
+            acc = self._add_table[acc, self._mul_table[a[..., k, None], b[..., k, None, :]]]
         return acc
 
     def np_rowsum(self, a):

@@ -6,6 +6,12 @@ their radical R = ker S and the defect d = dim of the radical of the
 M-restriction to R.  For each admissible (r, d) there are up to four block
 shapes (case 1..4) with basis-adapted canonical matrices; build_M and build_S
 construct those, and the classification helpers work for arbitrary forms.
+
+While a run_checks call is in progress, _run_memo holds the per-form data
+of the forms it checks: each kind of data (radical splits here, residue
+classes and isotropic lines in geometry, eigenvector counts in counting) is
+computed once per (space, form), for all the run's forms on a space in one
+stacked call (see share_forms and _per_form).
 """
 
 from __future__ import annotations
@@ -34,13 +40,52 @@ from .matrix import (
     Subspace,
     bilinear_value,
     det,
+    determinants,
     inverse,
     kernel,
+    kernel_bases,
+    pivot_columns,
     rank,
-    rref,
 )
 
 CASES = (1, 2, 3, 4)
+
+_run_memo: dict | None = None  # per-form data of the run_checks call in progress
+
+
+def share_forms(entries) -> None:
+    """Within a run_checks call, record the (space, form) pairs the run
+    checks, so that per-form data is computed for all forms of a space in
+    one stacked call; outside one, do nothing."""
+    if _run_memo is None:
+        return
+    for qs, af in entries:
+        # the entry holds qs and its forms, so no other object can take their ids
+        _run_memo.setdefault(("forms", id(qs)), (qs, {}))[1][id(af)] = af
+
+
+def _per_form(kind: str, fn, qs: QuadraticSpace, af: AlternatingForm):
+    """Row of af in fn(qs, forms), the stacked per-form data `kind`.
+
+    Outside a run_checks call fn runs on [af] alone.  Within one, each
+    (space, form) row is computed once: the first request for a form the
+    run shared on qs computes, in one call of fn, the rows of every form
+    shared on qs that has none yet.
+    """
+    if _run_memo is None:
+        return fn(qs, [af])[0]
+    key = kind, id(qs), id(af)
+    if key not in _run_memo:
+        peers = _run_memo.get(("forms", id(qs)), (qs, {}))[1]
+        todo = [af]
+        if id(af) in peers:
+            todo = [f for f in peers.values() if (kind, id(qs), id(f)) not in _run_memo]
+        rows = fn(qs, todo)
+        rows.setflags(write=False)  # every check of the run reads these rows
+        for f, row in zip(todo, rows):
+            # the entry holds qs and f, so no other object can take their ids
+            _run_memo[kind, id(qs), id(f)] = row, qs, f
+    return _run_memo[key][0]
 
 
 @dataclass(frozen=True)
@@ -219,13 +264,16 @@ def standard_space(ctx: FieldCtx, n: int) -> QuadraticSpace:
 class AlternatingForm:
     """Alternating bilinear form with its radical precomputed."""
 
-    def __init__(self, ctx: FieldCtx, s: MatrixFq, case_params: dict | None = None):
+    def __init__(
+        self, ctx: FieldCtx, s: MatrixFq, case_params: dict | None = None, *, radical: Subspace | None = None
+    ):
+        """radical, if given, must be kernel(s) (see alternating_forms)."""
         if not s.is_alternating():
             raise InadmissibleParams("matrix is not alternating")
         self.ctx = ctx
         self.s = s
         self.dim = s.nrows
-        self.radical: Subspace = kernel(s)
+        self.radical: Subspace = kernel(s) if radical is None else radical
         self.r = self.radical.dim
         self.case_params = case_params
 
@@ -234,6 +282,16 @@ class AlternatingForm:
 
     def __repr__(self) -> str:
         return f"AlternatingForm(q={self.ctx.q}, dim={self.dim}, r={self.r})"
+
+
+def alternating_forms(ctx: FieldCtx, arr) -> list[AlternatingForm]:
+    """One AlternatingForm per matrix of a (B, dim, dim) stack; the radicals
+    come from one stacked elimination."""
+    a = np.asarray(arr, dtype=np.int64)
+    return [
+        AlternatingForm(ctx, MatrixFq.from_numpy(ctx, m), radical=Subspace._of(ctx, a.shape[-1], basis))
+        for m, basis in zip(a, kernel_bases(ctx, a))
+    ]
 
 
 def _auto_s11(ctx: FieldCtx, d: int, start_row: int) -> MatrixFq:
@@ -347,48 +405,74 @@ def form_profile(qs: QuadraticSpace, af: AlternatingForm) -> tuple[int, int]:
     return r, r - rank(gram_r)
 
 
+def _radical_splits(qs: QuadraticSpace, afs) -> np.ndarray:
+    """(r, d, m) of each of a list of forms on qs, as in radical_split.
+
+    Forms with one radical dimension r, and then with one defect d, share
+    shapes, so each step below is one stacked elimination per (r, d) group:
+    the M-perp of the radical R, the radical D of M on R, the rows of D
+    extended to a basis of the perp (the added rows span an H0) and the
+    Witt index of M on H0.
+    """
+    ctx, dim, gram = qs.ctx, qs.dim, qs.gram_np()
+    if any(af.dim != dim for af in afs):
+        raise InadmissibleParams("form and space dimensions differ")
+    out = np.zeros((len(afs), 3), dtype=np.int64)
+    rs = np.array([af.r for af in afs])
+    for r in np.unique(rs):
+        group = np.flatnonzero(rs == r)
+        b_r = np.array([afs[i].radical.basis for i in group], dtype=np.int64).reshape(len(group), r, dim)
+        b_m = ctx.np_matmul(b_r, gram)
+        perps = kernel_bases(ctx, b_m)
+        d_bases = kernel_bases(ctx, ctx.np_matmul(b_m, b_r.transpose(0, 2, 1)))
+        ds = np.array([len(x) for x in d_bases])
+        for d in np.unique(ds):
+            sub = np.flatnonzero(ds == d)
+            h0 = np.stack([perps[j] for j in sub])
+            if d:
+                # extend D to a basis of the perp: the pivot columns of
+                # [D; perp]^T are the rows a greedy pass keeps, D first
+                d_vecs = ctx.np_matmul(np.stack([d_bases[j] for j in sub]), b_r[sub])
+                rows = np.concatenate([d_vecs, h0], axis=1)
+                keep = pivot_columns(ctx, rows.transpose(0, 2, 1))
+                h0 = rows[keep].reshape(len(sub), dim - r, dim)[:, d:]
+            gram_h0 = ctx.np_matmul(ctx.np_matmul(h0, gram), h0.transpose(0, 2, 1))
+            out[group[sub], 0], out[group[sub], 1] = r, d
+            out[group[sub], 2] = _witt_indices(ctx, gram_h0)
+    return out
+
+
 def radical_split(qs: QuadraticSpace, af: AlternatingForm) -> dict:
     """Radical data for an arbitrary form: r, d, and the Witt index over H0.
 
     H0 is any complement of D inside the M-perp of R; its induced form is
     nondegenerate, so the Witt index is basis independent.
     """
-    ctx = qs.ctx
-    r, d = form_profile(qs, af)
+    r, d, m = (int(x) for x in _per_form("split", _radical_splits, qs, af))
     if r == qs.dim:
         raise InadmissibleParams("zero form has no radical split")
-    if r:
-        b_r = MatrixFq(ctx, af.radical.basis)
-        b_m = b_r.mul(qs.gram)
-        perp = kernel(b_m).basis
-        d_in_r = kernel(b_m.mul(b_r.transpose()))
-        d_vecs = MatrixFq(ctx, d_in_r.basis).mul(b_r).rows if d_in_r.dim else ()
-    else:
-        perp = MatrixFq.identity(ctx, qs.dim).rows
-        d_vecs = ()
-    # extend the D basis to a basis of perp; the added vectors span an H0.
-    # The pivot columns of [D; perp]^T are the rows a greedy pass keeps.
-    rows = d_vecs + perp
-    _, keep = rref(MatrixFq(ctx, rows).transpose())
-    h0 = [rows[i] for i in keep[len(d_vecs) :]]
-    if not h0:
-        return {"r": r, "d": d, "m": 0}
-    h = MatrixFq(ctx, h0)
-    gram_h0 = h.mul(qs.gram).mul(h.transpose())
-    return {"r": r, "d": d, "m": witt_index(ctx, gram_h0)}
+    return {"r": r, "d": d, "m": m}
+
+
+def _witt_indices(ctx: FieldCtx, grams: np.ndarray) -> np.ndarray:
+    """Witt index of each nondegenerate symmetric Gram matrix of a (B, k, k)
+    stack over F_q, q odd, from one stacked elimination."""
+    k = grams.shape[-1]
+    dets = determinants(ctx, grams)
+    if (dets == 0).any():
+        raise RankDeficient("Gram matrix is degenerate")
+    if k % 2 == 1:
+        return np.full(len(grams), (k - 1) // 2)
+    t = k // 2
+    sign = dets if t % 2 == 0 else ctx.np_neg(dets)
+    return np.where(ctx.np_is_square(sign), t, t - 1)
 
 
 def witt_index(ctx: FieldCtx, gram: MatrixFq) -> int:
     """Witt index of a nondegenerate symmetric Gram matrix over F_q, q odd."""
-    dmat = det(gram)
-    if dmat == 0:
-        raise RankDeficient("Gram matrix is degenerate")
-    k = gram.nrows
-    if k % 2 == 1:
-        return (k - 1) // 2
-    t = k // 2
-    sign = dmat if t % 2 == 0 else ctx.neg(dmat)
-    return t if ctx.is_square(sign) else t - 1
+    if gram.nrows != gram.ncols:
+        raise DimensionMismatch("determinant needs a square matrix")
+    return int(_witt_indices(ctx, gram._a[None])[0])
 
 
 # ---- congruence transport ------------------------------------------------------

@@ -8,10 +8,14 @@ and no dedup step is needed.  Lines are stored by those coordinates in
 ascending lexicographic order, together with the generator pair and the ids
 of their q+1 member points.
 
-While a run_checks call is in progress, the residue classes and the
-isotropic-line mask of each (space, form) pair are computed once and shared
-by every function here that reads them; outside one they are computed
-afresh on every call.
+The per-form residue classes and isotropic-line masks come from stacked
+kernels: each takes a list of forms on one space and evaluates all of them
+with one product per block of points or lines.  A single-form function is
+a call with one form; tau values, line types and the censuses are read off
+a form's rows.  While a run_checks call is in progress each (space, form)
+pair is computed once, together with every other form the run put on that
+space (see forms.share_forms); outside one the data is computed afresh on
+every call.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .errors import (
     TypeNotInTable,
     ZeroVector,
 )
-from .forms import AlternatingForm, QuadraticSpace, check_memory, projective_points
+from .forms import AlternatingForm, QuadraticSpace, _per_form, check_memory, projective_points
 
 PAIR_BLOCK_ENTRIES = 1 << 20  # point pairs in one product block of enumerate_singular_lines
 
@@ -44,19 +48,42 @@ LINE_TBETA = 3
 LINE_TMINUS = 4
 LINE_TYPE_NAMES = ("T0", "TPLUS", "TALPHA", "TBETA", "TMINUS")
 
-_run_memo: dict | None = None  # shared results of the run_checks call in progress
+
+def _blocks(rows: int, per_row: int) -> list[slice]:
+    """Blocks of the rows (points, lines or forms) of a stacked kernel whose
+    arrays hold at most a sixteenth of PAIR_BLOCK_ENTRIES entries (512 KiB
+    of 8-byte entries) when one row needs per_row; a block has one row at
+    least.
+
+    At the verify defaults this also keeps each BLAS product below 10^6
+    multiply-adds, which OpenBLAS runs on the calling thread: a larger one
+    wakes its other threads, and on a busy 2-vCPU host that wait took a
+    scheduler tick (8 ms) per product.
+    """
+    step = max(1, (PAIR_BLOCK_ENTRIES >> 4) // max(1, per_row))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
-def _per_form(kind: str, fn, qs: QuadraticSpace, af: AlternatingForm):
-    """fn(qs, af), computed once per (space, form) while a run_checks call
-    is in progress and afresh otherwise."""
-    if _run_memo is None:
-        return fn(qs, af)
-    key = kind, id(qs), id(af)
-    if key not in _run_memo:
-        # the entry holds qs and af, so no other object can take their ids
-        _run_memo[key] = fn(qs, af), qs, af
-    return _run_memo[key][0]
+def _product(ctx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over F_q for field elements a and b.
+
+    Over a prime field one float64 BLAS product of C-ordered copies: each
+    sum has fewer than 2^31 terms below p^2 < 2^22, so it stays exact below
+    2^53.  (OpenBLAS runs a product of C-ordered operands with at most 10^6
+    multiply-adds on the calling thread; see _blocks.)  Over an extension
+    field the table product FieldCtx.np_matmul.
+    """
+    if ctx.e > 1:
+        return ctx.np_matmul(a, b)
+    out = a.astype(np.float64, order="C") @ b.astype(np.float64, order="C")
+    return out.astype(np.int64) % ctx.p
+
+
+def _stack(qs: QuadraticSpace, afs) -> np.ndarray:
+    """The (B, dim, dim) matrices of a list of forms on qs."""
+    if any(af.dim != qs.dim for af in afs):
+        raise DimensionMismatch("form and space dimensions differ")
+    return np.stack([af.s_np() for af in afs])
 
 
 @dataclass
@@ -260,44 +287,54 @@ def lines_through(qs: QuadraticSpace, v) -> np.ndarray:
 # ---- residue classes ----------------------------------------------------------
 
 
-def residue_classes(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
-    """Residue class code for every singular point (see RESIDUE_NAMES)."""
-    if af.dim != qs.dim:
-        raise DimensionMismatch("form and space dimensions differ")
+def _residue_stack(qs: QuadraticSpace, afs) -> np.ndarray:
+    """Residue class codes (B, points) of a list of B forms on qs.
+
+    Per block of points one product with [S_1^T ... S_B^T | S_1^T M^-1 ...
+    S_B^T M^-1] gives sp = p S^T and x = sp M^-1 for every form.  x M = sp,
+    so x M x^T = rowsum(sp * x) needs no second product.
+    """
     ctx = qs.ctx
     pts = quadric_points(qs)
-    sp = ctx.np_matmul(pts, af.s_np().T)
-    a_mask = ~sp.any(axis=1)
-    x = ctx.np_matmul(sp, qs.gram_inv_np())
+    st = _stack(qs, afs).transpose(0, 2, 1)
+    nb, dim = len(st), qs.dim
+    both = np.concatenate([st, ctx.np_matmul(st, qs.gram_inv_np())])
+    w = both.transpose(1, 0, 2).reshape(dim, 2 * nb * dim)
     lead = (pts != 0).argmax(axis=1)
-    coef = x[np.arange(len(pts)), lead]
-    b_mask = ~a_mask & (x == ctx.np_mul(coef[:, None], pts)).all(axis=1)
-    wprime = ctx.np_quad_eval(qs.gram_np(), x)
-    rest = ~a_mask & ~b_mask
-    zero_mask = rest & (wprime == 0)
-    plus_mask = (
-        rest
-        & (wprime != 0)
-        & ctx.np_is_square(ctx.np_mul(np.int64(qs.disc_sign), wprime))
-    )
-    out = np.full(len(pts), RESIDUE_MINUS, dtype=np.int8)
-    out[a_mask] = RESIDUE_P_A
-    out[b_mask] = RESIDUE_P_B
-    out[zero_mask] = RESIDUE_ZERO
-    out[plus_mask] = RESIDUE_PLUS
+    out = np.empty((nb, len(pts)), dtype=np.int8)
+    # the product, its int copy, sp * x and the masks
+    for blk in _blocks(len(pts), 6 * nb * dim):
+        p = pts[blk]
+        prod = _product(ctx, p, w).reshape(len(p), 2, nb, dim)
+        sp, x = prod[:, 0], prod[:, 1]
+        a_mask = ~sp.any(axis=2)
+        coef = x[np.arange(len(p)), :, lead[blk]]  # x at the point's leading 1
+        b_mask = ~a_mask & (x == ctx.np_mul(coef[:, :, None], p[:, None, :])).all(axis=2)
+        wprime = ctx.np_rowsum(ctx.np_mul(sp, x))
+        plus = ctx.np_is_square(ctx.np_mul(np.int64(qs.disc_sign), wprime))
+        out[:, blk] = np.select(
+            [a_mask, b_mask, wprime == 0, plus],
+            [RESIDUE_P_A, RESIDUE_P_B, RESIDUE_ZERO, RESIDUE_PLUS],
+            RESIDUE_MINUS,
+        ).T
     return out
+
+
+def residue_classes(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
+    """Residue class code for every singular point (see RESIDUE_NAMES)."""
+    return _residue_stack(qs, [af])[0]
 
 
 def residue_class(qs: QuadraticSpace, af: AlternatingForm, v) -> str:
     """Residue class name of one singular point."""
     pid = point_id(qs, v)
-    codes = _per_form("residue", residue_classes, qs, af)
+    codes = _per_form("residue", _residue_stack, qs, af)
     return RESIDUE_NAMES[codes[pid]]
 
 
 def empirical_census(qs: QuadraticSpace, af: AlternatingForm) -> CensusRecord:
     """Count the residue classes by direct enumeration."""
-    codes = _per_form("residue", residue_classes, qs, af)
+    codes = _per_form("residue", _residue_stack, qs, af)
     counts = np.bincount(codes, minlength=5)
     return CensusRecord(
         a_radical=int(counts[RESIDUE_P_A]),
@@ -311,26 +348,44 @@ def empirical_census(qs: QuadraticSpace, af: AlternatingForm) -> CensusRecord:
 # ---- line census --------------------------------------------------------------
 
 
-def _isotropic_mask(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
-    """Per singular line: whether the form vanishes on it."""
+def _isotropic_stack(qs: QuadraticSpace, afs) -> np.ndarray:
+    """Per form of a list of B forms on qs and per singular line: whether
+    the form vanishes on it, packed eight lines to a byte (np.packbits),
+    (B, ceil(lines / 8)).
+
+    u^T S v = sum over (i, j) of (u_i v_j) S_ij, so per block of lines one
+    product of the pair table u (x) v of the lines' generator pairs with the
+    stacked vec(S) gives every value.
+    """
     ctx = qs.ctx
     pts = quadric_points(qs)
-    ls = enumerate_singular_lines(qs)
-    u = pts[ls.gens[:, 0]]
-    v = pts[ls.gens[:, 1]]
-    vals = ctx.np_rowsum(ctx.np_mul(ctx.np_matmul(u, af.s_np()), v))
-    return vals == 0
+    gens = enumerate_singular_lines(qs).gens
+    nb, dim = len(afs), qs.dim
+    vec = _stack(qs, afs).reshape(nb, dim * dim).T
+    out = np.empty((nb, len(gens)), dtype=bool)
+    # the pair table, its float copy and a temporary, the product and its int copy
+    for blk in _blocks(len(gens), 3 * dim * dim + 2 * nb):
+        u, v = pts[gens[blk, 0]], pts[gens[blk, 1]]
+        pairs = ctx.np_mul(u[:, :, None], v[:, None, :]).reshape(len(u), dim * dim)
+        out[:, blk] = (_product(ctx, pairs, vec) == 0).T
+    return np.packbits(out, axis=1)
+
+
+def _isotropic_mask(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
+    """Per singular line: whether the form vanishes on it."""
+    packed = _per_form("isotropic", _isotropic_stack, qs, af)
+    return np.unpackbits(packed, count=len(enumerate_singular_lines(qs))).view(bool)
 
 
 def isotropic_line_count(qs: QuadraticSpace, af: AlternatingForm) -> int:
     """Number of totally singular lines on which the form vanishes."""
-    return int(_per_form("isotropic", _isotropic_mask, qs, af).sum())
+    return int(_isotropic_mask(qs, af).sum())
 
 
 def tau_values(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     """Per singular point: number of singular lines through it that the form
     kills entirely."""
-    iso = _per_form("isotropic", _isotropic_mask, qs, af)
+    iso = _isotropic_mask(qs, af)
     mem = enumerate_singular_lines(qs).members()
     out = np.bincount(mem[iso].ravel(), minlength=len(quadric_points(qs)))
     return out.astype(np.int64)
@@ -345,7 +400,7 @@ def line_type_codes(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     """Type code per line from the residue classes of its points."""
     q = qs.ctx.q
     ls = enumerate_singular_lines(qs)
-    mem_cls = _per_form("residue", residue_classes, qs, af)[ls.members()]
+    mem_cls = _per_form("residue", _residue_stack, qs, af)[ls.members()]
     n_plus = (mem_cls == RESIDUE_PLUS).sum(axis=1)
     n_minus = (mem_cls == RESIDUE_MINUS).sum(axis=1)
     n_w = mem_cls.shape[1] - n_plus - n_minus

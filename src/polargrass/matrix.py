@@ -2,7 +2,8 @@
 
 Every row reduction in the package is one numpy elimination, `_eliminate`,
 written with the `FieldCtx` array operations, so prime and extension fields
-share it.  `MatrixFq` is the validated, immutable and hashable view of a
+share it.  It reduces one matrix or a stack of them in one pass, so the
+many small matrices of a batch of forms cost one call.  `MatrixFq` is the validated, immutable and hashable view of a
 matrix: one read-only int64 array of int-encoded field elements, checked in
 one vectorized step when it comes from outside.  Canonical forms (reduced
 row echelon) make subspaces comparable by equality.
@@ -10,6 +11,7 @@ row echelon) make subspaces comparable by equality.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -173,57 +175,98 @@ def bilinear_value(m: MatrixFq, u: Sequence[int], v: Sequence[int]) -> int:
     return int(c.np_rowsum(c.np_mul(c.np_matmul(u, m._a), v))[0])
 
 
-def _eliminate(ctx: FieldCtx, arr) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """Gauss-Jordan elimination of a copy of arr over ctx.
+def _eliminate(ctx: FieldCtx, arr) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Gauss-Jordan elimination of a copy of arr over ctx: one matrix, or a
+    stack of matrices along leading axes, each reduced on its own.
 
-    Returns the reduced row echelon form, the pivot columns and the product
-    of the pivots, negated once per row swap; for a square matrix of full
-    rank that product is the determinant.
+    Returns the reduced row echelon forms, the pivot columns as a boolean
+    mask of shape arr.shape[:-2] + (ncols,) and, for square matrices, the
+    product of the pivots times the sign of the row order, of shape
+    arr.shape[:-2] (for a matrix of full rank, its determinant; None if the
+    matrices are not square).  Each column is one step for the whole stack:
+    every matrix with a nonzero entry in a row not yet used as a pivot row
+    takes the first such row as its pivot row, and the pivot rows are put
+    in order once, at the end.
     """
-    a = np.array(arr, dtype=np.int64)
-    nr, nc = a.shape
-    pivots = []
-    factor = 1
+    a = np.array(arr, dtype=np.int64, order="C")  # so flat below is a view
+    stack, (nr, nc) = a.shape[:-2], a.shape[-2:]
+    nb = math.prod(stack)
+    a = a.reshape(nb, nr, nc)
+    flat = a.reshape(nb * nr, nc)  # row i of matrix m is flat[m * nr + i]
+    base = np.arange(nb) * nr
+    free = np.ones((nb, nr), dtype=bool)  # rows not yet a pivot row
+    lead = np.tile(np.arange(nc, nc + nr), (nb, 1))  # pivot column, else nc + row
+    pivots = np.zeros((nb, nc), dtype=bool)
+    factor = np.ones(nb, dtype=np.int64) if nr == nc else None
+    left = nb * nr  # rows not yet a pivot row, over the stack
     for col in range(nc):
-        r = len(pivots)
-        if r == nr:
+        if not left:
             break
-        nz = a[r:, col].nonzero()[0]
-        if nz.size == 0:
+        colv = a[:, :, col]
+        cand = (colv != 0) & free
+        rows = base + cand.argmax(axis=1)
+        hit = cand.reshape(-1)[rows]
+        found = np.count_nonzero(hit)
+        if found == nb:
+            b = slice(None)  # a[b] is a view
+        elif found:
+            b = np.flatnonzero(hit)
+            rows = rows[b]
+        else:
             continue
-        sel = r + int(nz[0])
-        if sel != r:
-            a[[r, sel]] = a[[sel, r]]
-            factor = ctx.neg(factor)
-        piv = int(a[r, col])
-        factor = ctx.mul(factor, piv)
-        # row r is zero left of col, so only columns col: change
-        row = ctx.np_mul(ctx.inv(piv), a[r, col:])
-        a[r, col:] = row
-        others = a[:, col].nonzero()[0]
-        others = others[others != r]
-        if others.size:
-            f = a[others, col, None]
-            a[others, col:] = ctx.np_sub(a[others, col:], ctx.np_mul(f, row))
-        pivots.append(col)
-    return a, tuple(pivots), factor
+        left -= found
+        row = flat[rows, col:]
+        if factor is not None:
+            factor[b] = ctx.np_mul(factor[b], row[:, 0])
+        row = ctx.np_mul(ctx.np_inv(row[:, 0])[:, None], row)
+        # the pivot row itself goes to zero here and is then overwritten
+        a[b, :, col:] = ctx.np_sub(a[b, :, col:], ctx.np_mul(colv[b, :, None], row[:, None, :]))
+        flat[rows, col:] = row
+        free.reshape(-1)[rows] = False
+        lead.reshape(-1)[rows] = col
+        pivots[b, col] = True
+    # rows by pivot column (the rows never used as pivot rows are zero), and
+    # the sign of that row order, from its inversions, into the factor.  The
+    # values of lead are distinct, so any sort gives this order; the stable
+    # one is the one enumerate_singular_lines has already loaded.
+    order = lead.argsort(axis=1, kind="stable")
+    a = a[np.arange(nb)[:, None], order]
+    if factor is not None:
+        idx = np.arange(nr)
+        inv = (order[:, :, None] > order[:, None, :]) & (idx[:, None] < idx)
+        odd = np.count_nonzero(inv, axis=(1, 2)) % 2 == 1
+        factor[odd] = ctx.np_neg(factor[odd])
+        factor = factor.reshape(stack)
+    return a.reshape(stack + (nr, nc)), pivots.reshape(stack + (nc,)), factor
 
 
 def rref(m: MatrixFq) -> tuple[MatrixFq, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
     red, pivots, _ = _eliminate(m.ctx, m._a)
-    return MatrixFq._of(m.ctx, red), pivots
+    return MatrixFq._of(m.ctx, red), tuple(np.flatnonzero(pivots).tolist())
 
 
 def rank(m: MatrixFq) -> int:
-    return len(_eliminate(m.ctx, m._a)[1])
+    return int(_eliminate(m.ctx, m._a)[1].sum())
 
 
 def det(m: MatrixFq) -> int:
     if m.nrows != m.ncols:
         raise DimensionMismatch("determinant needs a square matrix")
-    _, pivots, factor = _eliminate(m.ctx, m._a)
-    return factor if len(pivots) == m.nrows else 0
+    return int(determinants(m.ctx, m._a))
+
+
+def determinants(ctx: FieldCtx, arr) -> np.ndarray:
+    """Determinant of each square matrix of a stack (or of one), from one
+    elimination."""
+    _, pivots, factor = _eliminate(ctx, arr)
+    return np.where(pivots.all(axis=-1), factor, 0)
+
+
+def pivot_columns(ctx: FieldCtx, arr) -> np.ndarray:
+    """Pivot columns of the reduced row echelon form of each matrix of a
+    stack (or of one), as a boolean mask, from one elimination."""
+    return _eliminate(ctx, arr)[1]
 
 
 def inverse(m: MatrixFq) -> MatrixFq:
@@ -249,9 +292,17 @@ class Subspace:
         self.basis = ()
         if vecs:
             red, pivots, _ = _eliminate(ctx, _check_entries(ctx, vecs))
-            self.basis = tuple(map(tuple, red[: len(pivots)].tolist()))
+            self.basis = tuple(map(tuple, red[: pivots.sum()].tolist()))
         self.ctx = ctx
         self.ambient = ambient
+
+    @classmethod
+    def _of(cls, ctx: FieldCtx, ambient: int, basis: np.ndarray) -> "Subspace":
+        """Wrap rows that already are a reduced row echelon basis."""
+        sub = cls.__new__(cls)
+        sub.ctx, sub.ambient = ctx, ambient
+        sub.basis = tuple(map(tuple, basis.tolist()))
+        return sub
 
     @property
     def dim(self) -> int:
@@ -272,16 +323,34 @@ class Subspace:
         return f"Subspace(q={self.ctx.q}, ambient={self.ambient}, dim={self.dim})"
 
 
+def kernel_bases(ctx: FieldCtx, arr) -> list[np.ndarray]:
+    """Canonical (reduced row echelon) basis of the right null space of each
+    matrix of a stack (or of one matrix), from one elimination.
+
+    Reduce the matrices with their columns reversed.  The null vector of a
+    free column j has its 1 at j and its other entries at pivot columns left
+    of j, and is zero at every other free column.  Read back in the original
+    column order, each vector therefore leads with that 1 and is zero at the
+    other vectors' leading columns, so the vectors, by leading column, are
+    the canonical basis.
+    """
+    a = np.asarray(arr, dtype=np.int64)
+    nr, nc = a.shape[-2:]
+    red, pivots, _ = _eliminate(ctx, a[..., ::-1])
+    out = []
+    for rd, pv in zip(red.reshape(-1, nr, nc), pivots.reshape(-1, nc)):
+        piv = np.flatnonzero(pv)
+        free = np.flatnonzero(~pv)[::-1]
+        vecs = np.zeros((len(free), nc), dtype=np.int64)
+        vecs[np.arange(len(free)), free] = 1
+        vecs[:, piv] = ctx.np_neg(rd[: len(piv)][:, free].T)
+        out.append(vecs[:, ::-1])
+    return out
+
+
 def kernel(m: MatrixFq) -> Subspace:
     """Right null space: all v with m v = 0."""
-    red, pivots = rref(m)
-    c = m.ctx
-    free = [j for j in range(m.ncols) if j not in pivots]
-    # one vector per free column j: 1 at j, minus column j of red at the pivots
-    vecs = np.zeros((len(free), m.ncols), dtype=np.int64)
-    vecs[np.arange(len(free)), free] = 1
-    vecs[:, list(pivots)] = c.np_neg(red._a[: len(pivots), free].T)
-    return Subspace(c, m.ncols, vecs)
+    return Subspace._of(m.ctx, m.ncols, kernel_bases(m.ctx, m._a)[0])
 
 
 def eigenspace(m: MatrixFq, lam: int) -> Subspace:
@@ -296,6 +365,21 @@ def eigenspace(m: MatrixFq, lam: int) -> Subspace:
     return kernel(MatrixFq._of(c, shifted))
 
 
+def eigen_nullities(ctx: FieldCtx, arr) -> np.ndarray:
+    """n - rank(m - lam I) for every lam in F_q*, in order, for one square
+    matrix or a stack of them: shape arr.shape[:-2] + (q-1,).
+
+    The q-1 shifts of every matrix are ranked in one elimination.
+    """
+    a = np.asarray(arr, dtype=np.int64)
+    n = a.shape[-1]
+    shifted = np.repeat(a[..., None, :, :], ctx.q - 1, axis=-3)
+    diag = np.arange(n)
+    lam = np.arange(1, ctx.q, dtype=np.int64)[:, None]
+    shifted[..., diag, diag] = ctx.np_sub(shifted[..., diag, diag], lam)
+    return n - _eliminate(ctx, shifted)[1].sum(axis=-1)
+
+
 def nonzero_eigenvalues(m: MatrixFq) -> dict[int, int]:
     """Eigenvalues in F_q* with their eigenspace dimensions.
 
@@ -304,30 +388,38 @@ def nonzero_eigenvalues(m: MatrixFq) -> dict[int, int]:
     """
     if m.nrows != m.ncols:
         raise DimensionMismatch("eigenspace needs a square matrix")
-    c = m.ctx
-    eye = np.eye(m.nrows, dtype=np.int64)
-    out = {}
-    for lam in range(1, c.q):
-        d = m.nrows - len(_eliminate(c, c.np_sub(m._a, c.np_mul(lam, eye)))[1])
-        if d:
-            out[lam] = d
-    return out
+    dims = eigen_nullities(m.ctx, m._a)
+    return {lam: int(d) for lam, d in enumerate(dims.tolist(), 1) if d}
 
 
 def rank_np(ctx: FieldCtx, arr: np.ndarray) -> int:
-    """Rank of a (possibly wide) int matrix.
+    """Rank of a (possibly wide) int matrix, without a copy of all of it.
 
     Over a prime field the entries are taken mod p; over an extension field
-    each entry must already be a field element.
+    each entry must already be a field element.  The rows of the taller
+    orientation (a view) are split into `width` interleaved blocks (every
+    width-th row), and each block is reduced together with the reduced
+    basis of the blocks before it, so a working copy holds about as many
+    entries as the matrix has rows.  It stops once the rank reaches the
+    width, which a block sampled across the whole matrix usually does.
     """
     a = np.asarray(arr, dtype=np.int64)
     if a.ndim != 2:
         raise DimensionMismatch("rank_np needs a 2-d array")
-    if ctx.e == 1:
-        a = a % ctx.p
-    else:
+    if ctx.e > 1:
         _check_range(ctx, a)
-    return len(_eliminate(ctx, a)[1])
+    tall = a.T if a.shape[0] < a.shape[1] else a
+    width = tall.shape[1]
+    basis = tall[:0]
+    for start in range(width):
+        if len(basis) == width:
+            break
+        block = tall[start :: width]
+        if ctx.e == 1:
+            block = block % ctx.p
+        red, pivots, _ = _eliminate(ctx, np.concatenate([basis, block]))
+        basis = red[: pivots.sum()]
+    return len(basis)
 
 
 def format_matrix_text(m: MatrixFq) -> str:

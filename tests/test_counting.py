@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from polargrass import code, counting, geometry
+from polargrass import code, counting, forms, geometry, matrix
 from polargrass.counting import (
     CHECKS,
     case1_equation_counts,
@@ -515,22 +515,51 @@ def test_run_checks_enumerates_each_space_once(monkeypatch, n, q):
     assert enumerated and len(enumerated) == len(set(enumerated))
 
 
+STACKED_KERNELS = [
+    (geometry, "_residue_stack"),
+    (geometry, "_isotropic_stack"),
+    (counting, "_eigenvector_counts"),
+    (forms, "_radical_splits"),
+]
+
+
 @pytest.mark.parametrize("n,q", [(3, 3), (2, 3)])
 def test_run_checks_computes_each_form_once(monkeypatch, n, q):
-    # Every (space, form) entry gets its residue classes and its isotropic
-    # line mask once per run, however many checks read them.
-    computed = {"residue": [], "isotropic": []}
+    # Every (space, form) entry gets each kind of per-form data from one
+    # stacked kernel call per run, however many checks read it, and the
+    # sampled forms of the standard space share one call.
+    computed = {}
 
-    def counted(kind, fn):
-        def spy(qs, af):
-            computed[kind].append((qs, af))  # held, so the ids stay distinct
-            return fn(qs, af)
+    def counted(name, fn):
+        def spy(qs, afs):
+            computed[name].append([(qs, af) for af in afs])  # held, so the ids stay distinct
+            return fn(qs, afs)
 
         return spy
 
-    monkeypatch.setattr(geometry, "residue_classes", counted("residue", geometry.residue_classes))
-    monkeypatch.setattr(geometry, "_isotropic_mask", counted("isotropic", geometry._isotropic_mask))
-    run_checks(["all"], {"n": n, "q": q, "samples": 5, "seed": 0, "budget": 10**5})
-    for pairs in computed.values():
-        keys = [(id(qs), id(af)) for qs, af in pairs]
-        assert keys and len(keys) == len(set(keys))
+    for module, name in STACKED_KERNELS:
+        computed[name] = []
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    samples = 5
+    run_checks(["all"], {"n": n, "q": q, "samples": samples, "seed": 0, "budget": 10**5})
+    for name, calls in computed.items():
+        keys = [(id(qs), id(af)) for call in calls for qs, af in call]
+        assert keys and len(keys) == len(set(keys)), name
+        assert max(len(call) for call in calls) >= samples, name
+
+
+@pytest.mark.parametrize("n,q,most", [(2, 9, 1000), (3, 3, 142)])
+def test_run_checks_eliminations(monkeypatch, n, q, most):
+    # Every row reduction is one call of matrix._eliminate.  ROADMAP item H
+    # asks for at most 1,000 per run at (2,9); at (3,3) the bound is the
+    # count with the per-form data of a space computed in stacked calls.
+    calls = []
+    eliminate = matrix._eliminate
+
+    def spy(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(matrix, "_eliminate", spy)
+    run_checks(["all"], {"n": n, "q": q, "samples": 100, "seed": 0, "budget": 10**7})
+    assert 0 < len(calls) <= most

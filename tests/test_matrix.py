@@ -10,12 +10,16 @@ from polargrass.forms import canonical_form
 from polargrass.matrix import (
     MatrixFq,
     Subspace,
+    _eliminate,
     bilinear_value,
     det,
+    determinants,
+    eigen_nullities,
     eigenspace,
     format_matrix_text,
     inverse,
     kernel,
+    kernel_bases,
     nonzero_eigenvalues,
     parse_matrix_text,
     rank,
@@ -282,6 +286,82 @@ def test_kernel_and_bilinear_match_reference(fm, rnd):
     u = [rnd.randrange(ctx.q) for _ in range(m.nrows)]
     v = [rnd.randrange(ctx.q) for _ in range(m.ncols)]
     assert bilinear_value(m, u, v) == reference_bilinear(ctx, m, u, v)
+
+
+@st.composite
+def field_stacks(draw):
+    """A field and a stack of 1 to 5 matrices of one shape, each a product
+    through a random middle width so that ranks vary inside the stack, and
+    whether to hand it to the kernels as a transposed (non-contiguous) view."""
+    ctx = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    nb, nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(nb):
+        k = int(rng.integers(0, min(nr, nc) + 1))
+        if k:
+            mats.append(ctx.np_matmul(rng.integers(0, ctx.q, (nr, k)), rng.integers(0, ctx.q, (k, nc))))
+        else:
+            mats.append(np.zeros((nr, nc), dtype=np.int64))
+    return ctx, np.stack(mats), draw(st.booleans())
+
+
+@given(field_stacks())
+@settings(max_examples=150, deadline=None)
+def test_stacked_elimination_matches_reference(fs):
+    # each matrix of a stack reduces as on its own, whatever its rank and
+    # whatever the memory layout of the stack
+    ctx, stack, transposed = fs
+    arr = np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1) if transposed else stack
+    red, pivots, _ = _eliminate(ctx, arr)
+    for a, r, p in zip(stack, red, pivots):
+        want_rows, want_pivots = reference_rref(ctx, a.tolist())
+        assert r.tolist() == [list(row) for row in want_rows]
+        assert tuple(np.flatnonzero(p)) == want_pivots
+    if stack.shape[1] == stack.shape[2]:
+        want = [reference_det(ctx, a.tolist()) for a in stack]
+        assert determinants(ctx, arr).tolist() == want
+
+
+def reference_null_vectors(ctx, a):
+    """One null vector per free column of rref(a), not yet canonical."""
+    red, pivots = rref(MatrixFq.from_numpy(ctx, a))
+    vecs = []
+    for j in range(a.shape[1]):
+        if j not in pivots:
+            v = [0] * a.shape[1]
+            v[j] = 1
+            for i, pc in enumerate(pivots):
+                v[pc] = ctx.neg(red.rows[i][j])
+            vecs.append(v)
+    return vecs
+
+
+@given(field_stacks())
+@settings(max_examples=150, deadline=None)
+def test_kernel_basis_is_canonical_without_second_reduction(fs):
+    # the null-space basis read off one reduction of the column-reversed
+    # matrix is the reduced-echelon basis that Subspace computes by reducing
+    # the null vectors again
+    ctx, stack, transposed = fs
+    if ctx.q not in (3, 5, 9):
+        return
+    arr = np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1) if transposed else stack
+    for a, basis in zip(stack, kernel_bases(ctx, arr)):
+        want = Subspace(ctx, a.shape[1], reference_null_vectors(ctx, a))
+        assert tuple(map(tuple, basis.tolist())) == want.basis
+        assert kernel(MatrixFq.from_numpy(ctx, a)) == want
+
+
+@given(field_stacks())
+@settings(max_examples=60, deadline=None)
+def test_eigen_nullities_match_eigenspaces(fs):
+    ctx, stack, _ = fs
+    k = min(stack.shape[1:])
+    square = stack[:, :k, :k]
+    for a, dims in zip(square, eigen_nullities(ctx, square)):
+        m = MatrixFq.from_numpy(ctx, a)
+        assert dims.tolist() == [eigenspace(m, lam).dim for lam in range(1, ctx.q)]
 
 
 @given(field_matrices(max_cols=4))

@@ -1,0 +1,250 @@
+# tests/test_stacked.py
+"""The stacked per-form kernels against the per-form code they replaced.
+
+geometry's residue and isotropic-line kernels, counting's eigenvector
+counts and forms' radical splits each evaluate a list of forms on one space
+in one call, in blocks of points, lines or forms; tau values and line types
+are read off a form's rows.  The reference_* functions below are the bodies
+that computed the same data one form at a time; they stay here only as
+oracles.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polargrass import counting, forms, geometry
+from polargrass.code import random_alternating_forms
+from polargrass.errors import InadmissibleParams
+from polargrass.field import field_ctx
+from polargrass.forms import alternating_forms, form_profile, radical_split, standard_space
+from polargrass.geometry import (
+    LINE_T0,
+    LINE_TALPHA,
+    LINE_TBETA,
+    LINE_TMINUS,
+    LINE_TPLUS,
+    RESIDUE_MINUS,
+    RESIDUE_P_A,
+    RESIDUE_P_B,
+    RESIDUE_PLUS,
+    RESIDUE_ZERO,
+    empirical_census,
+    enumerate_singular_lines,
+    isotropic_line_count,
+    line_type_codes,
+    quadric_points,
+    tau_values,
+)
+from polargrass.matrix import MatrixFq, det, eigenspace, kernel, rref
+
+SPACES = {(n, q): standard_space(field_ctx(q), n) for n, q in [(2, 3), (3, 3), (2, 5), (2, 9)]}
+
+
+# ---- the per-form references -------------------------------------------------
+
+
+def reference_residue_classes(qs, af):
+    ctx = qs.ctx
+    pts = quadric_points(qs)
+    sp = ctx.np_matmul(pts, af.s_np().T)
+    a_mask = ~sp.any(axis=1)
+    x = ctx.np_matmul(sp, qs.gram_inv_np())
+    lead = (pts != 0).argmax(axis=1)
+    coef = x[np.arange(len(pts)), lead]
+    b_mask = ~a_mask & (x == ctx.np_mul(coef[:, None], pts)).all(axis=1)
+    wprime = ctx.np_quad_eval(qs.gram_np(), x)
+    rest = ~a_mask & ~b_mask
+    zero_mask = rest & (wprime == 0)
+    plus_mask = rest & (wprime != 0) & ctx.np_is_square(ctx.np_mul(np.int64(qs.disc_sign), wprime))
+    out = np.full(len(pts), RESIDUE_MINUS, dtype=np.int8)
+    out[a_mask] = RESIDUE_P_A
+    out[b_mask] = RESIDUE_P_B
+    out[zero_mask] = RESIDUE_ZERO
+    out[plus_mask] = RESIDUE_PLUS
+    return out
+
+
+def reference_isotropic_mask(qs, af):
+    ctx = qs.ctx
+    pts = quadric_points(qs)
+    ls = enumerate_singular_lines(qs)
+    u = pts[ls.gens[:, 0]]
+    v = pts[ls.gens[:, 1]]
+    return ctx.np_rowsum(ctx.np_mul(ctx.np_matmul(u, af.s_np()), v)) == 0
+
+
+def reference_tau_values(qs, af):
+    iso = reference_isotropic_mask(qs, af)
+    mem = enumerate_singular_lines(qs).members()
+    return np.bincount(mem[iso].ravel(), minlength=len(quadric_points(qs)))
+
+
+def reference_line_type_codes(qs, af):
+    """Type per line, -1 where the pattern is in no type."""
+    q = qs.ctx.q
+    mem_cls = reference_residue_classes(qs, af)[enumerate_singular_lines(qs).members()]
+    n_plus = (mem_cls == RESIDUE_PLUS).sum(axis=1)
+    n_minus = (mem_cls == RESIDUE_MINUS).sum(axis=1)
+    n_w = mem_cls.shape[1] - n_plus - n_minus
+    out = np.full(len(mem_cls), -1, dtype=np.int8)
+    patterns = {
+        LINE_T0: (0, q + 1, 0),
+        LINE_TPLUS: (q, 1, 0),
+        LINE_TALPHA: ((q + 1) // 2, 0, (q + 1) // 2),
+        LINE_TBETA: ((q - 1) // 2, 2, (q - 1) // 2),
+        LINE_TMINUS: (0, 1, q),
+    }
+    for code, (cp, cw, cm) in patterns.items():
+        out[(n_plus == cp) & (n_w == cw) & (n_minus == cm)] = code
+    return out
+
+
+def reference_eigenvector_count(qs, af):
+    ctx = qs.ctx
+    m = MatrixFq.from_numpy(ctx, ctx.np_matmul(qs.gram_inv_np(), af.s_np()))
+    return sum(ctx.q ** eigenspace(m, lam).dim - 1 for lam in range(1, ctx.q))
+
+
+def reference_witt_index(ctx, gram):
+    dmat = det(gram)
+    assert dmat != 0
+    k = gram.nrows
+    if k % 2 == 1:
+        return (k - 1) // 2
+    t = k // 2
+    sign = dmat if t % 2 == 0 else ctx.neg(dmat)
+    return t if ctx.is_square(sign) else t - 1
+
+
+def reference_radical_split(qs, af):
+    ctx = qs.ctx
+    r, d = form_profile(qs, af)
+    b_r = MatrixFq(ctx, af.radical.basis)
+    b_m = b_r.mul(qs.gram)
+    perp = kernel(b_m).basis
+    d_in_r = kernel(b_m.mul(b_r.transpose()))
+    d_vecs = MatrixFq(ctx, d_in_r.basis).mul(b_r).rows if d_in_r.dim else ()
+    rows = d_vecs + perp
+    _, keep = rref(MatrixFq(ctx, rows).transpose())
+    h0 = [rows[i] for i in keep[len(d_vecs) :]]
+    if not h0:
+        return {"r": r, "d": d, "m": 0}
+    h = MatrixFq(ctx, h0)
+    return {"r": r, "d": d, "m": reference_witt_index(ctx, h.mul(qs.gram).mul(h.transpose()))}
+
+
+# ---- stacks of forms -------------------------------------------------------------
+
+
+def alternating(ctx, rng, dim, width):
+    """P^T S0 P for a random alternating width x width S0 and a random
+    width x dim P: rank at most width, so the radical has dimension at least
+    dim - width."""
+    if width == 0:
+        return np.zeros((dim, dim), dtype=np.int64)
+    upper = np.triu(rng.integers(0, ctx.q, (width, width)), 1)
+    s0 = ctx.np_sub(upper, upper.T)
+    p = rng.integers(0, ctx.q, (width, dim))
+    return ctx.np_matmul(ctx.np_matmul(p.T, s0), p)
+
+
+@st.composite
+def stacks(draw, max_forms=5):
+    """A space, a stack of forms on it and a block bound: random forms
+    (radical dimension 1 mostly), degenerate ones with radical dimension at
+    least 3, now and then the zero form; the bound is the default or one so
+    small that block edges fall inside the stack."""
+    qs = SPACES[draw(st.sampled_from(sorted(SPACES)))]
+    ctx, dim = qs.ctx, qs.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = draw(st.lists(st.sampled_from([dim, dim, dim - 3, 2, 0]), min_size=1, max_size=max_forms))
+    afs = alternating_forms(ctx, np.stack([alternating(ctx, rng, dim, w) for w in widths]))
+    bound = draw(st.sampled_from([None, 1 << 12, 1 << 15]))
+    return qs, afs, bound
+
+
+@given(stacks())
+@settings(max_examples=60, deadline=None)
+def test_stacked_kernels_match_per_form_references(case):
+    qs, afs, bound = case
+    with pytest.MonkeyPatch.context() as mp:
+        if bound is not None:
+            mp.setattr(geometry, "PAIR_BLOCK_ENTRIES", bound)
+        residue = geometry._residue_stack(qs, afs)
+        iso = geometry._isotropic_stack(qs, afs)
+        eigen = counting._eigenvector_counts(qs, afs)
+        splits = forms._radical_splits(qs, afs)
+    for i, af in enumerate(afs):
+        assert residue[i].tolist() == reference_residue_classes(qs, af).tolist()
+        assert np.unpackbits(iso[i], count=len(enumerate_singular_lines(qs))).tolist() == (
+            reference_isotropic_mask(qs, af).astype(np.uint8).tolist()
+        )
+        assert eigen[i] == reference_eigenvector_count(qs, af)
+        if af.r < qs.dim:
+            assert dict(zip("rdm", splits[i].tolist())) == reference_radical_split(qs, af)
+        else:
+            assert splits[i][0] == qs.dim
+
+
+@given(stacks(max_forms=8))
+@settings(max_examples=25, deadline=None)
+def test_run_rows_match_per_form_references(case):
+    # Within a run the first request fills the rows of every form shared on
+    # the space; each form must read back its own row.
+    qs, afs, _ = case
+    forms._run_memo = {}
+    try:
+        forms.share_forms((qs, af) for af in afs)
+        for af in reversed(afs):
+            counts = np.bincount(reference_residue_classes(qs, af), minlength=5).tolist()
+            census = empirical_census(qs, af)
+            assert [census.a_radical, census.a_eigen, census.n_zero, census.n_plus, census.n_minus] == counts
+            assert isotropic_line_count(qs, af) == int(reference_isotropic_mask(qs, af).sum())
+            assert tau_values(qs, af).tolist() == reference_tau_values(qs, af).tolist()
+            assert line_type_codes(qs, af).tolist() == reference_line_type_codes(qs, af).tolist()
+            assert counting.eigenvector_count(qs, af) == reference_eigenvector_count(qs, af)
+            if af.r < qs.dim:
+                assert radical_split(qs, af) == reference_radical_split(qs, af)
+            else:
+                with pytest.raises(InadmissibleParams):
+                    radical_split(qs, af)
+    finally:
+        forms._run_memo = None
+
+
+def test_stacked_kernels_stay_within_twice_a_single_form_peak():
+    # Blocked by bytes, a stacked kernel's working memory (its peak less the
+    # rows it returns) over 100 forms stays within twice the peak of the
+    # largest single-form call, so stacking does not raise verify's peak.
+    qs = SPACES[3, 3]
+    afs = random_alternating_forms(qs.ctx, qs.dim, np.random.default_rng(0), 100)
+    enumerate_singular_lines(qs).members()
+    kernels = [
+        geometry._residue_stack,
+        geometry._isotropic_stack,
+        counting._eigenvector_counts,
+        forms._radical_splits,
+    ]
+
+    def peak(fn, forms_):
+        tracemalloc.start()
+        try:
+            out = fn(qs, forms_)
+            return tracemalloc.get_traced_memory()[1], out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    forms._run_memo = {}
+    try:
+        forms.share_forms((qs, af) for af in afs)
+        for fn in kernels:  # warm up
+            fn(qs, afs)
+            fn(qs, afs[:1])
+        single = max(peak(fn, afs[:1])[0] for fn in kernels)
+        stacked = max(p - out for p, out in (peak(fn, afs) for fn in kernels))
+    finally:
+        forms._run_memo = None
+    assert stacked <= 2 * single
