@@ -5,23 +5,26 @@ an int at the end; a fractional result raises NonIntegerResult.  The
 verification functions return plain report dicts with stable key order and
 never raise on a mismatch; they record status "ok" or "mismatch" so callers
 can decide how to fail.  The checks run by one run_checks call share one
-list of canonical and sampled forms, so the points and lines cached on its
-spaces, and the per-form data of each form: residue classes, isotropic
-lines, eigenvector count and radical split, each computed for all forms of
-a space in one stacked call (see forms._run_memo).
+FormTable: its canonical and sampled forms, the points and lines cached on
+their spaces, the code of the standard space, and each form's residue
+classes, isotropic lines, eigenvector count and radical split, each kind
+computed for all forms of a space in one stacked kernel call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .code import (
     DEFAULT_BUDGET,
+    PolarCode,
     build_code,
     check_scan_budget,
     code_parameters,
+    codeword_from_form,
     min_distance_exact,
     random_alternating_forms,
 )
@@ -42,18 +45,13 @@ from .forms import (
     check_admissible,
     elliptic_gram,
     hyperbolic_gram,
+    orbit_counts,
     projective_points,
     radical_split,
     _case_nu,
 )
 from . import geometry
-from .geometry import (
-    CensusRecord,
-    empirical_census,
-    isotropic_line_count,
-    line_type_census,
-    tau_values,
-)
+from .geometry import CensusRecord
 from .matrix import eigen_nullities
 
 
@@ -418,14 +416,18 @@ def _eigenvector_counts(qs: QuadraticSpace, afs) -> np.ndarray:
 def eigenvector_count(qs: QuadraticSpace, af: AlternatingForm) -> int:
     """Number of nonzero vectors that are eigenvectors of M^{-1} S with a
     nonzero base-field eigenvalue."""
-    return int(forms._per_form("eigen", _eigenvector_counts, qs, af))
+    return int(_eigenvector_counts(qs, [af])[0])
 
 
 def check_eigenvector_bound(qs: QuadraticSpace, af: AlternatingForm) -> dict:
     """Compare the eigenvector count with 2(q^m - 1), m the Witt index over H0."""
-    split = radical_split(qs, af)
-    count = eigenvector_count(qs, af)
-    bound = 2 * (qs.ctx.q ** split["m"] - 1)
+    return _eigen_bound(qs.ctx.q, radical_split(qs, af), eigenvector_count(qs, af))
+
+
+def _eigen_bound(q: int, split: dict, count: int) -> dict:
+    """check_eigenvector_bound's record from a form's radical split and
+    eigenvector count."""
+    bound = 2 * (q ** split["m"] - 1)
     return {
         "count": count,
         "m": split["m"],
@@ -478,49 +480,72 @@ def _report(check: str, params: dict, expected, observed, ok: bool, **extra) -> 
     return rep
 
 
-def _check_forms(n: int, q: int, samples: int = 0, seed: int = 0) -> list:
-    """(case, space, form) triples: the canonical form of every buildable
-    shape of cases 1-4, then `samples` seeded random forms on the standard
-    space, tagged case 0.  Within one run_checks call each list is built
-    once and shared by the checks; outside it every call builds afresh."""
-    memo = {} if forms._run_memo is None else forms._run_memo
-    if (n, q) not in memo:
-        ctx = FieldCtx(q)
-        memo[n, q] = ctx, [
-            (case, *canonical_form(ctx, n, r, d, case))
+class FormTable:
+    """The forms that the checks of one run_checks call share, with their
+    per-form data.
+
+    canonical holds (case, space, form) for the canonical form of every
+    buildable shape of cases 1-4; entries holds those, then `samples`
+    seeded random forms on the standard space, tagged case 0.  Each is
+    built on first use, so a check that reads no forms runs at any n.
+    row(kernel, space, form) calls a stacked kernel once per space, on all
+    entries of the space, and keeps the rows for the life of the table.
+    A verify_* function given no table builds its own.
+    """
+
+    def __init__(self, n: int, q: int, samples: int = 0, seed: int = 0):
+        self.n, self.q, self.samples, self.seed = n, q, samples, seed
+        self._rows: dict = {}
+
+    @cached_property
+    def canonical(self) -> list:
+        ctx = FieldCtx(self.q)
+        return [
+            (case, *canonical_form(ctx, self.n, r, d, case))
             for case in (1, 2, 3, 4)
-            for r, d in admissible_pairs(n, case)
+            for r, d in admissible_pairs(self.n, case)
         ]
-    ctx, canonical = memo[n, q]
-    if (n, q, samples, seed) not in memo:
-        qs, rng = _standard_entry(canonical)[0], np.random.default_rng(seed)
-        memo[n, q, samples, seed] = canonical + [
-            (0, qs, af) for af in random_alternating_forms(ctx, 2 * n + 1, rng, samples)
-        ]
-        forms.share_forms((qs, af) for _, qs, af in memo[n, q, samples, seed])
-    return memo[n, q, samples, seed]
+
+    @cached_property
+    def standard(self) -> tuple[QuadraticSpace, AlternatingForm]:
+        """(space, form) of the canonical case-1 shape (2n-1, 1): the space
+        is standard_space(ctx, n) and the form build_S(space, s11="auto")."""
+        top = 2 * self.n - 1  # case 1 with r = 2n-1 has d = 1
+        return next((qs, af) for case, qs, af in self.canonical if case == 1 and qs.profile.r == top)
+
+    @cached_property
+    def entries(self) -> list:
+        qs, rng = self.standard[0], np.random.default_rng(self.seed)
+        sampled = random_alternating_forms(qs.ctx, qs.dim, rng, self.samples)
+        return self.canonical + [(0, qs, af) for af in sampled]
+
+    @cached_property
+    def code(self) -> PolarCode:
+        """The code of the standard space."""
+        return build_code(self.standard[0])
+
+    def row(self, kernel, qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
+        """af's row of kernel(qs, forms), forms being every entry on qs."""
+        if (kernel, qs) not in self._rows:
+            afs = [f for _, space, f in self.entries if space is qs]
+            self._rows[kernel, qs] = dict(zip(map(id, afs), kernel(qs, afs)))
+        return self._rows[kernel, qs][id(af)]
+
+    def census(self, qs: QuadraticSpace, af: AlternatingForm) -> CensusRecord:
+        return geometry._census(self.row(geometry._residue_stack, qs, af))
 
 
-def _standard_entry(forms: list) -> tuple:
-    """(space, form) of the canonical case-1 shape (2n-1, 1): the space is
-    standard_space(ctx, n) and the form build_S(space, s11="auto")."""
-    return next(
-        (qs, af)
-        for case, qs, af in forms
-        if case == 1 and (qs.profile.r, qs.profile.d) == (2 * qs.n - 1, 1)
-    )
-
-
-def verify_census_all(n: int, q: int) -> dict:
+def verify_census_all(n: int, q: int, table: FormTable | None = None) -> dict:
     """Empirical censuses equal the closed forms on every buildable shape
     with a closed form (cases 1-3), including the radical/eigen split."""
+    table = table or FormTable(n, q)
     entries = []
     ok = True
-    for case, qs, af in _check_forms(n, q):
+    for case, qs, af in table.canonical:
         if case == 4:
             continue
         r, d = qs.profile.r, qs.profile.d
-        emp = empirical_census(qs, af)
+        emp = table.census(qs, af)
         pred = closed_form_census(case, n, q, r, d)
         match = (
             emp.as_tuple() == pred.as_tuple()
@@ -550,28 +575,32 @@ def verify_census_all(n: int, q: int) -> dict:
     )
 
 
-def verify_line_count_identity(n: int, q: int, samples: int = 100, seed: int = 0) -> dict:
-    """(q+1) f equals the weighted census sum, the tau sum, and the reduced
-    rewrite, for canonical and random forms."""
+def verify_line_count_identity(
+    n: int, q: int, samples: int = 100, seed: int = 0, table: FormTable | None = None
+) -> dict:
+    """(q+1) f equals the weighted census sum and the reduced rewrite, and
+    every singular point lies on as many isotropic lines (its tau value) as
+    the residue constant of its class, for canonical and random forms."""
+    table = table or FormTable(n, q, samples, seed)
     checked = 0
     ok = True
     first_bad = None
     c = residue_constants(n, q)
-    for _, space, af in _check_forms(n, q, samples, seed):
-        census = empirical_census(space, af)
-        f_direct = isotropic_line_count(space, af)
-        lhs = (q + 1) * f_direct
-        rhs = (
-            census.a * c["A0"]
-            + census.n_zero * c["B0"]
-            + census.n_plus * c["Bplus"]
-            + census.n_minus * c["Bminus"]
-        )
-        tau_sum = int(tau_values(space, af).sum())
+    # the residue constant of each class code: P_A, P_B, zero, plus, minus
+    per_class = np.array([c["A0"], c["A0"], c["B0"], c["Bplus"], c["Bminus"]])
+    for _, space, af in table.entries:
+        codes = table.row(geometry._residue_stack, space, af)
+        mask = geometry._mask(space, table.row(geometry._isotropic_stack, space, af))
+        census = geometry._census(codes)
+        expected = per_class[codes]  # per point, the constant of its class
+        lhs = (q + 1) * int(mask.sum())
+        rhs = int(expected.sum())  # the census weighted by the constants
+        tau = geometry._tau(space, mask)
+        off = int((tau != expected).sum())
         rw_lhs, rw_rhs = census_rewrite_sides(census, n, q)
-        good = lhs == rhs == tau_sum and rw_lhs == rw_rhs == lhs
+        good = lhs == rhs and off == 0 and rw_lhs == rw_rhs == lhs
         if not good and first_bad is None:
-            first_bad = {"lhs": lhs, "rhs": rhs, "tau_sum": tau_sum}
+            first_bad = {"lhs": lhs, "rhs": rhs, "tau_sum": int(tau.sum()), "tau_mismatches": off}
         ok &= good
         checked += 1
     return _report(
@@ -583,21 +612,25 @@ def verify_line_count_identity(n: int, q: int, samples: int = 100, seed: int = 0
     )
 
 
-def verify_line_types(n: int, q: int, samples: int = 100, seed: int = 0) -> dict:
+def verify_line_types(
+    n: int, q: int, samples: int = 100, seed: int = 0, table: FormTable | None = None
+) -> dict:
     """Every singular line matches one of the five types, and the per-class
     flag identities (hence the imbalance identity) hold."""
+    table = table or FormTable(n, q, samples, seed)
     lpp = (q ** (2 * n - 2) - 1) // (q - 1)
     ok = True
     first_bad = None
     checked = 0
-    for _, space, af in _check_forms(n, q, samples, seed):
+    for _, space, af in table.entries:
+        codes = table.row(geometry._residue_stack, space, af)
         try:
-            types = line_type_census(space, af)
+            types = geometry._type_census(geometry._line_types(space, codes))
         except TypeNotInTable as ex:
             ok = False
             first_bad = {"error": str(ex)}
             break
-        census = empirical_census(space, af)
+        census = geometry._census(codes)
         half_hi = (q + 1) // 2
         half_lo = (q - 1) // 2
         plus_flags = q * types["TPLUS"] + half_hi * types["TALPHA"] + half_lo * types["TBETA"]
@@ -621,14 +654,12 @@ def verify_line_types(n: int, q: int, samples: int = 100, seed: int = 0) -> dict
     )
 
 
-def verify_orbit_counts(n: int, q: int) -> dict:
+def verify_orbit_counts(n: int, q: int, table: FormTable | None = None) -> dict:
     """Empirical point orbits against the closed counts, in the ambient odd
     dimension and in the two even-dimensional section types."""
-    from .forms import orbit_counts as empirical_orbits
-
-    qs = _standard_entry(_check_forms(n, q))[0]
+    qs = (table or FormTable(n, q)).standard[0]
     ctx = qs.ctx
-    emp = empirical_orbits(qs)
+    emp = orbit_counts(qs)
     closed = kappa_closed(n, q)
     ok = all(emp[k] == closed[k] for k in closed)
     evens = {}
@@ -725,15 +756,19 @@ def verify_case_maxima(n: int, q: int) -> dict:
     )
 
 
-def verify_eigenvector_bound(n: int, q: int, samples: int = 50, seed: int = 0) -> dict:
+def verify_eigenvector_bound(
+    n: int, q: int, samples: int = 50, seed: int = 0, table: FormTable | None = None
+) -> dict:
     """The eigenvector count never exceeds 2(q^m - 1), with equality attained
     by the canonical shape with full-rank induced block."""
+    table = table or FormTable(n, q, samples, seed)
     ok = True
     first_bad = None
     equality_seen = False
     checked = 0
-    for _, space, af in _check_forms(n, q, samples, seed):
-        rec = check_eigenvector_bound(space, af)
+    for _, space, af in table.entries:
+        split = forms._split(space, table.row(forms._radical_splits, space, af))
+        rec = _eigen_bound(q, split, int(table.row(_eigenvector_counts, space, af)))
         if not rec["ok"] and first_bad is None:
             first_bad = rec
         ok &= rec["ok"]
@@ -780,14 +815,17 @@ def verify_equation_counts(n: int, q: int) -> dict:
     )
 
 
-def verify_delta_bound(n: int, q: int, samples: int = 100, seed: int = 0) -> dict:
+def verify_delta_bound(
+    n: int, q: int, samples: int = 100, seed: int = 0, table: FormTable | None = None
+) -> dict:
     """Imbalance bound on canonical and random forms."""
+    table = table or FormTable(n, q, samples, seed)
     ok = True
     first_bad = None
     checked = 0
     strict_fails_case1 = 0
-    for case, space, af in _check_forms(n, q, samples, seed):
-        census = empirical_census(space, af)
+    for case, space, af in table.entries:
+        census = table.census(space, af)
         rec = delta_bound_check(census, n, q)
         if not rec["ok"] and first_bad is None:
             first_bad = rec
@@ -806,10 +844,12 @@ def verify_delta_bound(n: int, q: int, samples: int = 100, seed: int = 0) -> dic
     )
 
 
-def verify_min_distance_exact(n: int, q: int, budget: int = DEFAULT_BUDGET) -> dict:
+def verify_min_distance_exact(
+    n: int, q: int, budget: int = DEFAULT_BUDGET, table: FormTable | None = None
+) -> dict:
     """Exhaustive minimum distance against the closed value."""
     check_scan_budget(code_parameters(n, q), budget)
-    code = build_code(_standard_entry(_check_forms(n, q))[0])
+    code = (table or FormTable(n, q)).code
     d = min_distance_exact(code, budget=budget)
     ok = d == code.params.d_claimed
     return _report(
@@ -821,15 +861,14 @@ def verify_min_distance_exact(n: int, q: int, budget: int = DEFAULT_BUDGET) -> d
     )
 
 
-def verify_canonical_weight(n: int, q: int) -> dict:
+def verify_canonical_weight(n: int, q: int, table: FormTable | None = None) -> dict:
     """The canonical low-weight form hits the claimed minimum distance and
     its census is the predicted one."""
-    qs, af = _standard_entry(_check_forms(n, q))
-    code = build_code(qs)
-    from .code import codeword_from_form
-
+    table = table or FormTable(n, q)
+    qs, af = table.standard
+    code = table.code
     w = codeword_from_form(code, af).weight
-    census = empirical_census(code.qs, af)
+    census = table.census(qs, af)
     pred = closed_form_census(1, n, q, 2 * n - 1, 1)
     ok = w == code.params.d_claimed and census.as_tuple() == pred.as_tuple()
     return _report(
@@ -844,32 +883,34 @@ def verify_canonical_weight(n: int, q: int) -> dict:
 
 
 CHECKS = {
-    "census-all": lambda args: verify_census_all(args["n"], args["q"]),
-    "line-count-identity": lambda args: verify_line_count_identity(
-        args["n"], args["q"], args["samples"], args["seed"]
+    "census-all": lambda args, table=None: verify_census_all(args["n"], args["q"], table),
+    "line-count-identity": lambda args, table=None: verify_line_count_identity(
+        args["n"], args["q"], args["samples"], args["seed"], table
     ),
-    "line-type-census": lambda args: verify_line_types(
-        args["n"], args["q"], args["samples"], args["seed"]
+    "line-type-census": lambda args, table=None: verify_line_types(
+        args["n"], args["q"], args["samples"], args["seed"], table
     ),
-    "orbit-counts": lambda args: verify_orbit_counts(args["n"], args["q"]),
-    "grid-maxima": lambda args: verify_grid_maxima(args["n"], args["q"]),
-    "case-maxima": lambda args: verify_case_maxima(args["n"], args["q"]),
-    "eigenvector-bound": lambda args: verify_eigenvector_bound(
-        args["n"], args["q"], args["samples"], args["seed"]
+    "orbit-counts": lambda args, table=None: verify_orbit_counts(args["n"], args["q"], table),
+    "grid-maxima": lambda args, table=None: verify_grid_maxima(args["n"], args["q"]),
+    "case-maxima": lambda args, table=None: verify_case_maxima(args["n"], args["q"]),
+    "eigenvector-bound": lambda args, table=None: verify_eigenvector_bound(
+        args["n"], args["q"], args["samples"], args["seed"], table
     ),
-    "equation-counts": lambda args: verify_equation_counts(args["n"], args["q"]),
-    "delta-bound": lambda args: verify_delta_bound(
-        args["n"], args["q"], args["samples"], args["seed"]
+    "equation-counts": lambda args, table=None: verify_equation_counts(args["n"], args["q"]),
+    "delta-bound": lambda args, table=None: verify_delta_bound(
+        args["n"], args["q"], args["samples"], args["seed"], table
     ),
-    "min-distance-exact": lambda args: verify_min_distance_exact(
-        args["n"], args["q"], args.get("budget", DEFAULT_BUDGET)
+    "min-distance-exact": lambda args, table=None: verify_min_distance_exact(
+        args["n"], args["q"], args.get("budget", DEFAULT_BUDGET), table
     ),
-    "canonical-weight": lambda args: verify_canonical_weight(args["n"], args["q"]),
+    "canonical-weight": lambda args, table=None: verify_canonical_weight(args["n"], args["q"], table),
 }
 
 
 def run_checks(names, args: dict) -> list[dict]:
-    """Run the named checks (or all) with shared arguments.
+    """Run the named checks (or all) with shared arguments and one
+    FormTable, built from args' n, q, samples and seed (0 when absent; no
+    samples when no check reads them).
 
     Under 'all', checks that do not apply at the given scale (wrong n, or an
     exhaustive scan past the budget) are reported as skipped instead of
@@ -878,28 +919,26 @@ def run_checks(names, args: dict) -> list[dict]:
     expanded = names == ["all"] or names == "all"
     if expanded:
         names = list(CHECKS)
-    forms._run_memo = {}
+    sampled = {"line-count-identity", "line-type-census", "eigenvector-bound", "delta-bound"} & set(names)
+    table = FormTable(args["n"], args["q"], args.get("samples", 0) if sampled else 0, args.get("seed", 0))
     out = []
-    try:
-        for name in names:
-            if name not in CHECKS:
-                raise InadmissibleParams(
-                    f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}"
-                )
-            try:
-                out.append(CHECKS[name](args))
-            except (InadmissibleParams, BudgetExceeded) as ex:
-                if not expanded:
-                    raise
-                out.append(
-                    {
-                        "check": name,
-                        "params": {"n": args["n"], "q": args["q"]},
-                        "expected": "not applicable at this scale",
-                        "observed": str(ex),
-                        "status": "skipped",
-                    }
-                )
-    finally:
-        forms._run_memo = None
+    for name in names:
+        if name not in CHECKS:
+            raise InadmissibleParams(
+                f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}"
+            )
+        try:
+            out.append(CHECKS[name](args, table))
+        except (InadmissibleParams, BudgetExceeded) as ex:
+            if not expanded:
+                raise
+            out.append(
+                {
+                    "check": name,
+                    "params": {"n": args["n"], "q": args["q"]},
+                    "expected": "not applicable at this scale",
+                    "observed": str(ex),
+                    "status": "skipped",
+                }
+            )
     return out

@@ -199,13 +199,6 @@ class FieldCtx:
     def is_square(self, a: int) -> bool:
         return bool(self._square_mask[a])
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Digits (c_{e-1}, ..., c_0) of the element encoding."""
-        return tuple((a // self.p**k) % self.p for k in range(self.e - 1, -1, -1))
-
-    def elements(self) -> range:
-        return range(self.q)
-
     def validate_element(self, a: int) -> int:
         if not isinstance(a, (int, np.integer)) or not 0 <= a < self.q:
             raise InadmissibleParams(f"{a!r} is not an element of F_{self.q}")

@@ -6,12 +6,8 @@ their radical R = ker S and the defect d = dim of the radical of the
 M-restriction to R.  For each admissible (r, d) there are up to four block
 shapes (case 1..4) with basis-adapted canonical matrices; build_M and build_S
 construct those, and the classification helpers work for arbitrary forms.
-
-While a run_checks call is in progress, _run_memo holds the per-form data
-of the forms it checks: each kind of data (radical splits here, residue
-classes and isotropic lines in geometry, eigenvector counts in counting) is
-computed once per (space, form), for all the run's forms on a space in one
-stacked call (see share_forms and _per_form).
+The radical splits of a list of forms on one space come from one stacked
+call, _radical_splits; radical_split is that call on one form.
 """
 
 from __future__ import annotations
@@ -49,43 +45,6 @@ from .matrix import (
 )
 
 CASES = (1, 2, 3, 4)
-
-_run_memo: dict | None = None  # per-form data of the run_checks call in progress
-
-
-def share_forms(entries) -> None:
-    """Within a run_checks call, record the (space, form) pairs the run
-    checks, so that per-form data is computed for all forms of a space in
-    one stacked call; outside one, do nothing."""
-    if _run_memo is None:
-        return
-    for qs, af in entries:
-        # the entry holds qs and its forms, so no other object can take their ids
-        _run_memo.setdefault(("forms", id(qs)), (qs, {}))[1][id(af)] = af
-
-
-def _per_form(kind: str, fn, qs: QuadraticSpace, af: AlternatingForm):
-    """Row of af in fn(qs, forms), the stacked per-form data `kind`.
-
-    Outside a run_checks call fn runs on [af] alone.  Within one, each
-    (space, form) row is computed once: the first request for a form the
-    run shared on qs computes, in one call of fn, the rows of every form
-    shared on qs that has none yet.
-    """
-    if _run_memo is None:
-        return fn(qs, [af])[0]
-    key = kind, id(qs), id(af)
-    if key not in _run_memo:
-        peers = _run_memo.get(("forms", id(qs)), (qs, {}))[1]
-        todo = [af]
-        if id(af) in peers:
-            todo = [f for f in peers.values() if (kind, id(qs), id(f)) not in _run_memo]
-        rows = fn(qs, todo)
-        rows.setflags(write=False)  # every check of the run reads these rows
-        for f, row in zip(todo, rows):
-            # the entry holds qs and f, so no other object can take their ids
-            _run_memo[kind, id(qs), id(f)] = row, qs, f
-    return _run_memo[key][0]
 
 
 @dataclass(frozen=True)
@@ -448,7 +407,12 @@ def radical_split(qs: QuadraticSpace, af: AlternatingForm) -> dict:
     H0 is any complement of D inside the M-perp of R; its induced form is
     nondegenerate, so the Witt index is basis independent.
     """
-    r, d, m = (int(x) for x in _per_form("split", _radical_splits, qs, af))
+    return _split(qs, _radical_splits(qs, [af])[0])
+
+
+def _split(qs: QuadraticSpace, row: np.ndarray) -> dict:
+    """radical_split's record of a form's row of _radical_splits."""
+    r, d, m = (int(x) for x in row)
     if r == qs.dim:
         raise InadmissibleParams("zero form has no radical split")
     return {"r": r, "d": d, "m": m}

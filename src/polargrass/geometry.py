@@ -11,11 +11,10 @@ of their q+1 member points.
 The per-form residue classes and isotropic-line masks come from stacked
 kernels: each takes a list of forms on one space and evaluates all of them
 with one product per block of points or lines.  A single-form function is
-a call with one form; tau values, line types and the censuses are read off
-a form's rows.  While a run_checks call is in progress each (space, form)
-pair is computed once, together with every other form the run put on that
-space (see forms.share_forms); outside one the data is computed afresh on
-every call.
+a call with one form followed by a read-off (_census, _mask, _tau,
+_line_types) that turns the form's row into its census, line mask, tau
+values or line types; counting's form table applies the same read-offs
+to the rows of all forms of a space.
 """
 
 from __future__ import annotations
@@ -30,9 +29,10 @@ from .errors import (
     TypeNotInTable,
     ZeroVector,
 )
-from .forms import AlternatingForm, QuadraticSpace, _per_form, check_memory, projective_points
+from .forms import AlternatingForm, QuadraticSpace, check_memory, projective_points
 
 PAIR_BLOCK_ENTRIES = 1 << 20  # point pairs in one product block of enumerate_singular_lines
+BLAS_MADDS = 10**6  # multiply-adds of the largest product OpenBLAS runs on the calling thread
 
 RESIDUE_P_A = 0
 RESIDUE_P_B = 1
@@ -49,18 +49,17 @@ LINE_TMINUS = 4
 LINE_TYPE_NAMES = ("T0", "TPLUS", "TALPHA", "TBETA", "TMINUS")
 
 
-def _blocks(rows: int, per_row: int) -> list[slice]:
+def _blocks(rows: int, per_row: int, madds: int = 1) -> list[slice]:
     """Blocks of the rows (points, lines or forms) of a stacked kernel whose
     arrays hold at most a sixteenth of PAIR_BLOCK_ENTRIES entries (512 KiB
-    of 8-byte entries) when one row needs per_row; a block has one row at
-    least.
+    of 8-byte entries) when one row needs per_row, and whose BLAS product
+    takes at most BLAS_MADDS multiply-adds when one row takes madds; a
+    block has one row at least.
 
-    At the verify defaults this also keeps each BLAS product below 10^6
-    multiply-adds, which OpenBLAS runs on the calling thread: a larger one
-    wakes its other threads, and on a busy 2-vCPU host that wait took a
-    scheduler tick (8 ms) per product.
+    A product above BLAS_MADDS wakes OpenBLAS's other threads, and on a
+    busy 2-vCPU host that wait took a scheduler tick (8 ms) per product.
     """
-    step = max(1, (PAIR_BLOCK_ENTRIES >> 4) // max(1, per_row))
+    step = max(1, min((PAIR_BLOCK_ENTRIES >> 4) // max(1, per_row), BLAS_MADDS // madds))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
@@ -69,9 +68,9 @@ def _product(ctx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Over a prime field one float64 BLAS product of C-ordered copies: each
     sum has fewer than 2^31 terms below p^2 < 2^22, so it stays exact below
-    2^53.  (OpenBLAS runs a product of C-ordered operands with at most 10^6
-    multiply-adds on the calling thread; see _blocks.)  Over an extension
-    field the table product FieldCtx.np_matmul.
+    2^53.  (OpenBLAS runs a product of C-ordered operands with at most
+    BLAS_MADDS multiply-adds on the calling thread; see _blocks.)  Over an
+    extension field the table product FieldCtx.np_matmul.
     """
     if ctx.e > 1:
         return ctx.np_matmul(a, b)
@@ -303,7 +302,7 @@ def _residue_stack(qs: QuadraticSpace, afs) -> np.ndarray:
     lead = (pts != 0).argmax(axis=1)
     out = np.empty((nb, len(pts)), dtype=np.int8)
     # the product, its int copy, sp * x and the masks
-    for blk in _blocks(len(pts), 6 * nb * dim):
+    for blk in _blocks(len(pts), 6 * nb * dim, 2 * nb * dim * dim):
         p = pts[blk]
         prod = _product(ctx, p, w).reshape(len(p), 2, nb, dim)
         sp, x = prod[:, 0], prod[:, 1]
@@ -328,21 +327,18 @@ def residue_classes(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
 def residue_class(qs: QuadraticSpace, af: AlternatingForm, v) -> str:
     """Residue class name of one singular point."""
     pid = point_id(qs, v)
-    codes = _per_form("residue", _residue_stack, qs, af)
-    return RESIDUE_NAMES[codes[pid]]
+    return RESIDUE_NAMES[residue_classes(qs, af)[pid]]
+
+
+def _census(codes: np.ndarray) -> CensusRecord:
+    """The census of a form's residue class codes: the fields of
+    CensusRecord are the counts of the codes 0, ..., 4 in order."""
+    return CensusRecord(*(int(c) for c in np.bincount(codes, minlength=5)))
 
 
 def empirical_census(qs: QuadraticSpace, af: AlternatingForm) -> CensusRecord:
     """Count the residue classes by direct enumeration."""
-    codes = _per_form("residue", _residue_stack, qs, af)
-    counts = np.bincount(codes, minlength=5)
-    return CensusRecord(
-        a_radical=int(counts[RESIDUE_P_A]),
-        a_eigen=int(counts[RESIDUE_P_B]),
-        n_zero=int(counts[RESIDUE_ZERO]),
-        n_plus=int(counts[RESIDUE_PLUS]),
-        n_minus=int(counts[RESIDUE_MINUS]),
-    )
+    return _census(residue_classes(qs, af))
 
 
 # ---- line census --------------------------------------------------------------
@@ -364,31 +360,34 @@ def _isotropic_stack(qs: QuadraticSpace, afs) -> np.ndarray:
     vec = _stack(qs, afs).reshape(nb, dim * dim).T
     out = np.empty((nb, len(gens)), dtype=bool)
     # the pair table, its float copy and a temporary, the product and its int copy
-    for blk in _blocks(len(gens), 3 * dim * dim + 2 * nb):
+    for blk in _blocks(len(gens), 3 * dim * dim + 2 * nb, dim * dim * nb):
         u, v = pts[gens[blk, 0]], pts[gens[blk, 1]]
         pairs = ctx.np_mul(u[:, :, None], v[:, None, :]).reshape(len(u), dim * dim)
         out[:, blk] = (_product(ctx, pairs, vec) == 0).T
     return np.packbits(out, axis=1)
 
 
-def _isotropic_mask(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
-    """Per singular line: whether the form vanishes on it."""
-    packed = _per_form("isotropic", _isotropic_stack, qs, af)
+def _mask(qs: QuadraticSpace, packed: np.ndarray) -> np.ndarray:
+    """Per singular line, from a form's packed row of _isotropic_stack:
+    whether the form vanishes on it."""
     return np.unpackbits(packed, count=len(enumerate_singular_lines(qs))).view(bool)
 
 
 def isotropic_line_count(qs: QuadraticSpace, af: AlternatingForm) -> int:
     """Number of totally singular lines on which the form vanishes."""
-    return int(_isotropic_mask(qs, af).sum())
+    return int(_mask(qs, _isotropic_stack(qs, [af])[0]).sum())
+
+
+def _tau(qs: QuadraticSpace, mask: np.ndarray) -> np.ndarray:
+    """Per singular point: how many of the lines in mask pass through it."""
+    mem = enumerate_singular_lines(qs).members()
+    return np.bincount(mem[mask].ravel(), minlength=len(quadric_points(qs))).astype(np.int64)
 
 
 def tau_values(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     """Per singular point: number of singular lines through it that the form
     kills entirely."""
-    iso = _isotropic_mask(qs, af)
-    mem = enumerate_singular_lines(qs).members()
-    out = np.bincount(mem[iso].ravel(), minlength=len(quadric_points(qs)))
-    return out.astype(np.int64)
+    return _tau(qs, _mask(qs, _isotropic_stack(qs, [af])[0]))
 
 
 def tau(qs: QuadraticSpace, af: AlternatingForm, v) -> int:
@@ -398,9 +397,14 @@ def tau(qs: QuadraticSpace, af: AlternatingForm, v) -> int:
 
 def line_type_codes(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     """Type code per line from the residue classes of its points."""
+    return _line_types(qs, residue_classes(qs, af))
+
+
+def _line_types(qs: QuadraticSpace, codes: np.ndarray) -> np.ndarray:
+    """Type code per line from a form's residue class codes."""
     q = qs.ctx.q
     ls = enumerate_singular_lines(qs)
-    mem_cls = _per_form("residue", _residue_stack, qs, af)[ls.members()]
+    mem_cls = codes[ls.members()]
     n_plus = (mem_cls == RESIDUE_PLUS).sum(axis=1)
     n_minus = (mem_cls == RESIDUE_MINUS).sum(axis=1)
     n_w = mem_cls.shape[1] - n_plus - n_minus
@@ -428,6 +432,9 @@ def line_type(qs: QuadraticSpace, af: AlternatingForm, line_id: int) -> str:
 
 
 def line_type_census(qs: QuadraticSpace, af: AlternatingForm) -> dict[str, int]:
-    codes = line_type_codes(qs, af)
-    counts = np.bincount(codes, minlength=5)
-    return {LINE_TYPE_NAMES[i]: int(counts[i]) for i in range(5)}
+    return _type_census(line_type_codes(qs, af))
+
+
+def _type_census(types: np.ndarray) -> dict[str, int]:
+    """Number of lines of each type, from the type code per line."""
+    return dict(zip(LINE_TYPE_NAMES, (int(c) for c in np.bincount(types, minlength=5))))

@@ -125,16 +125,6 @@ class MatrixFq:
     def transpose(self) -> "MatrixFq":
         return MatrixFq._of(self.ctx, self._a.T)
 
-    def add(self, other: "MatrixFq") -> "MatrixFq":
-        self._check_same_shape(other)
-        return MatrixFq._of(self.ctx, self.ctx.np_add(self._a, other._a))
-
-    def neg(self) -> "MatrixFq":
-        return MatrixFq._of(self.ctx, self.ctx.np_neg(self._a))
-
-    def sub(self, other: "MatrixFq") -> "MatrixFq":
-        return self.add(other.neg())
-
     def scale(self, s: int) -> "MatrixFq":
         return MatrixFq._of(self.ctx, self.ctx.np_mul(s, self._a))
 
@@ -145,24 +135,12 @@ class MatrixFq:
             )
         return MatrixFq._of(self.ctx, self.ctx.np_matmul(self._a, other._a))
 
-    def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.ncols:
-            raise DimensionMismatch("vector length mismatch")
-        col = np.asarray(v, dtype=np.int64).reshape(-1, 1)
-        return tuple(self.ctx.np_matmul(self._a, col)[:, 0].tolist())
-
     def is_symmetric(self) -> bool:
         return np.array_equal(self._a, self._a.T)
 
     def is_alternating(self) -> bool:
         # a^T = -a; in odd characteristic this forces a zero diagonal
         return np.array_equal(self._a.T, self.ctx.np_neg(self._a))
-
-    def _check_same_shape(self, other: "MatrixFq") -> None:
-        if self.ctx != other.ctx:
-            raise DimensionMismatch("mixed field contexts")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("shape mismatch")
 
 
 def bilinear_value(m: MatrixFq, u: Sequence[int], v: Sequence[int]) -> int:
@@ -378,18 +356,6 @@ def eigen_nullities(ctx: FieldCtx, arr) -> np.ndarray:
     lam = np.arange(1, ctx.q, dtype=np.int64)[:, None]
     shifted[..., diag, diag] = ctx.np_sub(shifted[..., diag, diag], lam)
     return n - _eliminate(ctx, shifted)[1].sum(axis=-1)
-
-
-def nonzero_eigenvalues(m: MatrixFq) -> dict[int, int]:
-    """Eigenvalues in F_q* with their eigenspace dimensions.
-
-    Only base-field eigenvalues are scanned; eigenvectors over extensions
-    never enter any count here.  Each dimension is n - rank(m - lam I).
-    """
-    if m.nrows != m.ncols:
-        raise DimensionMismatch("eigenspace needs a square matrix")
-    dims = eigen_nullities(m.ctx, m._a)
-    return {lam: int(d) for lam, d in enumerate(dims.tolist(), 1) if d}
 
 
 def rank_np(ctx: FieldCtx, arr: np.ndarray) -> int:

@@ -362,6 +362,21 @@ def test_verify_identities_and_types():
     assert rep["status"] == "ok"
 
 
+def test_line_count_identity_compares_tau_pointwise(monkeypatch):
+    # Shifting every member id by one keeps the tau sum at (q+1) f, but it
+    # moves the tau values off the residue constants of their points.
+    members = geometry.LineSet.members
+
+    def shifted(self):
+        return (members(self) + 1) % len(geometry.quadric_points(self.qs))
+
+    monkeypatch.setattr(geometry.LineSet, "members", shifted)
+    rep = verify_line_count_identity(2, 3, samples=5, seed=0)
+    assert rep["status"] == "mismatch"
+    assert rep["observed"]["tau_sum"] == rep["observed"]["lhs"] == rep["observed"]["rhs"]
+    assert rep["observed"]["tau_mismatches"] > 0
+
+
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (2, 5)])
 def test_verify_orbit_counts(n, q):
     assert verify_orbit_counts(n, q)["status"] == "ok"
@@ -468,6 +483,21 @@ def test_run_checks_back_to_back_seeds():
         args = {"n": 2, "q": 3, "samples": samples, "seed": seed}
         fresh = [CHECKS[name](args) for name in SAMPLED_CHECKS]
         assert run_checks(SAMPLED_CHECKS, args) == fresh
+
+
+def test_run_checks_samples_only_for_sampled_checks(monkeypatch):
+    counts = []
+    original = counting.random_alternating_forms
+
+    def spy(ctx, dim, rng, count):
+        counts.append(count)
+        return original(ctx, dim, rng, count)
+
+    monkeypatch.setattr(counting, "random_alternating_forms", spy)
+    args = {"n": 2, "q": 3, "samples": 5, "seed": 0}
+    run_checks(["census-all", "canonical-weight"], args)
+    run_checks(["census-all", "delta-bound"], args)
+    assert counts == [0, 5]
 
 
 def test_run_checks_builds_each_shape_once(monkeypatch):

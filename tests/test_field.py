@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from polargrass.errors import EvenCharacteristic, InadmissibleParams, NotPrime
 from polargrass.field import field_ctx
+from polargrass.forms import projective_points
 
 ODD_ORDERS = [3, 5, 7, 9, 11, 25, 27]
 
@@ -19,7 +20,7 @@ def test_prime_field_attributes():
     assert f3.nonsquare_rep == 2
     f5 = field_ctx(5)
     assert f5.nonsquare_rep == 2
-    assert sorted(a for a in f5.elements() if f5.is_square(a)) == [0, 1, 4]
+    assert sorted(a for a in range(f5.q) if f5.is_square(a)) == [0, 1, 4]
 
 
 def test_extension_field_attributes():
@@ -51,25 +52,24 @@ def test_degree_cap():
 # Enumeration order
 # ---------------------------------------------------------
 def test_enumeration_is_integer_order():
-    assert list(field_ctx(3).elements()) == [0, 1, 2]
-    assert list(field_ctx(5).elements()) == [0, 1, 2, 3, 4]
-    f9 = field_ctx(9)
-    elems = list(f9.elements())
-    assert len(elems) == 9
-    assert elems[:3] == [0, 1, 2]
-    # coefficient tuples read as base-p integers, ascending
-    keys = [sum(c * 3**i for i, c in enumerate(reversed(f9.coeffs(a)))) for a in elems]
-    assert keys == sorted(keys)
+    # elements are enumerated as range(q): the points of PG(1, q) list
+    # their second coordinate in that order
+    for q in (3, 5, 9):
+        pts = projective_points(field_ctx(q), 2)
+        assert pts.tolist() == [[0, 1]] + [[1, a] for a in range(q)]
 
 
 def test_coeffs_round_trip():
-    # the digits read back as a base-p integer give the element again
+    # the base-p digits c_k of an element are its polynomial coefficients:
+    # sum c_k x^k in field arithmetic, x being the element p, gives it back
     for q in (9, 25, 27):
         ctx = field_ctx(q)
-        for a in ctx.elements():
-            digits = ctx.coeffs(a)
-            assert len(digits) == ctx.e
-            assert sum(c * ctx.p**k for k, c in enumerate(reversed(digits))) == a
+        for a in range(q):
+            back = 0
+            for k in range(ctx.e):
+                c = (a // ctx.p**k) % ctx.p
+                back = ctx.add(back, ctx.mul(c, ctx.power(ctx.p, k)))
+            assert back == a
 
 
 # ---------------------------------------------------------
@@ -78,7 +78,7 @@ def test_coeffs_round_trip():
 @pytest.mark.parametrize("q", ODD_ORDERS)
 def test_half_of_nonzero_elements_are_squares(q):
     ctx = field_ctx(q)
-    squares = [a for a in ctx.elements() if a != 0 and ctx.is_square(a)]
+    squares = [a for a in range(q) if a != 0 and ctx.is_square(a)]
     assert len(squares) == (q - 1) // 2
 
 

@@ -3,8 +3,9 @@
 
 geometry's residue and isotropic-line kernels, counting's eigenvector
 counts and forms' radical splits each evaluate a list of forms on one space
-in one call, in blocks of points, lines or forms; tau values and line types
-are read off a form's rows.  The reference_* functions below are the bodies
+in one call, in blocks of points, lines or forms; censuses, tau values and
+line types are read off a form's rows, by the single-form functions and by
+counting's FormTable alike.  The reference_* functions below are the bodies
 that computed the same data one form at a time; they stay here only as
 oracles.
 """
@@ -34,8 +35,11 @@ from polargrass.geometry import (
     empirical_census,
     enumerate_singular_lines,
     isotropic_line_count,
+    line_type_census,
     line_type_codes,
     quadric_points,
+    residue_class,
+    residue_classes,
     tau_values,
 )
 from polargrass.matrix import MatrixFq, det, eigenspace, kernel, rref
@@ -192,27 +196,91 @@ def test_stacked_kernels_match_per_form_references(case):
 @given(stacks(max_forms=8))
 @settings(max_examples=25, deadline=None)
 def test_run_rows_match_per_form_references(case):
-    # Within a run the first request fills the rows of every form shared on
-    # the space; each form must read back its own row.
+    # A form table computes the rows of every form on the space at the first
+    # request; each form must read back its own row through the read-offs.
     qs, afs, _ = case
-    forms._run_memo = {}
-    try:
-        forms.share_forms((qs, af) for af in afs)
-        for af in reversed(afs):
-            counts = np.bincount(reference_residue_classes(qs, af), minlength=5).tolist()
-            census = empirical_census(qs, af)
-            assert [census.a_radical, census.a_eigen, census.n_zero, census.n_plus, census.n_minus] == counts
-            assert isotropic_line_count(qs, af) == int(reference_isotropic_mask(qs, af).sum())
-            assert tau_values(qs, af).tolist() == reference_tau_values(qs, af).tolist()
-            assert line_type_codes(qs, af).tolist() == reference_line_type_codes(qs, af).tolist()
-            assert counting.eigenvector_count(qs, af) == reference_eigenvector_count(qs, af)
-            if af.r < qs.dim:
-                assert radical_split(qs, af) == reference_radical_split(qs, af)
-            else:
-                with pytest.raises(InadmissibleParams):
-                    radical_split(qs, af)
-    finally:
-        forms._run_memo = None
+    table = counting.FormTable(qs.n, qs.ctx.q)
+    table.entries = [(0, qs, af) for af in afs]  # in place of the canonical and sampled forms
+    for af in reversed(afs):
+        codes = table.row(geometry._residue_stack, qs, af)
+        counts = np.bincount(reference_residue_classes(qs, af), minlength=5).tolist()
+        census = table.census(qs, af)
+        assert [census.a_radical, census.a_eigen, census.n_zero, census.n_plus, census.n_minus] == counts
+        mask = geometry._mask(qs, table.row(geometry._isotropic_stack, qs, af))
+        assert int(mask.sum()) == int(reference_isotropic_mask(qs, af).sum())
+        assert geometry._tau(qs, mask).tolist() == reference_tau_values(qs, af).tolist()
+        assert geometry._line_types(qs, codes).tolist() == reference_line_type_codes(qs, af).tolist()
+        assert table.row(counting._eigenvector_counts, qs, af) == reference_eigenvector_count(qs, af)
+        split = table.row(forms._radical_splits, qs, af)
+        if af.r < qs.dim:
+            assert forms._split(qs, split) == reference_radical_split(qs, af)
+        else:
+            with pytest.raises(InadmissibleParams):
+                forms._split(qs, split)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 3)])
+def test_per_form_functions_agree_inside_and_outside_a_run(monkeypatch, n, q):
+    # Inside run_checks a probe check reads every public per-form function
+    # and the run's table rows for the same forms; outside the run the
+    # functions must return the same values again.
+    inside = {}
+
+    def values(qs, af):
+        return {
+            "census": empirical_census(qs, af).as_tuple(),
+            "classes": residue_classes(qs, af).tolist(),
+            "class": residue_class(qs, af, quadric_points(qs)[-1].tolist()),
+            "isotropic": isotropic_line_count(qs, af),
+            "tau": tau_values(qs, af).tolist(),
+            "types": line_type_codes(qs, af).tolist(),
+            "type census": line_type_census(qs, af),
+            "split": radical_split(qs, af),
+            "eigen": counting.eigenvector_count(qs, af),
+            "bound": counting.check_eigenvector_bound(qs, af),
+        }
+
+    def probe(args, table):
+        for _, qs, af in table.entries:
+            want = values(qs, af)
+            inside[id(af)] = qs, af, want
+            codes = table.row(geometry._residue_stack, qs, af)
+            mask = geometry._mask(qs, table.row(geometry._isotropic_stack, qs, af))
+            assert codes.tolist() == want["classes"]
+            assert table.census(qs, af).as_tuple() == want["census"]
+            assert int(mask.sum()) == want["isotropic"]
+            assert geometry._tau(qs, mask).tolist() == want["tau"]
+            assert geometry._line_types(qs, codes).tolist() == want["types"]
+            assert forms._split(qs, table.row(forms._radical_splits, qs, af)) == want["split"]
+            assert table.row(counting._eigenvector_counts, qs, af) == want["eigen"]
+        return {"check": "probe", "status": "ok"}
+
+    monkeypatch.setitem(counting.CHECKS, "probe", probe)
+    assert counting.run_checks(["probe"], {"n": n, "q": q, "samples": 3, "seed": 0}) == [
+        {"check": "probe", "status": "ok"}
+    ]
+    assert len(inside) > 3
+    for qs, af, want in inside.values():
+        assert values(qs, af) == want
+
+
+def test_stacked_products_stay_on_the_calling_thread(monkeypatch):
+    # OpenBLAS runs a product of at most 10^6 multiply-adds on the calling
+    # thread; the residue and isotropic kernels keep every product within
+    # that, also for more forms than verify's default of 101 on a space.
+    qs = SPACES[3, 3]
+    afs = random_alternating_forms(qs.ctx, qs.dim, np.random.default_rng(0), 300)
+    madds = []
+    product = geometry._product
+
+    def spy(ctx, a, b):
+        madds.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return product(ctx, a, b)
+
+    monkeypatch.setattr(geometry, "_product", spy)
+    geometry._residue_stack(qs, afs)
+    geometry._isotropic_stack(qs, afs)
+    assert madds and max(madds) <= 10**6
 
 
 def test_stacked_kernels_stay_within_twice_a_single_form_peak():
@@ -237,14 +305,9 @@ def test_stacked_kernels_stay_within_twice_a_single_form_peak():
         finally:
             tracemalloc.stop()
 
-    forms._run_memo = {}
-    try:
-        forms.share_forms((qs, af) for af in afs)
-        for fn in kernels:  # warm up
-            fn(qs, afs)
-            fn(qs, afs[:1])
-        single = max(peak(fn, afs[:1])[0] for fn in kernels)
-        stacked = max(p - out for p, out in (peak(fn, afs) for fn in kernels))
-    finally:
-        forms._run_memo = None
+    for fn in kernels:  # warm up
+        fn(qs, afs)
+        fn(qs, afs[:1])
+    single = max(peak(fn, afs[:1])[0] for fn in kernels)
+    stacked = max(p - out for p, out in (peak(fn, afs) for fn in kernels))
     assert stacked <= 2 * single
