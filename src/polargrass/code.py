@@ -48,7 +48,7 @@ from .matrix import rank_np
 DEFAULT_BUDGET = 10**7
 EVAL_CHUNK_BYTES = 1 << 23  # float64 product block of one _weights_np chunk
 SCAN_TABLE_ROWS = 512  # low codewords the exhaustive scan's table aims for
-SCAN_BLOCK_BYTES = 1 << 21  # float32 one-hot of one block of the scan's high parts
+SCAN_BLOCK_BYTES = 1 << 21  # q N float32 per high part: sets the rows of one exhaustive-scan block
 
 
 @dataclass(frozen=True)
@@ -236,13 +236,18 @@ def check_scan_budget(params: CodeParams, budget: int) -> None:
         )
 
 
-def _onehot(vals: np.ndarray, q: int) -> np.ndarray:
-    """float32 rows with a 1 at j*q + vals[:, j] for every coordinate j."""
-    rows, nn = vals.shape
-    out = np.zeros((rows, nn * q), dtype=np.float32)
-    hot = vals + q * np.arange(nn) + (nn * q) * np.arange(rows)[:, None]
-    out.reshape(-1)[hot] = 1
-    return out
+def _agreement_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, q-1) float32 feature rows of the scan's high and low codewords.
+
+    Low row y is the one-hot of y among the nonzero values (row 0 is zero);
+    high row x is [x = v] - [x = 0] for v = 1, ..., q-1.  Their dot product
+    is [x = y] - [x = 0], which is q-1 wide: [x = y] = [x = 0] +
+    sum over v != 0 of ([x = v] - [x = 0]) [y = v].
+    """
+    low = np.eye(q, q - 1, -1, dtype=np.float32)
+    high = low.copy()
+    high[0] = -1
+    return high, low
 
 
 def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
@@ -250,40 +255,56 @@ def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
 
     Split a message into its high part h, the first a = K - b coordinates,
     and its low part l, the last b.  The codeword of (h, -l) vanishes exactly
-    where h . G_high equals l . G_low, so with the one-hot encoding of each
-    coordinate's value the number of its zeros is a dot product, and one
-    float32 GEMM onehot(h codewords) @ onehot(low codewords)^T counts them
-    for a block of h against every l at once (exact, since N < 2^24).  As l
-    runs over F_q^b so does -l, and every projective message is either
-    (h, l) with h a canonical projective point of F_q^a, or (0, l) with
-    l != 0, whose weights are the nonzero rows of the low table itself.
+    where h . G_high equals l . G_low.  With the agreement features of
+    _agreement_tables, N(q-1) wide, its weight is the weight of h . G_high
+    less a dot product, and one float32 GEMM of the features of a block of h
+    codewords against the table of every low codeword gives those dot
+    products for the whole block (exact, since each is at most N < 2^24 in
+    absolute value).  As l runs over F_q^b so does -l, and every projective
+    message is either (h, l) with h a canonical projective point of F_q^a,
+    or (0, l) with l != 0, whose weights are the nonzero rows of the low
+    table itself.
     """
     check_scan_budget(code.params, budget)
     q, k, nn = code.params.q, code.params.K, code.params.N
     if nn >= 1 << 24:
         raise DimensionMismatch(f"length {nn} is too long for exact float32 counts")
     # low part: the smallest b whose table reaches SCAN_TABLE_ROWS rows, so
-    # each GEMM is wide enough to run near BLAS speed, then lowered while the
-    # table's one-hot exceeds 16 blocks (32 MiB), which bounds it at large q N
+    # each GEMM is wide enough to run near BLAS speed, then lowered while
+    # q^b q N float32 exceed 16 blocks (32 MiB), which bounds the table at
+    # large q N
     b = 0
     while b < k - 1 and q**b < SCAN_TABLE_ROWS:
         b += 1
     while b > 0 and q**b * q * nn * 4 > 16 * SCAN_BLOCK_BYTES:
         b -= 1
     a = k - b
+    high_rows, low_rows = _agreement_tables(q)
     msgs = np.zeros((q**b, k), dtype=np.int64)
     msgs[:, a:] = np.arange(q**b)[:, None] // q ** np.arange(b - 1, -1, -1) % q
     low = np.concatenate(list(_codeword_chunks(code, msgs)))
     best = int(np.count_nonzero(low[1:], axis=1).min()) if b else nn
-    table = _onehot(low, q)
+    table = np.take(low_rows, low, axis=0).reshape(len(low), -1)
+    del low
     step = max(1, SCAN_BLOCK_BYTES // (4 * q * nn))
     count = (q**a - 1) // (q - 1)
+    # One feature block and one product block, filled in place for every
+    # block of high parts: a fresh pair per block cost about a quarter of the
+    # (2,5) scan in page faults on a 2-vCPU host.  The take's mode is clip
+    # because raise buffers out; the values are field elements, so nothing
+    # is clipped.  A block's codewords are dropped before the next block's
+    # are built.
+    feats = np.empty((min(step, count), nn, q - 1), dtype=np.float32)
+    agree = np.empty((min(step, count), len(table)), dtype=np.float32)
     for lo in range(0, count, step):
-        msgs = np.zeros((min(count, lo + step) - lo, k), dtype=np.int64)
-        msgs[:, :a] = projective_block(q, a, lo, lo + len(msgs))
+        rows = min(count, lo + step) - lo
+        msgs = np.zeros((rows, k), dtype=np.int64)
+        msgs[:, :a] = projective_block(q, a, lo, lo + rows)
         vals = np.concatenate(list(_codeword_chunks(code, msgs)))
-        eq = _onehot(vals, q) @ table.T
-        best = min(best, nn - int(eq.max()))
+        np.take(high_rows, vals, axis=0, out=feats[:rows], mode="clip")
+        np.matmul(feats[:rows].reshape(rows, -1), table.T, out=agree[:rows])
+        best = min(best, int((np.count_nonzero(vals, axis=1) - agree[:rows].max(axis=1)).min()))
+        del vals
     return best
 
 

@@ -259,17 +259,21 @@ def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
     ui = np.concatenate(u_ids)
     vi = np.concatenate(v_ids)
 
+    # the wedge in the narrowest dtype that holds x_i y_j - x_j y_i, so the
+    # sorted plucker is the only N x K int64 array
     iu, ju = np.triu_indices(qs.dim, 1)
-    u = pts[ui]
-    v = pts[vi]
+    narrow = pts.astype(np.int16 if (ctx.p - 1) ** 2 < 1 << 15 else np.int32)
+    u = narrow[ui]
+    v = narrow[vi]
     if ctx.e == 1:
         pl = (u[:, iu] * v[:, ju] - u[:, ju] * v[:, iu]) % ctx.p
     else:
-        pl = ctx.np_sub(
-            ctx.np_mul(u[:, iu], v[:, ju]), ctx.np_mul(u[:, ju], v[:, iu])
-        )
+        # one column at a time, since the field's tables give int64
+        pl = np.empty((len(ui), k), dtype=narrow.dtype)
+        for c, (i, j) in enumerate(zip(iu, ju)):
+            pl[:, c] = ctx.np_sub(ctx.np_mul(u[:, i], v[:, j]), ctx.np_mul(u[:, j], v[:, i]))
     order = np.argsort(_encode_rows(ctx.q, pl), kind="stable")
-    plucker = pl[order]
+    plucker = pl[order].astype(np.int64)
     gens = np.stack([vi[order], ui[order]], axis=1).astype(np.int64)
     plucker.setflags(write=False)
     ls = LineSet(qs, plucker, gens)

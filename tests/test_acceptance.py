@@ -3,11 +3,16 @@
 # One test per release criterion; each prints a single pass/fail line that
 # survives pytest's capture, then asserts.  Run order matters only for the
 # line numbering, not for correctness.
+import json
+import os
 import subprocess
 import sys
 import time
 from functools import lru_cache
+from pathlib import Path
 
+import polargrass
+from polargrass.cli import main
 from polargrass.code import (
     build_code,
     codeword_from_form,
@@ -56,6 +61,17 @@ def test_criterion_1_exact_minimum_distance(capsys):
         and t5 < 600
     )
     report(capsys, 1, ok, f"exhaustive d_min {d3} (q=3, {t3:.1f}s) and {d5} (q=5, {t5:.1f}s)")
+
+
+def test_criterion_1_exact_minimum_distance_q7_cli(capsys):
+    # 47,079,208 projective messages, hence the raised budget
+    t0 = time.perf_counter()
+    rc = main(["verify", "--q", "7", "--n", "2", "--check", "min-distance-exact",
+               "--budget", "1000000000"])
+    elapsed = time.perf_counter() - t0
+    rep = json.loads(capsys.readouterr().out)[0]
+    ok = rc == 0 and rep["status"] == "ok" and rep["observed"] == 294 == 7**3 - 7**2
+    report(capsys, 1, ok, f"exhaustive d_min {rep['observed']} (q=7, CLI verify, {elapsed:.1f}s)")
 
 
 def test_criterion_2_canonical_weight_med(capsys):
@@ -115,10 +131,14 @@ def test_criterion_8_no_counterexample_sampling(capsys):
 
 
 def test_criterion_9_reproducibility(capsys):
+    # the children import the package this test imports
+    env = dict(os.environ, PYTHONPATH=str(Path(polargrass.__file__).parents[1]))
+
     def cli(*argv):
         return subprocess.run(
             [sys.executable, "-m", "polargrass.cli", *argv],
             capture_output=True,
+            env=env,
             timeout=300,
         ).stdout
 

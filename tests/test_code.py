@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from polargrass import code as code_module
 from polargrass.code import (
+    SCAN_BLOCK_BYTES,
     BudgetExceeded,
     PolarCode,
     _weights_np,
@@ -265,6 +266,37 @@ def test_min_distance_exact_q5():
     assert min_distance_exact(code) == 100 == code.params.d_claimed
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+def test_agreement_tables_count_equal_values(q):
+    # [x = y] = [x = 0] + high[x] . low[y] for every (x, y) in F_q^2
+    high, low = code_module._agreement_tables(q)
+    assert high.shape == low.shape == (q, q - 1)
+    assert high.dtype == low.dtype == np.float32
+    is_zero = (np.arange(q) == 0)[:, None]
+    assert np.array_equal(is_zero + high @ low.T, np.eye(q))
+
+
+def test_min_distance_exact_peak_memory():
+    # The scan holds one float32 feature table of the q^b low codewords, one
+    # float32 feature block of high parts and one product block, and one
+    # codeword block: a block's messages and their float64 and int32
+    # codewords, under 16 bytes per codeword entry.  At (2,5) b = 4, since
+    # 5^4 = 625 is the first power to reach SCAN_TABLE_ROWS.
+    code = the_code(5, 2)
+    q, nn, b = 5, code.params.N, 4
+    rows = SCAN_BLOCK_BYTES // (4 * q * nn)
+    width = nn * (q - 1)
+    bound = 4 * q**b * width + 4 * rows * width + 4 * rows * q**b + 16 * rows * nn
+    min_distance_exact(code)
+    tracemalloc.start()
+    try:
+        assert min_distance_exact(code) == 100
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 def test_min_distance_budget():
     code = the_code(3, 3)
     with pytest.raises(BudgetExceeded) as exc:
@@ -303,7 +335,7 @@ def small_scan_blocks(monkeypatch, code):
     monkeypatch.setattr(code_module, "SCAN_BLOCK_BYTES", 4 * code.params.q * code.params.N)
 
 
-@pytest.mark.parametrize("q,r", [(3, 7), (5, 5), (9, 4), (27, 3)])
+@pytest.mark.parametrize("q,r", [(3, 7), (5, 5), (7, 6), (9, 4), (27, 3)])
 @pytest.mark.parametrize("small_blocks", [False, True])
 def test_min_distance_exact_matches_brute_force(monkeypatch, q, r, small_blocks):
     code = leading_rows_code(q, r)
@@ -321,7 +353,7 @@ def matmul_min_distance(code):
 
 
 @given(
-    q=st.sampled_from([3, 5, 9]),
+    q=st.sampled_from([3, 5, 7, 9]),
     k=st.integers(1, 6),
     nn=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),

@@ -1,4 +1,6 @@
 # tests/test_geometry.py
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,22 @@ def test_lines_match_all_pairs_reference(q, n, shape):
     iu, ju = np.triu_indices(qs.dim, 1)
     wedge = ctx.np_sub(ctx.np_mul(u[:, iu], v[:, ju]), ctx.np_mul(u[:, ju], v[:, iu]))
     assert np.array_equal(ctx.np_normalize_rows(wedge), ls.plucker)
+
+
+def test_lines_peak_memory_q5():
+    # With the points cached, the int16 wedge rows, their sorted copy and
+    # the int64 plucker take 1.5 times the plucker, and the ids, keys and
+    # order little more; int64 wedge products took about 4.9 times.
+    qs = standard_space(F5, 3)
+    quadric_points(qs)
+    tracemalloc.start()
+    try:
+        ls = enumerate_singular_lines(qs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ls.plucker.dtype == np.int64 and ls.plucker.shape == (101556, 21)
+    assert peak <= 2.5 * ls.plucker.nbytes
 
 
 @pytest.mark.parametrize("q,n", [(3, 3), (9, 2), (5, 2)])
