@@ -18,16 +18,12 @@ from .code import (
     message_from_form,
     min_distance_certified,
     min_distance_exact,
-    parse_code,
-    random_alternating_form,
     standard_code,
-    weight_of_message,
 )
 from .counting import (
     case1_equation_counts,
     case4_line_count_bound,
     case_line_count,
-    check_eigenvector_bound,
     closed_form_census,
     delta_bound_check,
     even_orbit_closed,
@@ -59,8 +55,6 @@ from .errors import (
     PolargrassError,
     RadicalMismatch,
     RankDeficient,
-    SingularPoint,
-    TableMismatch,
     TypeNotInTable,
     ZeroMessage,
     ZeroVector,
@@ -75,16 +69,11 @@ from .forms import (
     build_S,
     canonical_form,
     check_admissible,
-    classify_internal_external,
     form_profile,
     orbit_counts,
-    point_square_class,
     projective_points,
-    quadric_isometry,
     radical_split,
     standard_space,
-    transport_form,
-    witt_index,
 )
 from .geometry import (
     CensusRecord,
@@ -92,13 +81,8 @@ from .geometry import (
     empirical_census,
     enumerate_singular_lines,
     isotropic_line_count,
-    line_type,
-    line_type_census,
-    lines_through,
     quadric_points,
-    residue_class,
     residue_classes,
-    tau,
     tau_values,
 )
 from .matrix import MatrixFq, Subspace, format_matrix_text, parse_matrix_text

@@ -1,11 +1,11 @@
 """Command line front end: build codes, run verifications, weigh forms, search.
 
 Exit codes: 0 success, 1 verification mismatch or counterexample, 2 bad or
-inadmissible input (a malformed POLAR_BUDGET, a negative --samples, an (n, q)
-whose points, lines or code cannot fit in memory) or out of memory, 3 I/O
-failure.  Identical configurations (including the seed) produce
-byte-identical output; --workers is a tuning flag that never changes output
-bytes.
+inadmissible input (a malformed or negative POLAR_BUDGET, a negative
+--samples, --seed or --budget, an (n, q) whose points, lines or code cannot
+fit in memory) or out of memory, 3 I/O failure.  Identical configurations
+(including the seed) produce byte-identical output; --workers is a tuning
+flag that never changes output bytes.
 """
 
 from __future__ import annotations
@@ -99,17 +99,20 @@ def _check_workers(workers: int) -> None:
         raise InadmissibleParams(f"workers must be >= 1, got {workers}")
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 0:
-        raise InadmissibleParams(f"samples must be >= 0, got {samples}")
+def _check_nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise InadmissibleParams(f"{name} must be >= 0, got {value}")
 
 
 def _budget(args) -> int:
+    name = "POLAR_BUDGET" if "POLAR_BUDGET" in os.environ else "budget"
     raw = os.environ.get("POLAR_BUDGET", args.budget)
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise InadmissibleParams(f"POLAR_BUDGET must be an integer, got {raw!r}") from None
+    _check_nonnegative(name, budget)
+    return budget
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -155,7 +158,8 @@ def _filter_entries(report: dict, args) -> dict:
 def cmd_verify(args) -> int:
     _field(args)
     _check_workers(args.workers)
-    _check_samples(args.samples)
+    _check_nonnegative("samples", args.samples)
+    _check_nonnegative("seed", args.seed)
     budget = _budget(args)
     names = args.check if args.check else ["all"]
     if any(x is not None for x in (args.case, args.r, args.d)) and not all(
@@ -206,7 +210,8 @@ def cmd_weight(args) -> int:
 def cmd_search(args) -> int:
     ctx = _field(args)
     _check_workers(args.workers)
-    _check_samples(args.samples)
+    _check_nonnegative("samples", args.samples)
+    _check_nonnegative("seed", args.seed)
     code = build_code(standard_space(ctx, args.n))
     try:
         rec = min_distance_certified(code, samples=args.samples, seed=args.seed)

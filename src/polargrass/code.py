@@ -36,13 +36,7 @@ from .forms import (
     projective_block,
     standard_space,
 )
-from .geometry import (
-    PAIR_BLOCK_ENTRIES,
-    LineSet,
-    enumerate_singular_lines,
-    isotropic_line_count,
-    singular_line_count,
-)
+from .geometry import LineSet, enumerate_singular_lines, line_bytes, singular_line_count
 from .matrix import rank_np
 
 DEFAULT_BUDGET = 10**7
@@ -75,18 +69,20 @@ def code_parameters(n: int, q: int) -> CodeParams:
 def memory_estimate(n: int, q: int) -> float:
     """Upper bound on the peak bytes build_code reaches for (n, q).
 
-    The points of PG(2n, q) (point_bytes), the line enumerator's product
-    block, and 6K + 2 dim int64 per line: the enumerator's four N x K wedge
-    products with both points of each pair, or later the plucker rows, the
-    generator, rank_np's reduced and working copies and the two products of
-    an elimination step.  N is at least q^(4n-5), so past 2^100 it is inf and
-    a huge n costs no big-integer power.
+    The points of PG(2n, q) (point_bytes; the term also covers the singular
+    points and their small arrays, which stay), plus the larger of the line
+    enumerator's peak (line_bytes) and the rank check's: per line the int64
+    plucker row and its copy in G, the generator pair and seven int64 of
+    rank_np's blocks of G (its reduced and working copies and the two
+    products of an elimination step).  The enumerator's temporaries are
+    freed before G is built, so the two peaks do not add.  N is at least
+    q^(4n-5), so past 2^100 it is inf and a huge n costs no big-integer
+    power.
     """
     if (4 * n - 5) * math.log2(q) > 100:
         return math.inf
     p = code_parameters(n, q)
-    dim = 2 * n + 1
-    return point_bytes(q, dim) + 24 * PAIR_BLOCK_ENTRIES + 8 * p.N * (6 * p.K + 2 * dim)
+    return point_bytes(q, 2 * n + 1) + max(line_bytes(n, q), p.N * (16 * p.K + 72))
 
 
 class PolarCode:
@@ -195,18 +191,6 @@ def _weights_np(code: PolarCode, batch: np.ndarray) -> np.ndarray:
     ).astype(np.int64)
 
 
-def weight_of_message(code: PolarCode, message) -> int:
-    """Hamming weight of the codeword of a nonzero message."""
-    m = np.asarray(message, dtype=np.int64).reshape(1, -1)
-    if m.shape[1] != code.params.K:
-        raise DimensionMismatch(
-            f"message length {m.shape[1]}, expected {code.params.K}"
-        )
-    if not m.any():
-        raise ZeroMessage("the zero message has no weight")
-    return int(_weights_np(code, m)[0])
-
-
 def codeword_from_form(code: PolarCode, af: AlternatingForm) -> Codeword:
     """Codeword evaluating the alternating form on every line."""
     if af.dim != code.qs.dim:
@@ -218,12 +202,6 @@ def codeword_from_form(code: PolarCode, af: AlternatingForm) -> Codeword:
         raise ZeroMessage("zero form gives the zero codeword")
     vals = next(_codeword_chunks(code, msg.reshape(1, -1)))[0].astype(np.int64)
     return Codeword(values=vals, weight=int((vals != 0).sum()))
-
-
-def form_weight_direct(code: PolarCode, af: AlternatingForm) -> int:
-    """Weight recomputed line by line from a generator pair of each line,
-    without the generator matrix."""
-    return len(code.lines) - isotropic_line_count(code.qs, af)
 
 
 def check_scan_budget(params: CodeParams, budget: int) -> None:
@@ -319,17 +297,12 @@ def random_messages(rng: np.random.Generator, q: int, k: int, count: int) -> np.
 
 
 def random_alternating_forms(ctx: FieldCtx, dim: int, rng: np.random.Generator, count: int) -> list[AlternatingForm]:
-    """count uniform nonzero alternating forms, drawn one after another as
-    by random_alternating_form; their radicals come from one stacked
+    """count uniform nonzero alternating forms, each a uniform strict upper
+    triangle, drawn one after another; their radicals come from one stacked
     elimination."""
     k = dim * (dim - 1) // 2
     msgs = np.array([random_messages(rng, ctx.q, k, 1)[0] for _ in range(count)], dtype=np.int64)
     return alternating_forms(ctx, _alternating_stack(ctx, dim, msgs.reshape(count, k)))
-
-
-def random_alternating_form(ctx: FieldCtx, dim: int, rng: np.random.Generator) -> AlternatingForm:
-    """Uniform nonzero alternating form: uniform strict upper triangle."""
-    return random_alternating_forms(ctx, dim, rng, 1)[0]
 
 
 def min_distance_certified(
@@ -409,42 +382,3 @@ def export_code(code: PolarCode, fmt: str = "text") -> str:
     if fmt == "json":
         return export_code_json(code)
     raise IoError(f"unknown code format {fmt!r}")
-
-
-def parse_code_text(text: str) -> dict:
-    """Round-trip reader for the text export."""
-    rows = [ln for ln in text.splitlines() if ln.strip()]
-    if not rows:
-        raise IoError("empty code file")
-    head = rows[0].split()
-    if len(head) != 4:
-        raise IoError("code header must be 'N K q n'")
-    try:
-        nn, kk, q, n = (int(t) for t in head)
-    except ValueError as ex:
-        raise IoError(f"malformed code header: {ex}") from ex
-    body = rows[1 : 1 + kk]
-    if len(body) != kk:
-        raise IoError(f"expected {kk} generator rows")
-    g = []
-    for ln in body:
-        vals = [int(t) for t in ln.split()]
-        if len(vals) != nn:
-            raise IoError(f"generator row with {len(vals)} entries, expected {nn}")
-        g.append(vals)
-    d_claimed = None
-    for ln in rows[1 + kk :]:
-        toks = ln.split()
-        if toks[:2] == ["#", "d_claimed"] and len(toks) == 3:
-            d_claimed = int(toks[2])
-    return {"N": nn, "K": kk, "q": q, "n": n, "d_claimed": d_claimed, "G": g}
-
-
-def parse_code(text: str) -> dict:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            return json.loads(stripped)
-        except json.JSONDecodeError as ex:
-            raise IoError(f"malformed JSON code file: {ex}") from ex
-    return parse_code_text(text)

@@ -47,7 +47,6 @@ from .forms import (
     hyperbolic_gram,
     orbit_counts,
     projective_points,
-    radical_split,
     _case_nu,
 )
 from . import geometry
@@ -401,8 +400,10 @@ def even_orbit_empirical(ctx: FieldCtx, t: int, kind: str) -> dict[str, int]:
 
 
 def _eigenvector_counts(qs: QuadraticSpace, afs) -> np.ndarray:
-    """eigenvector_count of each of a list of forms on qs: the q-1 shifts
-    of every M^{-1} S of a block of forms are ranked in one elimination."""
+    """Per form of a list of forms on qs: the number of nonzero vectors
+    that are eigenvectors of M^{-1} S with a nonzero base-field eigenvalue.
+    The q-1 shifts of every M^{-1} S of a block of forms are ranked in one
+    elimination."""
     ctx, dim = qs.ctx, qs.dim
     s = np.stack([af.s_np() for af in afs])
     out = np.empty(len(afs), dtype=np.int64)
@@ -411,31 +412,6 @@ def _eigenvector_counts(qs: QuadraticSpace, afs) -> np.ndarray:
         m = ctx.np_matmul(qs.gram_inv_np(), s[blk])
         out[blk] = (ctx.q ** eigen_nullities(ctx, m) - 1).sum(axis=1)
     return out
-
-
-def eigenvector_count(qs: QuadraticSpace, af: AlternatingForm) -> int:
-    """Number of nonzero vectors that are eigenvectors of M^{-1} S with a
-    nonzero base-field eigenvalue."""
-    return int(_eigenvector_counts(qs, [af])[0])
-
-
-def check_eigenvector_bound(qs: QuadraticSpace, af: AlternatingForm) -> dict:
-    """Compare the eigenvector count with 2(q^m - 1), m the Witt index over H0."""
-    return _eigen_bound(qs.ctx.q, radical_split(qs, af), eigenvector_count(qs, af))
-
-
-def _eigen_bound(q: int, split: dict, count: int) -> dict:
-    """check_eigenvector_bound's record from a form's radical split and
-    eigenvector count."""
-    bound = 2 * (q ** split["m"] - 1)
-    return {
-        "count": count,
-        "m": split["m"],
-        "r": split["r"],
-        "d": split["d"],
-        "bound": bound,
-        "ok": count <= bound,
-    }
 
 
 # ---- delta bound ----------------------------------------------------------------
@@ -759,8 +735,9 @@ def verify_case_maxima(n: int, q: int) -> dict:
 def verify_eigenvector_bound(
     n: int, q: int, samples: int = 50, seed: int = 0, table: FormTable | None = None
 ) -> dict:
-    """The eigenvector count never exceeds 2(q^m - 1), with equality attained
-    by the canonical shape with full-rank induced block."""
+    """The eigenvector count of M^{-1} S never exceeds 2(q^m - 1), m the
+    Witt index of M over H0 (radical_split), with equality attained by the
+    canonical shape with full-rank induced block."""
     table = table or FormTable(n, q, samples, seed)
     ok = True
     first_bad = None
@@ -768,7 +745,9 @@ def verify_eigenvector_bound(
     checked = 0
     for _, space, af in table.entries:
         split = forms._split(space, table.row(forms._radical_splits, space, af))
-        rec = _eigen_bound(q, split, int(table.row(_eigenvector_counts, space, af)))
+        count = int(table.row(_eigenvector_counts, space, af))
+        bound = 2 * (q ** split["m"] - 1)
+        rec = {"count": count, "m": split["m"], "r": split["r"], "d": split["d"], "bound": bound, "ok": count <= bound}
         if not rec["ok"] and first_bad is None:
             first_bad = rec
         ok &= rec["ok"]

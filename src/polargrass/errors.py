@@ -25,10 +25,6 @@ class ZeroVector(PolargrassError):
     """Zero vector where a projective point is required."""
 
 
-class SingularPoint(PolargrassError):
-    """Singular point where a nonsingular one is required."""
-
-
 class NotOnQuadric(PolargrassError):
     """Point is not singular, so it has no residue class."""
 
@@ -67,10 +63,6 @@ class CounterexampleFound(PolargrassError):
 
 class Case4NoClosedForm(PolargrassError):
     """Fourth parameter case has no closed-form census; only bounds exist."""
-
-
-class TableMismatch(PolargrassError):
-    """Computed maximum location disagrees with the expected one."""
 
 
 class NonIntegerResult(PolargrassError):

@@ -16,20 +16,11 @@ import math
 import os
 import resource
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InadmissibleParams,
-    RadicalMismatch,
-    RankDeficient,
-    SingularPoint,
-    TableMismatch,
-    ZeroVector,
-)
+from .errors import InadmissibleParams, RadicalMismatch, RankDeficient
 from .field import FieldCtx
 from .matrix import (
     MatrixFq,
@@ -432,140 +423,8 @@ def _witt_indices(ctx: FieldCtx, grams: np.ndarray) -> np.ndarray:
     return np.where(ctx.np_is_square(sign), t, t - 1)
 
 
-def witt_index(ctx: FieldCtx, gram: MatrixFq) -> int:
-    """Witt index of a nondegenerate symmetric Gram matrix over F_q, q odd."""
-    if gram.nrows != gram.ncols:
-        raise DimensionMismatch("determinant needs a square matrix")
-    return int(_witt_indices(ctx, gram._a[None])[0])
-
-
-# ---- congruence transport ------------------------------------------------------
-
-
-def diagonalize_symmetric(ctx: FieldCtx, gram: MatrixFq) -> list[list[int]]:
-    """Orthogonal basis for a nondegenerate symmetric Gram matrix.
-
-    Returns basis vectors v_1..v_k with B(v_i, v_j) = 0 for i != j and
-    B(v_i, v_i) != 0.
-    """
-    k = gram.nrows
-    if det(gram) == 0:
-        raise RankDeficient("Gram matrix is degenerate")
-    cols: list[list[int]] = []
-    remaining = np.eye(k, dtype=np.int64)
-    while len(remaining):
-        # the first nonsingular basis vector or, the restriction being
-        # nondegenerate, the first nonsingular sum of two of them
-        sums = (ctx.np_add(x, y) for i, x in enumerate(remaining) for y in remaining[i + 1 :])
-        v = next((u for u in chain(remaining, sums) if bilinear_value(gram, u, u)), None)
-        if v is None:
-            raise RankDeficient("no nonsingular vector in the remaining block")
-        cols.append(v.tolist())
-        # project the rest onto the perp of v: w - (B(w, v) / B(v, v)) v
-        bwv = ctx.np_rowsum(ctx.np_mul(ctx.np_matmul(remaining, gram._a), v))
-        c = ctx.np_mul(bwv, ctx.inv(bilinear_value(gram, v, v)))
-        w = ctx.np_sub(remaining, ctx.np_mul(c[:, None], v))
-        remaining = np.array(Subspace(ctx, k, w[w.any(axis=1)]).basis, dtype=np.int64).reshape(-1, k)
-    return cols
-
-
-def _normalized_orthogonal_basis(ctx: FieldCtx, gram: MatrixFq) -> tuple[list[list[int]], list[int]]:
-    """Orthogonal basis with every value 1 or the nonsquare rep, ones first,
-    and at most one nonsquare value."""
-    xi = ctx.nonsquare_rep
-    cols = diagonalize_symmetric(ctx, gram)
-    classes = []
-    for idx, v in enumerate(cols):
-        qv = bilinear_value(gram, v, v)
-        e = 1 if ctx.is_square(qv) else xi
-        target = ctx.div(qv, e)
-        c = next(c for c in range(1, ctx.q) if ctx.mul(c, c) == target)
-        inv_c = ctx.inv(c)
-        cols[idx] = [ctx.mul(inv_c, a) for a in v]
-        classes.append(e)
-    bad = [i for i, e in enumerate(classes) if e == xi]
-    while len(bad) >= 2:
-        i, j = bad[0], bad[1]
-        x, y = next(
-            (x, y)
-            for x in range(ctx.q)
-            for y in range(ctx.q)
-            if ctx.add(ctx.mul(xi, ctx.mul(x, x)), ctx.mul(xi, ctx.mul(y, y))) == 1
-        )
-        vi, vj = cols[i], cols[j]
-        cols[i] = [ctx.add(ctx.mul(x, a), ctx.mul(y, b)) for a, b in zip(vi, vj)]
-        cols[j] = [ctx.add(ctx.mul(ctx.neg(y), a), ctx.mul(x, b)) for a, b in zip(vi, vj)]
-        classes[i] = classes[j] = 1
-        bad = bad[2:]
-    order = sorted(range(len(cols)), key=lambda i: classes[i] != 1)
-    return [cols[i] for i in order], [classes[i] for i in order]
-
-
-def quadric_isometry(qs_from: QuadraticSpace, qs_to: QuadraticSpace) -> tuple[MatrixFq, int]:
-    """Matrix T and scalar lam with T^T M_from T = lam * M_to.
-
-    The map x -> Tx carries the target quadric onto the source quadric; every
-    odd-dimensional pair is congruent up to the scalar, which is 1 or the
-    nonsquare rep according to the discriminant classes.
-    """
-    ctx = qs_from.ctx
-    if ctx != qs_to.ctx or qs_from.dim != qs_to.dim:
-        raise DimensionMismatch("spaces must share field and dimension")
-    cols_f, cls_f = _normalized_orthogonal_basis(ctx, qs_from.gram)
-    for lam in (1, ctx.nonsquare_rep):
-        scaled = qs_to.gram.scale(lam)
-        cols_t, cls_t = _normalized_orthogonal_basis(ctx, scaled)
-        if cls_f == cls_t:
-            c_f = MatrixFq(ctx, cols_f).transpose()
-            c_t = MatrixFq(ctx, cols_t).transpose()
-            return c_f.mul(inverse(c_t)), lam
-    raise TableMismatch("no congruence found; discriminant classes irreconcilable")
-
-
-def transport_form(
-    qs_from: QuadraticSpace, af: AlternatingForm, qs_to: QuadraticSpace
-) -> AlternatingForm:
-    """Re-express an alternating form on a congruent quadratic space.
-
-    The returned form has the same radical dimension, defect, case type,
-    residue census and codeword weight relative to qs_to as af has relative
-    to qs_from.
-    """
-    t, _ = quadric_isometry(qs_from, qs_to)
-    s_new = t.transpose().mul(af.s).mul(t)
-    return AlternatingForm(qs_to.ctx, s_new, case_params=af.case_params)
-
-
-# ---- pointwise classification ------------------------------------------------
-
-
-def point_square_class(qs: QuadraticSpace, v) -> str:
-    """'singular', 'square' or 'nonsquare' class of eta(v); projective invariant."""
-    vv = [qs.ctx.validate_element(x) for x in v]
-    if all(x == 0 for x in vv):
-        raise ZeroVector("square class needs a nonzero point")
-    val = qs.eta(vv)
-    if val == 0:
-        return "singular"
-    return "square" if qs.ctx.is_square(val) else "nonsquare"
-
-
-def classify_internal_external(qs: QuadraticSpace, v) -> str:
-    """'external' if the perp hyperplane cuts a hyperbolic section, else 'internal'.
-
-    Works for any nonsingular point: the section type is decided by whether
-    (-1)^n det(M) eta(v) is a square.
-    """
-    vv = [qs.ctx.validate_element(x) for x in v]
-    if all(x == 0 for x in vv):
-        raise ZeroVector("classification needs a nonzero point")
-    val = qs.eta(vv)
-    if val == 0:
-        raise SingularPoint("singular points are neither internal nor external")
-    return "external" if qs.ctx.is_square(qs.ctx.mul(qs.disc_sign, val)) else "internal"
-
-
 # ---- projective enumeration and orbit counts ---------------------------------
+
 
 def check_memory(need: float, what: str) -> None:
     """Raise InadmissibleParams if need bytes exceed what this process may

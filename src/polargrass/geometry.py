@@ -19,16 +19,12 @@ to the rows of all forms of a space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotOnQuadric,
-    TypeNotInTable,
-    ZeroVector,
-)
+from .errors import DimensionMismatch, NotOnQuadric, TypeNotInTable
 from .forms import AlternatingForm, QuadraticSpace, check_memory, projective_points
 
 PAIR_BLOCK_ENTRIES = 1 << 20  # point pairs in one product block of enumerate_singular_lines
@@ -129,32 +125,13 @@ def _encode_rows(q: int, rows: np.ndarray) -> np.ndarray:
     return key
 
 
-def _point_keys(qs: QuadraticSpace) -> np.ndarray:
+def _ids_for_rows(qs: QuadraticSpace, rows: np.ndarray) -> np.ndarray:
+    """Ids of canonical rows of singular points, found among the points'
+    keys, which each space caches."""
     if "point_keys" not in qs._cache:
         qs._cache["point_keys"] = _encode_rows(qs.ctx.q, quadric_points(qs))
-    return qs._cache["point_keys"]
-
-
-def point_id(qs: QuadraticSpace, v) -> int:
-    """Index of a singular point among the canonical representatives."""
-    ctx = qs.ctx
-    arr = np.array([[ctx.validate_element(x) for x in v]], dtype=np.int64)
-    if not arr.any():
-        raise ZeroVector("zero vector is not a point")
-    if len(arr[0]) != qs.dim:
-        raise DimensionMismatch(f"point must have {qs.dim} coordinates")
-    arr = ctx.np_normalize_rows(arr)
-    key = _encode_rows(ctx.q, arr)[0]
-    keys = _point_keys(qs)
-    pos = int(np.searchsorted(keys, key))
-    if pos >= len(keys) or keys[pos] != key:
-        raise NotOnQuadric("point is not singular")
-    return pos
-
-
-def _ids_for_rows(qs: QuadraticSpace, rows: np.ndarray) -> np.ndarray:
     keys = _encode_rows(qs.ctx.q, rows)
-    table = _point_keys(qs)
+    table = qs._cache["point_keys"]
     pos = np.searchsorted(table, keys)
     if (pos >= len(table)).any() or (table[np.minimum(pos, len(table) - 1)] != keys).any():
         raise NotOnQuadric("row is not a singular point")
@@ -174,7 +151,6 @@ class LineSet:
         self.plucker = plucker
         self.gens = gens
         self._members: np.ndarray | None = None
-        self._through: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.plucker)
@@ -197,27 +173,36 @@ class LineSet:
             self._members = mem
         return self._members
 
-    def through(self, pid: int) -> np.ndarray:
-        """Ids of the lines containing the given point."""
-        if self._through is None:
-            mem = self.members()
-            flat_pts = mem.ravel()
-            flat_lines = np.repeat(
-                np.arange(len(mem), dtype=np.int64), mem.shape[1]
-            )
-            order = np.argsort(flat_pts, kind="stable")
-            sorted_pts = flat_pts[order]
-            starts = np.searchsorted(
-                sorted_pts, np.arange(len(quadric_points(self.qs)) + 1)
-            )
-            self._through = (flat_lines[order], starts)
-        lines, starts = self._through
-        return lines[starts[pid] : starts[pid + 1]]
-
 
 def singular_line_count(n: int, q: int) -> int:
     """Number of totally singular lines of the parabolic quadric Q(2n, q)."""
     return (q ** (2 * n - 2) - 1) * (q ** (2 * n) - 1) // ((q**2 - 1) * (q - 1))
+
+
+def _wedge_dtype(q: int) -> type:
+    """The narrowest dtype that holds x_i y_j - x_j y_i for field elements
+    x and y below q."""
+    return np.int16 if (q - 1) ** 2 < 1 << 15 else np.int32
+
+
+def line_bytes(n: int, q: int) -> float:
+    """Peak bytes enumerate_singular_lines allocates for Q(2n, q), past the
+    singular points: the larger of its two stages.
+
+    Pairing: three int64 copies of a product block of PAIR_BLOCK_ENTRIES
+    entries, then four int64 ids per line (the pairs found, in pieces and
+    joined).  Sorting, per line: the wedge row in the narrow dtype and its
+    sorted copy, the int64 plucker row, both points of the pair in the
+    narrow dtype, five int64 ids (the pair's ids in pieces and joined, and
+    the sort order) and two more, which cover the generator pairs built
+    once the sorted copy is freed.  N is at least q^(4n-5), so past 2^100
+    it is inf and a huge n costs no big-integer power.
+    """
+    if (4 * n - 5) * math.log2(q) > 100:
+        return math.inf
+    nn, dim = singular_line_count(n, q), 2 * n + 1
+    k, w = dim * (dim - 1) // 2, np.dtype(_wedge_dtype(q)).itemsize
+    return max(24 * PAIR_BLOCK_ENTRIES + 32 * nn, nn * (2 * k * w + 8 * k + 2 * dim * w + 56))
 
 
 def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
@@ -235,12 +220,7 @@ def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
         return qs._cache["lines"]
     ctx = qs.ctx
     k = qs.dim * (qs.dim - 1) // 2
-    # three int64 copies of a product block, then per line: four N x K
-    # wedge products, both points of the pair and their ids twice
-    check_memory(
-        24 * PAIR_BLOCK_ENTRIES + 8 * singular_line_count(qs.n, ctx.q) * (4 * k + 2 * qs.dim + 4),
-        f"the singular lines of Q({2 * qs.n}, {ctx.q})",
-    )
+    check_memory(line_bytes(qs.n, ctx.q), f"the singular lines of Q({2 * qs.n}, {ctx.q})")
     pts = quadric_points(qs)
     lead = (pts != 0).argmax(axis=1)
     pm = ctx.np_matmul(pts, qs.gram_np())
@@ -259,10 +239,10 @@ def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
     ui = np.concatenate(u_ids)
     vi = np.concatenate(v_ids)
 
-    # the wedge in the narrowest dtype that holds x_i y_j - x_j y_i, so the
-    # sorted plucker is the only N x K int64 array
+    # the wedge in the narrow dtype, so the sorted plucker is the only N x K
+    # int64 array
     iu, ju = np.triu_indices(qs.dim, 1)
-    narrow = pts.astype(np.int16 if (ctx.p - 1) ** 2 < 1 << 15 else np.int32)
+    narrow = pts.astype(_wedge_dtype(ctx.q))
     u = narrow[ui]
     v = narrow[vi]
     if ctx.e == 1:
@@ -274,17 +254,11 @@ def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
             pl[:, c] = ctx.np_sub(ctx.np_mul(u[:, i], v[:, j]), ctx.np_mul(u[:, j], v[:, i]))
     order = np.argsort(_encode_rows(ctx.q, pl), kind="stable")
     plucker = pl[order].astype(np.int64)
-    gens = np.stack([vi[order], ui[order]], axis=1).astype(np.int64)
+    gens = np.stack([vi[order], ui[order]], axis=1).astype(np.int64, copy=False)
     plucker.setflags(write=False)
     ls = LineSet(qs, plucker, gens)
     qs._cache["lines"] = ls
     return ls
-
-
-def lines_through(qs: QuadraticSpace, v) -> np.ndarray:
-    """Line ids through a singular point given by coordinates or id."""
-    pid = v if isinstance(v, (int, np.integer)) else point_id(qs, v)
-    return enumerate_singular_lines(qs).through(int(pid))
 
 
 # ---- residue classes ----------------------------------------------------------
@@ -326,12 +300,6 @@ def _residue_stack(qs: QuadraticSpace, afs) -> np.ndarray:
 def residue_classes(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     """Residue class code for every singular point (see RESIDUE_NAMES)."""
     return _residue_stack(qs, [af])[0]
-
-
-def residue_class(qs: QuadraticSpace, af: AlternatingForm, v) -> str:
-    """Residue class name of one singular point."""
-    pid = point_id(qs, v)
-    return RESIDUE_NAMES[residue_classes(qs, af)[pid]]
 
 
 def _census(codes: np.ndarray) -> CensusRecord:
@@ -394,11 +362,6 @@ def tau_values(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     return _tau(qs, _mask(qs, _isotropic_stack(qs, [af])[0]))
 
 
-def tau(qs: QuadraticSpace, af: AlternatingForm, v) -> int:
-    pid = v if isinstance(v, (int, np.integer)) else point_id(qs, v)
-    return int(tau_values(qs, af)[int(pid)])
-
-
 def line_type_codes(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     """Type code per line from the residue classes of its points."""
     return _line_types(qs, residue_classes(qs, af))
@@ -429,14 +392,6 @@ def _line_types(qs: QuadraticSpace, codes: np.ndarray) -> np.ndarray:
             f"({int(n_plus[bad])}, {int(n_w[bad])}, {int(n_minus[bad])})"
         )
     return out
-
-
-def line_type(qs: QuadraticSpace, af: AlternatingForm, line_id: int) -> str:
-    return LINE_TYPE_NAMES[line_type_codes(qs, af)[line_id]]
-
-
-def line_type_census(qs: QuadraticSpace, af: AlternatingForm) -> dict[str, int]:
-    return _type_census(line_type_codes(qs, af))
 
 
 def _type_census(types: np.ndarray) -> dict[str, int]:

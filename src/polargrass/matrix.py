@@ -331,18 +331,6 @@ def kernel(m: MatrixFq) -> Subspace:
     return Subspace._of(m.ctx, m.ncols, kernel_bases(m.ctx, m._a)[0])
 
 
-def eigenspace(m: MatrixFq, lam: int) -> Subspace:
-    """Null space of m - lam * I."""
-    if m.nrows != m.ncols:
-        raise DimensionMismatch("eigenspace needs a square matrix")
-    c = m.ctx
-    lam = c.validate_element(lam)
-    shifted = m.to_numpy()
-    diag = np.arange(m.nrows)
-    shifted[diag, diag] = c.np_sub(shifted[diag, diag], lam)
-    return kernel(MatrixFq._of(c, shifted))
-
-
 def eigen_nullities(ctx: FieldCtx, arr) -> np.ndarray:
     """n - rank(m - lam I) for every lam in F_q*, in order, for one square
     matrix or a stack of them: shape arr.shape[:-2] + (q-1,).

@@ -9,10 +9,10 @@ import pytest
 
 import polargrass
 from polargrass.cli import main
-from polargrass.code import parse_code
 from polargrass.field import field_ctx
-from polargrass.forms import build_M, build_S, standard_space, transport_form
+from polargrass.forms import build_S, standard_space
 from polargrass.matrix import MatrixFq, format_matrix_text
+from test_code import parse_code_text
 
 F3 = field_ctx(3)
 
@@ -61,14 +61,14 @@ def test_build_writes_generator(tmp_path, capsys):
     path = tmp_path / "code.txt"
     rc, out, _ = run(capsys, "build", "--q", "3", "--n", "2", "-o", str(path))
     assert rc == 0 and out == "40 10 18\n"
-    rec = parse_code(path.read_text())
+    rec = parse_code_text(path.read_text())
     assert (rec["N"], rec["K"], rec["q"], rec["n"]) == (40, 10, 3, 2)
     assert rec["d_claimed"] == 18
 
     jpath = tmp_path / "code.json"
     rc, _, _ = run(capsys, "build", "--q", "3", "--n", "2", "--format", "json", "-o", str(jpath))
     assert rc == 0
-    assert parse_code(jpath.read_text())["G"] == rec["G"]
+    assert json.loads(jpath.read_text())["G"] == rec["G"]
 
 
 def test_build_unwritable_output(capsys):
@@ -196,6 +196,29 @@ def test_negative_samples(capsys, command):
     assert "samples" in err
 
 
+@pytest.mark.parametrize(
+    "argv,env,what",
+    [
+        (("verify", "--seed", "-1", "--check", "census-all"), None, "seed"),
+        (("search", "--seed", "-1"), None, "seed"),
+        (("verify", "--budget", "-1"), None, "budget"),
+        (("verify", "--check", "min-distance-exact"), "-1", "POLAR_BUDGET"),
+    ],
+    ids=["verify-seed", "search-seed", "verify-budget", "verify-env-budget"],
+)
+def test_negative_seed_and_budget(capsys, monkeypatch, argv, env, what):
+    # a negative seed reached numpy's generator as a traceback with exit 1,
+    # and a negative budget skipped the exhaustive scan with exit 0
+    if env is None:
+        monkeypatch.delenv("POLAR_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("POLAR_BUDGET", env)
+    rc, out, err = run(capsys, argv[0], "--q", "3", "--n", "2", *argv[1:])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {what} must be >= 0, got -1\n"
+
+
 # ---------------------------------------------------------
 # weight
 # ---------------------------------------------------------
@@ -226,11 +249,14 @@ def test_weight_canonical_small(tmp_path, capsys):
 
 
 def test_weight_transported_form(tmp_path, capsys):
-    # a shape built in a congruent non-standard space, moved to the standard one
-    src = build_M(F3, 3, 5, 0, 3)
-    moved = transport_form(src, build_S(src), standard_space(F3, 3))
-    path = write_form(tmp_path, "moved.txt", moved)
-    rc, out, _ = run(capsys, "weight", path)
+    # the case-3 shape (r, d) = (5, 0), built in its own space
+    # build_M(F3, 3, 5, 0, 3) and carried to the standard space by a
+    # congruence of the two Gram matrices: e_0 ^ e_6
+    moved = [[0] * 7 for _ in range(7)]
+    moved[0][6], moved[6][0] = 1, 2
+    path = tmp_path / "moved.txt"
+    path.write_text(format_matrix_text(MatrixFq(F3, moved)))
+    rc, out, _ = run(capsys, "weight", str(path))
     assert rc == 0
     lines = out.splitlines()
     assert lines[0] == "weight 2160 r 5"

@@ -24,17 +24,13 @@ from polargrass.code import (
     export_code_json,
     export_code_text,
     form_from_message,
-    form_weight_direct,
     memory_estimate,
     message_from_form,
     min_distance_certified,
     min_distance_exact,
-    parse_code,
-    parse_code_text,
-    random_alternating_form,
+    random_alternating_forms,
     random_messages,
     standard_code,
-    weight_of_message,
 )
 from polargrass.counting import case_line_count
 from polargrass.errors import (
@@ -56,7 +52,9 @@ from polargrass.forms import (
 from polargrass.geometry import (
     PAIR_BLOCK_ENTRIES,
     empirical_census,
+    enumerate_singular_lines,
     isotropic_line_count,
+    line_bytes,
     quadric_points,
 )
 from polargrass.matrix import rank_np
@@ -68,6 +66,17 @@ F5 = field_ctx(5)
 @lru_cache(maxsize=None)
 def the_code(q, n):
     return standard_code(field_ctx(q), n)
+
+
+def weight(code, message):
+    """Weight of the codeword of one message, through the batch kernel."""
+    return int(_weights_np(code, np.asarray(message, dtype=np.int64).reshape(1, -1))[0])
+
+
+def weight_direct(code, af):
+    """Weight recomputed line by line from a generator pair of each line,
+    without the generator matrix."""
+    return len(code.lines) - isotropic_line_count(code.qs, af)
 
 
 def canonical_messages(q, k):
@@ -144,8 +153,7 @@ def test_repr_mentions_parameters():
 def test_message_round_trip():
     rng = np.random.default_rng(11)
     for dim in (5, 7):
-        for _ in range(10):
-            af = random_alternating_form(F3, dim, rng)
+        for af in random_alternating_forms(F3, dim, rng, 10):
             msg = message_from_form(af)
             back = form_from_message(F3, dim, msg)
             assert np.array_equal(back.s_np(), af.s_np())
@@ -205,17 +213,15 @@ def test_case3_space_weight():
 def test_three_weight_paths_agree():
     rng = np.random.default_rng(23)
     code = the_code(3, 2)
-    for _ in range(20):
-        af = random_alternating_form(F3, 5, rng)
+    for af in random_alternating_forms(F3, 5, rng, 20):
         w = codeword_from_form(code, af).weight
-        assert w == weight_of_message(code, message_from_form(af))
-        assert w == form_weight_direct(code, af)
+        assert w == weight(code, message_from_form(af))
+        assert w == weight_direct(code, af)
     code = the_code(3, 3)
-    for _ in range(10):
-        af = random_alternating_form(F3, 7, rng)
+    for af in random_alternating_forms(F3, 7, rng, 10):
         w = codeword_from_form(code, af).weight
-        assert w == weight_of_message(code, message_from_form(af))
-        assert w == form_weight_direct(code, af)
+        assert w == weight(code, message_from_form(af))
+        assert w == weight_direct(code, af)
 
 
 def test_first_coordinate_message():
@@ -226,7 +232,7 @@ def test_first_coordinate_message():
     u = pts[code.lines.gens[:, 0]]
     v = pts[code.lines.gens[:, 1]]
     minors = (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]) % 3
-    assert weight_of_message(code, e1) == int((minors != 0).sum()) == 18
+    assert weight(code, e1) == int((minors != 0).sum()) == 18
 
 
 def test_weight_scaling_invariance():
@@ -236,19 +242,15 @@ def test_weight_scaling_invariance():
         m = rng.integers(0, 3, size=10)
         if not m.any():
             continue
-        assert weight_of_message(code, m) == weight_of_message(code, (2 * m) % 3)
+        assert weight(code, m) == weight(code, (2 * m) % 3)
 
 
 def test_weight_errors():
     code = the_code(3, 2)
     with pytest.raises(DimensionMismatch):
-        weight_of_message(code, [1, 0, 0])
-    with pytest.raises(ZeroMessage):
-        weight_of_message(code, [0] * 10)
+        codeword_from_form(code, random_alternating_forms(F3, 7, np.random.default_rng(0), 1)[0])
     with pytest.raises(DimensionMismatch):
-        codeword_from_form(code, random_alternating_form(F3, 7, np.random.default_rng(0)))
-    with pytest.raises(DimensionMismatch):
-        codeword_from_form(code, random_alternating_form(F5, 5, np.random.default_rng(0)))
+        codeword_from_form(code, random_alternating_forms(F5, 5, np.random.default_rng(0), 1)[0])
     with pytest.raises(ZeroMessage):
         codeword_from_form(code, form_from_message(F3, 5, [0] * 10))
 
@@ -310,7 +312,7 @@ def brute_force_min_distance(code):
     """Minimum weight over every message with leading coefficient 1."""
     q, k = code.params.q, code.params.K
     return min(
-        weight_of_message(code, [0] * lead + [1] + list(tail))
+        weight(code, [0] * lead + [1] + list(tail))
         for lead in range(k)
         for tail in product(range(q), repeat=k - 1 - lead)
     )
@@ -392,20 +394,27 @@ def test_min_distance_exact_single_minimum(monkeypatch, q, small_blocks, where):
     code = single_minimum_code(q, mstar)
     if small_blocks:
         small_scan_blocks(monkeypatch, code)
-    assert weight_of_message(code, mstar) == 1
+    assert weight(code, mstar) == 1
     assert min_distance_exact(code) == 1
 
 
 def test_memory_estimate():
-    # the points of PG(2n, q) (four int64 arrays of points x dim), three
-    # int64 copies of the enumerator's product block, 6K + 2 dim int64 per line
+    # the points of PG(2n, q) (four int64 arrays of points x dim), then the
+    # larger of the line enumerator's peak and the rank check's: per line
+    # the int64 plucker row, its copy in G, the generator pair and seven
+    # int64 of rank_np's blocks.  The enumerator's peak is the larger of
+    # three int64 copies of its product block with four int64 ids per line,
+    # and per line two int16 wedge rows, the int64 plucker row, both int16
+    # points of the pair and seven int64 ids.
     block = 24 * PAIR_BLOCK_ENTRIES
     assert point_bytes(3, 5) == 32 * 5 * 121
-    assert memory_estimate(2, 3) == 32 * 5 * 121 + block + 8 * 40 * (6 * 10 + 2 * 5)
-    assert memory_estimate(3, 5) == 32 * 7 * 19531 + block + 8 * 101556 * (6 * 21 + 2 * 7)
+    assert line_bytes(2, 3) == block + 32 * 40
+    assert line_bytes(3, 5) == 101556 * (4 * 21 + 8 * 21 + 4 * 7 + 56)
+    assert memory_estimate(2, 3) == 32 * 5 * 121 + block + 32 * 40
+    assert memory_estimate(3, 5) == 32 * 7 * 19531 + 101556 * (16 * 21 + 72)
     p = code_parameters(5, 3)
-    assert memory_estimate(5, 3) > 6 * 8 * p.N * p.K > 50 * 2**30
-    assert point_bytes(3, 199999) == memory_estimate(99999, 3) == float("inf")
+    assert memory_estimate(5, 3) > 16 * p.N * p.K > 19 * 2**30
+    assert point_bytes(3, 199999) == memory_estimate(99999, 3) == line_bytes(99999, 3) == float("inf")
     assert memory_estimate(10**12, 3) == float("inf")
 
 
@@ -423,6 +432,31 @@ def test_memory_estimate_bounds_build_peak(q, n):
     assert peak <= memory_estimate(n, q)
 
 
+@pytest.mark.parametrize("n,q", [(3, 5), (4, 3)])
+def test_memory_estimate_tracks_build_peak(n, q):
+    # on a fresh space, so build_code also enumerates the points; the line
+    # enumerator alone stays within its own estimate
+    qs = standard_space(field_ctx(q), n)
+    tracemalloc.start()
+    try:
+        quadric_points(qs)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        enumerate_singular_lines(qs)
+        lines_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert lines_peak <= line_bytes(n, q)
+    qs = standard_space(field_ctx(q), n)
+    tracemalloc.start()
+    try:
+        build_code(qs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1.0 <= memory_estimate(n, q) / peak <= 1.5
+
+
 # ---------------------------------------------------------
 # Chunked weight evaluation
 # ---------------------------------------------------------
@@ -435,7 +469,7 @@ def test_weights_chunked_match_one_block(monkeypatch, q, n):
     assert np.array_equal(_weights_np(code, batch), whole)
     dim = 2 * n + 1
     for msg, w in zip(batch[:5], whole[:5]):
-        assert w == form_weight_direct(code, form_from_message(code.ctx, dim, msg))
+        assert w == weight_direct(code, form_from_message(code.ctx, dim, msg))
 
 
 # ---------------------------------------------------------
@@ -478,7 +512,7 @@ def test_certified_counterexample():
         min_distance_certified(fake, samples=50, seed=0)
     witness = exc.value.witness
     assert isinstance(witness, list) and len(witness) == 10
-    assert weight_of_message(code, witness) <= code.params.N
+    assert weight(code, witness) <= code.params.N
 
 
 # ---------------------------------------------------------
@@ -569,6 +603,18 @@ def test_restriction_from_full_line_set():
 # ---------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------
+def parse_code_text(text):
+    """Reader of the text export: an 'N K q n' header, K generator rows,
+    then '# d_claimed d'."""
+    rows = text.splitlines()
+    nn, kk, q, n = (int(t) for t in rows[0].split())
+    g = [[int(t) for t in ln.split()] for ln in rows[1 : 1 + kk]]
+    assert all(len(row) == nn for row in g)
+    tag, key, d_claimed = rows[1 + kk].split()
+    assert (tag, key) == ("#", "d_claimed")
+    return {"N": nn, "K": kk, "q": q, "n": n, "d_claimed": int(d_claimed), "G": g}
+
+
 def test_export_text_round_trip():
     code = the_code(3, 2)
     text = export_code_text(code)
@@ -590,7 +636,7 @@ def test_export_med_header():
 
 def test_export_json_round_trip():
     code = the_code(3, 2)
-    rec = parse_code(export_code_json(code))
+    rec = json.loads(export_code_json(code))
     assert (rec["N"], rec["K"], rec["q"], rec["n"]) == (40, 10, 3, 2)
     assert rec["d_claimed"] == 18
     assert rec["G"] == code.generator.tolist()
@@ -602,26 +648,6 @@ def test_export_dispatch():
     assert json.loads(export_code(code, "json"))["N"] == 40
     with pytest.raises(IoError):
         export_code(code, "yaml")
-
-
-def test_parse_text_accepts_text_via_generic_reader():
-    code = the_code(3, 2)
-    assert parse_code(export_code_text(code)) == parse_code_text(export_code_text(code))
-
-
-def test_parse_errors():
-    with pytest.raises(IoError):
-        parse_code_text("")
-    with pytest.raises(IoError):
-        parse_code_text("40 10 3\n")
-    with pytest.raises(IoError):
-        parse_code_text("a b c d\n")
-    with pytest.raises(IoError):
-        parse_code_text("2 2 3 2\n1 0\n")
-    with pytest.raises(IoError):
-        parse_code_text("2 2 3 2\n1 0\n1 0 1\n")
-    with pytest.raises(IoError):
-        parse_code("{not json")
 
 
 # ---------------------------------------------------------

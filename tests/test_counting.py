@@ -12,13 +12,11 @@ from polargrass.counting import (
     case4_line_count_bound,
     case_line_count,
     census_rewrite_sides,
-    check_eigenvector_bound,
     closed_form_census,
     delta_bound_check,
     endpoint_bound_values,
     even_orbit_closed,
     even_orbit_empirical,
-    eigenvector_count,
     kappa_closed,
     line_count_from_census,
     line_count_objective,
@@ -45,7 +43,7 @@ from polargrass.errors import (
     NonIntegerResult,
 )
 from polargrass.field import field_ctx
-from polargrass.forms import admissible_pairs, canonical_form
+from polargrass.forms import admissible_pairs, canonical_form, radical_split
 from polargrass.geometry import CensusRecord, empirical_census, isotropic_line_count
 
 F3 = field_ctx(3)
@@ -308,16 +306,16 @@ def test_even_orbit_closed_values():
 # Spectral bound
 # ---------------------------------------------------------
 def test_eigenvector_bound_equality():
+    # the count meets the bound 2(q^m - 1), m the Witt index over H0
     qs, af = canonical_form(F3, 3, 1, 1, 1)
-    rec = check_eigenvector_bound(qs, af)
-    assert rec == {"count": 16, "m": 2, "r": 1, "d": 1, "bound": 16, "ok": True}
-    assert eigenvector_count(qs, af) == 2 * (3**2 - 1)
+    assert radical_split(qs, af) == {"r": 1, "d": 1, "m": 2}
+    assert counting._eigenvector_counts(qs, [af]).tolist() == [16] == [2 * (3**2 - 1)]
 
 
 def test_eigenvector_bound_degenerate_block():
     qs, af = canonical_form(F3, 3, 5, 1, 1)
-    rec = check_eigenvector_bound(qs, af)
-    assert rec["count"] == 0 and rec["bound"] == 0 and rec["ok"]
+    assert radical_split(qs, af)["m"] == 0
+    assert counting._eigenvector_counts(qs, [af]).tolist() == [0]
 
 
 # ---------------------------------------------------------

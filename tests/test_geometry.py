@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from polargrass import geometry
-from polargrass.code import random_alternating_form
-from polargrass.errors import NotOnQuadric
+from polargrass.code import random_alternating_forms
 from polargrass.field import field_ctx
 from polargrass.forms import admissible_pairs, canonical_form, standard_space
 from polargrass.geometry import (
+    LINE_TYPE_NAMES,
     RESIDUE_MINUS,
     RESIDUE_NAMES,
     RESIDUE_P_A,
@@ -20,21 +20,26 @@ from polargrass.geometry import (
     empirical_census,
     enumerate_singular_lines,
     isotropic_line_count,
-    line_type,
-    line_type_census,
     line_type_codes,
-    lines_through,
-    point_id,
     quadric_points,
-    residue_class,
     residue_classes,
     singular_line_count,
-    tau,
     tau_values,
 )
 
 F3 = field_ctx(3)
 F5 = field_ctx(5)
+
+
+def point_row(qs, v):
+    """Row of the singular point v, given canonically, in quadric_points."""
+    (row,) = np.flatnonzero((quadric_points(qs) == v).all(axis=1))
+    return int(row)
+
+
+def type_census(qs, af):
+    """Number of lines of each type under af."""
+    return geometry._type_census(line_type_codes(qs, af))
 
 
 def tau_constants(n, q):
@@ -69,17 +74,6 @@ def test_quadric_points_are_canonical_and_sorted():
         assert v[next(i for i, x in enumerate(v) if x)] == 1
     keys = [tuple(p) for p in pts]
     assert keys == sorted(keys)
-
-
-def test_point_id_round_trip():
-    qs = standard_space(F3, 2)
-    pts = quadric_points(qs)
-    for pid in (0, 7, 39):
-        assert point_id(qs, pts[pid].tolist()) == pid
-    # scaling does not change the id
-    assert point_id(qs, (2 * pts[5]) % 3) == 5
-    with pytest.raises(NotOnQuadric):
-        point_id(qs, [0, 1, 0, 0, 0])
 
 
 # ---------------------------------------------------------
@@ -126,11 +120,8 @@ def test_lines_through_every_point(n, q, through):
     qs = standard_space(field_ctx(q), n)
     pts = quadric_points(qs)
     assert through == (q ** (2 * n - 2) - 1) // (q - 1)
-    for pid in range(len(pts)):
-        assert len(lines_through(qs, pid)) == through
-    assert len(lines_through(qs, pts[0].tolist())) == through
-    with pytest.raises(NotOnQuadric):
-        lines_through(qs, [0, 1] + [0] * (2 * n - 1))
+    on_point = np.bincount(enumerate_singular_lines(qs).members().ravel(), minlength=len(pts))
+    assert (on_point == through).all()
 
 
 def reference_lines(qs):
@@ -245,7 +236,8 @@ def test_flag_count_matches_line_count():
 # ---------------------------------------------------------
 def test_radical_point_is_class_a():
     qs, af = canonical_form(F3, 2, 3, 1, 1)
-    assert residue_class(qs, af, [0, 0, 0, 0, 1]) == "CLASS_P_A"
+    codes = residue_classes(qs, af)
+    assert RESIDUE_NAMES[codes[point_row(qs, [0, 0, 0, 0, 1])]] == "CLASS_P_A"
 
 
 @pytest.mark.parametrize(
@@ -267,8 +259,7 @@ def test_canonical_census_values(n, r, d, case, census):
 def test_census_total_on_random_forms():
     qs = standard_space(F3, 2)
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        af = random_alternating_form(F3, 5, rng)
+    for af in random_alternating_forms(F3, 5, rng, 50):
         c = empirical_census(qs, af)
         assert c.total == 40
         assert min(c.as_tuple()) >= 0
@@ -284,13 +275,13 @@ def test_tau_examples():
     a_pt = int(np.flatnonzero(codes == RESIDUE_P_A)[0])
     zero_pt = int(np.flatnonzero(codes == RESIDUE_ZERO)[0])
     plus_pt = int(np.flatnonzero(codes == RESIDUE_PLUS)[0])
-    assert tau(qs, af, a_pt) == 40
+    assert taus[a_pt] == 40
     assert taus[zero_pt] == 13
     assert taus[plus_pt] == 16
     qs2, af2 = canonical_form(F3, 3, 5, 1, 2)
     codes2 = residue_classes(qs2, af2)
     minus_pt = int(np.flatnonzero(codes2 == RESIDUE_MINUS)[0])
-    assert tau(qs2, af2, minus_pt) == 10
+    assert tau_values(qs2, af2)[minus_pt] == 10
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (2, 5)])
@@ -301,7 +292,7 @@ def test_tau_matches_class_constant_everywhere(n, q):
     consts = tau_constants(n, q)
     rng = np.random.default_rng(4)
     forms = [canonical_form(ctx, n, 2 * n - 1, 1, 1)[1]]
-    forms += [random_alternating_form(ctx, 2 * n + 1, rng) for _ in range(10)]
+    forms += random_alternating_forms(ctx, 2 * n + 1, rng, 10)
     for af in forms:
         codes = residue_classes(qs, af)
         taus = tau_values(qs, af)
@@ -317,8 +308,7 @@ def test_isotropic_lines_balance_point_counts(n, q):
     ctx = field_ctx(q)
     qs = standard_space(ctx, n)
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        af = random_alternating_form(ctx, 2 * n + 1, rng)
+    for af in random_alternating_forms(ctx, 2 * n + 1, rng, 10):
         f = isotropic_line_count(qs, af)
         assert (q + 1) * f == int(tau_values(qs, af).sum())
 
@@ -328,16 +318,17 @@ def test_isotropic_lines_balance_point_counts(n, q):
 # ---------------------------------------------------------
 def test_line_inside_radical_is_type_t0():
     qs, af = canonical_form(F3, 3, 5, 1, 1)
-    p1 = point_id(qs, [0, 0, 1, 0, 0, 0, 0])
-    p2 = point_id(qs, [0, 0, 0, 1, 0, 0, 0])
-    common = np.intersect1d(lines_through(qs, p1), lines_through(qs, p2))
+    p1 = point_row(qs, [0, 0, 1, 0, 0, 0, 0])
+    p2 = point_row(qs, [0, 0, 0, 1, 0, 0, 0])
+    mem = enumerate_singular_lines(qs).members()
+    common = np.flatnonzero((mem == p1).any(axis=1) & (mem == p2).any(axis=1))
     assert len(common) == 1
-    assert line_type(qs, af, int(common[0])) == "T0"
+    assert LINE_TYPE_NAMES[line_type_codes(qs, af)[common[0]]] == "T0"
 
 
 def test_line_type_census_exhaustive():
     qs, af = canonical_form(F3, 3, 5, 1, 1)
-    census = line_type_census(qs, af)
+    census = type_census(qs, af)
     assert sum(census.values()) == 3640
     assert set(census) == {"T0", "TPLUS", "TALPHA", "TBETA", "TMINUS"}
 
@@ -347,15 +338,14 @@ def test_line_types_cover_random_forms(n, q):
     ctx = field_ctx(q)
     qs = standard_space(ctx, n)
     rng = np.random.default_rng(12)
-    for _ in range(20):
-        af = random_alternating_form(ctx, 2 * n + 1, rng)
+    for af in random_alternating_forms(ctx, 2 * n + 1, rng, 20):
         codes = line_type_codes(qs, af)
         assert len(codes) == len(enumerate_singular_lines(qs))
 
 
 def test_type_difference_flag_identity_canonical():
     qs, af = canonical_form(F3, 3, 5, 1, 1)
-    census = line_type_census(qs, af)
+    census = type_census(qs, af)
     diff = census["TPLUS"] - census["TMINUS"]
     assert diff == 3240
     c = empirical_census(qs, af)
@@ -369,9 +359,8 @@ def test_type_difference_flag_identity_random(n):
     qs = standard_space(F3, n)
     lpp = (3 ** (2 * n - 2) - 1) // 2
     rng = np.random.default_rng(21)
-    for _ in range(100):
-        af = random_alternating_form(F3, 2 * n + 1, rng)
-        census = line_type_census(qs, af)
+    for af in random_alternating_forms(F3, 2 * n + 1, rng, 100):
+        census = type_census(qs, af)
         c = empirical_census(qs, af)
         diff = census["TPLUS"] - census["TMINUS"]
         assert (c.n_plus - c.n_minus) * lpp == 3 * diff
@@ -384,9 +373,8 @@ def test_per_class_flag_identities(n, q):
     qs = standard_space(ctx, n)
     lpp = (q ** (2 * n - 2) - 1) // (q - 1)
     rng = np.random.default_rng(33)
-    for _ in range(25):
-        af = random_alternating_form(ctx, 2 * n + 1, rng)
-        census = line_type_census(qs, af)
+    for af in random_alternating_forms(ctx, 2 * n + 1, rng, 25):
+        census = type_census(qs, af)
         c = empirical_census(qs, af)
         half_up = (q + 1) // 2
         half_dn = (q - 1) // 2

@@ -15,7 +15,6 @@ from polargrass.matrix import (
     det,
     determinants,
     eigen_nullities,
-    eigenspace,
     format_matrix_text,
     inverse,
     kernel,
@@ -30,6 +29,15 @@ F3 = field_ctx(3)
 F5 = field_ctx(5)
 F9 = field_ctx(9)
 FIELDS = {q: field_ctx(q) for q in (3, 5, 9, 25, 27)}
+
+
+def eigenspace(m, lam):
+    """Null space of m - lam * I, one matrix and one eigenvalue at a time:
+    the oracle for the stacked eigen_nullities."""
+    shifted = m.to_numpy()
+    diag = np.arange(m.nrows)
+    shifted[diag, diag] = m.ctx.np_sub(shifted[diag, diag], lam)
+    return kernel(MatrixFq.from_numpy(m.ctx, shifted))
 
 
 def nonzero_eigenvalues(m):
