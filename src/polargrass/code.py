@@ -36,7 +36,14 @@ from .forms import (
     projective_block,
     standard_space,
 )
-from .geometry import LineSet, enumerate_singular_lines, line_bytes, singular_line_count
+from .geometry import (
+    LineSet,
+    _blocks,
+    _encode_rows,
+    enumerate_singular_lines,
+    line_bytes,
+    singular_line_count,
+)
 from .matrix import rank_np
 
 DEFAULT_BUDGET = 10**7
@@ -228,8 +235,121 @@ def _agreement_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     return high, low
 
 
+def _unique_rows(q: int, rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array of field elements, in lex order."""
+    return rows[np.unique(_encode_rows(q, rows), return_index=True)[1]]
+
+
+def _diagonal_characters(code: PolarCode) -> np.ndarray:
+    """The certified diagonal characters of the code: a (|H|, K) array of
+    nonzero field elements, one row per character chi, which multiplies
+    message coordinate r by chi_r.
+
+    Candidates come from the diagonal isometries t of a monomial Gram M:
+    t_i t_j = 1 wherever M_ij != 0 (so t_i = +-1 on an anisotropic
+    coordinate), acting on the pair (i, j) by chi_ij = t_i t_j.  A candidate
+    is kept only if it maps the nonzero generator columns, each normalised
+    to lead 1, onto themselves as a multiset: then chi . G_c is a nonzero
+    multiple of another column for every c, so the codeword of chi . m is a
+    scaled permutation of that of m and has its weight, whatever the
+    generator.  The kept set is the stabiliser of that column multiset
+    inside a group, so it is a group itself.  A Gram that is not monomial,
+    a generator with more rows than the space has pairs, or q^K >= 2^53
+    (past which _orbit_representatives' float64 keys are not exact) gives
+    the trivial group.
+    """
+    ctx, k = code.ctx, code.params.K
+    q, gram = ctx.q, code.qs.gram_np()
+    iu, ju = _pair_index(code.qs.dim)
+    if q**k >= 2**53 or k > len(iu) or (np.count_nonzero(gram, axis=1) != 1).any():
+        return np.ones((1, k), dtype=np.int64)
+    partner = np.argmax(gram != 0, axis=1)
+    free = [i for i in range(code.qs.dim) if i <= partner[i]]
+    choice = np.indices([2 if partner[i] == i else q - 1 for i in free]).reshape(len(free), -1)
+    t = np.ones((choice.shape[1], code.qs.dim), dtype=np.int64)
+    for c, i in zip(choice, free):
+        if partner[i] == i:
+            t[:, i] = np.where(c == 0, 1, ctx.neg(1))
+        else:
+            t[:, i] = c + 1
+            t[:, partner[i]] = ctx.np_inv(c + 1)
+    chars = _unique_rows(q, ctx.np_mul(t[:, iu], t[:, ju])[:, :k])
+    cols = ctx.np_normalize_rows(code.generator.T[code.generator.any(axis=0)])
+    lead = np.argmax(cols != 0, axis=1)
+    want = np.sort(_encode_rows(q, cols))
+    kept = []
+    for sl in _blocks(len(chars), cols.size):
+        # chi . G_c normalised: divided by chi at the lead of G_c
+        scale = ctx.np_mul(chars[sl, None, :], ctx.np_inv(chars[sl][:, lead])[:, :, None])
+        images = _encode_rows(q, ctx.np_mul(scale, cols).reshape(-1, k)).reshape(len(scale), -1)
+        kept.append(chars[sl][(np.sort(images, axis=1) == want).all(axis=1)])
+    return np.concatenate(kept)
+
+
+def _orbit_representatives(ctx: FieldCtx, chars: np.ndarray):
+    """Blocks of canonical points h of PG(a-1, q), a = chars' width, one per
+    orbit of the characters chars times the scalars, in projective_block
+    order.
+
+    A point with lead at p is 1 there followed by its tail t, the w = a-1-p
+    base-q digits of an integer.  chi . h, divided by chi_p to lead 1 again,
+    has the tail of digits (chi_i / chi_p) h_i, and h is kept iff no such
+    tail is a smaller integer.  These are the orbit-minimum points, exactly
+    one per orbit.  The tails of every ratio row are one float64 product of
+    the one-hot digits of a block of t (w(q-1) wide) with a per-lead table,
+    exact since q^w < q^K < 2^53 (_diagonal_characters).  A first digit v
+    that some ratio lowers (r v < v as integers) never starts a least
+    tail, so only the tails of the other first digits are formed.  With one
+    character every point is kept.
+    """
+    q, a = ctx.q, chars.shape[1]
+    if len(chars) == 1:
+        count = (q**a - 1) // (q - 1)
+        for sl in _blocks(count, a):
+            yield projective_block(q, a, sl.start, min(sl.stop, count))
+        return
+    onehot = np.eye(q, q - 1, -1)
+    field = np.arange(q)
+    yield np.eye(1, a, a - 1, dtype=np.int64)  # w = 0: the last unit vector
+    for w in range(1, a):
+        p = a - 1 - w
+        ratios = _unique_rows(q, ctx.np_mul(chars[:, p + 1 :], ctx.np_inv(chars[:, p : p + 1])))
+        powers = q ** np.arange(w - 1, -1, -1, dtype=np.int64)
+        # table[j, v-1, r] = q^(w-1-j) (ratio_rj v): tail digit j worth v
+        values = ctx.np_mul(ratios.T[:, None, :], field[None, 1:, None])
+        table = (powers[:, None, None] * values).astype(np.float64).reshape(-1, len(ratios))
+        for first in np.flatnonzero((ctx.np_mul(ratios[:, :1], field) >= field).all(axis=0)):
+            for sl in _blocks(powers[0], w * (q - 1), table.size):
+                tail = first * powers[0] + np.arange(sl.start, min(sl.stop, powers[0]), dtype=np.int64)
+                digits = tail[:, None] // powers % q
+                keys = onehot[digits].reshape(len(tail), -1) @ table
+                keep = keys.min(axis=1) >= tail
+                h = np.zeros((np.count_nonzero(keep), a), dtype=np.int64)
+                h[:, p] = 1
+                h[:, p + 1 :] = digits[keep]
+                yield h
+
+
+def _filled(blocks, rows: int):
+    """The rows of a stream of blocks, regrouped into blocks of rows rows
+    (the last one shorter)."""
+    pending, size = [], 0
+    for block in blocks:
+        pending.append(block)
+        size += len(block)
+        if size >= rows:
+            whole = np.concatenate(pending)
+            cut = size - size % rows
+            for lo in range(0, cut, rows):
+                yield whole[lo : lo + rows]
+            pending, size = [whole[cut:]], size - cut
+    if size:
+        yield np.concatenate(pending)
+
+
 def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
-    """Scan every nonzero message up to scaling; exact minimum weight.
+    """Scan every nonzero message up to scaling and symmetry; exact minimum
+    weight.
 
     Split a message into its high part h, the first a = K - b coordinates,
     and its low part l, the last b.  The codeword of (h, -l) vanishes exactly
@@ -242,6 +362,15 @@ def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
     message is either (h, l) with h a canonical projective point of F_q^a,
     or (0, l) with l != 0, whose weights are the nonzero rows of the low
     table itself.
+
+    Only one h per orbit of H x F_q^* is scanned, H the certified diagonal
+    characters of _diagonal_characters: each chi in H keeps every weight,
+    wt(chi . m) = wt(m), because it maps the normalised generator columns
+    onto themselves.  chi acts on (h, l) coordinatewise, and the low table
+    is all of F_q^b, which chi maps onto itself, so the least weight over
+    (h, l) for all l is the same for h and chi . h, and for h and c h.  The
+    minimum over one h per orbit (_orbit_representatives), each against the
+    full table, is then the minimum over every message.
     """
     check_scan_budget(code.params, budget)
     q, k, nn = code.params.q, code.params.K, code.params.N
@@ -274,10 +403,11 @@ def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
     # are built.
     feats = np.empty((min(step, count), nn, q - 1), dtype=np.float32)
     agree = np.empty((min(step, count), len(table)), dtype=np.float32)
-    for lo in range(0, count, step):
-        rows = min(count, lo + step) - lo
+    reps = _orbit_representatives(code.ctx, _diagonal_characters(code)[:, :a])
+    for high in _filled(reps, step):
+        rows = len(high)
         msgs = np.zeros((rows, k), dtype=np.int64)
-        msgs[:, :a] = projective_block(q, a, lo, lo + rows)
+        msgs[:, :a] = high
         vals = np.concatenate(list(_codeword_chunks(code, msgs)))
         np.take(high_rows, vals, axis=0, out=feats[:rows], mode="clip")
         np.matmul(feats[:rows].reshape(rows, -1), table.T, out=agree[:rows])
@@ -305,6 +435,12 @@ def random_alternating_forms(ctx: FieldCtx, dim: int, rng: np.random.Generator, 
     return alternating_forms(ctx, _alternating_stack(ctx, dim, msgs.reshape(count, k)))
 
 
+def _check_seed(seed: int) -> None:
+    """Raise InadmissibleParams for a negative seed, which numpy rejects."""
+    if seed < 0:
+        raise InadmissibleParams(f"seed must be >= 0, got {seed}")
+
+
 def min_distance_certified(
     code: PolarCode,
     samples: int = 1000,
@@ -316,6 +452,7 @@ def min_distance_certified(
     the sampled minimum.  Raises CounterexampleFound if any sample goes
     below the claimed minimum distance.
     """
+    _check_seed(seed)
     params = code.params
     record = {
         "claimed": params.d_claimed,

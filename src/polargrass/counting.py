@@ -21,6 +21,7 @@ import numpy as np
 from .code import (
     DEFAULT_BUDGET,
     PolarCode,
+    _check_seed,
     build_code,
     check_scan_budget,
     code_parameters,
@@ -470,6 +471,7 @@ class FormTable:
     """
 
     def __init__(self, n: int, q: int, samples: int = 0, seed: int = 0):
+        _check_seed(seed)
         self.n, self.q, self.samples, self.seed = n, q, samples, seed
         self._rows: dict = {}
 

@@ -25,7 +25,6 @@ from .field import FieldCtx
 from .matrix import (
     MatrixFq,
     Subspace,
-    bilinear_value,
     det,
     determinants,
     inverse,
@@ -154,13 +153,10 @@ class QuadraticSpace:
         self.gram = gram
         self.profile = profile
         self.det = d
-        # (-1)^n det(M): a point v is external iff this times eta(v) is a square
+        # (-1)^n det(M): a point v is external iff this times v M v^T is a square
         self.disc_sign = ctx.neg(d) if n % 2 else d
         self._gram_inv_np = inverse(gram)._a
         self._cache: dict = {}
-
-    def eta(self, v) -> int:
-        return bilinear_value(self.gram, v, v)
 
     def gram_np(self) -> np.ndarray:
         return self.gram._a

@@ -125,9 +125,6 @@ class MatrixFq:
     def transpose(self) -> "MatrixFq":
         return MatrixFq._of(self.ctx, self._a.T)
 
-    def scale(self, s: int) -> "MatrixFq":
-        return MatrixFq._of(self.ctx, self.ctx.np_mul(s, self._a))
-
     def mul(self, other: "MatrixFq") -> "MatrixFq":
         if other.nrows != self.ncols:
             raise DimensionMismatch(
@@ -141,16 +138,6 @@ class MatrixFq:
     def is_alternating(self) -> bool:
         # a^T = -a; in odd characteristic this forces a zero diagonal
         return np.array_equal(self._a.T, self.ctx.np_neg(self._a))
-
-
-def bilinear_value(m: MatrixFq, u: Sequence[int], v: Sequence[int]) -> int:
-    """u^T m v as a field element."""
-    if (len(u), len(v)) != m._a.shape:
-        raise DimensionMismatch("vector length mismatch")
-    c = m.ctx
-    u = np.asarray(u, dtype=np.int64)[None]
-    v = np.asarray(v, dtype=np.int64)[None]
-    return int(c.np_rowsum(c.np_mul(c.np_matmul(u, m._a), v))[0])
 
 
 def _eliminate(ctx: FieldCtx, arr) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:

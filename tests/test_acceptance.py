@@ -74,6 +74,17 @@ def test_criterion_1_exact_minimum_distance_q7_cli(capsys):
     report(capsys, 1, ok, f"exhaustive d_min {rep['observed']} (q=7, CLI verify, {elapsed:.1f}s)")
 
 
+def test_criterion_1_exact_minimum_distance_q9_cli(capsys):
+    # 597,871 high parts of width 7 over F_9, about 1.6% of them scanned
+    t0 = time.perf_counter()
+    rc = main(["verify", "--q", "9", "--n", "2", "--check", "min-distance-exact",
+               "--budget", "1000000000"])
+    elapsed = time.perf_counter() - t0
+    rep = json.loads(capsys.readouterr().out)[0]
+    ok = rc == 0 and rep["status"] == "ok" and rep["observed"] == 648 == 9**3 - 9**2
+    report(capsys, 1, ok, f"exhaustive d_min {rep['observed']} (q=9, CLI verify, {elapsed:.1f}s)")
+
+
 def test_criterion_2_canonical_weight_med(capsys):
     t0 = time.perf_counter()
     code = the_code(3, 3)

@@ -398,6 +398,106 @@ def test_min_distance_exact_single_minimum(monkeypatch, q, small_blocks, where):
     assert min_distance_exact(code) == 1
 
 
+# ---------------------------------------------------------
+# Quotient of the scan by the diagonal characters
+# ---------------------------------------------------------
+def identity_only(monkeypatch):
+    """Make the scan's group trivial, so it weighs every projective high
+    part: the unreduced scan."""
+    monkeypatch.setattr(
+        code_module, "_diagonal_characters", lambda code: np.ones((1, code.params.K), dtype=np.int64)
+    )
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_quotiented_scan_matches_unreduced(monkeypatch, q):
+    code = the_code(q, 2)
+    quotiented = min_distance_exact(code, budget=10**9)
+    identity_only(monkeypatch)
+    assert min_distance_exact(code, budget=10**9) == quotiented == code.params.d_claimed
+
+
+@pytest.mark.parametrize(
+    "q,count",
+    [(3, 4), (5, 16), (7, 36), (9, 64), (11, 100)],
+)
+def test_diagonal_characters_of_standard_codes(q, count):
+    # (q-1)^2 tori times the sign on the anisotropic coordinate, modulo -I;
+    # each is certified on the code's own columns
+    chars = code_module._diagonal_characters(the_code(q, 2))
+    assert chars.shape == (count, 10)
+    assert len({tuple(c) for c in chars}) == count
+    assert (chars == 1).all(axis=1).any()
+    assert (chars != 0).all()
+
+
+def orbit_keys(ctx, chars, points):
+    """(|H|, R) base-q keys of every image chi . h, normalised to lead 1, of
+    the rows h of points under the rows chi of chars."""
+    powers = ctx.q ** np.arange(points.shape[1] - 1, -1, -1, dtype=np.int64)
+    return np.array([ctx.np_normalize_rows(ctx.np_mul(chi, points)) @ powers for chi in chars])
+
+
+# a = 4, 6 and 7 are the scan's high widths at (2,3), (2,5) and (2,9)
+@pytest.mark.parametrize("q,a", [(3, 1), (3, 2), (3, 4), (3, 7), (3, 10), (5, 6), (9, 7)])
+def test_orbit_representatives_cover_once(q, a):
+    # the orbits of the kept points under H x F_q^* are pairwise disjoint
+    # and together are every point of PG(a-1, q)
+    code = the_code(q, 2)
+    chars = code_module._diagonal_characters(code)[:, :a]
+    reps = np.vstack(list(code_module._orbit_representatives(code.ctx, chars)))
+    keys = np.sort(orbit_keys(code.ctx, chars, reps), axis=0)
+    orbits = keys[np.vstack([np.ones((1, len(reps)), bool), keys[1:] != keys[:-1]])]
+    total = (q**a - 1) // (q - 1)
+    # every key is that of a point of PG(a-1, q), so total distinct keys
+    # are all of them
+    assert len(orbits) == len(np.unique(orbits)) == total
+    assert len(reps) < total or a == 1
+
+
+def test_orbit_representatives_counts():
+    # one high part per orbit: 279 of 3,906 at (2,5), 9,429 of 597,871 at (2,9)
+    for q, a, count in [(5, 6, 279), (9, 7, 9429)]:
+        code = the_code(q, 2)
+        chars = code_module._diagonal_characters(code)[:, :a]
+        assert sum(len(b) for b in code_module._orbit_representatives(code.ctx, chars)) == count
+
+
+def test_certification_drops_characters_of_a_perturbed_column(monkeypatch):
+    # column 0 of the (2,5) generator is the unit vector e_9, which every
+    # character fixes up to scale; as the all-ones column, chi . 1 is
+    # another column only for chi = 1
+    code = the_code(5, 2)
+    gmat = code.generator.copy()
+    gmat[:, 0] = 1
+    fake = generator_code(5, gmat)
+    assert np.array_equal(code_module._diagonal_characters(fake), np.ones((1, 10), dtype=np.int64))
+    quotiented = min_distance_exact(fake)
+    identity_only(monkeypatch)
+    assert min_distance_exact(fake) == quotiented
+
+
+def test_certification_keeps_a_subgroup(monkeypatch):
+    # one entry of column 0 changed: 4 of the 16 characters still map the
+    # columns onto themselves, and they are closed under products
+    code = the_code(5, 2)
+    gmat = code.generator.copy()
+    gmat[0, 0] = 1
+    fake = generator_code(5, gmat)
+    chars = code_module._diagonal_characters(fake)
+    assert len(chars) == 4
+    kept = {tuple(c) for c in chars}
+    assert {tuple(code.ctx.np_mul(x, y)) for x in chars for y in chars} == kept
+    quotiented = min_distance_exact(fake)
+    identity_only(monkeypatch)
+    assert min_distance_exact(fake) == quotiented
+
+
+def test_negative_seed_is_inadmissible():
+    with pytest.raises(InadmissibleParams, match="seed must be >= 0, got -1"):
+        min_distance_certified(the_code(3, 2), samples=0, seed=-1)
+
+
 def test_memory_estimate():
     # the points of PG(2n, q) (four int64 arrays of points x dim), then the
     # larger of the line enumerator's peak and the rank check's: per line

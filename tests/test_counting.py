@@ -410,6 +410,12 @@ def test_verify_min_distance():
         verify_min_distance_exact(3, 3)
 
 
+@pytest.mark.parametrize("names", [["census-all"], ["all"]])
+def test_run_checks_negative_seed_is_inadmissible(names):
+    with pytest.raises(InadmissibleParams, match="seed must be >= 0, got -1"):
+        run_checks(names, {"n": 2, "q": 3, "seed": -1, "samples": 0, "budget": 10})
+
+
 def test_verify_min_distance_checks_budget_before_build(monkeypatch):
     def no_build(qs):
         raise AssertionError("the code was built past the budget")

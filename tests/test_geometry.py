@@ -26,6 +26,7 @@ from polargrass.geometry import (
     singular_line_count,
     tau_values,
 )
+from test_matrix import bilinear_value
 
 F3 = field_ctx(3)
 F5 = field_ctx(5)
@@ -70,7 +71,7 @@ def test_quadric_points_are_canonical_and_sorted():
     pts = quadric_points(qs)
     for p in pts:
         v = p.tolist()
-        assert qs.eta(v) == 0
+        assert bilinear_value(qs.gram, v, v) == 0
         assert v[next(i for i, x in enumerate(v) if x)] == 1
     keys = [tuple(p) for p in pts]
     assert keys == sorted(keys)

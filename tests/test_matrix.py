@@ -11,7 +11,6 @@ from polargrass.matrix import (
     MatrixFq,
     Subspace,
     _eliminate,
-    bilinear_value,
     det,
     determinants,
     eigen_nullities,
@@ -286,6 +285,16 @@ def reference_kernel(ctx, m):
             v[pc] = ctx.neg(red[i][j])
         vecs.append(v)
     return Subspace(ctx, m.ncols, vecs)
+
+
+def bilinear_value(m, u, v):
+    """u^T m v as a field element, through the field's array products."""
+    if (len(u), len(v)) != m._a.shape:
+        raise DimensionMismatch("vector length mismatch")
+    c = m.ctx
+    u = np.asarray(u, dtype=np.int64)[None]
+    v = np.asarray(v, dtype=np.int64)[None]
+    return int(c.np_rowsum(c.np_mul(c.np_matmul(u, m._a), v))[0])
 
 
 def reference_bilinear(ctx, m, u, v):
