@@ -21,6 +21,7 @@ from .code import (
     standard_code,
 )
 from .counting import (
+    FormTable,
     case1_equation_counts,
     case4_line_count_bound,
     case_line_count,

@@ -4,8 +4,7 @@ Exit codes: 0 success, 1 verification mismatch or counterexample, 2 bad or
 inadmissible input (a malformed or negative POLAR_BUDGET, a negative
 --samples, --seed or --budget, an (n, q) whose points, lines or code cannot
 fit in memory) or out of memory, 3 I/O failure.  Identical configurations
-(including the seed) produce byte-identical output; --workers is a tuning
-flag that never changes output bytes.
+(including the seed) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -24,14 +23,7 @@ from .code import (
     min_distance_certified,
 )
 from .counting import CHECKS, run_checks
-from .errors import (
-    CounterexampleFound,
-    EvenCharacteristic,
-    InadmissibleParams,
-    IoError,
-    NotPrime,
-    PolargrassError,
-)
+from .errors import CounterexampleFound, InadmissibleParams, IoError, PolargrassError
 from .field import FieldCtx
 from .forms import AlternatingForm, standard_space
 from .geometry import empirical_census, isotropic_line_count
@@ -71,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=100, help="random forms per sampled check (default 100)")
     v.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     v.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="exhaustive-scan budget; POLAR_BUDGET overrides")
-    v.add_argument("--workers", type=int, default=1, help="tuning only; never affects output")
     v.add_argument("-o", "--output", metavar="PATH", help="write the JSON report here instead of stdout")
 
     w = sub.add_parser("weight", help="weight of the codeword of a form file")
@@ -83,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_field_args(s)
     s.add_argument("--samples", type=int, default=1000, help="number of random messages (default 1000)")
     s.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    s.add_argument("--workers", type=int, default=1, help="tuning only; never affects output")
     s.add_argument("-o", "--output", metavar="PATH", help="witness file on counterexample (default witness.txt)")
     return parser
 
@@ -92,11 +82,6 @@ def _field(args) -> FieldCtx:
     if args.e < 1:
         raise InadmissibleParams(f"extension degree must be >= 1, got {args.e}")
     return FieldCtx(args.q**args.e)
-
-
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise InadmissibleParams(f"workers must be >= 1, got {workers}")
 
 
 def _check_nonnegative(name: str, value: int) -> None:
@@ -157,7 +142,6 @@ def _filter_entries(report: dict, args) -> dict:
 
 def cmd_verify(args) -> int:
     _field(args)
-    _check_workers(args.workers)
     _check_nonnegative("samples", args.samples)
     _check_nonnegative("seed", args.seed)
     budget = _budget(args)
@@ -209,7 +193,6 @@ def cmd_weight(args) -> int:
 
 def cmd_search(args) -> int:
     ctx = _field(args)
-    _check_workers(args.workers)
     _check_nonnegative("samples", args.samples)
     _check_nonnegative("seed", args.seed)
     code = build_code(standard_space(ctx, args.n))
@@ -242,9 +225,6 @@ def main(argv=None) -> int:
     except IoError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 3
-    except (EvenCharacteristic, NotPrime, InadmissibleParams) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
     except PolargrassError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

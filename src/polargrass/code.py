@@ -175,7 +175,14 @@ def form_from_message(ctx: FieldCtx, dim: int, message) -> AlternatingForm:
 
 def _codeword_chunks(code: PolarCode, batch: np.ndarray):
     """Codeword values over F_q of a batch of messages (rows), yielded in
-    row chunks of at most EVAL_CHUNK_BYTES of float64 each."""
+    row chunks of at most EVAL_CHUNK_BYTES of float64 each.
+
+    Over a prime field this is FieldCtx.np_matmul's float64 product, but
+    with G cast once per call and the values reduced in int32: through
+    np_matmul, which casts G for every chunk and reduces in int64, 1000
+    samples of `search` at (3,5) took 1.34-1.50 s against 0.64-0.69 s on
+    a 2-vCPU host.
+    """
     ctx = code.ctx
     rows = max(1, EVAL_CHUNK_BYTES // (8 * code.params.N))
     if ctx.e == 1:
@@ -461,7 +468,7 @@ def min_distance_certified(
         "min_sampled": None,
     }
     if code.qs.profile is not None:
-        canon = build_S(code.qs, s11="auto")
+        canon = build_S(code.qs)
         record["upper_bound"] = codeword_from_form(code, canon).weight
     rng = np.random.default_rng(seed)
     chunk = 4096

@@ -467,12 +467,12 @@ class FormTable:
     built on first use, so a check that reads no forms runs at any n.
     row(kernel, space, form) calls a stacked kernel once per space, on all
     entries of the space, and keeps the rows for the life of the table.
-    A verify_* function given no table builds its own.
+    budget bounds the messages min-distance-exact may scan.
     """
 
-    def __init__(self, n: int, q: int, samples: int = 0, seed: int = 0):
+    def __init__(self, n: int, q: int, samples: int = 0, seed: int = 0, budget: int = DEFAULT_BUDGET):
         _check_seed(seed)
-        self.n, self.q, self.samples, self.seed = n, q, samples, seed
+        self.n, self.q, self.samples, self.seed, self.budget = n, q, samples, seed, budget
         self._rows: dict = {}
 
     @cached_property
@@ -487,7 +487,7 @@ class FormTable:
     @cached_property
     def standard(self) -> tuple[QuadraticSpace, AlternatingForm]:
         """(space, form) of the canonical case-1 shape (2n-1, 1): the space
-        is standard_space(ctx, n) and the form build_S(space, s11="auto")."""
+        is standard_space(ctx, n) and the form build_S(space)."""
         top = 2 * self.n - 1  # case 1 with r = 2n-1 has d = 1
         return next((qs, af) for case, qs, af in self.canonical if case == 1 and qs.profile.r == top)
 
@@ -513,10 +513,10 @@ class FormTable:
         return geometry._census(self.row(geometry._residue_stack, qs, af))
 
 
-def verify_census_all(n: int, q: int, table: FormTable | None = None) -> dict:
+def verify_census_all(table: FormTable) -> dict:
     """Empirical censuses equal the closed forms on every buildable shape
     with a closed form (cases 1-3), including the radical/eigen split."""
-    table = table or FormTable(n, q)
+    n, q = table.n, table.q
     entries = []
     ok = True
     for case, qs, af in table.canonical:
@@ -553,13 +553,11 @@ def verify_census_all(n: int, q: int, table: FormTable | None = None) -> dict:
     )
 
 
-def verify_line_count_identity(
-    n: int, q: int, samples: int = 100, seed: int = 0, table: FormTable | None = None
-) -> dict:
+def verify_line_count_identity(table: FormTable) -> dict:
     """(q+1) f equals the weighted census sum and the reduced rewrite, and
     every singular point lies on as many isotropic lines (its tau value) as
     the residue constant of its class, for canonical and random forms."""
-    table = table or FormTable(n, q, samples, seed)
+    n, q = table.n, table.q
     checked = 0
     ok = True
     first_bad = None
@@ -583,19 +581,17 @@ def verify_line_count_identity(
         checked += 1
     return _report(
         "line-count-identity",
-        {"n": n, "q": q, "samples": samples, "seed": seed},
+        {"n": n, "q": q, "samples": table.samples, "seed": table.seed},
         "all identities agree",
         first_bad if first_bad else f"{checked} forms agree",
         ok,
     )
 
 
-def verify_line_types(
-    n: int, q: int, samples: int = 100, seed: int = 0, table: FormTable | None = None
-) -> dict:
+def verify_line_types(table: FormTable) -> dict:
     """Every singular line matches one of the five types, and the per-class
     flag identities (hence the imbalance identity) hold."""
-    table = table or FormTable(n, q, samples, seed)
+    n, q = table.n, table.q
     lpp = (q ** (2 * n - 2) - 1) // (q - 1)
     ok = True
     first_bad = None
@@ -625,17 +621,18 @@ def verify_line_types(
         checked += 1
     return _report(
         "line-type-census",
-        {"n": n, "q": q, "samples": samples, "seed": seed},
+        {"n": n, "q": q, "samples": table.samples, "seed": table.seed},
         "five types and flag identities",
         first_bad if first_bad else f"{checked} forms agree",
         ok,
     )
 
 
-def verify_orbit_counts(n: int, q: int, table: FormTable | None = None) -> dict:
+def verify_orbit_counts(table: FormTable) -> dict:
     """Empirical point orbits against the closed counts, in the ambient odd
     dimension and in the two even-dimensional section types."""
-    qs = (table or FormTable(n, q)).standard[0]
+    n, q = table.n, table.q
+    qs = table.standard[0]
     ctx = qs.ctx
     emp = orbit_counts(qs)
     closed = kappa_closed(n, q)
@@ -657,9 +654,10 @@ def verify_orbit_counts(n: int, q: int, table: FormTable | None = None) -> dict:
     )
 
 
-def verify_grid_maxima(n: int, q: int) -> dict:
+def verify_grid_maxima(table: FormTable) -> dict:
     """The case-1 maximum: location, closed value, complement identity, the
     objective reduction, and domination of the other cases."""
+    n, q = table.n, table.q
     best = None
     arg = None
     identities_ok = True
@@ -705,8 +703,9 @@ def verify_grid_maxima(n: int, q: int) -> dict:
     )
 
 
-def verify_case_maxima(n: int, q: int) -> dict:
+def verify_case_maxima(table: FormTable) -> dict:
     """Within-case maximum locations on the evaluation grids."""
+    n, q = table.n, table.q
     if n < 3:
         raise InadmissibleParams("case maxima are tabulated for n >= 3 only")
     expected = {
@@ -734,13 +733,11 @@ def verify_case_maxima(n: int, q: int) -> dict:
     )
 
 
-def verify_eigenvector_bound(
-    n: int, q: int, samples: int = 50, seed: int = 0, table: FormTable | None = None
-) -> dict:
+def verify_eigenvector_bound(table: FormTable) -> dict:
     """The eigenvector count of M^{-1} S never exceeds 2(q^m - 1), m the
     Witt index of M over H0 (radical_split), with equality attained by the
     canonical shape with full-rank induced block."""
-    table = table or FormTable(n, q, samples, seed)
+    n, q = table.n, table.q
     ok = True
     first_bad = None
     equality_seen = False
@@ -758,15 +755,16 @@ def verify_eigenvector_bound(
     ok &= equality_seen
     return _report(
         "eigenvector-bound",
-        {"n": n, "q": q, "samples": samples, "seed": seed},
+        {"n": n, "q": q, "samples": table.samples, "seed": table.seed},
         "count <= 2(q^m - 1), equality attained",
         first_bad if first_bad else f"{checked} forms within bound; equality seen: {equality_seen}",
         ok,
     )
 
 
-def verify_equation_counts(n: int, q: int) -> dict:
+def verify_equation_counts(table: FormTable) -> dict:
     """Closed count of the nonzero-target equation on every case-1 shape."""
+    n, q = table.n, table.q
     ctx = FieldCtx(q)
     entries = []
     ok = True
@@ -796,11 +794,9 @@ def verify_equation_counts(n: int, q: int) -> dict:
     )
 
 
-def verify_delta_bound(
-    n: int, q: int, samples: int = 100, seed: int = 0, table: FormTable | None = None
-) -> dict:
+def verify_delta_bound(table: FormTable) -> dict:
     """Imbalance bound on canonical and random forms."""
-    table = table or FormTable(n, q, samples, seed)
+    n, q = table.n, table.q
     ok = True
     first_bad = None
     checked = 0
@@ -817,7 +813,7 @@ def verify_delta_bound(
     ok &= strict_fails_case1 == 0
     return _report(
         "delta-bound",
-        {"n": n, "q": q, "samples": samples, "seed": seed},
+        {"n": n, "q": q, "samples": table.samples, "seed": table.seed},
         "imbalance within bound, strictly on case-1 shapes",
         first_bad if first_bad else f"{checked} forms within bound",
         ok,
@@ -825,13 +821,13 @@ def verify_delta_bound(
     )
 
 
-def verify_min_distance_exact(
-    n: int, q: int, budget: int = DEFAULT_BUDGET, table: FormTable | None = None
-) -> dict:
-    """Exhaustive minimum distance against the closed value."""
-    check_scan_budget(code_parameters(n, q), budget)
-    code = (table or FormTable(n, q)).code
-    d = min_distance_exact(code, budget=budget)
+def verify_min_distance_exact(table: FormTable) -> dict:
+    """Exhaustive minimum distance against the closed value, the budget
+    checked before the code is built."""
+    n, q = table.n, table.q
+    check_scan_budget(code_parameters(n, q), table.budget)
+    code = table.code
+    d = min_distance_exact(code, budget=table.budget)
     ok = d == code.params.d_claimed
     return _report(
         "min-distance-exact",
@@ -842,10 +838,10 @@ def verify_min_distance_exact(
     )
 
 
-def verify_canonical_weight(n: int, q: int, table: FormTable | None = None) -> dict:
+def verify_canonical_weight(table: FormTable) -> dict:
     """The canonical low-weight form hits the claimed minimum distance and
     its census is the predicted one."""
-    table = table or FormTable(n, q)
+    n, q = table.n, table.q
     qs, af = table.standard
     code = table.code
     w = codeword_from_form(code, af).weight
@@ -864,33 +860,23 @@ def verify_canonical_weight(n: int, q: int, table: FormTable | None = None) -> d
 
 
 CHECKS = {
-    "census-all": lambda args, table=None: verify_census_all(args["n"], args["q"], table),
-    "line-count-identity": lambda args, table=None: verify_line_count_identity(
-        args["n"], args["q"], args["samples"], args["seed"], table
-    ),
-    "line-type-census": lambda args, table=None: verify_line_types(
-        args["n"], args["q"], args["samples"], args["seed"], table
-    ),
-    "orbit-counts": lambda args, table=None: verify_orbit_counts(args["n"], args["q"], table),
-    "grid-maxima": lambda args, table=None: verify_grid_maxima(args["n"], args["q"]),
-    "case-maxima": lambda args, table=None: verify_case_maxima(args["n"], args["q"]),
-    "eigenvector-bound": lambda args, table=None: verify_eigenvector_bound(
-        args["n"], args["q"], args["samples"], args["seed"], table
-    ),
-    "equation-counts": lambda args, table=None: verify_equation_counts(args["n"], args["q"]),
-    "delta-bound": lambda args, table=None: verify_delta_bound(
-        args["n"], args["q"], args["samples"], args["seed"], table
-    ),
-    "min-distance-exact": lambda args, table=None: verify_min_distance_exact(
-        args["n"], args["q"], args.get("budget", DEFAULT_BUDGET), table
-    ),
-    "canonical-weight": lambda args, table=None: verify_canonical_weight(args["n"], args["q"], table),
+    "census-all": verify_census_all,
+    "line-count-identity": verify_line_count_identity,
+    "line-type-census": verify_line_types,
+    "orbit-counts": verify_orbit_counts,
+    "grid-maxima": verify_grid_maxima,
+    "case-maxima": verify_case_maxima,
+    "eigenvector-bound": verify_eigenvector_bound,
+    "equation-counts": verify_equation_counts,
+    "delta-bound": verify_delta_bound,
+    "min-distance-exact": verify_min_distance_exact,
+    "canonical-weight": verify_canonical_weight,
 }
 
 
 def run_checks(names, args: dict) -> list[dict]:
-    """Run the named checks (or all) with shared arguments and one
-    FormTable, built from args' n, q, samples and seed (0 when absent; no
+    """Run the named checks (or all) on one FormTable, built from args'
+    n, q, samples, seed and budget (FormTable's defaults when absent; no
     samples when no check reads them).
 
     Under 'all', checks that do not apply at the given scale (wrong n, or an
@@ -901,7 +887,9 @@ def run_checks(names, args: dict) -> list[dict]:
     if expanded:
         names = list(CHECKS)
     sampled = {"line-count-identity", "line-type-census", "eigenvector-bound", "delta-bound"} & set(names)
-    table = FormTable(args["n"], args["q"], args.get("samples", 0) if sampled else 0, args.get("seed", 0))
+    if not sampled:
+        args = {k: v for k, v in args.items() if k != "samples"}
+    table = FormTable(**args)
     out = []
     for name in names:
         if name not in CHECKS:
@@ -909,14 +897,14 @@ def run_checks(names, args: dict) -> list[dict]:
                 f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}"
             )
         try:
-            out.append(CHECKS[name](args, table))
+            out.append(CHECKS[name](table))
         except (InadmissibleParams, BudgetExceeded) as ex:
             if not expanded:
                 raise
             out.append(
                 {
                     "check": name,
-                    "params": {"n": args["n"], "q": args["q"]},
+                    "params": {"n": table.n, "q": table.q},
                     "expected": "not applicable at this scale",
                     "observed": str(ex),
                     "status": "skipped",

@@ -233,11 +233,20 @@ class FieldCtx:
         return self._square_mask[a]
 
     def np_matmul(self, a, b):
-        """Exact product of two int64 matrices over F_q."""
+        """Exact product of two int64 matrices over F_q.
+
+        Over a prime field one float64 BLAS product of C-ordered copies:
+        each sum has fewer than 2^31 terms below p^2 < 2^22, so it stays
+        exact below 2^53.  OpenBLAS runs a product of C-ordered operands
+        with at most 10^6 multiply-adds on the calling thread (see
+        geometry._blocks).  Over an extension field a table product.
+        """
+        if self.e == 1:
+            out = (np.asarray(a, np.float64, order="C") @ np.asarray(b, np.float64, order="C")).astype(np.int64)
+            out %= self.p
+            return out
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.e == 1:
-            return (a @ b) % self.p
         acc = np.zeros(np.broadcast_shapes(a[..., :1].shape, b[..., :1, :].shape)[:-1] + (b.shape[-1],), dtype=np.int64)
         for k in range(a.shape[-1]):
             acc = self._add_table[acc, self._mul_table[a[..., k, None], b[..., k, None, :]]]

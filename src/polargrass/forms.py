@@ -210,9 +210,7 @@ def standard_space(ctx: FieldCtx, n: int) -> QuadraticSpace:
 class AlternatingForm:
     """Alternating bilinear form with its radical precomputed."""
 
-    def __init__(
-        self, ctx: FieldCtx, s: MatrixFq, case_params: dict | None = None, *, radical: Subspace | None = None
-    ):
+    def __init__(self, ctx: FieldCtx, s: MatrixFq, *, radical: Subspace | None = None):
         """radical, if given, must be kernel(s) (see alternating_forms)."""
         if not s.is_alternating():
             raise InadmissibleParams("matrix is not alternating")
@@ -221,7 +219,6 @@ class AlternatingForm:
         self.dim = s.nrows
         self.radical: Subspace = kernel(s) if radical is None else radical
         self.r = self.radical.dim
-        self.case_params = case_params
 
     def s_np(self) -> np.ndarray:
         return self.s._a
@@ -240,102 +237,52 @@ def alternating_forms(ctx: FieldCtx, arr) -> list[AlternatingForm]:
     ]
 
 
-def _auto_s11(ctx: FieldCtx, d: int, start_row: int) -> MatrixFq:
-    """Pair rows (start_row, start_row+1), ... with J blocks; rest zero."""
-    m = np.zeros((d, d), dtype=np.int64)
-    i = np.arange(start_row, d - 1, 2)
-    m[i, i + 1] = 1
-    m[i + 1, i] = ctx.neg(1)
-    return MatrixFq._of(ctx, m)
+def build_S(qs: QuadraticSpace) -> AlternatingForm:
+    """The canonical alternating form of the space's block profile.
 
-
-def build_S(
-    qs: QuadraticSpace,
-    *,
-    s11: MatrixFq | str | None = None,
-    alpha: int | None = None,
-    u_block: bool | None = None,
-) -> AlternatingForm:
-    """Basis-adapted alternating form matching the space's block profile.
-
-    s11: top-left d x d alternating block; None means zero, "auto" means a
-    canonical pairing of the rows not already covered by the U block.
-    alpha (case 4 only): the anisotropic-tail coefficient; zero forces the
-    U block.  u_block (case 4 only): place an identity 2x2 minor of U on the
-    last two H0 coordinates; required when alpha is zero, never inferred.
+    Its S11 block on H pairs rows (i, i+1) with J blocks, from row 1 in
+    cases 1 and 2, where row 0 carries the U block, and from row 0 else.
     """
     prof = qs.profile
     if prof is None:
         raise InadmissibleParams("build_S needs a block-adapted space from build_M")
     ctx = qs.ctx
     case, r, d, nu = prof.case, prof.r, prof.d, prof.nu
-    if case != 4:
-        if alpha is not None:
-            raise InadmissibleParams("alpha applies to case 4 only")
-        if u_block:
-            raise InadmissibleParams("u_block applies to case 4 only")
-        u_block = False
-    else:
-        alpha = 1 if alpha is None else ctx.validate_element(alpha)
-        u_block = bool(u_block)
-        if alpha == 0 and not u_block:
-            raise InadmissibleParams("case 4 with alpha = 0 requires u_block")
-        if u_block and d < 2:
-            raise InadmissibleParams("u_block needs d >= 2")
-
     dim = prof.dim
     s = np.zeros((dim, dim), dtype=np.int64)
 
-    def put(i: int, j: int, v: int) -> None:
-        s[i, j] = v
-        s[j, i] = ctx.neg(v)
+    def put(i: int, j: int) -> None:
+        s[i, j] = 1
+        s[j, i] = ctx.neg(1)
 
     # S22 on H0
     off = d
     for i in range(nu):
-        put(off + i, off + nu + i, 1)
+        put(off + i, off + nu + i)
     if case == 4:
-        put(off + 2 * nu, off + 2 * nu + 1, alpha)
+        put(off + 2 * nu, off + 2 * nu + 1)
 
     # U on H x H0
     if case in (1, 2):
-        put(0, d + prof.h0_dim - 1, 1)
-    elif case == 4 and u_block:
-        put(0, off + 2 * nu, 1)
-        put(1, off + 2 * nu + 1, 1)
+        put(0, d + prof.h0_dim - 1)
 
     # S11 on H
-    if isinstance(s11, str):
-        if s11 != "auto":
-            raise InadmissibleParams(f"unknown s11 mode {s11!r}")
-        start = 1 if case in (1, 2) else (2 if (case == 4 and u_block) else 0)
-        s11 = _auto_s11(ctx, d, start)
-    if s11 is not None:
-        if not isinstance(s11, MatrixFq) or s11.nrows != d or s11.ncols != d:
-            raise InadmissibleParams(f"s11 must be a {d}x{d} matrix")
-        if not s11.is_alternating():
-            raise InadmissibleParams("s11 must be alternating")
-        s[:d, :d] = ctx.np_add(s[:d, :d], s11._a)
+    for i in range(1 if case in (1, 2) else 0, d - 1, 2):
+        put(i, i + 1)
 
-    af = AlternatingForm(
-        qs.ctx,
-        MatrixFq._of(ctx, s),
-        case_params={"case": case, "r": r, "d": d, "alpha": alpha if case == 4 else None, "u_block": u_block},
-    )
+    af = AlternatingForm(ctx, MatrixFq._of(ctx, s))
     if af.r != r:
-        raise RadicalMismatch(f"radical dim {af.r}, wanted {r}; pass s11='auto' or a pairing s11")
-    rr, dd = form_profile(qs, af)
+        raise RadicalMismatch(f"radical dim {af.r}, wanted {r}")
+    _, dd = form_profile(qs, af)
     if dd != d:
         raise RadicalMismatch(f"defect {dd}, wanted {d}")
     return af
 
 
-def canonical_form(
-    ctx: FieldCtx, n: int, r: int, d: int, case: int, *, alpha: int | None = None, u_block: bool | None = None
-) -> tuple[QuadraticSpace, AlternatingForm]:
+def canonical_form(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> tuple[QuadraticSpace, AlternatingForm]:
     """Block-adapted space plus its canonical alternating form."""
     qs = build_M(ctx, n, r, d, case)
-    return qs, build_S(qs, s11="auto", alpha=alpha, u_block=u_block)
+    return qs, build_S(qs)
 
 
 def form_profile(qs: QuadraticSpace, af: AlternatingForm) -> tuple[int, int]:

@@ -55,23 +55,8 @@ def _blocks(rows: int, per_row: int, madds: int = 1) -> list[slice]:
     A product above BLAS_MADDS wakes OpenBLAS's other threads, and on a
     busy 2-vCPU host that wait took a scheduler tick (8 ms) per product.
     """
-    step = max(1, min((PAIR_BLOCK_ENTRIES >> 4) // max(1, per_row), BLAS_MADDS // madds))
+    step = max(1, min((PAIR_BLOCK_ENTRIES >> 4) // max(1, per_row), BLAS_MADDS // max(1, madds)))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
-def _product(ctx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over F_q for field elements a and b.
-
-    Over a prime field one float64 BLAS product of C-ordered copies: each
-    sum has fewer than 2^31 terms below p^2 < 2^22, so it stays exact below
-    2^53.  (OpenBLAS runs a product of C-ordered operands with at most
-    BLAS_MADDS multiply-adds on the calling thread; see _blocks.)  Over an
-    extension field the table product FieldCtx.np_matmul.
-    """
-    if ctx.e > 1:
-        return ctx.np_matmul(a, b)
-    out = a.astype(np.float64, order="C") @ b.astype(np.float64, order="C")
-    return out.astype(np.int64) % ctx.p
 
 
 def _stack(qs: QuadraticSpace, afs) -> np.ndarray:
@@ -282,7 +267,7 @@ def _residue_stack(qs: QuadraticSpace, afs) -> np.ndarray:
     # the product, its int copy, sp * x and the masks
     for blk in _blocks(len(pts), 6 * nb * dim, 2 * nb * dim * dim):
         p = pts[blk]
-        prod = _product(ctx, p, w).reshape(len(p), 2, nb, dim)
+        prod = ctx.np_matmul(p, w).reshape(len(p), 2, nb, dim)
         sp, x = prod[:, 0], prod[:, 1]
         a_mask = ~sp.any(axis=2)
         coef = x[np.arange(len(p)), :, lead[blk]]  # x at the point's leading 1
@@ -335,7 +320,7 @@ def _isotropic_stack(qs: QuadraticSpace, afs) -> np.ndarray:
     for blk in _blocks(len(gens), 3 * dim * dim + 2 * nb, dim * dim * nb):
         u, v = pts[gens[blk, 0]], pts[gens[blk, 1]]
         pairs = ctx.np_mul(u[:, :, None], v[:, None, :]).reshape(len(u), dim * dim)
-        out[:, blk] = (_product(ctx, pairs, vec) == 0).T
+        out[:, blk] = (ctx.np_matmul(pairs, vec) == 0).T
     return np.packbits(out, axis=1)
 
 

@@ -181,17 +181,17 @@ def test_form_from_message_length_check():
 # ---------------------------------------------------------
 def test_canonical_weight_small():
     code = the_code(3, 2)
-    cw = codeword_from_form(code, build_S(code.qs, s11="auto"))
+    cw = codeword_from_form(code, build_S(code.qs))
     assert cw.weight == 18
     assert len(cw.values) == 40
     zeros = int((cw.values == 0).sum())
     assert zeros == 22
-    assert zeros == isotropic_line_count(code.qs, build_S(code.qs, s11="auto"))
+    assert zeros == isotropic_line_count(code.qs, build_S(code.qs))
 
 
 def test_canonical_weight_med():
     code = the_code(3, 3)
-    af = build_S(code.qs, s11="auto")
+    af = build_S(code.qs)
     cw = codeword_from_form(code, af)
     assert cw.weight == 1944
     assert int((cw.values == 0).sum()) == 1696
@@ -688,7 +688,7 @@ def test_restriction_from_full_line_set():
         spans.setdefault(members, (u, v))
     assert len(spans) == 1210
 
-    af = build_S(qs, s11="auto")
+    af = build_S(qs)
     s = af.s_np()
     gram = qs.gram.to_numpy()
     on_quadric = []
@@ -770,7 +770,7 @@ def test_pair_counts_n4():
     np.fill_diagonal(perp, False)
     assert int(perp.sum()) // 2 == 6 * params.N == 1790880
 
-    af = build_S(qs, s11="auto")
+    af = build_S(qs)
     vals = (fp @ af.s_np().astype(np.float64) @ fp.T) % 3
     iso = perp & (vals == 0)
     f = int(iso.sum()) // 2 // 6

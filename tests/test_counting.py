@@ -7,6 +7,7 @@ import pytest
 from polargrass import code, counting, forms, geometry, matrix
 from polargrass.counting import (
     CHECKS,
+    FormTable,
     case1_equation_counts,
     case1_identity_sides,
     case4_line_count_bound,
@@ -227,12 +228,12 @@ def test_case4_bound_covers_built_forms():
 # ---------------------------------------------------------
 def test_case_maxima_small_n_refused():
     with pytest.raises(InadmissibleParams):
-        verify_case_maxima(2, 3)
+        verify_case_maxima(FormTable(2, 3))
 
 
 @pytest.mark.parametrize("n,q", [(3, 3), (3, 5), (4, 3)])
 def test_case_maxima(n, q):
-    rep = verify_case_maxima(n, q)
+    rep = verify_case_maxima(FormTable(n, q))
     assert rep["status"] == "ok"
     assert rep["observed"]["1"] == [2 * n - 1, 1]
     if n == 3:
@@ -342,7 +343,7 @@ def test_delta_bound_equality_edge():
 # ---------------------------------------------------------
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (2, 5)])
 def test_verify_census_all(n, q):
-    rep = verify_census_all(n, q)
+    rep = verify_census_all(FormTable(n, q))
     assert rep["status"] == "ok"
     assert all(e["status"] == "ok" for e in rep["entries"])
     cases = {e["case"] for e in rep["entries"]}
@@ -350,13 +351,13 @@ def test_verify_census_all(n, q):
 
 
 def test_verify_identities_and_types():
-    rep = verify_line_count_identity(2, 3, samples=25, seed=1)
+    rep = verify_line_count_identity(FormTable(2, 3, samples=25, seed=1))
     assert rep["status"] == "ok"
-    rep = verify_line_types(2, 3, samples=25, seed=1)
+    rep = verify_line_types(FormTable(2, 3, samples=25, seed=1))
     assert rep["status"] == "ok"
-    rep = verify_line_count_identity(3, 3, samples=10, seed=1)
+    rep = verify_line_count_identity(FormTable(3, 3, samples=10, seed=1))
     assert rep["status"] == "ok"
-    rep = verify_line_types(3, 3, samples=10, seed=1)
+    rep = verify_line_types(FormTable(3, 3, samples=10, seed=1))
     assert rep["status"] == "ok"
 
 
@@ -369,7 +370,7 @@ def test_line_count_identity_compares_tau_pointwise(monkeypatch):
         return (members(self) + 1) % len(geometry.quadric_points(self.qs))
 
     monkeypatch.setattr(geometry.LineSet, "members", shifted)
-    rep = verify_line_count_identity(2, 3, samples=5, seed=0)
+    rep = verify_line_count_identity(FormTable(2, 3, samples=5, seed=0))
     assert rep["status"] == "mismatch"
     assert rep["observed"]["tau_sum"] == rep["observed"]["lhs"] == rep["observed"]["rhs"]
     assert rep["observed"]["tau_mismatches"] > 0
@@ -377,37 +378,37 @@ def test_line_count_identity_compares_tau_pointwise(monkeypatch):
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (2, 5)])
 def test_verify_orbit_counts(n, q):
-    assert verify_orbit_counts(n, q)["status"] == "ok"
+    assert verify_orbit_counts(FormTable(n, q))["status"] == "ok"
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (2, 5), (3, 5), (4, 3), (4, 5)])
 def test_verify_grid_maxima(n, q):
-    rep = verify_grid_maxima(n, q)
+    rep = verify_grid_maxima(FormTable(n, q))
     assert rep["status"] == "ok"
     assert rep["observed"]["argmax"] == (2 * n - 1, 1)
 
 
 def test_verify_eigenvector_bound():
-    rep = verify_eigenvector_bound(3, 3, samples=10, seed=0)
+    rep = verify_eigenvector_bound(FormTable(3, 3, samples=10, seed=0))
     assert rep["status"] == "ok"
     assert "equality seen: True" in rep["observed"]
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 3)])
 def test_verify_equation_counts(n, q):
-    assert verify_equation_counts(n, q)["status"] == "ok"
+    assert verify_equation_counts(FormTable(n, q))["status"] == "ok"
 
 
 def test_verify_delta_bound():
-    assert verify_delta_bound(2, 3, samples=20, seed=0)["status"] == "ok"
-    assert verify_delta_bound(3, 3, samples=10, seed=0)["status"] == "ok"
+    assert verify_delta_bound(FormTable(2, 3, samples=20, seed=0))["status"] == "ok"
+    assert verify_delta_bound(FormTable(3, 3, samples=10, seed=0))["status"] == "ok"
 
 
 def test_verify_min_distance():
-    rep = verify_min_distance_exact(2, 3)
+    rep = verify_min_distance_exact(FormTable(2, 3))
     assert rep["status"] == "ok" and rep["observed"] == 18
     with pytest.raises(BudgetExceeded):
-        verify_min_distance_exact(3, 3)
+        verify_min_distance_exact(FormTable(3, 3))
 
 
 @pytest.mark.parametrize("names", [["census-all"], ["all"]])
@@ -422,12 +423,12 @@ def test_verify_min_distance_checks_budget_before_build(monkeypatch):
 
     monkeypatch.setattr(counting, "build_code", no_build)
     with pytest.raises(BudgetExceeded, match="projective messages exceed the budget 10000000"):
-        verify_min_distance_exact(3, 3)
+        verify_min_distance_exact(FormTable(3, 3))
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 3)])
 def test_verify_canonical_weight(n, q):
-    rep = verify_canonical_weight(n, q)
+    rep = verify_canonical_weight(FormTable(n, q))
     assert rep["status"] == "ok"
     assert rep["observed"]["weight"] == (q ** (4 * n - 5) - q ** (3 * n - 4))
 
@@ -485,7 +486,7 @@ def test_run_checks_back_to_back_seeds():
     # Different sample counts make a stale list visible in the form counts.
     for seed, samples in ((0, 5), (1, 8)):
         args = {"n": 2, "q": 3, "samples": samples, "seed": seed}
-        fresh = [CHECKS[name](args) for name in SAMPLED_CHECKS]
+        fresh = [CHECKS[name](FormTable(2, 3, samples, seed)) for name in SAMPLED_CHECKS]
         assert run_checks(SAMPLED_CHECKS, args) == fresh
 
 
@@ -507,9 +508,9 @@ def test_run_checks_samples_only_for_sampled_checks(monkeypatch):
 def test_run_checks_builds_each_shape_once(monkeypatch):
     calls = []
 
-    def spy(ctx, n, r, d, case, **kw):
+    def spy(ctx, n, r, d, case):
         calls.append((case, r, d))
-        return canonical_form(ctx, n, r, d, case, **kw)
+        return canonical_form(ctx, n, r, d, case)
 
     monkeypatch.setattr(counting, "canonical_form", spy)
     run_checks(["all"], {"n": 2, "q": 3, "samples": 5, "seed": 0, "budget": 10**5})
@@ -520,8 +521,8 @@ def test_run_checks_builds_each_shape_once(monkeypatch):
 def test_run_checks_keeps_no_forms_alive(monkeypatch):
     spaces = []
 
-    def spy(ctx, n, r, d, case, **kw):
-        qs, af = canonical_form(ctx, n, r, d, case, **kw)
+    def spy(ctx, n, r, d, case):
+        qs, af = canonical_form(ctx, n, r, d, case)
         spaces.append(weakref.ref(qs))
         return qs, af
 

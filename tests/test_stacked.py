@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from polargrass import counting, forms, geometry
 from polargrass.code import random_alternating_forms
 from polargrass.errors import InadmissibleParams
-from polargrass.field import field_ctx
+from polargrass.field import FieldCtx, field_ctx
 from polargrass.forms import alternating_forms, form_profile, radical_split, standard_space
 from polargrass.geometry import (
     LINE_T0,
@@ -236,7 +236,7 @@ def test_per_form_functions_agree_inside_and_outside_a_run(monkeypatch, n, q):
             "eigen": int(counting._eigenvector_counts(qs, [af])[0]),
         }
 
-    def probe(args, table):
+    def probe(table):
         for _, qs, af in table.entries:
             want = values(qs, af)
             inside[id(af)] = qs, af, want
@@ -260,6 +260,14 @@ def test_per_form_functions_agree_inside_and_outside_a_run(monkeypatch, n, q):
         assert values(qs, af) == want
 
 
+@pytest.mark.parametrize("rows,per_row,madds", [(5, 3, 0), (5, 0, 0), (7, 1 << 30, 10**9), (1000, 3, 7), (0, 3, 1)])
+def test_blocks_cover_all_rows(rows, per_row, madds):
+    # a zero or an oversized per-row cost still gives blocks of one row at least
+    blocks = [range(rows)[b] for b in geometry._blocks(rows, per_row, madds)]
+    assert [i for b in blocks for i in b] == list(range(rows))
+    assert all(len(b) >= 1 for b in blocks)
+
+
 def test_stacked_products_stay_on_the_calling_thread(monkeypatch):
     # OpenBLAS runs a product of at most 10^6 multiply-adds on the calling
     # thread; the residue and isotropic kernels keep every product within
@@ -267,13 +275,13 @@ def test_stacked_products_stay_on_the_calling_thread(monkeypatch):
     qs = SPACES[3, 3]
     afs = random_alternating_forms(qs.ctx, qs.dim, np.random.default_rng(0), 300)
     madds = []
-    product = geometry._product
+    product = FieldCtx.np_matmul
 
     def spy(ctx, a, b):
-        madds.append(a.shape[0] * a.shape[1] * b.shape[1])
+        madds.append(np.size(a) * np.shape(b)[-1])
         return product(ctx, a, b)
 
-    monkeypatch.setattr(geometry, "_product", spy)
+    monkeypatch.setattr(FieldCtx, "np_matmul", spy)
     geometry._residue_stack(qs, afs)
     geometry._isotropic_stack(qs, afs)
     assert madds and max(madds) <= 10**6
