@@ -86,6 +86,6 @@ from .geometry import (
     residue_classes,
     tau_values,
 )
-from .matrix import MatrixFq, Subspace, format_matrix_text, parse_matrix_text
+from .matrix import format_matrix_text, parse_matrix_text
 
 __version__ = "0.1.0"

@@ -173,15 +173,15 @@ def cmd_weight(args) -> int:
     except OSError as ex:
         raise IoError(f"cannot read {args.path}: {ex}") from ex
     ctx = FieldCtx(args.q**args.e) if args.q is not None else None
-    m = parse_matrix_text(text, ctx)
-    dim = len(m.rows)
+    ctx, m = parse_matrix_text(text, ctx)
+    dim = len(m)
     if dim < 5 or dim % 2 == 0:
         raise InadmissibleParams(f"form must act on odd dimension 2n+1 >= 5, got {dim}")
     n = (dim - 1) // 2
-    qs = standard_space(m.ctx, n)
-    af = AlternatingForm(m.ctx, m)
+    qs = standard_space(ctx, n)
+    af = AlternatingForm(ctx, m)
     f = isotropic_line_count(qs, af)
-    params = code_parameters(n, m.ctx.q)
+    params = code_parameters(n, ctx.q)
     census = empirical_census(qs, af)
     print(f"weight {params.N - f} r {af.r}")
     print(
@@ -203,7 +203,7 @@ def cmd_search(args) -> int:
         witness = getattr(ex, "witness", None)
         if witness is not None:
             form = form_from_message(ctx, 2 * args.n + 1, list(witness))
-            _emit(format_matrix_text(form.s), path)
+            _emit(format_matrix_text(ctx.q, form.s), path)
         print(f"counterexample: {ex}; witness written to {path}", file=sys.stderr)
         return 1
     print(json.dumps(rec, indent=2))

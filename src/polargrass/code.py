@@ -149,7 +149,7 @@ def _pair_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
 def message_from_form(af: AlternatingForm) -> np.ndarray:
     """Strict upper triangle of S, pairs (i, j) with i < j in lex order."""
     iu, ju = _pair_index(af.dim)
-    return af.s_np()[iu, ju].astype(np.int64)
+    return af.s[iu, ju]
 
 
 def _alternating_stack(ctx: FieldCtx, dim: int, messages: np.ndarray) -> np.ndarray:
@@ -266,7 +266,7 @@ def _diagonal_characters(code: PolarCode) -> np.ndarray:
     the trivial group.
     """
     ctx, k = code.ctx, code.params.K
-    q, gram = ctx.q, code.qs.gram_np()
+    q, gram = ctx.q, code.qs.gram
     iu, ju = _pair_index(code.qs.dim)
     if q**k >= 2**53 or k > len(iu) or (np.count_nonzero(gram, axis=1) != 1).any():
         return np.ones((1, k), dtype=np.int64)

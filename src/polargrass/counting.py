@@ -316,7 +316,7 @@ def case1_equation_counts(ctx: FieldCtx, n: int, r: int, d: int, beta: int = 1) 
     width = 1 + (r - d)
     gram = np.zeros((width, width), dtype=np.int64)
     gram[0, 0] = 1
-    gram[1:, 1:] = hyperbolic_gram(ctx, half).to_numpy()
+    gram[1:, 1:] = hyperbolic_gram(ctx, half)
     vecs = _all_vectors(ctx, width)
     vals = ctx.np_quad_eval(gram, vecs)
     target = ctx.mul(beta, beta)
@@ -327,7 +327,7 @@ def case1_equation_counts(ctx: FieldCtx, n: int, r: int, d: int, beta: int = 1) 
     width2 = 1 + 2 * nu
     gram2 = np.zeros((width2, width2), dtype=np.int64)
     gram2[0, 0] = ctx.neg(1)
-    gram2[1:, 1:] = hyperbolic_gram(ctx, nu).to_numpy()
+    gram2[1:, 1:] = hyperbolic_gram(ctx, nu)
     vecs2 = _all_vectors(ctx, width2)
     vecs2 = vecs2[vecs2[:, 0] != 0]
     vals2 = ctx.np_quad_eval(gram2, vecs2)
@@ -387,7 +387,7 @@ def even_orbit_empirical(ctx: FieldCtx, t: int, kind: str) -> dict[str, int]:
     else:
         raise InadmissibleParams(f"kind must be hyperbolic or elliptic, got {kind!r}")
     pts = projective_points(ctx, 2 * t)
-    vals = ctx.np_quad_eval(gram.to_numpy(), pts)
+    vals = ctx.np_quad_eval(gram, pts)
     nonzero = vals != 0
     sq = ctx.np_is_square(vals) & nonzero
     return {
@@ -406,11 +406,11 @@ def _eigenvector_counts(qs: QuadraticSpace, afs) -> np.ndarray:
     The q-1 shifts of every M^{-1} S of a block of forms are ranked in one
     elimination."""
     ctx, dim = qs.ctx, qs.dim
-    s = np.stack([af.s_np() for af in afs])
+    s = np.stack([af.s for af in afs])
     out = np.empty(len(afs), dtype=np.int64)
     # the shifts and the elimination's working copy and products
     for blk in geometry._blocks(len(afs), 6 * (ctx.q - 1) * dim * dim):
-        m = ctx.np_matmul(qs.gram_inv_np(), s[blk])
+        m = ctx.np_matmul(qs.gram_inv, s[blk])
         out[blk] = (ctx.q ** eigen_nullities(ctx, m) - 1).sum(axis=1)
     return out
 
@@ -472,6 +472,8 @@ class FormTable:
 
     def __init__(self, n: int, q: int, samples: int = 0, seed: int = 0, budget: int = DEFAULT_BUDGET):
         _check_seed(seed)
+        if samples < 0:
+            raise InadmissibleParams(f"samples must be >= 0, got {samples}")
         self.n, self.q, self.samples, self.seed, self.budget = n, q, samples, seed, budget
         self._rows: dict = {}
 

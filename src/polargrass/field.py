@@ -159,45 +159,15 @@ class FieldCtx:
 
     # ---- scalar arithmetic ----------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        return int(self._add_table[a, b])
-
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
         return int(self._neg_table[a])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
         return int(self._mul_table[a, b])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return int(self._inv_table[a])
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        out, base = 1, a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
-    def is_square(self, a: int) -> bool:
-        return bool(self._square_mask[a])
 
     def validate_element(self, a: int) -> int:
         if not isinstance(a, (int, np.integer)) or not 0 <= a < self.q:

@@ -22,17 +22,7 @@ import numpy as np
 
 from .errors import InadmissibleParams, RadicalMismatch, RankDeficient
 from .field import FieldCtx
-from .matrix import (
-    MatrixFq,
-    Subspace,
-    det,
-    determinants,
-    inverse,
-    kernel,
-    kernel_bases,
-    pivot_columns,
-    rank,
-)
+from .matrix import _check_range, determinants, inverse, kernel_bases, pivot_columns
 
 CASES = (1, 2, 3, 4)
 
@@ -108,61 +98,62 @@ def _case_nu(n: int, r: int, d: int, case: int) -> int:
     return n - (r + d + 1) // 2
 
 
-def _hyperbolic_plus(ctx: FieldCtx, t: int, tail: tuple[int, ...]) -> MatrixFq:
+def _hyperbolic_plus(ctx: FieldCtx, t: int, tail: tuple[int, ...]) -> np.ndarray:
     """Gram [[0, I], [I, 0]] of size 2t followed by diag(tail)."""
     m = np.zeros((2 * t + len(tail),) * 2, dtype=np.int64)
     i = np.arange(t)
     m[i, t + i] = m[t + i, i] = 1
     j = np.arange(2 * t, len(m))
     m[j, j] = tail
-    return MatrixFq._of(ctx, m)
+    return m
 
 
-def hyperbolic_gram(ctx: FieldCtx, t: int) -> MatrixFq:
+def hyperbolic_gram(ctx: FieldCtx, t: int) -> np.ndarray:
     """2t x 2t Gram [[0, I], [I, 0]]."""
     return _hyperbolic_plus(ctx, t, ())
 
 
-def parabolic_gram(ctx: FieldCtx, t: int) -> MatrixFq:
+def parabolic_gram(ctx: FieldCtx, t: int) -> np.ndarray:
     """(2t+1) x (2t+1) Gram: hyperbolic part plus a final 1."""
     return _hyperbolic_plus(ctx, t, (1,))
 
 
-def elliptic_gram(ctx: FieldCtx, t: int) -> MatrixFq:
+def elliptic_gram(ctx: FieldCtx, t: int) -> np.ndarray:
     """(2t+2) x (2t+2) Gram: hyperbolic part plus diag(1, -xi), xi a nonsquare."""
     return _hyperbolic_plus(ctx, t, (1, ctx.neg(ctx.nonsquare_rep)))
 
 
-class QuadraticSpace:
-    """Odd-dimensional space with a nondegenerate symmetric Gram matrix."""
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    def __init__(self, ctx: FieldCtx, n: int, gram: MatrixFq, profile: BlockProfile | None = None):
+
+class QuadraticSpace:
+    """Odd-dimensional space with a nondegenerate symmetric Gram matrix;
+    gram and gram_inv are read-only arrays."""
+
+    def __init__(self, ctx: FieldCtx, n: int, gram, profile: BlockProfile | None = None):
         if n < 1:
             raise InadmissibleParams(f"need n >= 1, got {n}")
         dim = 2 * n + 1
-        if gram.nrows != dim or gram.ncols != dim:
+        gram = _check_range(ctx, gram)
+        if gram.shape != (dim, dim):
             raise InadmissibleParams(f"Gram matrix must be {dim}x{dim}")
-        if not gram.is_symmetric():
+        if not np.array_equal(gram, gram.T):
             raise InadmissibleParams("Gram matrix must be symmetric")
-        d = det(gram)
+        d = int(determinants(ctx, gram))
         if d == 0:
             raise RankDeficient("Gram matrix is degenerate")
         self.ctx = ctx
         self.n = n
         self.dim = dim
-        self.gram = gram
+        self.gram = _frozen(gram)
+        self.gram_inv = _frozen(inverse(ctx, gram))
         self.profile = profile
         self.det = d
         # (-1)^n det(M): a point v is external iff this times v M v^T is a square
         self.disc_sign = ctx.neg(d) if n % 2 else d
-        self._gram_inv_np = inverse(gram)._a
         self._cache: dict = {}
-
-    def gram_np(self) -> np.ndarray:
-        return self.gram._a
-
-    def gram_inv_np(self) -> np.ndarray:
-        return self._gram_inv_np
 
     def __repr__(self) -> str:
         tag = f", case={self.profile.case}, r={self.profile.r}, d={self.profile.d}" if self.profile else ""
@@ -186,7 +177,7 @@ def build_M(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> QuadraticSpace:
         q0 = hyperbolic_gram(ctx, nu)
     else:
         q0 = elliptic_gram(ctx, nu)
-    if q0.nrows != profile.h0_dim:
+    if len(q0) != profile.h0_dim:
         raise InadmissibleParams("internal block size mismatch")
     if case == 1:
         r0 = hyperbolic_gram(ctx, (r - d) // 2)
@@ -194,12 +185,12 @@ def build_M(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> QuadraticSpace:
         r0 = elliptic_gram(ctx, (r - d) // 2 - 1)
     else:
         r0 = parabolic_gram(ctx, (r - d - 1) // 2)
-    if r0.nrows != profile.d0_dim:
+    if len(r0) != profile.d0_dim:
         raise InadmissibleParams("internal block size mismatch")
     off = d + profile.h0_dim
-    m[d:off, d:off] = q0._a
-    m[off : dim - d, off : dim - d] = r0._a
-    return QuadraticSpace(ctx, n, MatrixFq._of(ctx, m), profile)
+    m[d:off, d:off] = q0
+    m[off : dim - d, off : dim - d] = r0
+    return QuadraticSpace(ctx, n, m, profile)
 
 
 def standard_space(ctx: FieldCtx, n: int) -> QuadraticSpace:
@@ -208,20 +199,21 @@ def standard_space(ctx: FieldCtx, n: int) -> QuadraticSpace:
 
 
 class AlternatingForm:
-    """Alternating bilinear form with its radical precomputed."""
+    """Alternating bilinear form with its radical precomputed: s is the
+    read-only matrix and radical the canonical (r, dim) basis of its kernel."""
 
-    def __init__(self, ctx: FieldCtx, s: MatrixFq, *, radical: Subspace | None = None):
-        """radical, if given, must be kernel(s) (see alternating_forms)."""
-        if not s.is_alternating():
+    def __init__(self, ctx: FieldCtx, s, *, radical: np.ndarray | None = None):
+        """radical, if given, must be kernel_bases(ctx, s)[0] (see
+        alternating_forms)."""
+        s = _check_range(ctx, s)
+        # s^T = -s; in odd characteristic this forces a zero diagonal
+        if s.ndim != 2 or not np.array_equal(s.T, ctx.np_neg(s)):
             raise InadmissibleParams("matrix is not alternating")
         self.ctx = ctx
-        self.s = s
-        self.dim = s.nrows
-        self.radical: Subspace = kernel(s) if radical is None else radical
-        self.r = self.radical.dim
-
-    def s_np(self) -> np.ndarray:
-        return self.s._a
+        self.s = _frozen(s)
+        self.dim = len(s)
+        self.radical = _frozen(kernel_bases(ctx, s)[0] if radical is None else radical)
+        self.r = len(self.radical)
 
     def __repr__(self) -> str:
         return f"AlternatingForm(q={self.ctx.q}, dim={self.dim}, r={self.r})"
@@ -231,10 +223,7 @@ def alternating_forms(ctx: FieldCtx, arr) -> list[AlternatingForm]:
     """One AlternatingForm per matrix of a (B, dim, dim) stack; the radicals
     come from one stacked elimination."""
     a = np.asarray(arr, dtype=np.int64)
-    return [
-        AlternatingForm(ctx, MatrixFq.from_numpy(ctx, m), radical=Subspace._of(ctx, a.shape[-1], basis))
-        for m, basis in zip(a, kernel_bases(ctx, a))
-    ]
+    return [AlternatingForm(ctx, m, radical=basis) for m, basis in zip(a, kernel_bases(ctx, a))]
 
 
 def build_S(qs: QuadraticSpace) -> AlternatingForm:
@@ -270,7 +259,7 @@ def build_S(qs: QuadraticSpace) -> AlternatingForm:
     for i in range(1 if case in (1, 2) else 0, d - 1, 2):
         put(i, i + 1)
 
-    af = AlternatingForm(ctx, MatrixFq._of(ctx, s))
+    af = AlternatingForm(ctx, s)
     if af.r != r:
         raise RadicalMismatch(f"radical dim {af.r}, wanted {r}")
     _, dd = form_profile(qs, af)
@@ -289,13 +278,11 @@ def form_profile(qs: QuadraticSpace, af: AlternatingForm) -> tuple[int, int]:
     """(r, d) of an arbitrary alternating form on this space."""
     if af.dim != qs.dim:
         raise InadmissibleParams("form and space dimensions differ")
-    basis = af.radical.basis
-    r = len(basis)
-    if r == 0:
+    if af.r == 0:
         return 0, 0
-    b = MatrixFq(qs.ctx, basis)
-    gram_r = b.mul(qs.gram).mul(b.transpose())
-    return r, r - rank(gram_r)
+    ctx, b = qs.ctx, af.radical
+    gram_r = ctx.np_matmul(ctx.np_matmul(b, qs.gram), b.T)
+    return af.r, af.r - int(pivot_columns(ctx, gram_r).sum())
 
 
 def _radical_splits(qs: QuadraticSpace, afs) -> np.ndarray:
@@ -307,14 +294,14 @@ def _radical_splits(qs: QuadraticSpace, afs) -> np.ndarray:
     extended to a basis of the perp (the added rows span an H0) and the
     Witt index of M on H0.
     """
-    ctx, dim, gram = qs.ctx, qs.dim, qs.gram_np()
+    ctx, dim, gram = qs.ctx, qs.dim, qs.gram
     if any(af.dim != dim for af in afs):
         raise InadmissibleParams("form and space dimensions differ")
     out = np.zeros((len(afs), 3), dtype=np.int64)
     rs = np.array([af.r for af in afs])
     for r in np.unique(rs):
         group = np.flatnonzero(rs == r)
-        b_r = np.array([afs[i].radical.basis for i in group], dtype=np.int64).reshape(len(group), r, dim)
+        b_r = np.stack([afs[i].radical for i in group])
         b_m = ctx.np_matmul(b_r, gram)
         perps = kernel_bases(ctx, b_m)
         d_bases = kernel_bases(ctx, ctx.np_matmul(b_m, b_r.transpose(0, 2, 1)))
@@ -369,17 +356,33 @@ def _witt_indices(ctx: FieldCtx, grams: np.ndarray) -> np.ndarray:
 # ---- projective enumeration and orbit counts ---------------------------------
 
 
+def _proc_kib(path: str, key: str) -> int | None:
+    """The value of the 'key: N kB' line of a /proc file, or None if it
+    cannot be read."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith(key + ":"):
+                    return int(line.split()[1])
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def check_memory(need: float, what: str) -> None:
     """Raise InadmissibleParams if need bytes exceed what this process may
-    hold: the physical memory or, if lower, its soft RLIMIT_AS.
+    still get: MemAvailable (the physical memory if that cannot be read)
+    or, if lower, its soft RLIMIT_AS less the address space it already
+    holds (VmSize).
 
     Every function that builds an array growing with n or q calls it first,
     so parameters too large for memory are rejected instead of killed.
     """
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    avail = _proc_kib("/proc/meminfo", "MemAvailable")
+    limit = avail * 1024 if avail is not None else os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft != resource.RLIM_INFINITY:
-        limit = min(limit, soft)
+        limit = max(0, min(limit, soft - 1024 * (_proc_kib("/proc/self/status", "VmSize") or 0)))
     if need > limit:
         amount = f"{need / 2**30:.3g} GiB" if need < 2**100 else "over 2^100 bytes"
         raise InadmissibleParams(f"{what} needs at least {amount}; {limit / 2**30:.3g} GiB available")
@@ -429,7 +432,7 @@ def orbit_counts(qs: QuadraticSpace) -> dict[str, int]:
         return qs._cache["orbit_counts"]
     ctx = qs.ctx
     pts = projective_points(ctx, qs.dim)
-    vals = ctx.np_quad_eval(qs.gram_np(), pts)
+    vals = ctx.np_quad_eval(qs.gram, pts)
     nonzero = vals != 0
     sq = ctx.np_is_square(vals) & nonzero
     ext = ctx.np_is_square(ctx.np_mul(np.int64(qs.disc_sign), vals)) & nonzero

@@ -63,7 +63,7 @@ def _stack(qs: QuadraticSpace, afs) -> np.ndarray:
     """The (B, dim, dim) matrices of a list of forms on qs."""
     if any(af.dim != qs.dim for af in afs):
         raise DimensionMismatch("form and space dimensions differ")
-    return np.stack([af.s_np() for af in afs])
+    return np.stack([af.s for af in afs])
 
 
 @dataclass
@@ -92,7 +92,7 @@ def quadric_points(qs: QuadraticSpace) -> np.ndarray:
     """Singular points, canonical representatives in ascending lex order."""
     if "points" not in qs._cache:
         pts = projective_points(qs.ctx, qs.dim)
-        vals = qs.ctx.np_quad_eval(qs.gram_np(), pts)
+        vals = qs.ctx.np_quad_eval(qs.gram, pts)
         sel = pts[vals == 0].copy()
         sel.setflags(write=False)
         qs._cache["points"] = sel
@@ -208,7 +208,7 @@ def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
     check_memory(line_bytes(qs.n, ctx.q), f"the singular lines of Q({2 * qs.n}, {ctx.q})")
     pts = quadric_points(qs)
     lead = (pts != 0).argmax(axis=1)
-    pm = ctx.np_matmul(pts, qs.gram_np())
+    pm = ctx.np_matmul(pts, qs.gram)
     u_ids: list[np.ndarray] = []
     v_ids: list[np.ndarray] = []
     for b in range(1, qs.dim):
@@ -260,7 +260,7 @@ def _residue_stack(qs: QuadraticSpace, afs) -> np.ndarray:
     pts = quadric_points(qs)
     st = _stack(qs, afs).transpose(0, 2, 1)
     nb, dim = len(st), qs.dim
-    both = np.concatenate([st, ctx.np_matmul(st, qs.gram_inv_np())])
+    both = np.concatenate([st, ctx.np_matmul(st, qs.gram_inv)])
     w = both.transpose(1, 0, 2).reshape(dim, 2 * nb * dim)
     lead = (pts != 0).argmax(axis=1)
     out = np.empty((nb, len(pts)), dtype=np.int8)

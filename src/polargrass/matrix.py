@@ -1,19 +1,21 @@
-"""Exact linear algebra over a FieldCtx.
+"""Exact linear algebra over a FieldCtx, on plain arrays.
 
-Every row reduction in the package is one numpy elimination, `_eliminate`,
-written with the `FieldCtx` array operations, so prime and extension fields
-share it.  It reduces one matrix or a stack of them in one pass, so the
-many small matrices of a batch of forms cost one call.  `MatrixFq` is the validated, immutable and hashable view of a
-matrix: one read-only int64 array of int-encoded field elements, checked in
-one vectorized step when it comes from outside.  Canonical forms (reduced
-row echelon) make subspaces comparable by equality.
+Every matrix in the package is an int64 numpy array of int-encoded field
+elements; the Gram matrices, alternating forms and radicals that spaces
+and forms hold are read-only.  `_check_range` checks a matrix where it
+enters the package.  Every row reduction is one elimination, `_eliminate`,
+written with the `FieldCtx` array operations, so prime and extension
+fields share it.  It reduces one matrix or a stack of them in one pass:
+`determinants`, `pivot_columns`, `kernel_bases` and `eigen_nullities` are
+its stacked entry points, and `rref` and `inverse` its single-matrix ones.
+`rank_np` ranks a wide matrix block by block through it.  Kernel bases are
+canonical (reduced row echelon), so subspaces compare as arrays.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,123 +23,30 @@ from .errors import DimensionMismatch, InadmissibleParams, IoError, RankDeficien
 from .field import FieldCtx
 
 
-def _check_range(ctx: FieldCtx, a: np.ndarray) -> None:
-    bad = (a < 0) | (a >= ctx.q)
-    if bad.any():
-        raise InadmissibleParams(f"{int(a[bad][0])!r} is not an element of F_{ctx.q}")
+def _check_range(ctx: FieldCtx, arr) -> np.ndarray:
+    """arr as an int64 array, if every entry is an element of F_q.
 
-
-def _check_entries(ctx: FieldCtx, rows: Iterable[Iterable[int]]) -> np.ndarray:
-    """rows as a 2-d int64 array, if every entry is an element of F_q and
-    all rows have one length.
-
-    Entries that numpy reads as integers are range-checked in one step.
-    Otherwise some entry is no integer, and the entries are walked only to
-    name the first bad one, in the words of FieldCtx.validate_element.
+    Entries that numpy reads as integers are checked in one step.  If that
+    step finds a bad entry in rows given as lists, or numpy reads no
+    integers, the entries are walked as given and the first that is no
+    element is named in the words of FieldCtx.validate_element; rows of
+    elements that numpy cannot stack are ragged.
     """
-    rows = [list(r) for r in rows]
-    flat = list(chain.from_iterable(rows))
     try:
-        a = np.array(flat)
-    except ValueError:  # an entry is a sequence
-        a = np.array(flat, dtype=object)
-    if a.ndim == 1 and a.dtype.kind in "iub":
-        bad = np.flatnonzero((a < 0) | (a >= ctx.q))
-    else:
-        bad = [i for i, x in enumerate(flat) if not isinstance(x, (int, np.integer)) or not 0 <= x < ctx.q]
-    if len(bad):
-        raise InadmissibleParams(f"{flat[bad[0]]!r} is not an element of F_{ctx.q}")
-    if any(len(r) != len(rows[0]) for r in rows):
+        a = np.asarray(arr)
+    except ValueError:  # ragged rows, or an entry that is a sequence
+        a = None
+    if a is not None and a.dtype.kind in "iub":
+        bad = (a < 0) | (a >= ctx.q)
+        if not bad.any():
+            return a.astype(np.int64, copy=False)
+        if isinstance(arr, np.ndarray):
+            raise InadmissibleParams(f"{int(a[bad][0])!r} is not an element of F_{ctx.q}")
+    for x in chain.from_iterable(arr) if a is None or a.ndim == 2 else a.flat:
+        ctx.validate_element(x)
+    if a is None:
         raise DimensionMismatch("ragged rows")
-    return a.astype(np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
-
-
-class MatrixFq:
-    """Dense matrix over F_q with exact arithmetic, stored as one read-only
-    int64 array; `rows` is the same entries as tuples."""
-
-    __slots__ = ("ctx", "_a")
-
-    def __init__(self, ctx: FieldCtx, rows: Iterable[Iterable[int]]):
-        self.ctx = ctx
-        self._a = _check_entries(ctx, rows)
-        self._a.setflags(write=False)
-
-    # ---- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, ctx: FieldCtx, m: int, n: int) -> "MatrixFq":
-        return cls._of(ctx, np.zeros((m, n), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, ctx: FieldCtx, n: int) -> "MatrixFq":
-        return cls._of(ctx, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def from_numpy(cls, ctx: FieldCtx, arr) -> "MatrixFq":
-        a = np.array(arr)
-        if a.dtype.kind not in "iub":  # the constructor names the entry that is no integer
-            return cls(ctx, a)
-        _check_range(ctx, a)
-        return cls._of(ctx, a.astype(np.int64, copy=False))
-
-    @classmethod
-    def _of(cls, ctx: FieldCtx, a: np.ndarray) -> "MatrixFq":
-        """Wrap a 2-d array of field elements that no one else will change."""
-        m = cls.__new__(cls)
-        m.ctx = ctx
-        m._a = a if len(a) else a.reshape(0, 0)
-        m._a.setflags(write=False)
-        return m
-
-    def to_numpy(self) -> np.ndarray:
-        return self._a.copy()
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self._a.tolist()))
-
-    # ---- shape and equality --------------------------------------------------
-
-    @property
-    def nrows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self._a.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatrixFq)
-            and other.ctx == self.ctx
-            and np.array_equal(other._a, self._a)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ctx.q, self.rows))
-
-    def __repr__(self) -> str:
-        return f"MatrixFq(q={self.ctx.q}, {self.nrows}x{self.ncols})"
-
-    # ---- arithmetic ---------------------------------------------------------
-
-    def transpose(self) -> "MatrixFq":
-        return MatrixFq._of(self.ctx, self._a.T)
-
-    def mul(self, other: "MatrixFq") -> "MatrixFq":
-        if other.nrows != self.ncols:
-            raise DimensionMismatch(
-                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-            )
-        return MatrixFq._of(self.ctx, self.ctx.np_matmul(self._a, other._a))
-
-    def is_symmetric(self) -> bool:
-        return np.array_equal(self._a, self._a.T)
-
-    def is_alternating(self) -> bool:
-        # a^T = -a; in odd characteristic this forces a zero diagonal
-        return np.array_equal(self._a.T, self.ctx.np_neg(self._a))
+    return a.astype(np.int64)  # no entries for numpy to read as integers
 
 
 def _eliminate(ctx: FieldCtx, arr) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -205,26 +114,18 @@ def _eliminate(ctx: FieldCtx, arr) -> tuple[np.ndarray, np.ndarray, np.ndarray |
     return a.reshape(stack + (nr, nc)), pivots.reshape(stack + (nc,)), factor
 
 
-def rref(m: MatrixFq) -> tuple[MatrixFq, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    red, pivots, _ = _eliminate(m.ctx, m._a)
-    return MatrixFq._of(m.ctx, red), tuple(np.flatnonzero(pivots).tolist())
-
-
-def rank(m: MatrixFq) -> int:
-    return int(_eliminate(m.ctx, m._a)[1].sum())
-
-
-def det(m: MatrixFq) -> int:
-    if m.nrows != m.ncols:
-        raise DimensionMismatch("determinant needs a square matrix")
-    return int(determinants(m.ctx, m._a))
+def rref(ctx: FieldCtx, arr) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form of one matrix and its pivot column indices."""
+    red, pivots, _ = _eliminate(ctx, arr)
+    return red, tuple(np.flatnonzero(pivots).tolist())
 
 
 def determinants(ctx: FieldCtx, arr) -> np.ndarray:
     """Determinant of each square matrix of a stack (or of one), from one
     elimination."""
     _, pivots, factor = _eliminate(ctx, arr)
+    if factor is None:
+        raise DimensionMismatch("determinant needs square matrices")
     return np.where(pivots.all(axis=-1), factor, 0)
 
 
@@ -234,58 +135,16 @@ def pivot_columns(ctx: FieldCtx, arr) -> np.ndarray:
     return _eliminate(ctx, arr)[1]
 
 
-def inverse(m: MatrixFq) -> MatrixFq:
-    if m.nrows != m.ncols:
+def inverse(ctx: FieldCtx, arr) -> np.ndarray:
+    """Inverse of one square matrix, from the rref of [arr | I]."""
+    a = np.asarray(arr, dtype=np.int64)
+    n = len(a)
+    if a.shape != (n, n):
         raise DimensionMismatch("inverse needs a square matrix")
-    n = m.nrows
-    aug = MatrixFq._of(m.ctx, np.hstack([m._a, np.eye(n, dtype=np.int64)]))
-    red, pivots = rref(aug)
+    red, pivots = rref(ctx, np.hstack([a, np.eye(n, dtype=np.int64)]))
     if pivots[:n] != tuple(range(n)):
         raise RankDeficient("matrix is singular")
-    return MatrixFq._of(m.ctx, red._a[:, n:])
-
-
-class Subspace:
-    """Linear subspace stored by its canonical reduced-echelon basis."""
-
-    __slots__ = ("ctx", "ambient", "basis")
-
-    def __init__(self, ctx: FieldCtx, ambient: int, vectors: Iterable[Sequence[int]]):
-        vecs = [list(v) for v in vectors]
-        if any(len(v) != ambient for v in vecs):
-            raise DimensionMismatch("basis vector has wrong length")
-        self.basis = ()
-        if vecs:
-            red, pivots, _ = _eliminate(ctx, _check_entries(ctx, vecs))
-            self.basis = tuple(map(tuple, red[: pivots.sum()].tolist()))
-        self.ctx = ctx
-        self.ambient = ambient
-
-    @classmethod
-    def _of(cls, ctx: FieldCtx, ambient: int, basis: np.ndarray) -> "Subspace":
-        """Wrap rows that already are a reduced row echelon basis."""
-        sub = cls.__new__(cls)
-        sub.ctx, sub.ambient = ctx, ambient
-        sub.basis = tuple(map(tuple, basis.tolist()))
-        return sub
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and other.ctx == self.ctx
-            and other.ambient == self.ambient
-            and other.basis == self.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ctx.q, self.ambient, self.basis))
-
-    def __repr__(self) -> str:
-        return f"Subspace(q={self.ctx.q}, ambient={self.ambient}, dim={self.dim})"
+    return red[:, n:]
 
 
 def kernel_bases(ctx: FieldCtx, arr) -> list[np.ndarray]:
@@ -311,11 +170,6 @@ def kernel_bases(ctx: FieldCtx, arr) -> list[np.ndarray]:
         vecs[:, piv] = ctx.np_neg(rd[: len(piv)][:, free].T)
         out.append(vecs[:, ::-1])
     return out
-
-
-def kernel(m: MatrixFq) -> Subspace:
-    """Right null space: all v with m v = 0."""
-    return Subspace._of(m.ctx, m.ncols, kernel_bases(m.ctx, m._a)[0])
 
 
 def eigen_nullities(ctx: FieldCtx, arr) -> np.ndarray:
@@ -363,15 +217,17 @@ def rank_np(ctx: FieldCtx, arr: np.ndarray) -> int:
     return len(basis)
 
 
-def format_matrix_text(m: MatrixFq) -> str:
+def format_matrix_text(q: int, arr) -> str:
     """Plain text serialization: 'rows cols q' header, then one row per line."""
-    lines = [f"{m.nrows} {m.ncols} {m.ctx.q}"]
-    lines += [" ".join(str(x) for x in row) for row in m.rows]
+    a = np.asarray(arr)
+    lines = [f"{a.shape[0]} {a.shape[1]} {q}"]
+    lines += [" ".join(map(str, row)) for row in a.tolist()]
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix_text(text: str, ctx: FieldCtx | None = None) -> MatrixFq:
-    """Inverse of format_matrix_text; builds a context from the header if needed."""
+def parse_matrix_text(text: str, ctx: FieldCtx | None = None) -> tuple[FieldCtx, np.ndarray]:
+    """Inverse of format_matrix_text: the field (ctx, or one built from the
+    header) and the matrix over it."""
     toks = text.split()
     if len(toks) < 3:
         raise IoError("matrix text needs an 'rows cols q' header")
@@ -379,6 +235,8 @@ def parse_matrix_text(text: str, ctx: FieldCtx | None = None) -> MatrixFq:
         nr, nc, q = int(toks[0]), int(toks[1]), int(toks[2])
     except ValueError as ex:
         raise IoError(f"malformed matrix header: {ex}") from ex
+    if nr < 0 or nc < 0:
+        raise IoError(f"malformed matrix header: {nr} x {nc}")
     if ctx is None:
         ctx = FieldCtx(q)
     elif ctx.q != q:
@@ -392,4 +250,4 @@ def parse_matrix_text(text: str, ctx: FieldCtx | None = None) -> MatrixFq:
         raise IoError(f"malformed matrix entry: {ex}") from ex
     if any(not 0 <= v < q for v in vals):
         raise IoError("matrix entry out of field range")
-    return MatrixFq(ctx, [vals[i * nc : (i + 1) * nc] for i in range(nr)])
+    return ctx, np.array(vals, dtype=np.int64).reshape(nr, nc)

@@ -5,13 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polargrass
 from polargrass.cli import main
 from polargrass.field import field_ctx
 from polargrass.forms import build_S, standard_space
-from polargrass.matrix import MatrixFq, format_matrix_text
+from polargrass.matrix import format_matrix_text
 from test_code import parse_code_text
 
 F3 = field_ctx(3)
@@ -223,7 +224,7 @@ def test_negative_seed_and_budget(capsys, monkeypatch, argv, env, what):
 # ---------------------------------------------------------
 def write_form(tmp_path, name, af):
     path = tmp_path / name
-    path.write_text(format_matrix_text(af.s))
+    path.write_text(format_matrix_text(af.ctx.q, af.s))
     return str(path)
 
 
@@ -254,7 +255,7 @@ def test_weight_transported_form(tmp_path, capsys):
     moved = [[0] * 7 for _ in range(7)]
     moved[0][6], moved[6][0] = 1, 2
     path = tmp_path / "moved.txt"
-    path.write_text(format_matrix_text(MatrixFq(F3, moved)))
+    path.write_text(format_matrix_text(3, moved))
     rc, out, _ = run(capsys, "weight", str(path))
     assert rc == 0
     lines = out.splitlines()
@@ -264,7 +265,7 @@ def test_weight_transported_form(tmp_path, capsys):
 
 def test_weight_rejects_non_alternating(tmp_path, capsys):
     path = tmp_path / "sym.txt"
-    path.write_text(format_matrix_text(MatrixFq.identity(F3, 5)))
+    path.write_text(format_matrix_text(3, np.eye(5, dtype=np.int64)))
     rc, _, err = run(capsys, "weight", str(path))
     assert rc == 2
     assert "error:" in err
@@ -279,9 +280,9 @@ def test_weight_rejects_wrong_field(tmp_path, capsys):
 
 
 def test_weight_rejects_even_dimension(tmp_path, capsys):
-    m = MatrixFq(F3, [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]])
+    m = [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]]
     path = tmp_path / "even.txt"
-    path.write_text(format_matrix_text(m))
+    path.write_text(format_matrix_text(3, m))
     rc, _, err = run(capsys, "weight", str(path))
     assert rc == 2
     assert "odd dimension" in err
@@ -378,7 +379,7 @@ def test_too_large_parameters_rejected(argv, what):
 
 def test_weight_too_large_rejected(tmp_path):
     path = tmp_path / "form13.txt"
-    path.write_text(format_matrix_text(MatrixFq.zeros(F3, 13, 13)))
+    path.write_text(format_matrix_text(3, np.zeros((13, 13), dtype=np.int64)))
     res = run_rlimited("weight", str(path))
     assert res.returncode == 2
     assert res.stderr.startswith("error: the singular lines of Q(12, 3) needs at least ")

@@ -156,7 +156,7 @@ def test_message_round_trip():
         for af in random_alternating_forms(F3, dim, rng, 10):
             msg = message_from_form(af)
             back = form_from_message(F3, dim, msg)
-            assert np.array_equal(back.s_np(), af.s_np())
+            assert np.array_equal(back.s, af.s)
 
 
 def test_message_coordinate_order():
@@ -164,11 +164,11 @@ def test_message_coordinate_order():
     msg = np.zeros(10, dtype=np.int64)
     msg[0] = 1
     af = form_from_message(F3, 5, msg)
-    assert af.s_np()[0, 1] == 1 and af.s_np()[1, 0] == 2
+    assert af.s[0, 1] == 1 and af.s[1, 0] == 2
     msg = np.zeros(10, dtype=np.int64)
     msg[9] = 2
     af = form_from_message(F3, 5, msg)
-    assert af.s_np()[3, 4] == 2 and af.s_np()[4, 3] == 1
+    assert af.s[3, 4] == 2 and af.s[4, 3] == 1
 
 
 def test_form_from_message_length_check():
@@ -689,8 +689,8 @@ def test_restriction_from_full_line_set():
     assert len(spans) == 1210
 
     af = build_S(qs)
-    s = af.s_np()
-    gram = qs.gram.to_numpy()
+    s = af.s
+    gram = qs.gram
     on_quadric = []
     for members, (u, v) in spans.items():
         if all(int(np.array(m) @ gram @ np.array(m)) % 3 == 0 for m in members):
@@ -764,14 +764,14 @@ def test_pair_counts_n4():
     pts = quadric_points(qs)
     assert len(pts) == 3280 == (3**8 - 1) // 2
 
-    g = qs.gram.to_numpy().astype(np.float64)
+    g = qs.gram.astype(np.float64)
     fp = pts.astype(np.float64)
     perp = (fp @ g @ fp.T) % 3 == 0
     np.fill_diagonal(perp, False)
     assert int(perp.sum()) // 2 == 6 * params.N == 1790880
 
     af = build_S(qs)
-    vals = (fp @ af.s_np().astype(np.float64) @ fp.T) % 3
+    vals = (fp @ af.s.astype(np.float64) @ fp.T) % 3
     iso = perp & (vals == 0)
     f = int(iso.sum()) // 2 // 6
     assert f == 127894

@@ -417,6 +417,13 @@ def test_run_checks_negative_seed_is_inadmissible(names):
         run_checks(names, {"n": 2, "q": 3, "seed": -1, "samples": 0, "budget": 10})
 
 
+def test_negative_sample_count_is_inadmissible():
+    with pytest.raises(InadmissibleParams, match="samples must be >= 0, got -1"):
+        FormTable(2, 3, samples=-1)
+    with pytest.raises(InadmissibleParams, match="samples must be >= 0, got -1"):
+        run_checks(["delta-bound"], {"n": 2, "q": 3, "samples": -1})
+
+
 def test_verify_min_distance_checks_budget_before_build(monkeypatch):
     def no_build(qs):
         raise AssertionError("the code was built past the budget")
@@ -541,7 +548,7 @@ def test_run_checks_enumerates_each_space_once(monkeypatch, n, q):
 
     def spy(qs):
         if "lines" not in qs._cache:
-            enumerated.append((qs.profile, qs.gram.to_numpy().tobytes()))
+            enumerated.append((qs.profile, qs.gram.tobytes()))
         return original(qs)
 
     monkeypatch.setattr(geometry, "enumerate_singular_lines", spy)

@@ -1,5 +1,7 @@
 # tests/test_forms.py
 import gc
+import os
+import resource
 import weakref
 
 import numpy as np
@@ -26,8 +28,7 @@ from polargrass.forms import (
     radical_split,
     standard_space,
 )
-from polargrass.matrix import MatrixFq, det, rank
-from test_matrix import bilinear_value
+from test_matrix import bilinear_value, det, rank
 
 F3 = field_ctx(3)
 F5 = field_ctx(5)
@@ -51,21 +52,21 @@ def test_build_M_minimal_example():
         [0, 0, 1, 0, 0],
         [1, 0, 0, 0, 0],
     ]
-    assert qs.gram == MatrixFq(F3, expected)
-    assert det(qs.gram) != 0
+    assert qs.gram.tolist() == expected
+    assert det(F3, qs.gram) != 0
 
 
 def test_build_M_seven_dim_example():
     qs = build_M(F3, 3, 5, 1, 1)
     g = qs.gram
-    assert g.nrows == 7
-    assert g.is_symmetric() and det(g) != 0
+    assert len(g) == 7
+    assert np.array_equal(g, g.T) and det(F3, g) != 0
     # corners pair the first and last coordinates
-    assert g.rows[0][6] == 1 and g.rows[6][0] == 1
+    assert g[0, 6] == 1 and g[6, 0] == 1
     # middle 1x1 block carries the value-1 diagonal entry
-    assert g.rows[1][1] == 1
+    assert g[1, 1] == 1
     # the remaining 4x4 block pairs coordinate i with i+2
-    inner = [list(row[2:6]) for row in g.rows[2:6]]
+    inner = g[2:6, 2:6].tolist()
     assert inner == [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
 
 
@@ -105,8 +106,8 @@ def test_canonical_grams_symmetric_invertible(n, q):
     ctx = field_ctx(q)
     for case, r, d in cases_with_pairs(n):
         qs = build_M(ctx, n, r, d, case)
-        assert qs.gram.is_symmetric()
-        assert det(qs.gram) != 0
+        assert np.array_equal(qs.gram, qs.gram.T)
+        assert det(ctx, qs.gram) != 0
         assert qs.dim == 2 * n + 1
 
 
@@ -123,13 +124,13 @@ def test_build_S_minimal_example():
         [0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0],
     ]
-    assert af.s == MatrixFq(F3, expected)
+    assert af.s.tolist() == expected
     assert af.r == 3
 
 
 def test_build_S_larger_examples():
     af = build_S(build_M(F3, 3, 5, 1, 1))
-    assert af.s.nrows == 7 and af.r == 5
+    assert len(af.s) == 7 and af.r == 5
     af = build_S(build_M(F3, 3, 3, 1, 1))
     assert af.r == 3
     # one symplectic pair plus the single coupling entry
@@ -137,7 +138,7 @@ def test_build_S_larger_examples():
         (i, j)
         for i in range(7)
         for j in range(i + 1, 7)
-        if af.s.rows[i][j] != 0
+        if af.s[i, j] != 0
     ]
     assert nz == [(0, 3), (1, 2)]
 
@@ -169,9 +170,24 @@ def test_canonical_radical_dims(n, q):
 
 def test_alternating_form_rejects_bad_matrix():
     with pytest.raises(InadmissibleParams):
-        AlternatingForm(F3, MatrixFq(F3, [[0, 1], [1, 0]]))
+        AlternatingForm(F3, [[0, 1], [1, 0]])
     with pytest.raises(InadmissibleParams):
-        AlternatingForm(F3, MatrixFq(F3, [[1, 1], [2, 0]]))
+        AlternatingForm(F3, [[1, 1], [2, 0]])
+    # entries, then the shape, are checked where the matrix enters
+    with pytest.raises(InadmissibleParams, match="^3 is not an element of F_3$"):
+        AlternatingForm(F3, [[0, 3], [0, 0]])
+    with pytest.raises(InadmissibleParams, match="^1.5 is not an element of F_3$"):
+        AlternatingForm(F3, [[0, 1.5], [0, 0]])
+    with pytest.raises(InadmissibleParams, match="not alternating"):
+        AlternatingForm(F3, [0, 0, 0])
+    with pytest.raises(InadmissibleParams, match="not alternating"):
+        AlternatingForm(F3, np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(InadmissibleParams, match="^-1 is not an element of F_3$"):
+        QuadraticSpace(F3, 1, -np.eye(3, dtype=np.int64))
+    with pytest.raises(InadmissibleParams, match="must be 3x3"):
+        QuadraticSpace(F3, 1, np.eye(2, dtype=np.int64))
+    with pytest.raises(InadmissibleParams, match="symmetric"):
+        QuadraticSpace(F3, 1, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
 
 
 # ---------------------------------------------------------
@@ -179,7 +195,7 @@ def test_alternating_form_rejects_bad_matrix():
 # ---------------------------------------------------------
 def eta(qs, v):
     """The quadratic form of qs at v: v M v^T."""
-    return bilinear_value(qs.gram, v, v)
+    return bilinear_value(qs.ctx, qs.gram, v, v)
 
 
 def square_class(qs, v):
@@ -187,14 +203,14 @@ def square_class(qs, v):
     val = eta(qs, v)
     if val == 0:
         return "singular"
-    return "square" if qs.ctx.is_square(val) else "nonsquare"
+    return "square" if qs.ctx.np_is_square(val) else "nonsquare"
 
 
 def is_external(qs, v):
     """Whether the perp hyperplane of a nonsingular point v cuts a
     hyperbolic section: (-1)^n det(M) eta(v), disc_sign times eta(v), is a
     square.  orbit_counts and the residue classes read disc_sign this way."""
-    return qs.ctx.is_square(qs.ctx.mul(qs.disc_sign, eta(qs, v)))
+    return bool(qs.ctx.np_is_square(qs.ctx.mul(qs.disc_sign, eta(qs, v))))
 
 
 def test_point_square_class_examples():
@@ -238,11 +254,11 @@ def test_external_points_pair_with_a_square_class(case, wanted):
     ctx = F3
     qs = build_M(ctx, 2, 3, 1, case)
     pts = projective_points(ctx, 5)
-    vals = ctx.np_quad_eval(qs.gram_np(), pts)
+    vals = ctx.np_quad_eval(qs.gram, pts)
     for v, val in zip(pts, vals):
         if val == 0:
             continue
-        sq = "square" if ctx.is_square(int(val)) else "nonsquare"
+        sq = "square" if ctx.np_is_square(val) else "nonsquare"
         assert is_external(qs, v.tolist()) == (sq == wanted)
 
 
@@ -257,10 +273,10 @@ def _tangent_count(qs, p):
         line = set()
         for a, b in [(1, 0)] + [(lam, 1) for lam in range(ctx.q)]:
             w = tuple(
-                ctx.add(ctx.mul(a, x), ctx.mul(b, y)) for x, y in zip(u, p)
+                int(ctx.np_add(ctx.mul(a, x), ctx.mul(b, y))) for x, y in zip(u, p)
             )
             lead = next(i for i, t in enumerate(w) if t)
-            inv = ctx.inv(w[lead])
+            inv = int(ctx.np_inv(w[lead]))
             line.add(tuple(ctx.mul(inv, t) for t in w))
         if len(line & on_quadric) == 1:
             count += 1
@@ -270,7 +286,7 @@ def _tangent_count(qs, p):
 
 
 def test_conic_classification_matches_tangent_oracle():
-    qs = QuadraticSpace(F3, 1, MatrixFq.identity(F3, 3))
+    qs = QuadraticSpace(F3, 1, np.eye(3, dtype=np.int64))
     for p in projective_points(F3, 3):
         v = p.tolist()
         if eta(qs, v) == 0:
@@ -297,9 +313,10 @@ def test_projective_points_not_kept_after_use():
 
 def test_form_arrays_are_shared_and_read_only():
     qs, af = canonical_form(F3, 2, 3, 1, 1)
-    assert af.s_np() is af.s_np() and qs.gram_np() is qs.gram_np()
-    assert not af.s_np().flags.writeable and not qs.gram_np().flags.writeable
-    assert np.array_equal(af.s_np(), af.s.to_numpy())
+    for a in (af.s, af.radical, qs.gram, qs.gram_inv):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    assert af.radical.shape == (af.r, qs.dim)
+    assert np.array_equal(F3.np_matmul(qs.gram, qs.gram_inv), np.eye(qs.dim))
 
 
 def test_orbit_count_examples():
@@ -336,7 +353,7 @@ def test_even_dimension_square_class_orbits(t, q):
         (elliptic_gram(ctx, t - 1), q ** (t - 1) * (q**t + 1) // 2),
     ]:
         pts = projective_points(ctx, 2 * t)
-        vals = ctx.np_quad_eval(gram.to_numpy(), pts)
+        vals = ctx.np_quad_eval(gram, pts)
         nonzero = vals != 0
         sq = ctx.np_is_square(vals) & nonzero
         assert int(sq.sum()) == per_class
@@ -351,10 +368,10 @@ def test_witt_index_of_block_grams(q):
     ctx = field_ctx(q)
     for t in (1, 2):
         for gram in (hyperbolic_gram(ctx, t), parabolic_gram(ctx, t), elliptic_gram(ctx, t)):
-            assert forms._witt_indices(ctx, gram.to_numpy()[None]).tolist() == [t]
-    assert hyperbolic_gram(ctx, 2).nrows == 4
-    assert parabolic_gram(ctx, 2).nrows == 5
-    assert elliptic_gram(ctx, 2).nrows == 6
+            assert forms._witt_indices(ctx, gram[None]).tolist() == [t]
+    assert hyperbolic_gram(ctx, 2).shape == (4, 4)
+    assert parabolic_gram(ctx, 2).shape == (5, 5)
+    assert elliptic_gram(ctx, 2).shape == (6, 6)
 
 
 def test_radical_split_values():
@@ -390,7 +407,50 @@ def test_random_alternating_radical_is_odd(q, n, seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, q, size=(dim, dim))
     upper = np.triu(a, 1)
-    af = AlternatingForm(ctx, MatrixFq.from_numpy(ctx, (upper - upper.T) % q))
+    af = AlternatingForm(ctx, (upper - upper.T) % q)
     assert af.r % 2 == 1
     assert 1 <= af.r <= dim
-    assert rank(af.s) == dim - af.r
+    assert rank(ctx, af.s) == dim - af.r
+
+
+# ---------------------------------------------------------
+# Admission against the memory this process may still get
+# ---------------------------------------------------------
+def test_check_memory_compares_with_available_memory(monkeypatch):
+    gib = 2**30
+    proc = {}  # what the /proc reader returns, in KiB, per key
+    limits = [resource.RLIM_INFINITY]
+    monkeypatch.setattr(forms, "_proc_kib", lambda path, key: proc.get(key))
+    monkeypatch.setattr(forms.resource, "getrlimit", lambda which: (limits[0], resource.RLIM_INFINITY))
+
+    def rejection(need):
+        try:
+            forms.check_memory(need, "the step")
+        except InadmissibleParams as ex:
+            return str(ex)
+        return None
+
+    # MemAvailable, not the physical memory
+    proc["MemAvailable"] = 2 * gib // 1024
+    assert rejection(1.5 * gib) is None
+    assert rejection(3 * gib) == "the step needs at least 3 GiB; 2 GiB available"
+    # the physical memory when MemAvailable cannot be read
+    del proc["MemAvailable"]
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert rejection(phys / 2) is None
+    assert rejection(2 * phys) == f"the step needs at least {2 * phys / gib:.3g} GiB; {phys / gib:.3g} GiB available"
+    # the soft RLIMIT_AS less the address space already held, if lower
+    proc.update(MemAvailable=8 * gib // 1024, VmSize=3 * gib // 1024)
+    limits[0] = 4 * gib
+    assert rejection(0.5 * gib) is None
+    assert rejection(1.5 * gib) == "the step needs at least 1.5 GiB; 1 GiB available"
+    proc["VmSize"] = 5 * gib // 1024
+    assert rejection(1) == "the step needs at least 9.31e-10 GiB; 0 GiB available"
+
+
+def test_proc_reader_reads_kib_lines(tmp_path):
+    path = tmp_path / "meminfo"
+    path.write_text("MemTotal:  8 kB\nMemAvailable:   1234 kB\n")
+    assert forms._proc_kib(str(path), "MemAvailable") == 1234
+    assert forms._proc_kib(str(path), "VmSize") is None
+    assert forms._proc_kib(str(tmp_path / "missing"), "MemAvailable") is None

@@ -71,7 +71,7 @@ def test_quadric_points_are_canonical_and_sorted():
     pts = quadric_points(qs)
     for p in pts:
         v = p.tolist()
-        assert bilinear_value(qs.gram, v, v) == 0
+        assert bilinear_value(qs.ctx, qs.gram, v, v) == 0
         assert v[next(i for i, x in enumerate(v) if x)] == 1
     keys = [tuple(p) for p in pts]
     assert keys == sorted(keys)
@@ -131,7 +131,7 @@ def reference_lines(qs):
     reduced-echelon one replaced, kept as its test oracle."""
     ctx = qs.ctx
     pts = quadric_points(qs)
-    pm = ctx.np_matmul(pts, qs.gram_np())
+    pm = ctx.np_matmul(pts, qs.gram)
     if ctx.e == 1:
         block = (pm @ pts.T) % ctx.p
     else:

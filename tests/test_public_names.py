@@ -9,6 +9,12 @@ oracle.
 
 References are resolved by scope, so a local variable that shares a
 function's name (a `tau` inside a function body) is not a call of it.
+
+Public methods and properties of the package's classes are held to the
+same rule by name: one counts as used when an attribute of that name is
+loaded anywhere under src/ outside its own body.  That can miss an unused
+method whose name another class also uses, but never flags a used one.
+The methods perfbench/ traces are exempt.
 """
 import ast
 import re
@@ -115,6 +121,42 @@ def exempt_names():
     return names
 
 
+def _attribute_loads(tree):
+    """(attribute, enclosing definitions) for every attribute load."""
+    out = []
+
+    def walk(node, parents):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, parents))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            parents = parents + [node]
+        for child in ast.iter_child_nodes(node):
+            walk(child, parents)
+
+    walk(tree, [])
+    return out
+
+
+def unreferenced_members(trees):
+    """(module, class, name) of each public method or property of a class
+    in trees (module name -> parsed module) whose name no attribute load in
+    trees reaches from outside its own body."""
+    members = [
+        (mod, cls.name, node)
+        for mod, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    ]
+    loads = [load for tree in trees.values() for load in _attribute_loads(tree)]
+    return sorted(
+        (mod, cls, node.name)
+        for mod, cls, node in members
+        if not any(attr == node.name and node not in parents for attr, parents in loads)
+    )
+
+
 def test_every_public_name_has_a_caller():
     exempt = exempt_names()
     orphans = [f"{mod}.{name}" for mod, name in unreferenced_names() if name not in exempt]
@@ -129,3 +171,31 @@ def test_scan_resolves_local_variables_by_scope():
     tree = ast.parse("def tau(x):\n    return x\n\ndef f():\n    return tau(1)\n")
     loads = [(name, parents[-1].name) for name, attr, parents in _global_loads(tree) if name == "tau"]
     assert loads == [("tau", "f")]
+
+
+def test_every_public_method_has_a_caller():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    exempt = {(owner.__name__, attr) for _, owner, attr, _ in _load_spans()._targets() if isinstance(owner, type)}
+    assert ("LineSet", "members") in exempt
+    orphans = [f"{mod}.{cls}.{name}" for mod, cls, name in unreferenced_members(trees) if (cls, name) not in exempt]
+    assert orphans == [], f"public methods with no caller under src/: {orphans}"
+
+
+def test_member_scan_skips_the_members_own_body():
+    # a method only its own body loads (a recursion) has no caller; a load
+    # in another function, or of a property, is one
+    src = (
+        "class A:\n"
+        "    def walk(self, k):\n"
+        "        return self.walk(k - 1)\n\n"
+        "    def used(self):\n"
+        "        return 1\n\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 2\n\n"
+        "    def _private(self):\n"
+        "        return 3\n\n"
+        "def f(a):\n"
+        "    return a.used() + a.size\n"
+    )
+    assert unreferenced_members({"m": ast.parse(src)}) == [("m", "A", "walk")]

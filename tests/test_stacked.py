@@ -40,8 +40,8 @@ from polargrass.geometry import (
     residue_classes,
     tau_values,
 )
-from polargrass.matrix import MatrixFq, det, kernel, rref
-from test_matrix import eigenspace
+from polargrass.matrix import rref
+from test_matrix import det, eigenspace, null_space
 
 SPACES = {(n, q): standard_space(field_ctx(q), n) for n, q in [(2, 3), (3, 3), (2, 5), (2, 9)]}
 
@@ -52,13 +52,13 @@ SPACES = {(n, q): standard_space(field_ctx(q), n) for n, q in [(2, 3), (3, 3), (
 def reference_residue_classes(qs, af):
     ctx = qs.ctx
     pts = quadric_points(qs)
-    sp = ctx.np_matmul(pts, af.s_np().T)
+    sp = ctx.np_matmul(pts, af.s.T)
     a_mask = ~sp.any(axis=1)
-    x = ctx.np_matmul(sp, qs.gram_inv_np())
+    x = ctx.np_matmul(sp, qs.gram_inv)
     lead = (pts != 0).argmax(axis=1)
     coef = x[np.arange(len(pts)), lead]
     b_mask = ~a_mask & (x == ctx.np_mul(coef[:, None], pts)).all(axis=1)
-    wprime = ctx.np_quad_eval(qs.gram_np(), x)
+    wprime = ctx.np_quad_eval(qs.gram, x)
     rest = ~a_mask & ~b_mask
     zero_mask = rest & (wprime == 0)
     plus_mask = rest & (wprime != 0) & ctx.np_is_square(ctx.np_mul(np.int64(qs.disc_sign), wprime))
@@ -76,7 +76,7 @@ def reference_isotropic_mask(qs, af):
     ls = enumerate_singular_lines(qs)
     u = pts[ls.gens[:, 0]]
     v = pts[ls.gens[:, 1]]
-    return ctx.np_rowsum(ctx.np_mul(ctx.np_matmul(u, af.s_np()), v)) == 0
+    return ctx.np_rowsum(ctx.np_mul(ctx.np_matmul(u, af.s), v)) == 0
 
 
 def reference_tau_values(qs, af):
@@ -107,36 +107,35 @@ def reference_line_type_codes(qs, af):
 
 def reference_eigenvector_count(qs, af):
     ctx = qs.ctx
-    m = MatrixFq.from_numpy(ctx, ctx.np_matmul(qs.gram_inv_np(), af.s_np()))
-    return sum(ctx.q ** eigenspace(m, lam).dim - 1 for lam in range(1, ctx.q))
+    m = ctx.np_matmul(qs.gram_inv, af.s)
+    return sum(ctx.q ** len(eigenspace(ctx, m, lam)) - 1 for lam in range(1, ctx.q))
 
 
 def reference_witt_index(ctx, gram):
-    dmat = det(gram)
+    dmat = det(ctx, gram)
     assert dmat != 0
-    k = gram.nrows
+    k = len(gram)
     if k % 2 == 1:
         return (k - 1) // 2
     t = k // 2
     sign = dmat if t % 2 == 0 else ctx.neg(dmat)
-    return t if ctx.is_square(sign) else t - 1
+    return t if ctx.np_is_square(sign) else t - 1
 
 
 def reference_radical_split(qs, af):
     ctx = qs.ctx
     r, d = form_profile(qs, af)
-    b_r = MatrixFq(ctx, af.radical.basis)
-    b_m = b_r.mul(qs.gram)
-    perp = kernel(b_m).basis
-    d_in_r = kernel(b_m.mul(b_r.transpose()))
-    d_vecs = MatrixFq(ctx, d_in_r.basis).mul(b_r).rows if d_in_r.dim else ()
-    rows = d_vecs + perp
-    _, keep = rref(MatrixFq(ctx, rows).transpose())
-    h0 = [rows[i] for i in keep[len(d_vecs) :]]
-    if not h0:
+    b_r = af.radical
+    b_m = ctx.np_matmul(b_r, qs.gram)
+    perp = null_space(ctx, b_m)
+    d_in_r = null_space(ctx, ctx.np_matmul(b_m, b_r.T))
+    d_vecs = ctx.np_matmul(d_in_r, b_r)
+    rows = np.concatenate([d_vecs, perp])
+    _, keep = rref(ctx, rows.T)
+    h = rows[list(keep[len(d_vecs) :])]
+    if not len(h):
         return {"r": r, "d": d, "m": 0}
-    h = MatrixFq(ctx, h0)
-    return {"r": r, "d": d, "m": reference_witt_index(ctx, h.mul(qs.gram).mul(h.transpose()))}
+    return {"r": r, "d": d, "m": reference_witt_index(ctx, ctx.np_matmul(ctx.np_matmul(h, qs.gram), h.T))}
 
 
 # ---- stacks of forms -------------------------------------------------------------
