@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .geometry import (
     LineSet,
     _blocks,
     _encode_rows,
+    _pair_index,
     enumerate_singular_lines,
     line_bytes,
     singular_line_count,
@@ -136,14 +136,6 @@ class Codeword:
 
     values: np.ndarray
     weight: int
-
-
-@lru_cache(maxsize=None)
-def _pair_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    iu, ju = np.triu_indices(dim, 1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
 
 
 def message_from_form(af: AlternatingForm) -> np.ndarray:

@@ -1,14 +1,18 @@
 """Closed-form counts and the verification procedures that check them.
 
-Every count here is evaluated in exact rational arithmetic and converted to
-an int at the end; a fractional result raises NonIntegerResult.  The
+Every count here is exact.  The identities checked per form
+(line_count_from_census, census_rewrite_sides) run in integer arithmetic
+with checked division; the closed forms whose powers of q may have negative
+exponents run in rational arithmetic and are converted to an int at the
+end.  Either way a fractional result raises NonIntegerResult.  The
 verification functions return plain report dicts with stable key order and
 never raise on a mismatch; they record status "ok" or "mismatch" so callers
 can decide how to fail.  The checks run by one run_checks call share one
 FormTable: its canonical and sampled forms, the points and lines cached on
 their spaces, the code of the standard space, and each form's residue
-classes, isotropic lines, eigenvector count and radical split, each kind
-computed for all forms of a space in one stacked kernel call.
+classes, isotropic lines, line-type census, eigenvector count and radical
+split, each kind computed for all forms of a space in one stacked kernel
+call.
 """
 
 from __future__ import annotations
@@ -60,6 +64,14 @@ def _int(x: Fraction | int, what: str) -> int:
     if f.denominator != 1:
         raise NonIntegerResult(f"{what} evaluated to non-integer {f}")
     return int(f)
+
+
+def _div(num: int, den: int, what: str) -> int:
+    """num / den, raising NonIntegerResult unless it is an integer."""
+    quo, rem = divmod(num, den)
+    if rem:
+        raise NonIntegerResult(f"{what} evaluated to non-integer {Fraction(num, den)}")
+    return quo
 
 
 def _qp(q: int, e: int) -> Fraction:
@@ -142,22 +154,24 @@ def line_count_from_census(census: CensusRecord, n: int, q: int) -> int:
     """Isotropic singular line count implied by a census."""
     c = residue_constants(n, q)
     tot = (
-        Fraction(census.a * c["A0"])
+        census.a * c["A0"]
         + census.n_zero * c["B0"]
         + census.n_plus * c["Bplus"]
         + census.n_minus * c["Bminus"]
     )
-    return _int(tot / (q + 1), "line count")
+    return _div(tot, q + 1, "line count")
 
 
 def census_rewrite_sides(census: CensusRecord, n: int, q: int) -> tuple[int, int]:
-    """Both sides of the reduced line-count identity, as integers."""
+    """Both sides of the reduced line-count identity, as integers.  Every
+    power of q has a nonnegative exponent (n >= 2, which
+    line_count_from_census checks)."""
     lhs = (q + 1) * line_count_from_census(census, n, q)
     delta = census.n_plus - census.n_minus
-    rhs = _int(
-        census.a * _qp(q, 2 * n - 3)
-        + delta * _qp(q, n - 2)
-        + (_qp(q, 2 * n - 3) - 1) * (_qp(q, 2 * n) - 1) / (q - 1) ** 2,
+    top, sq = q ** (2 * n - 3), (q - 1) ** 2
+    rhs = _div(
+        (census.a * top + delta * q ** (n - 2)) * sq + (top - 1) * (q ** (2 * n) - 1),
+        sq,
         "rewrite side",
     )
     return lhs, rhs
@@ -466,8 +480,10 @@ class FormTable:
     seeded random forms on the standard space, tagged case 0.  Each is
     built on first use, so a check that reads no forms runs at any n.
     row(kernel, space, form) calls a stacked kernel once per space, on all
-    entries of the space, and keeps the rows for the life of the table.
-    budget bounds the messages min-distance-exact may scan.
+    entries of the space, and keeps the rows for the life of the table;
+    types(space, form) does the same for the line-type census, whose kernel
+    reads the residue rows.  budget bounds the messages min-distance-exact
+    may scan.
     """
 
     def __init__(self, n: int, q: int, samples: int = 0, seed: int = 0, budget: int = DEFAULT_BUDGET):
@@ -513,6 +529,15 @@ class FormTable:
 
     def census(self, qs: QuadraticSpace, af: AlternatingForm) -> CensusRecord:
         return geometry._census(self.row(geometry._residue_stack, qs, af))
+
+    def types(self, qs: QuadraticSpace, af: AlternatingForm) -> dict[str, int]:
+        """af's number of lines of each type (see LINE_TYPE_NAMES)."""
+        return dict(zip(geometry.LINE_TYPE_NAMES, self.row(self._line_types, qs, af).tolist()))
+
+    def _line_types(self, qs: QuadraticSpace, afs) -> np.ndarray:
+        """The line-type censuses of afs, from their residue rows."""
+        codes = np.stack([self.row(geometry._residue_stack, qs, af) for af in afs])
+        return geometry._line_type_stack(qs, codes)
 
 
 def verify_census_all(table: FormTable) -> dict:
@@ -599,14 +624,13 @@ def verify_line_types(table: FormTable) -> dict:
     first_bad = None
     checked = 0
     for _, space, af in table.entries:
-        codes = table.row(geometry._residue_stack, space, af)
         try:
-            types = geometry._type_census(geometry._line_types(space, codes))
+            types = table.types(space, af)
         except TypeNotInTable as ex:
             ok = False
             first_bad = {"error": str(ex)}
             break
-        census = geometry._census(codes)
+        census = table.census(space, af)
         half_hi = (q + 1) // 2
         half_lo = (q - 1) // 2
         plus_flags = q * types["TPLUS"] + half_hi * types["TALPHA"] + half_lo * types["TBETA"]

@@ -8,12 +8,14 @@ and no dedup step is needed.  Lines are stored by those coordinates in
 ascending lexicographic order, together with the generator pair and the ids
 of their q+1 member points.
 
-The per-form residue classes and isotropic-line masks come from stacked
-kernels: each takes a list of forms on one space and evaluates all of them
-with one product per block of points or lines.  A single-form function is
-a call with one form followed by a read-off (_census, _mask, _tau,
-_line_types) that turns the form's row into its census, line mask, tau
-values or line types; counting's form table applies the same read-offs
+The per-form data of verify come from stacked kernels, each one pass per
+block of points or lines over all the forms on one space: the residue
+classes (_residue_stack), the isotropic-line masks (_isotropic_stack, the
+zero sets of the forms' codewords, from the lines' Plücker rows) and the
+line-type censuses (_line_type_stack, over the forms' residue rows).  A
+single-form function is the same kernel called on one form, followed by a
+read-off (_census, _mask, _tau) that turns the form's row into its census,
+line mask or tau values; counting's form table applies the same read-offs
 to the rows of all forms of a space.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +60,16 @@ def _blocks(rows: int, per_row: int, madds: int = 1) -> list[slice]:
     """
     step = max(1, min((PAIR_BLOCK_ENTRIES >> 4) // max(1, per_row), BLAS_MADDS // max(1, madds)))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+@lru_cache(maxsize=None)
+def _pair_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate pairs i < j in lex order: the columns of a Plücker
+    row and the entries of a message."""
+    iu, ju = np.triu_indices(dim, 1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
 
 def _stack(qs: QuadraticSpace, afs) -> np.ndarray:
@@ -145,13 +158,20 @@ class LineSet:
         if self._members is None:
             qs = self.qs
             ctx = qs.ctx
-            pts = quadric_points(qs)
-            v = pts[self.gens[:, 0]]
-            u = pts[self.gens[:, 1]]
+            narrow = quadric_points(qs).astype(_wedge_dtype(ctx.q))
+            v = narrow[self.gens[:, 0]]
+            u = narrow[self.gens[:, 1]]
             cols = [self.gens[:, 0]]
-            # u + lam v keeps the leading 1 of u, so it is already canonical
+            # u + lam v keeps the leading 1 of u, so it is already canonical.
+            # Over F_p it is u plus lam copies of v; over F_(p^e) the field
+            # element lam is no repeated sum, so it goes through the tables.
+            w = u.copy()
             for lam in range(ctx.q):
-                w = ctx.np_add(u, ctx.np_mul(np.int64(lam), v))
+                if ctx.e > 1:
+                    w = ctx.np_add(u, ctx.np_mul(lam, v))
+                elif lam:
+                    w += v
+                    w -= ctx.p * (w >= ctx.p)
                 cols.append(_ids_for_rows(qs, w))
             mem = np.stack(cols, axis=1)
             mem.sort(axis=1)
@@ -175,38 +195,29 @@ def line_bytes(n: int, q: int) -> float:
     singular points: the larger of its two stages.
 
     Pairing: three int64 copies of a product block of PAIR_BLOCK_ENTRIES
-    entries, then four int64 ids per line (the pairs found, in pieces and
-    joined).  Sorting, per line: the wedge row in the narrow dtype and its
-    sorted copy, the int64 plucker row, both points of the pair in the
-    narrow dtype, five int64 ids (the pair's ids in pieces and joined, and
-    the sort order) and two more, which cover the generator pairs built
-    once the sorted copy is freed.  N is at least q^(4n-5), so past 2^100
-    it is inf and a huge n costs no big-integer power.
+    entries, with two int64 ids per line (the pairs found so far, in
+    pieces).  Sorting, per line: the wedge row in the narrow dtype and its
+    sorted copy, the int64 plucker row and three int64 ids (the pair's ids
+    and the sort order), plus 64 KiB for the small arrays and objects alive
+    beside them (under 4 KiB at (3,5) and (4,3)); the pieces of the ids,
+    the pairing's point tables and both points of each pair are freed
+    before it.  N is at least q^(4n-5), so past 2^100 it is inf and a huge
+    n costs no big-integer power.
     """
     if (4 * n - 5) * math.log2(q) > 100:
         return math.inf
     nn, dim = singular_line_count(n, q), 2 * n + 1
     k, w = dim * (dim - 1) // 2, np.dtype(_wedge_dtype(q)).itemsize
-    return max(24 * PAIR_BLOCK_ENTRIES + 32 * nn, nn * (2 * k * w + 8 * k + 2 * dim * w + 56))
+    return max(24 * PAIR_BLOCK_ENTRIES + 16 * nn, nn * (2 * k * w + 8 * k + 24) + (1 << 16))
 
 
-def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
-    """All totally singular lines, each found once, in lex order.
-
-    Every line has one reduced-row-echelon pair of points (u, v): lead(v) >
-    lead(u) and u[lead(v)] = 0.  Both are singular, so the line is totally
-    singular exactly when B(u, v) = 0.  For each lead b, products of the
-    points v with lead b against the points u with lead < b and u[b] = 0,
-    in blocks of at most PAIR_BLOCK_ENTRIES pairs, find these pairs; the
-    wedge row of a pair has a leading 1 at (lead u, lead v), so it needs no
-    scaling and no dedup.
-    """
-    if "lines" in qs._cache:
-        return qs._cache["lines"]
+def _singular_pairs(qs: QuadraticSpace, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ids (u, v) of the reduced-row-echelon pairs of singular points
+    that span totally singular lines (see enumerate_singular_lines).  For
+    each lead b, products of the points v with lead b against the points u
+    with lead < b and u[b] = 0, in blocks of at most PAIR_BLOCK_ENTRIES
+    pairs, find them; the products and point tables are freed on return."""
     ctx = qs.ctx
-    k = qs.dim * (qs.dim - 1) // 2
-    check_memory(line_bytes(qs.n, ctx.q), f"the singular lines of Q({2 * qs.n}, {ctx.q})")
-    pts = quadric_points(qs)
     lead = (pts != 0).argmax(axis=1)
     pm = ctx.np_matmul(pts, qs.gram)
     u_ids: list[np.ndarray] = []
@@ -222,11 +233,30 @@ def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
             v_ids.append(block[row])
             u_ids.append(us[col])
     ui = np.concatenate(u_ids)
-    vi = np.concatenate(v_ids)
+    del u_ids
+    return ui, np.concatenate(v_ids)
+
+
+def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
+    """All totally singular lines, each found once, in lex order.
+
+    Every line has one reduced-row-echelon pair of points (u, v): lead(v) >
+    lead(u) and u[lead(v)] = 0.  Both are singular, so the line is totally
+    singular exactly when B(u, v) = 0, which _singular_pairs tests.  The
+    wedge row of a pair has a leading 1 at (lead u, lead v), so it needs no
+    scaling and no dedup.
+    """
+    if "lines" in qs._cache:
+        return qs._cache["lines"]
+    ctx = qs.ctx
+    k = qs.dim * (qs.dim - 1) // 2
+    check_memory(line_bytes(qs.n, ctx.q), f"the singular lines of Q({2 * qs.n}, {ctx.q})")
+    pts = quadric_points(qs)
+    ui, vi = _singular_pairs(qs, pts)
 
     # the wedge in the narrow dtype, so the sorted plucker is the only N x K
     # int64 array
-    iu, ju = np.triu_indices(qs.dim, 1)
+    iu, ju = _pair_index(qs.dim)
     narrow = pts.astype(_wedge_dtype(ctx.q))
     u = narrow[ui]
     v = narrow[vi]
@@ -237,8 +267,10 @@ def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
         pl = np.empty((len(ui), k), dtype=narrow.dtype)
         for c, (i, j) in enumerate(zip(iu, ju)):
             pl[:, c] = ctx.np_sub(ctx.np_mul(u[:, i], v[:, j]), ctx.np_mul(u[:, j], v[:, i]))
+    del narrow, u, v
     order = np.argsort(_encode_rows(ctx.q, pl), kind="stable")
     plucker = pl[order].astype(np.int64)
+    del pl
     gens = np.stack([vi[order], ui[order]], axis=1).astype(np.int64, copy=False)
     plucker.setflags(write=False)
     ls = LineSet(qs, plucker, gens)
@@ -306,21 +338,20 @@ def _isotropic_stack(qs: QuadraticSpace, afs) -> np.ndarray:
     the form vanishes on it, packed eight lines to a byte (np.packbits),
     (B, ceil(lines / 8)).
 
-    u^T S v = sum over (i, j) of (u_i v_j) S_ij, so per block of lines one
-    product of the pair table u (x) v of the lines' generator pairs with the
-    stacked vec(S) gives every value.
+    u^T S v = sum over i < j of S_ij (u_i v_j - u_j v_i), so per block of
+    lines one product of their Plücker rows with the stacked strict upper
+    triangles of S (the forms' messages) gives every value: the mask is the
+    zero set of each form's codeword.
     """
     ctx = qs.ctx
-    pts = quadric_points(qs)
-    gens = enumerate_singular_lines(qs).gens
-    nb, dim = len(afs), qs.dim
-    vec = _stack(qs, afs).reshape(nb, dim * dim).T
-    out = np.empty((nb, len(gens)), dtype=bool)
-    # the pair table, its float copy and a temporary, the product and its int copy
-    for blk in _blocks(len(gens), 3 * dim * dim + 2 * nb, dim * dim * nb):
-        u, v = pts[gens[blk, 0]], pts[gens[blk, 1]]
-        pairs = ctx.np_mul(u[:, :, None], v[:, None, :]).reshape(len(u), dim * dim)
-        out[:, blk] = (ctx.np_matmul(pairs, vec) == 0).T
+    plucker = enumerate_singular_lines(qs).plucker
+    iu, ju = _pair_index(qs.dim)
+    upper = _stack(qs, afs)[:, iu, ju].T
+    k, nb = upper.shape
+    out = np.empty((nb, len(plucker)), dtype=bool)
+    # the float copy of the rows, the product and its int copy
+    for blk in _blocks(len(plucker), k + 2 * nb, k * nb):
+        out[:, blk] = (ctx.np_matmul(plucker[blk], upper) == 0).T
     return np.packbits(out, axis=1)
 
 
@@ -347,20 +378,20 @@ def tau_values(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     return _tau(qs, _mask(qs, _isotropic_stack(qs, [af])[0]))
 
 
-def line_type_codes(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
-    """Type code per line from the residue classes of its points."""
-    return _line_types(qs, residue_classes(qs, af))
+def _line_type_blocks(qs: QuadraticSpace, codes: np.ndarray):
+    """Per block of lines in order, the (lines, B) type codes of a (B,
+    points) stack of residue rows.
 
-
-def _line_types(qs: QuadraticSpace, codes: np.ndarray) -> np.ndarray:
-    """Type code per line from a form's residue class codes."""
+    Each point gets a key, q+2 for a plus point, 1 for a minus point and 0
+    otherwise, so the key sum of a line's q+1 points is (q+2) n_plus +
+    n_minus.  As n_plus + n_minus <= q+1, the sum fixes the pattern
+    (n_plus, n_W, n_minus), and one table of (q+2)^2 entries maps it to
+    the type.  A line whose pattern is in no type raises TypeNotInTable in
+    the first block that holds one, naming the first form with such a line
+    there and that form's first such line.
+    """
     q = qs.ctx.q
-    ls = enumerate_singular_lines(qs)
-    mem_cls = codes[ls.members()]
-    n_plus = (mem_cls == RESIDUE_PLUS).sum(axis=1)
-    n_minus = (mem_cls == RESIDUE_MINUS).sum(axis=1)
-    n_w = mem_cls.shape[1] - n_plus - n_minus
-    out = np.full(len(ls), -1, dtype=np.int8)
+    base = q + 2
     patterns = {
         LINE_T0: (0, q + 1, 0),
         LINE_TPLUS: (q, 1, 0),
@@ -368,17 +399,43 @@ def _line_types(qs: QuadraticSpace, codes: np.ndarray) -> np.ndarray:
         LINE_TBETA: ((q - 1) // 2, 2, (q - 1) // 2),
         LINE_TMINUS: (0, 1, q),
     }
-    for code, (cp, cw, cm) in patterns.items():
-        out[(n_plus == cp) & (n_w == cw) & (n_minus == cm)] = code
-    if (out < 0).any():
-        bad = int(np.flatnonzero(out < 0)[0])
-        raise TypeNotInTable(
-            f"line {bad} has pattern (n+, nW, n-) = "
-            f"({int(n_plus[bad])}, {int(n_w[bad])}, {int(n_minus[bad])})"
-        )
-    return out
+    table = np.full(base * base, -1, dtype=np.int8)
+    for code, (cp, _, cm) in patterns.items():
+        table[base * cp + cm] = code
+    key = np.zeros(len(RESIDUE_NAMES), dtype=np.int32)
+    key[RESIDUE_PLUS], key[RESIDUE_MINUS] = base, 1
+    keys = key[codes.T]  # (points, B): a member id gathers one row
+    mem = enumerate_singular_lines(qs).members()
+    # the key sum, a gathered column, the types and the mask
+    for blk in _blocks(len(mem), 3 * keys.shape[1]):
+        cols = mem[blk]
+        total = keys[cols[:, 0]]
+        for c in range(1, q + 1):
+            total += keys[cols[:, c]]
+        types = table[total]
+        bad = types < 0
+        if bad.any():
+            form = int(bad.any(axis=0).argmax())
+            line = int(bad[:, form].argmax())
+            n_plus, n_minus = divmod(int(total[line, form]), base)
+            raise TypeNotInTable(
+                f"line {blk.start + line} has pattern (n+, nW, n-) = "
+                f"({n_plus}, {q + 1 - n_plus - n_minus}, {n_minus})"
+            )
+        yield types
 
 
-def _type_census(types: np.ndarray) -> dict[str, int]:
-    """Number of lines of each type, from the type code per line."""
-    return dict(zip(LINE_TYPE_NAMES, (int(c) for c in np.bincount(types, minlength=5))))
+def _line_type_stack(qs: QuadraticSpace, codes: np.ndarray) -> np.ndarray:
+    """Line-type census (B, 5) of a (B, points) stack of residue rows: per
+    form, the number of lines of each type (see LINE_TYPE_NAMES)."""
+    nb = len(codes)
+    census = np.zeros((nb, len(LINE_TYPE_NAMES)), dtype=np.int64)
+    offsets = len(LINE_TYPE_NAMES) * np.arange(nb)
+    for types in _line_type_blocks(qs, codes):
+        census += np.bincount((types + offsets).ravel(), minlength=census.size).reshape(census.shape)
+    return census
+
+
+def line_type_codes(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
+    """Type code per line from the residue classes of its points."""
+    return np.concatenate([types[:, 0] for types in _line_type_blocks(qs, residue_classes(qs, af)[None])])

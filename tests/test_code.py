@@ -503,14 +503,14 @@ def test_memory_estimate():
     # larger of the line enumerator's peak and the rank check's: per line
     # the int64 plucker row, its copy in G, the generator pair and seven
     # int64 of rank_np's blocks.  The enumerator's peak is the larger of
-    # three int64 copies of its product block with four int64 ids per line,
-    # and per line two int16 wedge rows, the int64 plucker row, both int16
-    # points of the pair and seven int64 ids.
+    # three int64 copies of its product block with two int64 ids per line,
+    # and per line two int16 wedge rows, the int64 plucker row and three
+    # int64 ids, plus 64 KiB.
     block = 24 * PAIR_BLOCK_ENTRIES
     assert point_bytes(3, 5) == 32 * 5 * 121
-    assert line_bytes(2, 3) == block + 32 * 40
-    assert line_bytes(3, 5) == 101556 * (4 * 21 + 8 * 21 + 4 * 7 + 56)
-    assert memory_estimate(2, 3) == 32 * 5 * 121 + block + 32 * 40
+    assert line_bytes(2, 3) == block + 16 * 40
+    assert line_bytes(3, 5) == 101556 * (4 * 21 + 8 * 21 + 24) + 2**16
+    assert memory_estimate(2, 3) == 32 * 5 * 121 + block + 16 * 40
     assert memory_estimate(3, 5) == 32 * 7 * 19531 + 101556 * (16 * 21 + 72)
     p = code_parameters(5, 3)
     assert memory_estimate(5, 3) > 16 * p.N * p.K > 19 * 2**30

@@ -2,6 +2,7 @@
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from polargrass import code, counting, forms, geometry, matrix
@@ -43,7 +44,7 @@ from polargrass.errors import (
     InadmissibleParams,
     NonIntegerResult,
 )
-from polargrass.field import field_ctx
+from polargrass.field import FieldCtx, field_ctx
 from polargrass.forms import admissible_pairs, canonical_form, radical_split
 from polargrass.geometry import CensusRecord, empirical_census, isotropic_line_count
 
@@ -129,6 +130,14 @@ def test_line_count_from_census_non_integer():
     fake = CensusRecord(a_radical=1, a_eigen=0, n_zero=0, n_plus=1, n_minus=0)
     with pytest.raises(NonIntegerResult):
         line_count_from_census(fake, 2, 3)
+
+
+def test_census_rewrite_sides_non_integer():
+    # the census gives 4 + 2 = 6 flags at (2,3), no multiple of q+1 = 4; the
+    # integer division keeps the message of the exact rational one
+    fake = CensusRecord(a_radical=1, a_eigen=0, n_zero=0, n_plus=1, n_minus=0)
+    with pytest.raises(NonIntegerResult, match=r"^line count evaluated to non-integer 3/2$"):
+        census_rewrite_sides(fake, 2, 3)
 
 
 def test_census_rewrite_sides_agree():
@@ -560,6 +569,7 @@ def test_run_checks_enumerates_each_space_once(monkeypatch, n, q):
 STACKED_KERNELS = [
     (geometry, "_residue_stack"),
     (geometry, "_isotropic_stack"),
+    (geometry, "_line_type_stack"),  # over the residue rows, one per form
     (counting, "_eigenvector_counts"),
     (forms, "_radical_splits"),
 ]
@@ -588,6 +598,52 @@ def test_run_checks_computes_each_form_once(monkeypatch, n, q):
         keys = [(id(qs), id(af)) for call in calls for qs, af in call]
         assert keys and len(keys) == len(set(keys)), name
         assert max(len(call) for call in calls) >= samples, name
+
+
+def test_run_checks_line_side_passes(monkeypatch):
+    # One run at (3,3): the line-type kernel makes one pass per space, over
+    # the residue rows of all its forms, and no line types are read off
+    # per form; every product of the isotropic kernel takes the lines'
+    # Plücker rows (K = 21 columns), no (lines x dim^2) pair table.
+    samples, k = 100, 21
+    stacks, passes, per_form, matmuls = [], [], [], []
+    inside = []
+
+    def spy(name, fn, record):
+        def wrapped(*args):
+            record.append(args)
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    watched = [
+        ("_line_type_stack", stacks),
+        ("_line_type_blocks", passes),
+        ("_isotropic_stack", []),
+        ("enumerate_singular_lines", []),  # its pair products are not the kernel's
+    ]
+    for name, record in watched:
+        monkeypatch.setattr(geometry, name, spy(name, getattr(geometry, name), record))
+    monkeypatch.setattr(geometry, "line_type_codes", spy("line_type_codes", geometry.line_type_codes, per_form))
+    product = FieldCtx.np_matmul
+
+    def matmul(ctx, a, b):
+        if inside and inside[-1] == "_isotropic_stack":
+            matmuls.append((np.shape(a)[-1], np.shape(b)[0]))
+        return product(ctx, a, b)
+
+    monkeypatch.setattr(FieldCtx, "np_matmul", matmul)
+    reports = run_checks(["all"], {"n": 3, "q": 3, "samples": samples, "seed": 0, "budget": 10**7})
+    assert all(r["status"] == "ok" for r in reports if r["check"] == "line-type-census")
+    spaces = {id(qs) for _, qs, _ in FormTable(3, 3).canonical}
+    assert len(stacks) == len(passes) == len(spaces) and not per_form
+    assert len({id(qs) for qs, _ in stacks}) == len(stacks)
+    assert sum(len(codes) for _, codes in passes) == len(FormTable(3, 3).canonical) + samples
+    assert matmuls and set(matmuls) == {(k, k)}
 
 
 @pytest.mark.parametrize("n,q,most", [(2, 9, 1000), (3, 3, 142)])

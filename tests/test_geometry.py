@@ -40,7 +40,7 @@ def point_row(qs, v):
 
 def type_census(qs, af):
     """Number of lines of each type under af."""
-    return geometry._type_census(line_type_codes(qs, af))
+    return dict(zip(LINE_TYPE_NAMES, np.bincount(line_type_codes(qs, af), minlength=5).tolist()))
 
 
 def tau_constants(n, q):

@@ -1,11 +1,12 @@
 # tests/test_stacked.py
 """The stacked per-form kernels against the per-form code they replaced.
 
-geometry's residue and isotropic-line kernels, counting's eigenvector
-counts and forms' radical splits each evaluate a list of forms on one space
-in one call, in blocks of points, lines or forms; censuses, tau values and
-line types are read off a form's rows, by the single-form functions and by
-counting's FormTable alike.  The reference_* functions below are the bodies
+geometry's residue, isotropic-line and line-type kernels, counting's
+eigenvector counts and forms' radical splits each evaluate a list of forms
+on one space in one call, in blocks of points, lines or forms (the
+line-type kernel takes the forms' residue rows); censuses and tau values
+are read off a form's rows, by the single-form functions and by counting's
+FormTable alike.  The reference_* functions below are the bodies
 that computed the same data one form at a time; they stay here only as
 oracles.
 """
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from polargrass import counting, forms, geometry
 from polargrass.code import random_alternating_forms
-from polargrass.errors import InadmissibleParams
+from polargrass.errors import InadmissibleParams, TypeNotInTable
 from polargrass.field import FieldCtx, field_ctx
 from polargrass.forms import alternating_forms, form_profile, radical_split, standard_space
 from polargrass.geometry import (
@@ -27,6 +28,7 @@ from polargrass.geometry import (
     LINE_TBETA,
     LINE_TMINUS,
     LINE_TPLUS,
+    LINE_TYPE_NAMES,
     RESIDUE_MINUS,
     RESIDUE_P_A,
     RESIDUE_P_B,
@@ -85,10 +87,11 @@ def reference_tau_values(qs, af):
     return np.bincount(mem[iso].ravel(), minlength=len(quadric_points(qs)))
 
 
-def reference_line_type_codes(qs, af):
-    """Type per line, -1 where the pattern is in no type."""
+def reference_line_types(qs, codes):
+    """Type per line from a form's residue class codes, -1 where the
+    pattern is in no type, and the (lines, 3) patterns (n+, nW, n-)."""
     q = qs.ctx.q
-    mem_cls = reference_residue_classes(qs, af)[enumerate_singular_lines(qs).members()]
+    mem_cls = codes[enumerate_singular_lines(qs).members()]
     n_plus = (mem_cls == RESIDUE_PLUS).sum(axis=1)
     n_minus = (mem_cls == RESIDUE_MINUS).sum(axis=1)
     n_w = mem_cls.shape[1] - n_plus - n_minus
@@ -102,7 +105,18 @@ def reference_line_type_codes(qs, af):
     }
     for code, (cp, cw, cm) in patterns.items():
         out[(n_plus == cp) & (n_w == cw) & (n_minus == cm)] = code
-    return out
+    return out, np.stack([n_plus, n_w, n_minus], axis=1)
+
+
+def reference_line_type_codes(qs, af):
+    return reference_line_types(qs, reference_residue_classes(qs, af))[0]
+
+
+def reference_type_census(qs, af):
+    """Number of lines of each type, every line having one."""
+    codes = reference_line_type_codes(qs, af)
+    assert (codes >= 0).all()
+    return dict(zip(LINE_TYPE_NAMES, np.bincount(codes, minlength=5).tolist()))
 
 
 def reference_eigenvector_count(qs, af):
@@ -177,6 +191,7 @@ def test_stacked_kernels_match_per_form_references(case):
             mp.setattr(geometry, "PAIR_BLOCK_ENTRIES", bound)
         residue = geometry._residue_stack(qs, afs)
         iso = geometry._isotropic_stack(qs, afs)
+        types = geometry._line_type_stack(qs, residue)
         eigen = counting._eigenvector_counts(qs, afs)
         splits = forms._radical_splits(qs, afs)
     for i, af in enumerate(afs):
@@ -184,6 +199,7 @@ def test_stacked_kernels_match_per_form_references(case):
         assert np.unpackbits(iso[i], count=len(enumerate_singular_lines(qs))).tolist() == (
             reference_isotropic_mask(qs, af).astype(np.uint8).tolist()
         )
+        assert dict(zip(LINE_TYPE_NAMES, types[i].tolist())) == reference_type_census(qs, af)
         assert eigen[i] == reference_eigenvector_count(qs, af)
         if af.r < qs.dim:
             assert dict(zip("rdm", splits[i].tolist())) == reference_radical_split(qs, af)
@@ -200,14 +216,15 @@ def test_run_rows_match_per_form_references(case):
     table = counting.FormTable(qs.n, qs.ctx.q)
     table.entries = [(0, qs, af) for af in afs]  # in place of the canonical and sampled forms
     for af in reversed(afs):
-        codes = table.row(geometry._residue_stack, qs, af)
+        assert table.row(geometry._residue_stack, qs, af).tolist() == reference_residue_classes(qs, af).tolist()
         counts = np.bincount(reference_residue_classes(qs, af), minlength=5).tolist()
         census = table.census(qs, af)
         assert [census.a_radical, census.a_eigen, census.n_zero, census.n_plus, census.n_minus] == counts
         mask = geometry._mask(qs, table.row(geometry._isotropic_stack, qs, af))
         assert int(mask.sum()) == int(reference_isotropic_mask(qs, af).sum())
         assert geometry._tau(qs, mask).tolist() == reference_tau_values(qs, af).tolist()
-        assert geometry._line_types(qs, codes).tolist() == reference_line_type_codes(qs, af).tolist()
+        assert table.types(qs, af) == reference_type_census(qs, af)
+        assert line_type_codes(qs, af).tolist() == reference_line_type_codes(qs, af).tolist()
         assert table.row(counting._eigenvector_counts, qs, af) == reference_eigenvector_count(qs, af)
         split = table.row(forms._radical_splits, qs, af)
         if af.r < qs.dim:
@@ -245,7 +262,7 @@ def test_per_form_functions_agree_inside_and_outside_a_run(monkeypatch, n, q):
             assert table.census(qs, af).as_tuple() == want["census"]
             assert int(mask.sum()) == want["isotropic"]
             assert geometry._tau(qs, mask).tolist() == want["tau"]
-            assert geometry._line_types(qs, codes).tolist() == want["types"]
+            assert table.types(qs, af) == dict(zip(LINE_TYPE_NAMES, np.bincount(want["types"], minlength=5).tolist()))
             assert forms._split(qs, table.row(forms._radical_splits, qs, af)) == want["split"]
             assert table.row(counting._eigenvector_counts, qs, af) == want["eigen"]
         return {"check": "probe", "status": "ok"}
@@ -257,6 +274,67 @@ def test_per_form_functions_agree_inside_and_outside_a_run(monkeypatch, n, q):
     assert len(inside) > 3
     for qs, af, want in inside.values():
         assert values(qs, af) == want
+
+
+@pytest.mark.parametrize("n,q", sorted(SPACES))
+def test_line_kernels_match_references_on_every_canonical_shape(n, q):
+    # All canonical forms of a space in one call each: the isotropic masks
+    # from the Plücker product (a table product over F_9) and the line
+    # types, both stacked and through the single-form line_type_codes.
+    spaces = {}
+    for _, qs, af in counting.FormTable(n, q).canonical:
+        spaces.setdefault(qs, []).append(af)
+    for qs, afs in spaces.items():
+        iso = geometry._isotropic_stack(qs, afs)
+        types = geometry._line_type_stack(qs, geometry._residue_stack(qs, afs))
+        for i, af in enumerate(afs):
+            mask = geometry._mask(qs, iso[i])
+            assert mask.tolist() == reference_isotropic_mask(qs, af).tolist()
+            assert line_type_codes(qs, af).tolist() == reference_line_type_codes(qs, af).tolist()
+            assert dict(zip(LINE_TYPE_NAMES, types[i].tolist())) == reference_type_census(qs, af)
+
+
+def corrupted_classes(qs, af, line):
+    """af's residue classes with one point of the given line moved to the
+    plus class, or from it to the minus class, so that the line matches no
+    type; and the reference message naming the first line that then
+    matches none."""
+    codes = reference_residue_classes(qs, af).copy()
+    point = enumerate_singular_lines(qs).members()[line, 0]
+    codes[point] = RESIDUE_MINUS if codes[point] == RESIDUE_PLUS else RESIDUE_PLUS
+    types, patterns = reference_line_types(qs, codes)
+    bad = int(np.flatnonzero(types < 0)[0])
+    assert bad <= line
+    return codes, "line {} has pattern (n+, nW, n-) = ({}, {}, {})".format(bad, *patterns[bad].tolist())
+
+
+@pytest.mark.parametrize("n,q,line", [(2, 3, 17), (3, 3, 2000), (2, 9, 500)])
+def test_a_line_of_no_type_is_named(monkeypatch, n, q, line):
+    # One corrupted residue row: line_type_codes and verify_line_types name
+    # the first line that matches no type, whatever block it falls in.
+    qs = SPACES[n, q]
+    afs = random_alternating_forms(qs.ctx, qs.dim, np.random.default_rng(line), 3)
+    codes, message = corrupted_classes(qs, afs[1], line)
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_ENTRIES", 1 << 12)
+    with monkeypatch.context() as mp:
+        mp.setattr(geometry, "residue_classes", lambda qs_, af: codes)
+        with pytest.raises(TypeNotInTable) as caught:
+            line_type_codes(qs, afs[1])
+    assert str(caught.value) == message
+
+    residue_stack = geometry._residue_stack
+
+    def corrupt(qs_, afs_):
+        rows = residue_stack(qs_, afs_)
+        rows[[i for i, af in enumerate(afs_) if af is afs[1]]] = codes
+        return rows
+
+    monkeypatch.setattr(geometry, "_residue_stack", corrupt)
+    table = counting.FormTable(n, q)
+    table.entries = [(0, qs, af) for af in afs]
+    rep = counting.verify_line_types(table)
+    assert rep["status"] == "mismatch"
+    assert rep["observed"] == {"error": message}
 
 
 @pytest.mark.parametrize("rows,per_row,madds", [(5, 3, 0), (5, 0, 0), (7, 1 << 30, 10**9), (1000, 3, 7), (0, 3, 1)])
@@ -281,8 +359,9 @@ def test_stacked_products_stay_on_the_calling_thread(monkeypatch):
         return product(ctx, a, b)
 
     monkeypatch.setattr(FieldCtx, "np_matmul", spy)
-    geometry._residue_stack(qs, afs)
+    codes = geometry._residue_stack(qs, afs)
     geometry._isotropic_stack(qs, afs)
+    geometry._line_type_stack(qs, codes)
     assert madds and max(madds) <= 10**6
 
 
@@ -293,11 +372,15 @@ def test_stacked_kernels_stay_within_twice_a_single_form_peak():
     qs = SPACES[3, 3]
     afs = random_alternating_forms(qs.ctx, qs.dim, np.random.default_rng(0), 100)
     enumerate_singular_lines(qs).members()
+    codes = geometry._residue_stack(qs, afs)
+    # each kernel with its input for the 100 forms; the line types read
+    # the forms' residue rows
     kernels = [
-        geometry._residue_stack,
-        geometry._isotropic_stack,
-        counting._eigenvector_counts,
-        forms._radical_splits,
+        (geometry._residue_stack, afs),
+        (geometry._isotropic_stack, afs),
+        (geometry._line_type_stack, codes),
+        (counting._eigenvector_counts, afs),
+        (forms._radical_splits, afs),
     ]
 
     def peak(fn, forms_):
@@ -308,9 +391,9 @@ def test_stacked_kernels_stay_within_twice_a_single_form_peak():
         finally:
             tracemalloc.stop()
 
-    for fn in kernels:  # warm up
-        fn(qs, afs)
-        fn(qs, afs[:1])
-    single = max(peak(fn, afs[:1])[0] for fn in kernels)
-    stacked = max(p - out for p, out in (peak(fn, afs) for fn in kernels))
+    for fn, arg in kernels:  # warm up
+        fn(qs, arg)
+        fn(qs, arg[:1])
+    single = max(peak(fn, arg[:1])[0] for fn, arg in kernels)
+    stacked = max(p - out for p, out in (peak(fn, arg) for fn, arg in kernels))
     assert stacked <= 2 * single
