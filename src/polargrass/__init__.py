@@ -56,6 +56,7 @@ from .errors import (
     PolargrassError,
     RadicalMismatch,
     RankDeficient,
+    TooLarge,
     TypeNotInTable,
     ZeroMessage,
     ZeroVector,

@@ -8,11 +8,11 @@ end.  Either way a fractional result raises NonIntegerResult.  The
 verification functions return plain report dicts with stable key order and
 never raise on a mismatch; they record status "ok" or "mismatch" so callers
 can decide how to fail.  The checks run by one run_checks call share one
-FormTable: its canonical and sampled forms, the points and lines cached on
-their spaces, the code of the standard space, and each form's residue
-classes, isotropic lines, line-type census, eigenvector count and radical
-split, each kind computed for all forms of a space in one stacked kernel
-call.
+FormTable on one space, the standard one: the canonical form of every
+shape, carried there by a checked isometry, the sampled forms, the points,
+lines and code of that space, and each form's residue classes, isotropic
+lines, line-type census, eigenvector count and radical split, each kind
+computed for all forms in one stacked kernel call.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .errors import (
     Case4NoClosedForm,
     InadmissibleParams,
     NonIntegerResult,
+    RadicalMismatch,
+    TooLarge,
     TypeNotInTable,
 )
 from .field import FieldCtx
@@ -46,12 +48,14 @@ from .forms import (
     AlternatingForm,
     QuadraticSpace,
     admissible_pairs,
-    canonical_form,
     check_admissible,
+    check_memory,
     elliptic_gram,
     hyperbolic_gram,
     orbit_counts,
+    point_bytes,
     projective_points,
+    standard_space,
     _case_nu,
 )
 from . import geometry
@@ -473,20 +477,25 @@ def _report(check: str, params: dict, expected, observed, ok: bool, **extra) -> 
 
 class FormTable:
     """The forms that the checks of one run_checks call share, with their
-    per-form data.
+    per-form data, all on the standard space `space`, whose points are
+    admitted first.
 
-    canonical holds (case, space, form) for the canonical form of every
-    buildable shape of cases 1-4; entries holds those, then `samples`
-    seeded random forms on the standard space, tagged case 0.  Each is
-    built on first use, so a check that reads no forms runs at any n.
-    row(kernel, space, form) calls a stacked kernel once per space, on all
-    entries of the space, and keeps the rows for the life of the table;
-    types(space, form) does the same for the line-type census, whose kernel
-    reads the residue rows.  budget bounds the messages min-distance-exact
-    may scan.
+    canonical holds (case, r, d, form) for every buildable shape of cases
+    1-4: its canonical form S on the shape's own Gram matrix, carried onto
+    the space as A S A^T (forms.isometries), and checked to have radical
+    (r, d) there by the radical splits of all entries, which
+    eigenvector-bound reads.  entries holds (case, form) for those, then
+    `samples` seeded random forms, tagged case 0.  Each is built on first
+    use, so a check that reads no forms runs at any n >= 2.
+    row(kernel, form) calls a stacked kernel once, on all entries, and
+    keeps the rows; types(form) does the same for the line-type census,
+    whose kernel reads the residue rows.  budget bounds the messages
+    min-distance-exact may scan.
     """
 
     def __init__(self, n: int, q: int, samples: int = 0, seed: int = 0, budget: int = DEFAULT_BUDGET):
+        if n < 2:
+            raise InadmissibleParams(f"need n >= 2, got {n}")
         _check_seed(seed)
         if samples < 0:
             raise InadmissibleParams(f"samples must be >= 0, got {samples}")
@@ -494,49 +503,55 @@ class FormTable:
         self._rows: dict = {}
 
     @cached_property
-    def canonical(self) -> list:
-        ctx = FieldCtx(self.q)
-        return [
-            (case, *canonical_form(ctx, self.n, r, d, case))
-            for case in (1, 2, 3, 4)
-            for r, d in admissible_pairs(self.n, case)
-        ]
+    def space(self) -> QuadraticSpace:
+        check_memory(point_bytes(self.q, 2 * self.n + 1), f"the points of PG({2 * self.n}, {self.q})")
+        return standard_space(FieldCtx(self.q), self.n)
 
     @cached_property
-    def standard(self) -> tuple[QuadraticSpace, AlternatingForm]:
-        """(space, form) of the canonical case-1 shape (2n-1, 1): the space
-        is standard_space(ctx, n) and the form build_S(space)."""
-        top = 2 * self.n - 1  # case 1 with r = 2n-1 has d = 1
-        return next((qs, af) for case, qs, af in self.canonical if case == 1 and qs.profile.r == top)
+    def sampled(self) -> list[AlternatingForm]:
+        qs = self.space
+        return random_alternating_forms(qs.ctx, qs.dim, np.random.default_rng(self.seed), self.samples)
+
+    @cached_property
+    def canonical(self) -> list:
+        qs = self.space
+        shapes = [(case, r, d) for case in forms.CASES for r, d in admissible_pairs(self.n, case)]
+        _, grams, alts = zip(*(forms._shape(qs.ctx, self.n, r, d, case) for case, r, d in shapes))
+        a, _ = forms.isometries(qs, grams)
+        afs = forms.alternating_forms(qs.ctx, qs.ctx.np_matmul(qs.ctx.np_matmul(a, alts), a.transpose(0, 2, 1)))
+        every = afs + self.sampled
+        splits = self._rows[forms._radical_splits] = dict(zip(map(id, every), forms._radical_splits(qs, every)))
+        for (case, r, d), af in zip(shapes, afs):
+            if tuple(splits[id(af)][:2]) != (r, d):
+                raise RadicalMismatch(f"case {case} shape ({r}, {d}) carried to {tuple(splits[id(af)][:2])}")
+        return [(*shape, af) for shape, af in zip(shapes, afs)]
 
     @cached_property
     def entries(self) -> list:
-        qs, rng = self.standard[0], np.random.default_rng(self.seed)
-        sampled = random_alternating_forms(qs.ctx, qs.dim, rng, self.samples)
-        return self.canonical + [(0, qs, af) for af in sampled]
+        return [(case, af) for case, _, _, af in self.canonical] + [(0, af) for af in self.sampled]
 
     @cached_property
     def code(self) -> PolarCode:
         """The code of the standard space."""
-        return build_code(self.standard[0])
+        return build_code(self.space)
 
-    def row(self, kernel, qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
-        """af's row of kernel(qs, forms), forms being every entry on qs."""
-        if (kernel, qs) not in self._rows:
-            afs = [f for _, space, f in self.entries if space is qs]
-            self._rows[kernel, qs] = dict(zip(map(id, afs), kernel(qs, afs)))
-        return self._rows[kernel, qs][id(af)]
+    def row(self, kernel, af: AlternatingForm) -> np.ndarray:
+        """af's row of kernel(space, forms), forms being every entry."""
+        if kernel not in self._rows:
+            afs = [f for _, f in self.entries]
+            self._rows[kernel] = dict(zip(map(id, afs), kernel(self.space, afs)))
+        return self._rows[kernel][id(af)]
 
-    def census(self, qs: QuadraticSpace, af: AlternatingForm) -> CensusRecord:
-        return geometry._census(self.row(geometry._residue_stack, qs, af))
+    def census(self, af: AlternatingForm) -> CensusRecord:
+        return geometry._census(self.row(geometry._residue_stack, af))
 
-    def types(self, qs: QuadraticSpace, af: AlternatingForm) -> dict[str, int]:
+    def types(self, af: AlternatingForm) -> dict[str, int]:
         """af's number of lines of each type (see LINE_TYPE_NAMES)."""
-        return dict(zip(geometry.LINE_TYPE_NAMES, self.row(self._line_types, qs, af).tolist()))
+        return dict(zip(geometry.LINE_TYPE_NAMES, self.row(self._line_types, af).tolist()))
 
     def _line_types(self, qs: QuadraticSpace, afs) -> np.ndarray:
         """The line-type censuses of afs, from their residue rows."""
-        codes = np.stack([self.row(geometry._residue_stack, qs, af) for af in afs])
+        codes = np.stack([self.row(geometry._residue_stack, af) for af in afs])
         return geometry._line_type_stack(qs, codes)
 
 
@@ -546,11 +561,10 @@ def verify_census_all(table: FormTable) -> dict:
     n, q = table.n, table.q
     entries = []
     ok = True
-    for case, qs, af in table.canonical:
+    for case, r, d, af in table.canonical:
         if case == 4:
             continue
-        r, d = qs.profile.r, qs.profile.d
-        emp = table.census(qs, af)
+        emp = table.census(af)
         pred = closed_form_census(case, n, q, r, d)
         match = (
             emp.as_tuple() == pred.as_tuple()
@@ -591,14 +605,14 @@ def verify_line_count_identity(table: FormTable) -> dict:
     c = residue_constants(n, q)
     # the residue constant of each class code: P_A, P_B, zero, plus, minus
     per_class = np.array([c["A0"], c["A0"], c["B0"], c["Bplus"], c["Bminus"]])
-    for _, space, af in table.entries:
-        codes = table.row(geometry._residue_stack, space, af)
-        mask = geometry._mask(space, table.row(geometry._isotropic_stack, space, af))
+    for _, af in table.entries:
+        mask = geometry._mask(table.space, table.row(geometry._isotropic_stack, af))  # lines admitted first
+        codes = table.row(geometry._residue_stack, af)
         census = geometry._census(codes)
         expected = per_class[codes]  # per point, the constant of its class
         lhs = (q + 1) * int(mask.sum())
         rhs = int(expected.sum())  # the census weighted by the constants
-        tau = geometry._tau(space, mask)
+        tau = geometry._tau(table.space, mask)
         off = int((tau != expected).sum())
         rw_lhs, rw_rhs = census_rewrite_sides(census, n, q)
         good = lhs == rhs and off == 0 and rw_lhs == rw_rhs == lhs
@@ -623,14 +637,14 @@ def verify_line_types(table: FormTable) -> dict:
     ok = True
     first_bad = None
     checked = 0
-    for _, space, af in table.entries:
+    for _, af in table.entries:
         try:
-            types = table.types(space, af)
+            types = table.types(af)
         except TypeNotInTable as ex:
             ok = False
             first_bad = {"error": str(ex)}
             break
-        census = table.census(space, af)
+        census = table.census(af)
         half_hi = (q + 1) // 2
         half_lo = (q - 1) // 2
         plus_flags = q * types["TPLUS"] + half_hi * types["TALPHA"] + half_lo * types["TBETA"]
@@ -658,7 +672,7 @@ def verify_orbit_counts(table: FormTable) -> dict:
     """Empirical point orbits against the closed counts, in the ambient odd
     dimension and in the two even-dimensional section types."""
     n, q = table.n, table.q
-    qs = table.standard[0]
+    qs = table.space
     ctx = qs.ctx
     emp = orbit_counts(qs)
     closed = kappa_closed(n, q)
@@ -768,9 +782,9 @@ def verify_eigenvector_bound(table: FormTable) -> dict:
     first_bad = None
     equality_seen = False
     checked = 0
-    for _, space, af in table.entries:
-        split = forms._split(space, table.row(forms._radical_splits, space, af))
-        count = int(table.row(_eigenvector_counts, space, af))
+    for _, af in table.entries:
+        split = forms._split(table.space, table.row(forms._radical_splits, af))
+        count = int(table.row(_eigenvector_counts, af))
         bound = 2 * (q ** split["m"] - 1)
         rec = {"count": count, "m": split["m"], "r": split["r"], "d": split["d"], "bound": bound, "ok": count <= bound}
         if not rec["ok"] and first_bad is None:
@@ -827,8 +841,8 @@ def verify_delta_bound(table: FormTable) -> dict:
     first_bad = None
     checked = 0
     strict_fails_case1 = 0
-    for case, space, af in table.entries:
-        census = table.census(space, af)
+    for case, af in table.entries:
+        census = table.census(af)
         rec = delta_bound_check(census, n, q)
         if not rec["ok"] and first_bad is None:
             first_bad = rec
@@ -868,10 +882,11 @@ def verify_canonical_weight(table: FormTable) -> dict:
     """The canonical low-weight form hits the claimed minimum distance and
     its census is the predicted one."""
     n, q = table.n, table.q
-    qs, af = table.standard
+    # the shape of the standard space, which its isometry leaves as it is
+    af = next(af for case, r, _, af in table.canonical if (case, r) == (1, 2 * n - 1))
     code = table.code
     w = codeword_from_form(code, af).weight
-    census = table.census(qs, af)
+    census = table.census(af)
     pred = closed_form_census(1, n, q, 2 * n - 1, 1)
     ok = w == code.params.d_claimed and census.as_tuple() == pred.as_tuple()
     return _report(
@@ -907,7 +922,8 @@ def run_checks(names, args: dict) -> list[dict]:
 
     Under 'all', checks that do not apply at the given scale (wrong n, or an
     exhaustive scan past the budget) are reported as skipped instead of
-    raising; a check requested by name still raises.
+    raising; a check requested by name still raises, and so does any check
+    whose points, lines or code would not fit in memory (TooLarge).
     """
     expanded = names == ["all"] or names == "all"
     if expanded:
@@ -925,7 +941,7 @@ def run_checks(names, args: dict) -> list[dict]:
         try:
             out.append(CHECKS[name](table))
         except (InadmissibleParams, BudgetExceeded) as ex:
-            if not expanded:
+            if not expanded or isinstance(ex, TooLarge):
                 raise
             out.append(
                 {

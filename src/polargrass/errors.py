@@ -17,6 +17,10 @@ class InadmissibleParams(PolargrassError):
     """Parameter tuple violates an admissibility constraint."""
 
 
+class TooLarge(InadmissibleParams):
+    """Parameters whose arrays would not fit in the memory left."""
+
+
 class RadicalMismatch(PolargrassError):
     """Constructed alternating form has the wrong radical or defect dimension."""
 

@@ -7,7 +7,9 @@ M-restriction to R.  For each admissible (r, d) there are up to four block
 shapes (case 1..4) with basis-adapted canonical matrices; build_M and build_S
 construct those, and the classification helpers work for arbitrary forms.
 The radical splits of a list of forms on one space come from one stacked
-call, _radical_splits; radical_split is that call on one form.
+call, _radical_splits; radical_split is that call on one form.  Every
+nondegenerate Gram matrix of dimension 2n+1 is isometric, up to a scalar,
+to the standard one; isometries finds such isometries for a stack.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InadmissibleParams, RadicalMismatch, RankDeficient
+from .errors import InadmissibleParams, PolargrassError, RadicalMismatch, RankDeficient, TooLarge
 from .field import FieldCtx
 from .matrix import _check_range, determinants, inverse, kernel_bases, pivot_columns
 
@@ -36,18 +38,6 @@ class BlockProfile:
     r: int
     d: int
     nu: int  # rank of the form induced on H0
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n + 1
-
-    @property
-    def h0_dim(self) -> int:
-        return self.dim - self.r - self.d
-
-    @property
-    def d0_dim(self) -> int:
-        return self.r - self.d
 
 
 def check_admissible(n: int, r: int, d: int, case: int, *, buildable: bool = True) -> None:
@@ -150,7 +140,6 @@ class QuadraticSpace:
         self.gram = _frozen(gram)
         self.gram_inv = _frozen(inverse(ctx, gram))
         self.profile = profile
-        self.det = d
         # (-1)^n det(M): a point v is external iff this times v M v^T is a square
         self.disc_sign = ctx.neg(d) if n % 2 else d
         self._cache: dict = {}
@@ -160,36 +149,43 @@ class QuadraticSpace:
         return f"QuadraticSpace(q={self.ctx.q}, n={self.n}{tag})"
 
 
-def build_M(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> QuadraticSpace:
-    """Basis-adapted ambient Gram matrix for the given block shape."""
+def _shape(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> tuple[BlockProfile, np.ndarray, np.ndarray]:
+    """Profile, basis-adapted Gram M and canonical alternating form S of a
+    block shape, as plain arrays.
+
+    M pairs the first d rows with the last d and puts Q0 on H0 and R0 on
+    D0 between them.  S is S22 on H0, the U block on H x H0 in cases 1 and
+    2, and S11 on H, which pairs rows (i, i+1) with J blocks, from row 1
+    in cases 1 and 2, where row 0 carries U, and from row 0 else.
+    """
     check_admissible(n, r, d, case)
     nu = _case_nu(n, r, d, case)
-    dim = 2 * n + 1
-    # the array below, then the augmented copy that inverse reduces
-    check_memory(24 * dim * dim, f"a Gram matrix of dimension {dim}")
-    profile = BlockProfile(case=case, n=n, r=r, d=d, nu=nu)
+    dim, off = 2 * n + 1, 2 * n + 1 - r  # H0 ends at off
     m = np.zeros((dim, dim), dtype=np.int64)
     i = np.arange(d)
     m[i, dim - d + i] = m[dim - d + i, i] = 1
+    m[d:off, d:off] = (parabolic_gram, hyperbolic_gram, elliptic_gram)[max(0, case - 2)](ctx, nu)
+    half = (r - d) // 2
+    gram, t = ((hyperbolic_gram, half), (elliptic_gram, half - 1), (parabolic_gram, half))[min(case, 3) - 1]
+    m[off : dim - d, off : dim - d] = gram(ctx, t)
+    pairs = [(d + i, d + nu + i) for i in range(nu)]  # S22 on H0
+    if case == 4:
+        pairs.append((d + 2 * nu, d + 2 * nu + 1))
     if case in (1, 2):
-        q0 = parabolic_gram(ctx, nu)
-    elif case == 3:
-        q0 = hyperbolic_gram(ctx, nu)
-    else:
-        q0 = elliptic_gram(ctx, nu)
-    if len(q0) != profile.h0_dim:
-        raise InadmissibleParams("internal block size mismatch")
-    if case == 1:
-        r0 = hyperbolic_gram(ctx, (r - d) // 2)
-    elif case == 2:
-        r0 = elliptic_gram(ctx, (r - d) // 2 - 1)
-    else:
-        r0 = parabolic_gram(ctx, (r - d - 1) // 2)
-    if len(r0) != profile.d0_dim:
-        raise InadmissibleParams("internal block size mismatch")
-    off = d + profile.h0_dim
-    m[d:off, d:off] = q0
-    m[off : dim - d, off : dim - d] = r0
+        pairs.append((0, off - 1))  # U on H x H0
+    pairs += [(i, i + 1) for i in range(1 if case in (1, 2) else 0, d - 1, 2)]  # S11 on H
+    s = np.zeros((dim, dim), dtype=np.int64)
+    for i, j in pairs:
+        s[i, j], s[j, i] = 1, ctx.neg(1)
+    return BlockProfile(case=case, n=n, r=r, d=d, nu=nu), m, s
+
+
+def build_M(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> QuadraticSpace:
+    """Basis-adapted ambient Gram matrix for the given block shape."""
+    dim = 2 * n + 1
+    # the array below, then the augmented copy that inverse reduces
+    check_memory(24 * dim * dim, f"a Gram matrix of dimension {dim}")
+    profile, m, _ = _shape(ctx, n, r, d, case)
     return QuadraticSpace(ctx, n, m, profile)
 
 
@@ -227,44 +223,15 @@ def alternating_forms(ctx: FieldCtx, arr) -> list[AlternatingForm]:
 
 
 def build_S(qs: QuadraticSpace) -> AlternatingForm:
-    """The canonical alternating form of the space's block profile.
-
-    Its S11 block on H pairs rows (i, i+1) with J blocks, from row 1 in
-    cases 1 and 2, where row 0 carries the U block, and from row 0 else.
-    """
+    """The canonical alternating form of the space's block profile (see
+    _shape), checked to have the profile's radical and defect on qs."""
     prof = qs.profile
     if prof is None:
         raise InadmissibleParams("build_S needs a block-adapted space from build_M")
-    ctx = qs.ctx
-    case, r, d, nu = prof.case, prof.r, prof.d, prof.nu
-    dim = prof.dim
-    s = np.zeros((dim, dim), dtype=np.int64)
-
-    def put(i: int, j: int) -> None:
-        s[i, j] = 1
-        s[j, i] = ctx.neg(1)
-
-    # S22 on H0
-    off = d
-    for i in range(nu):
-        put(off + i, off + nu + i)
-    if case == 4:
-        put(off + 2 * nu, off + 2 * nu + 1)
-
-    # U on H x H0
-    if case in (1, 2):
-        put(0, d + prof.h0_dim - 1)
-
-    # S11 on H
-    for i in range(1 if case in (1, 2) else 0, d - 1, 2):
-        put(i, i + 1)
-
-    af = AlternatingForm(ctx, s)
-    if af.r != r:
-        raise RadicalMismatch(f"radical dim {af.r}, wanted {r}")
-    _, dd = form_profile(qs, af)
-    if dd != d:
-        raise RadicalMismatch(f"defect {dd}, wanted {d}")
+    af = AlternatingForm(qs.ctx, _shape(qs.ctx, prof.n, prof.r, prof.d, prof.case)[2])
+    for what, got, want in zip(("radical dim", "defect"), form_profile(qs, af), (prof.r, prof.d)):
+        if got != want:
+            raise RadicalMismatch(f"{what} {got}, wanted {want}")
     return af
 
 
@@ -353,6 +320,68 @@ def _witt_indices(ctx: FieldCtx, grams: np.ndarray) -> np.ndarray:
     return np.where(ctx.np_is_square(sign), t, t - 1)
 
 
+def _witt_bases(ctx: FieldCtx, grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per nondegenerate symmetric Gram M of a (B, k, k) stack, k = 2t+1: a
+    basis W, rows e_1..e_t, f_1..f_t, g, with W M W^T = hyperbolic_gram(t)
+    plus a last diagonal entry delta; and delta.
+
+    Each step takes a singular e from the span of the first three rows
+    left: by Chevalley-Warning one is among the points of PG(2, q).  The
+    first other row v with b = e M v^T != 0 gives the singular partner f =
+    (v - (v M v^T / 2b) e) / b.  The rows left less v and the one e leads
+    with, projected onto the perp of <e, f>, are a basis of it.
+    """
+    nb, k = grams.shape[:2]
+    rest = np.repeat(np.eye(k, dtype=np.int64)[None], nb, axis=0)
+    w = np.zeros_like(rest)
+    plane = projective_block(ctx.q, 3, 0, ctx.q**2 + ctx.q + 1)
+    at = np.arange(nb)
+    for step in range(k // 2):
+        rm = ctx.np_matmul(rest, grams)
+        g3 = ctx.np_matmul(rm[:, :3], rest[:, :3].transpose(0, 2, 1))
+        zero = ctx.np_rowsum(ctx.np_mul(ctx.np_matmul(plane, g3), plane)) == 0
+        if not zero.any(axis=1).all():
+            raise PolargrassError("no singular point in a plane of a Witt reduction")
+        coef = plane[zero.argmax(axis=1)]
+        e = ctx.np_matmul(coef[:, None], rest[:, :3])[:, 0]
+        lead = (coef != 0).argmax(axis=1)
+        be = ctx.np_matmul(rm, e[:, :, None])[:, :, 0]
+        be[at, lead] = 0
+        j = (be != 0).argmax(axis=1)
+        v, binv = rest[at, j], ctx.np_inv(be[at, j])
+        shift = ctx.np_mul(ctx.np_mul(ctx.np_rowsum(ctx.np_mul(rm[at, j], v)), ctx.np_inv(2)), binv)
+        f = ctx.np_mul(binv[:, None], ctx.np_sub(v, ctx.np_mul(shift[:, None], e)))
+        idx = np.arange(rest.shape[1])
+        rest = rest[(idx != lead[:, None]) & (idx != j[:, None])].reshape(nb, -1, k)
+        # v - (v M f^T) e - (v M e^T) f is orthogonal to e and f
+        ef = np.stack([e, f], axis=1)
+        vm = ctx.np_matmul(rest, ctx.np_matmul(ef, grams).transpose(0, 2, 1))
+        rest = ctx.np_sub(rest, ctx.np_matmul(vm[:, :, ::-1], ef))
+        w[:, step], w[:, k // 2 + step] = e, f
+    w[:, -1] = g = rest[:, 0]
+    return w, ctx.np_rowsum(ctx.np_mul(ctx.np_matmul(g[:, None], grams)[:, 0], g))
+
+
+def isometries(qs: QuadraticSpace, grams) -> tuple[np.ndarray, np.ndarray]:
+    """(A, c) with A_i M_i A_i^T = c_i M_0 (M_0 = qs.gram) for each
+    nondegenerate Gram M_i of a (B, dim, dim) stack, checked on the whole
+    stack.  One Witt reduction of all M_i and M_0 gives W_i M_i W_i^T = H +
+    (delta_i); scaling the e rows of W_i by c_i = delta_i / delta_0 makes
+    that c_i W_0 M_0 W_0^T, so A_i = W_0^-1 D_i W_i.  A_i S A_i^T carries a
+    form S on M_i onto qs, and no census, line type, eigenvector count or
+    radical split depends on the scalar c_i.
+    """
+    ctx, grams = qs.ctx, np.asarray(grams, dtype=np.int64)
+    w, delta = _witt_bases(ctx, np.concatenate([grams, qs.gram[None]]))
+    c = ctx.np_mul(delta[:-1], ctx.np_inv(delta[-1]))
+    w[:-1, : qs.n] = ctx.np_mul(c[:, None, None], w[:-1, : qs.n])
+    a = ctx.np_matmul(inverse(ctx, w[-1]), w[:-1])
+    ama = ctx.np_matmul(ctx.np_matmul(a, grams), a.transpose(0, 2, 1))
+    if not np.array_equal(ama, ctx.np_mul(c[:, None, None], qs.gram)):
+        raise PolargrassError("a Witt reduction gave no isometry onto the standard space")
+    return a, c
+
+
 # ---- projective enumeration and orbit counts ---------------------------------
 
 
@@ -370,7 +399,7 @@ def _proc_kib(path: str, key: str) -> int | None:
 
 
 def check_memory(need: float, what: str) -> None:
-    """Raise InadmissibleParams if need bytes exceed what this process may
+    """Raise TooLarge if need bytes exceed what this process may
     still get: MemAvailable (the physical memory if that cannot be read)
     or, if lower, its soft RLIMIT_AS less the address space it already
     holds (VmSize).
@@ -385,7 +414,7 @@ def check_memory(need: float, what: str) -> None:
         limit = max(0, min(limit, soft - 1024 * (_proc_kib("/proc/self/status", "VmSize") or 0)))
     if need > limit:
         amount = f"{need / 2**30:.3g} GiB" if need < 2**100 else "over 2^100 bytes"
-        raise InadmissibleParams(f"{what} needs at least {amount}; {limit / 2**30:.3g} GiB available")
+        raise TooLarge(f"{what} needs at least {amount}; {limit / 2**30:.3g} GiB available")
 
 
 def point_bytes(q: int, dim: int) -> float:

@@ -10,6 +10,7 @@ import pytest
 
 import polargrass
 from polargrass.cli import main
+from polargrass.counting import CHECKS
 from polargrass.field import field_ctx
 from polargrass.forms import build_S, standard_space
 from polargrass.matrix import format_matrix_text
@@ -401,3 +402,30 @@ def test_closed_form_checks_run_where_the_code_would_not_fit():
         ("grid-maxima", "ok"),
         ("case-maxima", "ok"),
     ]
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+@pytest.mark.parametrize("check", ["all", *sorted(CHECKS)])
+def test_verify_below_n2_is_inadmissible(capsys, check, n):
+    # the form table rejected no n: `all` and most checks ended in a
+    # traceback with exit 1, grid-maxima in a TypeError
+    rc, out, err = run(capsys, "verify", "--q", "3", "--n", str(n), "--check", check)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: need n >= 2, got {n}\n"
+
+
+def test_verify_admits_the_points_before_any_shape():
+    # at n = 100 the canonical shapes, each with a Gram inverse, ran for
+    # minutes; the points are refused first, under the 1 GiB cap too
+    res = run_rlimited("verify", "--q", "3", "--n", "100")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: the points of PG(200, 3) needs at least over 2^100 bytes")
+    assert "Traceback" not in res.stderr
+
+
+def test_closed_form_checks_run_at_n_100(capsys):
+    rc, out, _ = run(capsys, "verify", "--q", "3", "--n", "100", "--check", "grid-maxima", "--check", "case-maxima")
+    assert rc == 0
+    assert [(r["check"], r["status"]) for r in json.loads(out)] == [("grid-maxima", "ok"), ("case-maxima", "ok")]

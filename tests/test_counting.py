@@ -522,36 +522,49 @@ def test_run_checks_samples_only_for_sampled_checks(monkeypatch):
 
 
 def test_run_checks_builds_each_shape_once(monkeypatch):
+    # every shape's Gram matrix and form come from forms._shape, once per
+    # run, and are carried onto the one standard space
     calls = []
+    shape = forms._shape
 
     def spy(ctx, n, r, d, case):
         calls.append((case, r, d))
-        return canonical_form(ctx, n, r, d, case)
+        return shape(ctx, n, r, d, case)
 
-    monkeypatch.setattr(counting, "canonical_form", spy)
+    monkeypatch.setattr(forms, "_shape", spy)
     run_checks(["all"], {"n": 2, "q": 3, "samples": 5, "seed": 0, "budget": 10**5})
     shapes = [(case, r, d) for case in (1, 2, 3, 4) for r, d in admissible_pairs(2, case)]
-    assert calls == shapes
+    # the standard space's build_M is one more call of its shape
+    assert calls == [(1, 3, 1)] + shapes
 
 
 def test_run_checks_keeps_no_forms_alive(monkeypatch):
-    spaces = []
+    # neither the standard space, with its points and lines, nor the
+    # carried canonical forms outlive the run
+    held = []
+    isometries, alternating_forms = forms.isometries, forms.alternating_forms
 
-    def spy(ctx, n, r, d, case):
-        qs, af = canonical_form(ctx, n, r, d, case)
-        spaces.append(weakref.ref(qs))
-        return qs, af
+    def spy_space(qs, grams):
+        held.append(weakref.ref(qs))
+        return isometries(qs, grams)
 
-    monkeypatch.setattr(counting, "canonical_form", spy)
+    def spy_forms(ctx, arr):
+        afs = alternating_forms(ctx, arr)
+        held.extend(map(weakref.ref, afs))
+        return afs
+
+    monkeypatch.setattr(forms, "isometries", spy_space)
+    monkeypatch.setattr(forms, "alternating_forms", spy_forms)
     run_checks(SAMPLED_CHECKS, {"n": 2, "q": 3, "samples": 5, "seed": 0})
     gc.collect()
-    assert spaces and all(ref() is None for ref in spaces)
+    assert held and all(ref() is None for ref in held)
 
 
 @pytest.mark.parametrize("n,q", [(3, 3), (2, 3)])
 def test_run_checks_enumerates_each_space_once(monkeypatch, n, q):
-    # The standard space is the canonical case-1 (2n-1, 1) space, so the
-    # sampled forms, canonical-weight and min-distance-exact share it.
+    # Every form is carried onto the standard space, which the sampled
+    # forms, canonical-weight and min-distance-exact share: its lines are
+    # the only ones enumerated.
     enumerated = []
     original = geometry.enumerate_singular_lines
 
@@ -563,7 +576,7 @@ def test_run_checks_enumerates_each_space_once(monkeypatch, n, q):
     monkeypatch.setattr(geometry, "enumerate_singular_lines", spy)
     monkeypatch.setattr(code, "enumerate_singular_lines", spy)
     run_checks(["all"], {"n": n, "q": q, "samples": 5, "seed": 0, "budget": 10**5})
-    assert enumerated and len(enumerated) == len(set(enumerated))
+    assert len(enumerated) == 1
 
 
 STACKED_KERNELS = [
@@ -601,8 +614,8 @@ def test_run_checks_computes_each_form_once(monkeypatch, n, q):
 
 
 def test_run_checks_line_side_passes(monkeypatch):
-    # One run at (3,3): the line-type kernel makes one pass per space, over
-    # the residue rows of all its forms, and no line types are read off
+    # One run at (3,3): the line-type kernel makes one pass over the one
+    # space, over the residue rows of all its forms, and no line types are read off
     # per form; every product of the isotropic kernel takes the lines'
     # Plücker rows (K = 21 columns), no (lines x dim^2) pair table.
     samples, k = 100, 21
@@ -639,18 +652,17 @@ def test_run_checks_line_side_passes(monkeypatch):
     monkeypatch.setattr(FieldCtx, "np_matmul", matmul)
     reports = run_checks(["all"], {"n": 3, "q": 3, "samples": samples, "seed": 0, "budget": 10**7})
     assert all(r["status"] == "ok" for r in reports if r["check"] == "line-type-census")
-    spaces = {id(qs) for _, qs, _ in FormTable(3, 3).canonical}
-    assert len(stacks) == len(passes) == len(spaces) and not per_form
-    assert len({id(qs) for qs, _ in stacks}) == len(stacks)
+    assert len(stacks) == len(passes) == 1 and not per_form
     assert sum(len(codes) for _, codes in passes) == len(FormTable(3, 3).canonical) + samples
     assert matmuls and set(matmuls) == {(k, k)}
 
 
-@pytest.mark.parametrize("n,q,most", [(2, 9, 1000), (3, 3, 142)])
+@pytest.mark.parametrize("n,q,most", [(2, 9, 1000), (3, 3, 60)])
 def test_run_checks_eliminations(monkeypatch, n, q, most):
     # Every row reduction is one call of matrix._eliminate.  ROADMAP item H
-    # asks for at most 1,000 per run at (2,9); at (3,3) the bound is the
-    # count with the per-form data of a space computed in stacked calls.
+    # asks for at most 1,000 per run at (2,9).  At (3,3) all forms sit on
+    # one space, so each kind of per-form data is one stacked call: 29
+    # eliminations, where one space per shape took 141.
     calls = []
     eliminate = matrix._eliminate
 

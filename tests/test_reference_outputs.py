@@ -23,3 +23,14 @@ def test_verify_all_matches_the_reference_report(n, q):
 def test_verify_cli_matches_the_reference_stdout(capsys):
     assert main(["verify", "--q", "3", "--n", "3"]) == 0
     assert capsys.readouterr().out == (EXPECTED / "verify_n3q3.cli.txt").read_text(encoding="utf-8")
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (2, 7), (3, 5), (4, 3)])
+def test_verify_all_matches_the_recorded_report(n, q):
+    # recorded with 30 samples at seed 1 while each shape had its own space
+    reports = run_checks(["all"], {"n": n, "q": q, "samples": 30, "seed": 1, "budget": 10**7})
+    want = (DATA / f"verify_n{n}q{q}_s30_seed1.json").read_text(encoding="utf-8")
+    assert json.dumps(reports, indent=2) + "\n" == want

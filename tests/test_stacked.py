@@ -214,19 +214,20 @@ def test_run_rows_match_per_form_references(case):
     # request; each form must read back its own row through the read-offs.
     qs, afs, _ = case
     table = counting.FormTable(qs.n, qs.ctx.q)
-    table.entries = [(0, qs, af) for af in afs]  # in place of the canonical and sampled forms
+    table.space = qs  # in place of the standard space
+    table.entries = [(0, af) for af in afs]  # in place of the canonical and sampled forms
     for af in reversed(afs):
-        assert table.row(geometry._residue_stack, qs, af).tolist() == reference_residue_classes(qs, af).tolist()
+        assert table.row(geometry._residue_stack, af).tolist() == reference_residue_classes(qs, af).tolist()
         counts = np.bincount(reference_residue_classes(qs, af), minlength=5).tolist()
-        census = table.census(qs, af)
+        census = table.census(af)
         assert [census.a_radical, census.a_eigen, census.n_zero, census.n_plus, census.n_minus] == counts
-        mask = geometry._mask(qs, table.row(geometry._isotropic_stack, qs, af))
+        mask = geometry._mask(qs, table.row(geometry._isotropic_stack, af))
         assert int(mask.sum()) == int(reference_isotropic_mask(qs, af).sum())
         assert geometry._tau(qs, mask).tolist() == reference_tau_values(qs, af).tolist()
-        assert table.types(qs, af) == reference_type_census(qs, af)
+        assert table.types(af) == reference_type_census(qs, af)
         assert line_type_codes(qs, af).tolist() == reference_line_type_codes(qs, af).tolist()
-        assert table.row(counting._eigenvector_counts, qs, af) == reference_eigenvector_count(qs, af)
-        split = table.row(forms._radical_splits, qs, af)
+        assert table.row(counting._eigenvector_counts, af) == reference_eigenvector_count(qs, af)
+        split = table.row(forms._radical_splits, af)
         if af.r < qs.dim:
             assert forms._split(qs, split) == reference_radical_split(qs, af)
         else:
@@ -253,18 +254,19 @@ def test_per_form_functions_agree_inside_and_outside_a_run(monkeypatch, n, q):
         }
 
     def probe(table):
-        for _, qs, af in table.entries:
+        qs = table.space
+        for _, af in table.entries:
             want = values(qs, af)
             inside[id(af)] = qs, af, want
-            codes = table.row(geometry._residue_stack, qs, af)
-            mask = geometry._mask(qs, table.row(geometry._isotropic_stack, qs, af))
+            codes = table.row(geometry._residue_stack, af)
+            mask = geometry._mask(qs, table.row(geometry._isotropic_stack, af))
             assert codes.tolist() == want["classes"]
-            assert table.census(qs, af).as_tuple() == want["census"]
+            assert table.census(af).as_tuple() == want["census"]
             assert int(mask.sum()) == want["isotropic"]
             assert geometry._tau(qs, mask).tolist() == want["tau"]
-            assert table.types(qs, af) == dict(zip(LINE_TYPE_NAMES, np.bincount(want["types"], minlength=5).tolist()))
-            assert forms._split(qs, table.row(forms._radical_splits, qs, af)) == want["split"]
-            assert table.row(counting._eigenvector_counts, qs, af) == want["eigen"]
+            assert table.types(af) == dict(zip(LINE_TYPE_NAMES, np.bincount(want["types"], minlength=5).tolist()))
+            assert forms._split(qs, table.row(forms._radical_splits, af)) == want["split"]
+            assert table.row(counting._eigenvector_counts, af) == want["eigen"]
         return {"check": "probe", "status": "ok"}
 
     monkeypatch.setitem(counting.CHECKS, "probe", probe)
@@ -278,20 +280,19 @@ def test_per_form_functions_agree_inside_and_outside_a_run(monkeypatch, n, q):
 
 @pytest.mark.parametrize("n,q", sorted(SPACES))
 def test_line_kernels_match_references_on_every_canonical_shape(n, q):
-    # All canonical forms of a space in one call each: the isotropic masks
-    # from the Plücker product (a table product over F_9) and the line
-    # types, both stacked and through the single-form line_type_codes.
-    spaces = {}
-    for _, qs, af in counting.FormTable(n, q).canonical:
-        spaces.setdefault(qs, []).append(af)
-    for qs, afs in spaces.items():
-        iso = geometry._isotropic_stack(qs, afs)
-        types = geometry._line_type_stack(qs, geometry._residue_stack(qs, afs))
-        for i, af in enumerate(afs):
-            mask = geometry._mask(qs, iso[i])
-            assert mask.tolist() == reference_isotropic_mask(qs, af).tolist()
-            assert line_type_codes(qs, af).tolist() == reference_line_type_codes(qs, af).tolist()
-            assert dict(zip(LINE_TYPE_NAMES, types[i].tolist())) == reference_type_census(qs, af)
+    # All canonical forms, carried onto the standard space, in one call: the
+    # isotropic masks from the Plücker product (a table product over F_9)
+    # and the line types, both stacked and through the single-form
+    # line_type_codes.
+    table = counting.FormTable(n, q)
+    qs, afs = table.space, [af for *_, af in table.canonical]
+    iso = geometry._isotropic_stack(qs, afs)
+    types = geometry._line_type_stack(qs, geometry._residue_stack(qs, afs))
+    for i, af in enumerate(afs):
+        mask = geometry._mask(qs, iso[i])
+        assert mask.tolist() == reference_isotropic_mask(qs, af).tolist()
+        assert line_type_codes(qs, af).tolist() == reference_line_type_codes(qs, af).tolist()
+        assert dict(zip(LINE_TYPE_NAMES, types[i].tolist())) == reference_type_census(qs, af)
 
 
 def corrupted_classes(qs, af, line):
@@ -331,7 +332,7 @@ def test_a_line_of_no_type_is_named(monkeypatch, n, q, line):
 
     monkeypatch.setattr(geometry, "_residue_stack", corrupt)
     table = counting.FormTable(n, q)
-    table.entries = [(0, qs, af) for af in afs]
+    table.space, table.entries = qs, [(0, af) for af in afs]
     rep = counting.verify_line_types(table)
     assert rep["status"] == "mismatch"
     assert rep["observed"] == {"error": message}
