@@ -64,14 +64,10 @@ from .errors import (
 from .field import FieldCtx, field_ctx
 from .forms import (
     AlternatingForm,
-    BlockProfile,
     QuadraticSpace,
     admissible_pairs,
-    build_M,
-    build_S,
     canonical_form,
     check_admissible,
-    form_profile,
     orbit_counts,
     projective_points,
     radical_split,

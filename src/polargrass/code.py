@@ -29,7 +29,7 @@ from .forms import (
     AlternatingForm,
     QuadraticSpace,
     alternating_forms,
-    build_S,
+    canonical_form,
     check_memory,
     point_bytes,
     projective_block,
@@ -79,7 +79,7 @@ def memory_estimate(n: int, q: int) -> float:
     The points of PG(2n, q) (point_bytes; the term also covers the singular
     points and their small arrays, which stay), plus the larger of the line
     enumerator's peak (line_bytes) and the rank check's: per line the int64
-    plucker row and its copy in G, the generator pair and seven int64 of
+    plucker row (G is a view of it), the generator pair and seven int64 of
     rank_np's blocks of G (its reduced and working copies and the two
     products of an elimination step).  The enumerator's temporaries are
     freed before G is built, so the two peaks do not add.  N is at least
@@ -89,7 +89,7 @@ def memory_estimate(n: int, q: int) -> float:
     if (4 * n - 5) * math.log2(q) > 100:
         return math.inf
     p = code_parameters(n, q)
-    return point_bytes(q, 2 * n + 1) + max(line_bytes(n, q), p.N * (16 * p.K + 72))
+    return point_bytes(q, 2 * n + 1) + max(line_bytes(n, q), p.N * (8 * p.K + 72))
 
 
 class PolarCode:
@@ -119,10 +119,9 @@ def build_code(qs: QuadraticSpace) -> PolarCode:
         raise RankDeficient(
             f"enumerated {len(lines)} lines, expected {params.N}"
         )
-    gmat = lines.plucker.T.copy()
+    gmat = lines.plucker.T  # a read-only view
     if rank_np(qs.ctx, gmat) != params.K:
         raise RankDeficient("generator matrix does not have full rank")
-    gmat.setflags(write=False)
     return PolarCode(qs, lines, gmat, params)
 
 
@@ -178,7 +177,7 @@ def _codeword_chunks(code: PolarCode, batch: np.ndarray):
     ctx = code.ctx
     rows = max(1, EVAL_CHUNK_BYTES // (8 * code.params.N))
     if ctx.e == 1:
-        gmat = code.generator.astype(np.float64)
+        gmat = code.generator.astype(np.float64, order="C")  # G is a transposed view
         batch = np.asarray(batch, dtype=np.int64) % ctx.p
     for lo in range(0, len(batch), rows):
         part = batch[lo : lo + rows]
@@ -211,13 +210,16 @@ def codeword_from_form(code: PolarCode, af: AlternatingForm) -> Codeword:
 
 
 def check_scan_budget(params: CodeParams, budget: int) -> None:
-    """Raise BudgetExceeded if an exhaustive scan exceeds the budget."""
+    """Raise BudgetExceeded if an exhaustive scan exceeds the budget.
+
+    A count past 1000 bits is named as more than 10^k, k from its bit
+    length: str() refuses an int of over 4300 digits.
+    """
     total = (params.q**params.K - 1) // (params.q - 1)
     if total > budget:
-        raise BudgetExceeded(
-            f"{total} projective messages exceed the budget {budget}",
-            bound=total,
-        )
+        bits = total.bit_length()
+        count = total if bits <= 1000 else f"more than 10^{int((bits - 1) * math.log10(2))}"
+        raise BudgetExceeded(f"{count} projective messages exceed the budget {budget}", bound=total)
 
 
 def _agreement_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -453,15 +455,13 @@ def min_distance_certified(
     """
     _check_seed(seed)
     params = code.params
+    _, canon = canonical_form(code.ctx, params.n, 2 * params.n - 1, 1, 1)
     record = {
         "claimed": params.d_claimed,
-        "upper_bound": None,
+        "upper_bound": codeword_from_form(code, canon).weight,
         "samples_checked": int(samples),
         "min_sampled": None,
     }
-    if code.qs.profile is not None:
-        canon = build_S(code.qs)
-        record["upper_bound"] = codeword_from_form(code, canon).weight
     rng = np.random.default_rng(seed)
     chunk = 4096
     min_sampled = None
@@ -478,8 +478,7 @@ def min_distance_certified(
         remaining -= take
     record["min_sampled"] = min_sampled
     if min_sampled is not None:
-        if record["upper_bound"] is None or min_sampled < record["upper_bound"]:
-            record["upper_bound"] = min_sampled
+        record["upper_bound"] = min(record["upper_bound"], min_sampled)
         if min_sampled < params.d_claimed:
             raise CounterexampleFound(
                 f"sampled weight {min_sampled} below claimed {params.d_claimed}",

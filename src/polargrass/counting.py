@@ -17,6 +17,7 @@ computed for all forms in one stacked kernel call.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -362,7 +363,11 @@ def case1_equation_counts(ctx: FieldCtx, n: int, r: int, d: int, beta: int = 1) 
 
 
 def _all_vectors(ctx: FieldCtx, width: int) -> np.ndarray:
+    """Every vector of F_q^width, in base-q order, admitted as four int64
+    arrays of vectors x width (see forms.point_bytes)."""
     q = ctx.q
+    need = math.inf if width * math.log2(q) > 100 else 32 * width * q**width
+    check_memory(need, f"the vectors of F_{q}^{width}")
     return (
         np.arange(q**width, dtype=np.int64)[:, None]
         // q ** np.arange(width - 1, -1, -1, dtype=np.int64)
@@ -516,7 +521,7 @@ class FormTable:
     def canonical(self) -> list:
         qs = self.space
         shapes = [(case, r, d) for case in forms.CASES for r, d in admissible_pairs(self.n, case)]
-        _, grams, alts = zip(*(forms._shape(qs.ctx, self.n, r, d, case) for case, r, d in shapes))
+        grams, alts = zip(*(forms._shape(qs.ctx, self.n, r, d, case) for case, r, d in shapes))
         a, _ = forms.isometries(qs, grams)
         afs = forms.alternating_forms(qs.ctx, qs.ctx.np_matmul(qs.ctx.np_matmul(a, alts), a.transpose(0, 2, 1)))
         every = afs + self.sampled

@@ -10,7 +10,7 @@ order used everywhere for enumeration and tie-breaking.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -125,37 +125,26 @@ class FieldCtx:
         self.nonsquare_rep = int(np.flatnonzero(~sq)[0])
 
     def _build_tables(self) -> None:
+        """Addition, multiplication, negation and inverse tables, from the
+        e base-p digits of every element (digit k the coefficient of x^k):
+        sums and negatives digitwise mod p, products as the 2e-1 terms of
+        the digit convolution reduced by the monic modulus, top term first.
+        The work arrays are int32: every term stays within 2e p^2 of 0.
+        """
         p, e, q = self.p, self.e, self.q
-        mod_asc = list(reversed(self.modulus))
-        digits = [[(a // p**k) % p for k in range(e)] for a in range(q)]
-
-        def encode(coeffs: Sequence[int]) -> int:
-            return sum((c % p) * p**k for k, c in enumerate(coeffs[:e]))
-
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            da = digits[a]
-            for b in range(q):
-                db = digits[b]
-                add[a, b] = encode([x + y for x, y in zip(da, db)])
-                conv = [0] * (2 * e - 1)
-                for i, x in enumerate(da):
-                    if x:
-                        for j, y in enumerate(db):
-                            conv[i + j] += x * y
-                _, rem = _poly_divmod([c % p for c in conv], mod_asc, p)
-                mul[a, b] = encode(rem + [0] * e)
-        self._add_table = add
-        self._mul_table = mul
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            inv[a] = int(np.flatnonzero(mul[a] == 1)[0])
-        self._inv_table = inv
-        neg = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            neg[a] = encode([-x for x in digits[a]])
-        self._neg_table = neg
+        place = p ** np.arange(e, dtype=np.int32)
+        digits = np.arange(q, dtype=np.int32)[:, None] // place % p
+        self._add_table = ((digits[:, None] + digits[None]) % p @ place).astype(np.int64)
+        self._neg_table = (-digits % p @ place).astype(np.int64)
+        conv = np.zeros((q, q, 2 * e - 1), dtype=np.int32)
+        for i in range(e):
+            for j in range(e):
+                conv[:, :, i + j] += np.multiply.outer(digits[:, i], digits[:, j])
+        mod_asc = np.array(self.modulus[::-1], dtype=np.int32)
+        for top in range(2 * e - 2, e - 1, -1):
+            conv[:, :, top - e : top + 1] -= (conv[:, :, top] % p)[:, :, None] * mod_asc
+        self._mul_table = (conv[:, :, :e] % p @ place).astype(np.int64)
+        self._inv_table = np.argmax(self._mul_table == 1, axis=1)
 
     # ---- scalar arithmetic ----------------------------------------------
 

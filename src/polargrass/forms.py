@@ -4,8 +4,9 @@ The ambient space has dimension 2n+1 and carries a nondegenerate symmetric
 Gram matrix M.  Alternating forms S are classified by the dimension r of
 their radical R = ker S and the defect d = dim of the radical of the
 M-restriction to R.  For each admissible (r, d) there are up to four block
-shapes (case 1..4) with basis-adapted canonical matrices; build_M and build_S
-construct those, and the classification helpers work for arbitrary forms.
+shapes (case 1..4); _shape builds a shape's basis-adapted Gram M and
+canonical S as arrays, standard_space and canonical_form wrap them in
+objects, and the classification helpers work for arbitrary forms.
 The radical splits of a list of forms on one space come from one stacked
 call, _radical_splits; radical_split is that call on one form.  Every
 nondegenerate Gram matrix of dimension 2n+1 is isometric, up to a scalar,
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 import resource
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -29,22 +29,11 @@ from .matrix import _check_range, determinants, inverse, kernel_bases, pivot_col
 CASES = (1, 2, 3, 4)
 
 
-@dataclass(frozen=True)
-class BlockProfile:
-    """Block layout of a basis-adapted space: H | H0 | D0 | D."""
-
-    case: int
-    n: int
-    r: int
-    d: int
-    nu: int  # rank of the form induced on H0
-
-
 def check_admissible(n: int, r: int, d: int, case: int, *, buildable: bool = True) -> None:
     """Raise InadmissibleParams unless (r, d, case) is allowed for this n.
 
-    With buildable=True the constraints are those under which build_M/build_S
-    produce a form with the stated radical; buildable=False relaxes case 2 to
+    With buildable=True the constraints are those under which _shape
+    builds a form with the stated radical; buildable=False relaxes case 2 to
     the full parity grid 1 <= d <= min(r, 2n - r), the domain over which the
     case-2 count formula is compared during maximization.
     """
@@ -122,7 +111,7 @@ class QuadraticSpace:
     """Odd-dimensional space with a nondegenerate symmetric Gram matrix;
     gram and gram_inv are read-only arrays."""
 
-    def __init__(self, ctx: FieldCtx, n: int, gram, profile: BlockProfile | None = None):
+    def __init__(self, ctx: FieldCtx, n: int, gram):
         if n < 1:
             raise InadmissibleParams(f"need n >= 1, got {n}")
         dim = 2 * n + 1
@@ -139,19 +128,17 @@ class QuadraticSpace:
         self.dim = dim
         self.gram = _frozen(gram)
         self.gram_inv = _frozen(inverse(ctx, gram))
-        self.profile = profile
         # (-1)^n det(M): a point v is external iff this times v M v^T is a square
         self.disc_sign = ctx.neg(d) if n % 2 else d
         self._cache: dict = {}
 
     def __repr__(self) -> str:
-        tag = f", case={self.profile.case}, r={self.profile.r}, d={self.profile.d}" if self.profile else ""
-        return f"QuadraticSpace(q={self.ctx.q}, n={self.n}{tag})"
+        return f"QuadraticSpace(q={self.ctx.q}, n={self.n})"
 
 
-def _shape(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> tuple[BlockProfile, np.ndarray, np.ndarray]:
-    """Profile, basis-adapted Gram M and canonical alternating form S of a
-    block shape, as plain arrays.
+def _shape(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis-adapted Gram M and canonical alternating form S of a block
+    shape, as plain arrays; the block layout is H | H0 | D0 | D.
 
     M pairs the first d rows with the last d and puts Q0 on H0 and R0 on
     D0 between them.  S is S22 on H0, the U block on H x H0 in cases 1 and
@@ -177,21 +164,21 @@ def _shape(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> tuple[BlockProfi
     s = np.zeros((dim, dim), dtype=np.int64)
     for i, j in pairs:
         s[i, j], s[j, i] = 1, ctx.neg(1)
-    return BlockProfile(case=case, n=n, r=r, d=d, nu=nu), m, s
+    return m, s
 
 
-def build_M(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> QuadraticSpace:
-    """Basis-adapted ambient Gram matrix for the given block shape."""
+def _admit_gram(n: int) -> None:
+    """Raise TooLarge unless a Gram matrix of dimension 2n+1 fits: the
+    array itself, then the augmented copy that inverse reduces."""
     dim = 2 * n + 1
-    # the array below, then the augmented copy that inverse reduces
     check_memory(24 * dim * dim, f"a Gram matrix of dimension {dim}")
-    profile, m, _ = _shape(ctx, n, r, d, case)
-    return QuadraticSpace(ctx, n, m, profile)
 
 
 def standard_space(ctx: FieldCtx, n: int) -> QuadraticSpace:
-    """Default ambient space used by the code constructions."""
-    return build_M(ctx, n, 2 * n - 1, 1, 1)
+    """The standard space Q(2n, q) of the code constructions: the Gram
+    matrix of the case-1 shape (2n-1, 1)."""
+    _admit_gram(n)
+    return QuadraticSpace(ctx, n, _shape(ctx, n, 2 * n - 1, 1, 1)[0])
 
 
 class AlternatingForm:
@@ -222,34 +209,16 @@ def alternating_forms(ctx: FieldCtx, arr) -> list[AlternatingForm]:
     return [AlternatingForm(ctx, m, radical=basis) for m, basis in zip(a, kernel_bases(ctx, a))]
 
 
-def build_S(qs: QuadraticSpace) -> AlternatingForm:
-    """The canonical alternating form of the space's block profile (see
-    _shape), checked to have the profile's radical and defect on qs."""
-    prof = qs.profile
-    if prof is None:
-        raise InadmissibleParams("build_S needs a block-adapted space from build_M")
-    af = AlternatingForm(qs.ctx, _shape(qs.ctx, prof.n, prof.r, prof.d, prof.case)[2])
-    for what, got, want in zip(("radical dim", "defect"), form_profile(qs, af), (prof.r, prof.d)):
-        if got != want:
-            raise RadicalMismatch(f"{what} {got}, wanted {want}")
-    return af
-
-
 def canonical_form(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> tuple[QuadraticSpace, AlternatingForm]:
-    """Block-adapted space plus its canonical alternating form."""
-    qs = build_M(ctx, n, r, d, case)
-    return qs, build_S(qs)
-
-
-def form_profile(qs: QuadraticSpace, af: AlternatingForm) -> tuple[int, int]:
-    """(r, d) of an arbitrary alternating form on this space."""
-    if af.dim != qs.dim:
-        raise InadmissibleParams("form and space dimensions differ")
-    if af.r == 0:
-        return 0, 0
-    ctx, b = qs.ctx, af.radical
-    gram_r = ctx.np_matmul(ctx.np_matmul(b, qs.gram), b.T)
-    return af.r, af.r - int(pivot_columns(ctx, gram_r).sum())
+    """A block shape's basis-adapted space and canonical alternating form
+    (see _shape), checked to have radical (r, d) there."""
+    _admit_gram(n)
+    m, s = _shape(ctx, n, r, d, case)
+    qs, af = QuadraticSpace(ctx, n, m), AlternatingForm(ctx, s)
+    split = radical_split(qs, af)
+    if (split["r"], split["d"]) != (r, d):
+        raise RadicalMismatch(f"case {case} shape ({r}, {d}) has radical ({split['r']}, {split['d']})")
+    return qs, af
 
 
 def _radical_splits(qs: QuadraticSpace, afs) -> np.ndarray:

@@ -28,7 +28,7 @@ from polargrass.counting import (
     verify_orbit_counts,
 )
 from polargrass.field import field_ctx
-from polargrass.forms import build_S, standard_space
+from polargrass.forms import canonical_form, standard_space
 from polargrass.matrix import rank_np
 
 
@@ -89,7 +89,7 @@ def test_criterion_1_exact_minimum_distance_q9_cli(capsys):
 def test_criterion_2_canonical_weight_med(capsys):
     t0 = time.perf_counter()
     code = the_code(3, 3)
-    w = codeword_from_form(code, build_S(code.qs)).weight
+    w = codeword_from_form(code, canonical_form(code.ctx, 3, 5, 1, 1)[1]).weight
     k = rank_np(code.ctx, code.generator)
     elapsed = time.perf_counter() - t0
     ok = (

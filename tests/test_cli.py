@@ -12,7 +12,7 @@ import polargrass
 from polargrass.cli import main
 from polargrass.counting import CHECKS
 from polargrass.field import field_ctx
-from polargrass.forms import build_S, standard_space
+from polargrass.forms import canonical_form
 from polargrass.matrix import format_matrix_text
 from test_code import parse_code_text
 
@@ -230,8 +230,7 @@ def write_form(tmp_path, name, af):
 
 
 def test_weight_canonical_med(tmp_path, capsys):
-    qs = standard_space(F3, 3)
-    path = write_form(tmp_path, "canon.txt", build_S(qs))
+    path = write_form(tmp_path, "canon.txt", canonical_form(F3, 3, 5, 1, 1)[1])
     rc, out, _ = run(capsys, "weight", path)
     assert rc == 0
     lines = out.splitlines()
@@ -240,8 +239,7 @@ def test_weight_canonical_med(tmp_path, capsys):
 
 
 def test_weight_canonical_small(tmp_path, capsys):
-    qs = standard_space(F3, 2)
-    path = write_form(tmp_path, "canon2.txt", build_S(qs))
+    path = write_form(tmp_path, "canon2.txt", canonical_form(F3, 2, 3, 1, 1)[1])
     rc, out, _ = run(capsys, "weight", "--q", "3", path)
     assert rc == 0
     lines = out.splitlines()
@@ -251,7 +249,7 @@ def test_weight_canonical_small(tmp_path, capsys):
 
 def test_weight_transported_form(tmp_path, capsys):
     # the case-3 shape (r, d) = (5, 0), built in its own space
-    # build_M(F3, 3, 5, 0, 3) and carried to the standard space by a
+    # canonical_form(F3, 3, 5, 0, 3) and carried to the standard space by a
     # congruence of the two Gram matrices: e_0 ^ e_6
     moved = [[0] * 7 for _ in range(7)]
     moved[0][6], moved[6][0] = 1, 2
@@ -273,8 +271,7 @@ def test_weight_rejects_non_alternating(tmp_path, capsys):
 
 
 def test_weight_rejects_wrong_field(tmp_path, capsys):
-    qs = standard_space(F3, 2)
-    path = write_form(tmp_path, "f3.txt", build_S(qs))
+    path = write_form(tmp_path, "f3.txt", canonical_form(F3, 2, 3, 1, 1)[1])
     rc, _, err = run(capsys, "weight", "--q", "5", path)
     assert rc == 2
     assert "error:" in err
@@ -429,3 +426,12 @@ def test_closed_form_checks_run_at_n_100(capsys):
     rc, out, _ = run(capsys, "verify", "--q", "3", "--n", "100", "--check", "grid-maxima", "--check", "case-maxima")
     assert rc == 0
     assert [(r["check"], r["status"]) for r in json.loads(out)] == [("grid-maxima", "ok"), ("case-maxima", "ok")]
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_every_check_runs_or_refuses_at_n_100(capsys, name):
+    # a check either runs or is refused with exit 2, never with a traceback
+    rc, _, err = run(capsys, "verify", "--q", "3", "--n", "100", "--check", name)
+    assert rc in (0, 2)
+    assert "Traceback" not in err
+    assert rc == 0 or err.startswith("error: ")

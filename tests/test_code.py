@@ -18,6 +18,7 @@ from polargrass.code import (
     PolarCode,
     _weights_np,
     build_code,
+    check_scan_budget,
     code_parameters,
     codeword_from_form,
     export_code,
@@ -42,9 +43,7 @@ from polargrass.errors import (
 )
 from polargrass.field import field_ctx
 from polargrass.forms import (
-    build_M,
-    build_S,
-    form_profile,
+    canonical_form,
     point_bytes,
     projective_points,
     standard_space,
@@ -58,6 +57,7 @@ from polargrass.geometry import (
     quadric_points,
 )
 from polargrass.matrix import rank_np
+from test_stacked import form_profile
 
 F3 = field_ctx(3)
 F5 = field_ctx(5)
@@ -127,6 +127,8 @@ def test_build_code_small():
     assert rank_np(F3, code.generator) == 10
     with pytest.raises(ValueError):
         code.generator[0, 0] = 1
+    # G is the transpose of the Plücker rows, not a copy of them
+    assert code.generator.base is code.lines.plucker
 
 
 def test_build_code_med():
@@ -181,17 +183,18 @@ def test_form_from_message_length_check():
 # ---------------------------------------------------------
 def test_canonical_weight_small():
     code = the_code(3, 2)
-    cw = codeword_from_form(code, build_S(code.qs))
+    af = canonical_form(F3, 2, 3, 1, 1)[1]
+    cw = codeword_from_form(code, af)
     assert cw.weight == 18
     assert len(cw.values) == 40
     zeros = int((cw.values == 0).sum())
     assert zeros == 22
-    assert zeros == isotropic_line_count(code.qs, build_S(code.qs))
+    assert zeros == isotropic_line_count(code.qs, af)
 
 
 def test_canonical_weight_med():
     code = the_code(3, 3)
-    af = build_S(code.qs)
+    af = canonical_form(F3, 3, 5, 1, 1)[1]
     cw = codeword_from_form(code, af)
     assert cw.weight == 1944
     assert int((cw.values == 0).sum()) == 1696
@@ -200,9 +203,8 @@ def test_canonical_weight_med():
 
 def test_case3_space_weight():
     # the (5, 0) shape lives in its own ambient space, not the standard one
-    qs = build_M(F3, 3, 5, 0, 3)
+    qs, af = canonical_form(F3, 3, 5, 0, 3)
     code = build_code(qs)
-    af = build_S(qs)
     assert form_profile(qs, af) == (5, 0)
     cw = codeword_from_form(code, af)
     assert cw.weight == 2160
@@ -306,6 +308,12 @@ def test_min_distance_budget():
     assert exc.value.bound == (3**21 - 1) // 2 == 5230176601
     with pytest.raises(BudgetExceeded):
         min_distance_exact(the_code(3, 2), budget=10)
+    # (3^20100 - 1) / 2 has 9590 digits, past what str() converts
+    with pytest.raises(BudgetExceeded, match="^more than 10\\^9589 projective messages exceed the budget 10$") as exc:
+        check_scan_budget(code_parameters(100, 3), 10)
+    assert exc.value.bound == (3**20100 - 1) // 2
+    with pytest.raises(BudgetExceeded, match="^435848050 projective messages exceed the budget 10000000$"):
+        check_scan_budget(code_parameters(2, 9), 10**7)
 
 
 def brute_force_min_distance(code):
@@ -501,8 +509,8 @@ def test_negative_seed_is_inadmissible():
 def test_memory_estimate():
     # the points of PG(2n, q) (four int64 arrays of points x dim), then the
     # larger of the line enumerator's peak and the rank check's: per line
-    # the int64 plucker row, its copy in G, the generator pair and seven
-    # int64 of rank_np's blocks.  The enumerator's peak is the larger of
+    # the int64 plucker row (G is a view of it), the generator pair and
+    # seven int64 of rank_np's blocks.  The enumerator's peak is the larger of
     # three int64 copies of its product block with two int64 ids per line,
     # and per line two int16 wedge rows, the int64 plucker row and three
     # int64 ids, plus 64 KiB.
@@ -511,9 +519,11 @@ def test_memory_estimate():
     assert line_bytes(2, 3) == block + 16 * 40
     assert line_bytes(3, 5) == 101556 * (4 * 21 + 8 * 21 + 24) + 2**16
     assert memory_estimate(2, 3) == 32 * 5 * 121 + block + 16 * 40
-    assert memory_estimate(3, 5) == 32 * 7 * 19531 + 101556 * (16 * 21 + 72)
+    assert memory_estimate(3, 5) == 32 * 7 * 19531 + line_bytes(3, 5) > 32 * 7 * 19531 + 101556 * (8 * 21 + 72)
+    p = code_parameters(2, 125)
+    assert memory_estimate(2, 125) == point_bytes(125, 5) + p.N * (8 * p.K + 72) > point_bytes(125, 5) + line_bytes(2, 125)
     p = code_parameters(5, 3)
-    assert memory_estimate(5, 3) > 16 * p.N * p.K > 19 * 2**30
+    assert memory_estimate(5, 3) > 8 * p.N * p.K > 9 * 2**30
     assert point_bytes(3, 199999) == memory_estimate(99999, 3) == line_bytes(99999, 3) == float("inf")
     assert memory_estimate(10**12, 3) == float("inf")
 
@@ -688,7 +698,7 @@ def test_restriction_from_full_line_set():
         spans.setdefault(members, (u, v))
     assert len(spans) == 1210
 
-    af = build_S(qs)
+    af = canonical_form(F3, 2, 3, 1, 1)[1]
     s = af.s
     gram = qs.gram
     on_quadric = []
@@ -758,7 +768,9 @@ def test_pair_counts_n4():
     # C(q+1, 2) = 6 unordered pairs of perpendicular singular points
     ctx = F3
     qs = standard_space(ctx, 4)
-    assert (qs.profile.r, qs.profile.d) == (7, 1)
+    # the canonical (7, 1) form lives on the standard space itself
+    shape_space, af = canonical_form(ctx, 4, 7, 1, 1)
+    assert np.array_equal(shape_space.gram, qs.gram)
     params = code_parameters(4, 3)
 
     pts = quadric_points(qs)
@@ -770,7 +782,6 @@ def test_pair_counts_n4():
     np.fill_diagonal(perp, False)
     assert int(perp.sum()) // 2 == 6 * params.N == 1790880
 
-    af = build_S(qs)
     vals = (fp @ af.s.astype(np.float64) @ fp.T) % 3
     iso = perp & (vals == 0)
     f = int(iso.sum()) // 2 // 6

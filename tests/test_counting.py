@@ -534,7 +534,7 @@ def test_run_checks_builds_each_shape_once(monkeypatch):
     monkeypatch.setattr(forms, "_shape", spy)
     run_checks(["all"], {"n": 2, "q": 3, "samples": 5, "seed": 0, "budget": 10**5})
     shapes = [(case, r, d) for case in (1, 2, 3, 4) for r, d in admissible_pairs(2, case)]
-    # the standard space's build_M is one more call of its shape
+    # the standard space's Gram matrix is one more call of its shape
     assert calls == [(1, 3, 1)] + shapes
 
 
@@ -570,7 +570,7 @@ def test_run_checks_enumerates_each_space_once(monkeypatch, n, q):
 
     def spy(qs):
         if "lines" not in qs._cache:
-            enumerated.append((qs.profile, qs.gram.tobytes()))
+            enumerated.append(qs.gram.tobytes())
         return original(qs)
 
     monkeypatch.setattr(geometry, "enumerate_singular_lines", spy)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polargrass.errors import EvenCharacteristic, InadmissibleParams, NotPrime, RankDeficient
-from polargrass.field import field_ctx
+from polargrass.field import _poly_divmod, field_ctx
 from polargrass.forms import projective_points
 from polargrass.matrix import inverse
 
@@ -204,6 +204,50 @@ def test_np_ops_match_scalar_ops(q):
         assert mul[i] == ctx.mul(int(a[i]), int(b[i]))
         assert neg[i] == ctx.neg(int(a[i]))
         assert bool(sq[i]) == is_square(ctx, int(a[i]))
+
+
+def reference_table_rows(ctx, rows):
+    """The add and mul table rows of the elements in rows, their inverses
+    and the whole neg table, one pair of elements at a time: the loop the
+    extension-field tables were built by before one numpy pass."""
+    p, e, q = ctx.p, ctx.e, ctx.q
+    mod_asc = list(reversed(ctx.modulus))
+    digits = [[(a // p**k) % p for k in range(e)] for a in range(q)]
+
+    def encode(coeffs):
+        return sum((c % p) * p**k for k, c in enumerate(coeffs[:e]))
+
+    add_, mul = np.zeros((2, len(rows), q), dtype=np.int64)
+    for i, a in enumerate(rows):
+        da = digits[a]
+        for b in range(q):
+            db = digits[b]
+            add_[i, b] = encode([x + y for x, y in zip(da, db)])
+            conv = [0] * (2 * e - 1)
+            for k, x in enumerate(da):
+                if x:
+                    for j, y in enumerate(db):
+                        conv[k + j] += x * y
+            _, rem = _poly_divmod([c % p for c in conv], mod_asc, p)
+            mul[i, b] = encode(rem + [0] * e)
+    inv_ = [int(np.flatnonzero(row == 1)[0]) if a else 0 for a, row in zip(rows, mul)]
+    neg = [encode([-x for x in d]) for d in digits]
+    return add_, mul, inv_, neg
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 121, 125, 169, 343, 625])
+def test_extension_tables_match_the_pairwise_loop(q):
+    # every row up to q = 125; past that 0, 1, q-1 and 24 seeded rows, as
+    # the loop takes about 4 s for all of q = 625
+    ctx = field_ctx(q)
+    rows = np.arange(q) if q <= 125 else np.r_[0, 1, q - 1, np.random.default_rng(q).choice(q, 24, replace=False)]
+    add_, mul, inv_, neg = reference_table_rows(ctx, rows.tolist())
+    assert np.array_equal(ctx._add_table[rows], add_)
+    assert np.array_equal(ctx._mul_table[rows], mul)
+    assert np.array_equal(ctx._inv_table[rows], inv_)
+    assert np.array_equal(ctx._neg_table, neg)
+    for table in (ctx._add_table, ctx._mul_table, ctx._neg_table, ctx._inv_table):
+        assert table.dtype == np.int64
 
 
 @pytest.mark.parametrize("q", [3, 9])

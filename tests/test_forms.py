@@ -16,11 +16,8 @@ from polargrass.forms import (
     AlternatingForm,
     QuadraticSpace,
     admissible_pairs,
-    build_M,
-    build_S,
     canonical_form,
     elliptic_gram,
-    form_profile,
     hyperbolic_gram,
     orbit_counts,
     parabolic_gram,
@@ -29,6 +26,7 @@ from polargrass.forms import (
     standard_space,
 )
 from test_matrix import bilinear_value, det, rank
+from test_stacked import form_profile
 
 F3 = field_ctx(3)
 F5 = field_ctx(5)
@@ -40,11 +38,21 @@ def cases_with_pairs(n, buildable=True):
             yield case, r, d
 
 
+def shape_space(ctx, n, r, d, case):
+    """The basis-adapted space of a block shape."""
+    return canonical_form(ctx, n, r, d, case)[0]
+
+
+def shape_form(ctx, n, r, d, case):
+    """The canonical alternating form of a block shape."""
+    return canonical_form(ctx, n, r, d, case)[1]
+
+
 # ---------------------------------------------------------
 # Gram assembly
 # ---------------------------------------------------------
 def test_build_M_minimal_example():
-    qs = build_M(F3, 2, 3, 1, 1)
+    qs = shape_space(F3, 2, 3, 1, 1)
     expected = [
         [0, 0, 0, 0, 1],
         [0, 1, 0, 0, 0],
@@ -57,7 +65,7 @@ def test_build_M_minimal_example():
 
 
 def test_build_M_seven_dim_example():
-    qs = build_M(F3, 3, 5, 1, 1)
+    qs = shape_space(F3, 3, 5, 1, 1)
     g = qs.gram
     assert len(g) == 7
     assert np.array_equal(g, g.T) and det(F3, g) != 0
@@ -72,13 +80,13 @@ def test_build_M_seven_dim_example():
 
 def test_build_M_rejects_wrong_parity():
     with pytest.raises(InadmissibleParams):
-        build_M(F3, 2, 3, 2, 1)
+        shape_space(F3, 2, 3, 2, 1)
     with pytest.raises(InadmissibleParams):
-        build_M(F3, 2, 2, 1, 1)
+        shape_space(F3, 2, 2, 1, 1)
     with pytest.raises(InadmissibleParams):
-        build_M(F3, 2, 5, 1, 1)
+        shape_space(F3, 2, 5, 1, 1)
     with pytest.raises(InadmissibleParams):
-        build_M(F3, 2, 3, 1, 3)
+        shape_space(F3, 2, 3, 1, 3)
 
 
 def test_admissible_pair_tables():
@@ -105,7 +113,7 @@ def test_admissible_pair_tables():
 def test_canonical_grams_symmetric_invertible(n, q):
     ctx = field_ctx(q)
     for case, r, d in cases_with_pairs(n):
-        qs = build_M(ctx, n, r, d, case)
+        qs = shape_space(ctx, n, r, d, case)
         assert np.array_equal(qs.gram, qs.gram.T)
         assert det(ctx, qs.gram) != 0
         assert qs.dim == 2 * n + 1
@@ -115,8 +123,7 @@ def test_canonical_grams_symmetric_invertible(n, q):
 # Alternating form assembly
 # ---------------------------------------------------------
 def test_build_S_minimal_example():
-    qs = build_M(F3, 2, 3, 1, 1)
-    af = build_S(qs)
+    af = shape_form(F3, 2, 3, 1, 1)
     expected = [
         [0, 1, 0, 0, 0],
         [2, 0, 0, 0, 0],
@@ -129,9 +136,9 @@ def test_build_S_minimal_example():
 
 
 def test_build_S_larger_examples():
-    af = build_S(build_M(F3, 3, 5, 1, 1))
+    af = shape_form(F3, 3, 5, 1, 1)
     assert len(af.s) == 7 and af.r == 5
-    af = build_S(build_M(F3, 3, 3, 1, 1))
+    af = shape_form(F3, 3, 3, 1, 1)
     assert af.r == 3
     # one symplectic pair plus the single coupling entry
     nz = [
@@ -143,14 +150,15 @@ def test_build_S_larger_examples():
     assert nz == [(0, 3), (1, 2)]
 
 
-def test_build_S_validates_radical():
-    af = build_S(build_M(F3, 2, 3, 2, 3))
+def test_build_S_validates_radical(monkeypatch):
+    af = shape_form(F3, 2, 3, 2, 3)
     assert af.r == 3
-    # the standard profile on the Gram matrix of another shape: the form
-    # built for the profile has the wrong defect there
-    wrong = QuadraticSpace(F3, 3, build_M(F3, 3, 1, 1, 1).gram, standard_space(F3, 3).profile)
-    with pytest.raises(RadicalMismatch, match="defect 2, wanted 1"):
-        build_S(wrong)
+    # the standard shape's form on the Gram matrix of another shape has
+    # the wrong defect there
+    shape = forms._shape
+    monkeypatch.setattr(forms, "_shape", lambda ctx, n, r, d, case: (shape(ctx, 3, 1, 1, 1)[0], shape(ctx, n, r, d, case)[1]))
+    with pytest.raises(RadicalMismatch, match=r"shape \(5, 1\) has radical \(5, 2\)"):
+        canonical_form(F3, 3, 5, 1, 1)
 
 
 def test_build_S_case4_variants():
@@ -214,7 +222,7 @@ def is_external(qs, v):
 
 
 def test_point_square_class_examples():
-    qs = build_M(F3, 2, 3, 1, 1)
+    qs = shape_space(F3, 2, 3, 1, 1)
     assert square_class(qs, [0, 1, 0, 0, 0]) == "square"
     assert square_class(qs, [1, 0, 0, 0, 0]) == "singular"
     assert square_class(qs, [0, 2, 0, 0, 0]) == "square"
@@ -238,12 +246,12 @@ def test_point_square_class_is_scale_invariant(q):
 def test_classify_internal_external_canonical_points():
     # ambient with hyperbolic-leaning discriminant: the distinguished
     # nonradical point cuts a hyperbolic section
-    qs1 = build_M(F3, 2, 3, 1, 1)
+    qs1 = shape_space(F3, 2, 3, 1, 1)
     x = [0, 1, 0, 0, 0]
     assert is_external(qs1, x)
     assert square_class(qs1, x) == "square"
     # elliptic-leaning ambient: same point now sits on the other side
-    qs2 = build_M(F3, 2, 3, 1, 2)
+    qs2 = shape_space(F3, 2, 3, 1, 2)
     assert not is_external(qs2, x)
     assert square_class(qs2, x) == "square"
 
@@ -252,7 +260,7 @@ def test_classify_internal_external_canonical_points():
 def test_external_points_pair_with_a_square_class(case, wanted):
     """Which eta square class the external points form depends on the ambient."""
     ctx = F3
-    qs = build_M(ctx, 2, 3, 1, case)
+    qs = shape_space(ctx, 2, 3, 1, case)
     pts = projective_points(ctx, 5)
     vals = ctx.np_quad_eval(qs.gram, pts)
     for v, val in zip(pts, vals):
@@ -337,7 +345,7 @@ def test_orbit_counts_match_closed_forms_for_all_cases(n, q):
     internal = q**n * (q**n - 1) // 2
     external = q**n * (q**n + 1) // 2
     for case, r, d in cases_with_pairs(n):
-        got = orbit_counts(build_M(ctx, n, r, d, case))
+        got = orbit_counts(shape_space(ctx, n, r, d, case))
         assert got["singular"] == singular
         assert got["internal"] == internal
         assert got["external"] == external

@@ -21,7 +21,7 @@ from polargrass import counting, forms, geometry
 from polargrass.code import random_alternating_forms
 from polargrass.errors import InadmissibleParams, TypeNotInTable
 from polargrass.field import FieldCtx, field_ctx
-from polargrass.forms import alternating_forms, form_profile, radical_split, standard_space
+from polargrass.forms import alternating_forms, radical_split, standard_space
 from polargrass.geometry import (
     LINE_T0,
     LINE_TALPHA,
@@ -134,6 +134,15 @@ def reference_witt_index(ctx, gram):
     t = k // 2
     sign = dmat if t % 2 == 0 else ctx.neg(dmat)
     return t if ctx.np_is_square(sign) else t - 1
+
+
+def form_profile(qs, af):
+    """(r, d) of an alternating form on qs: the dimension of its radical R
+    and of the radical of M on R."""
+    if af.r == 0:
+        return 0, 0
+    ctx, b = qs.ctx, af.radical
+    return af.r, len(null_space(ctx, ctx.np_matmul(ctx.np_matmul(b, qs.gram), b.T)))
 
 
 def reference_radical_split(qs, af):
