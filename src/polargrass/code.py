@@ -34,6 +34,7 @@ from .forms import (
     point_bytes,
     projective_block,
     standard_space,
+    _check_n,
 )
 from .geometry import (
     LineSet,
@@ -44,7 +45,7 @@ from .geometry import (
     line_bytes,
     singular_line_count,
 )
-from .matrix import rank_np
+from .matrix import _check_range, rank_np
 
 DEFAULT_BUDGET = 10**7
 EVAL_CHUNK_BYTES = 1 << 23  # float64 product block of one _weights_np chunk
@@ -65,8 +66,7 @@ class CodeParams:
 
 def code_parameters(n: int, q: int) -> CodeParams:
     """Closed-form parameters for given n >= 2 and odd prime power q."""
-    if n < 2:
-        raise InadmissibleParams(f"need n >= 2, got {n}")
+    _check_n(n)
     nn = singular_line_count(n, q)
     kk = (2 * n + 1) * n
     d = q ** (4 * n - 5) - q ** (3 * n - 4)
@@ -148,14 +148,14 @@ def _alternating_stack(ctx: FieldCtx, dim: int, messages: np.ndarray) -> np.ndar
     the rows of messages."""
     iu, ju = _pair_index(dim)
     s = np.zeros((len(messages), dim, dim), dtype=np.int64)
-    s[:, iu, ju] = messages % ctx.q if ctx.e == 1 else messages
+    s[:, iu, ju] = messages
     s[:, ju, iu] = ctx.np_neg(s[:, iu, ju])
     return s
 
 
 def form_from_message(ctx: FieldCtx, dim: int, message) -> AlternatingForm:
     """Alternating matrix whose strict upper triangle is the message."""
-    m = np.asarray(message, dtype=np.int64)
+    m = _check_range(ctx, message)
     iu, _ = _pair_index(dim)
     if m.shape != iu.shape:
         raise DimensionMismatch(

@@ -1,10 +1,9 @@
 """Closed-form counts and the verification procedures that check them.
 
-Every count here is exact.  The identities checked per form
-(line_count_from_census, census_rewrite_sides) run in integer arithmetic
-with checked division; the closed forms whose powers of q may have negative
-exponents run in rational arithmetic and are converted to an int at the
-end.  Either way a fractional result raises NonIntegerResult.  The
+Every count here is exact, in one arithmetic: integers with checked
+division (_div), so a fractional result raises NonIntegerResult.  Every
+power of q has a nonnegative exponent on the domain its function admits,
+and the public closed forms raise InadmissibleParams outside it.  The
 verification functions return plain report dicts with stable key order and
 never raise on a mismatch; they record status "ok" or "mismatch" so callers
 can decide how to fail.  The checks run by one run_checks call share one
@@ -18,7 +17,6 @@ computed for all forms in one stacked kernel call.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -58,30 +56,21 @@ from .forms import (
     projective_points,
     standard_space,
     _case_nu,
+    _check_n,
 )
 from . import geometry
 from .geometry import CensusRecord
 from .matrix import eigen_nullities
 
 
-def _int(x: Fraction | int, what: str) -> int:
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise NonIntegerResult(f"{what} evaluated to non-integer {f}")
-    return int(f)
-
-
 def _div(num: int, den: int, what: str) -> int:
-    """num / den, raising NonIntegerResult unless it is an integer."""
+    """num / den for den > 0, raising NonIntegerResult unless it is an
+    integer; the message gives the quotient in lowest terms."""
     quo, rem = divmod(num, den)
     if rem:
-        raise NonIntegerResult(f"{what} evaluated to non-integer {Fraction(num, den)}")
+        g = math.gcd(num, den)
+        raise NonIntegerResult(f"{what} evaluated to non-integer {num // g}/{den // g}")
     return quo
-
-
-def _qp(q: int, e: int) -> Fraction:
-    """q**e as an exact rational, allowing negative exponents."""
-    return Fraction(q) ** e
 
 
 # ---- residue constants and censuses -------------------------------------------
@@ -89,8 +78,7 @@ def _qp(q: int, e: int) -> Fraction:
 
 def residue_constants(n: int, q: int) -> dict[str, int]:
     """Per-class counts of isotropic singular lines through a point."""
-    if n < 2:
-        raise InadmissibleParams(f"need n >= 2, got {n}")
+    _check_n(n)
     return {
         "A0": (q ** (2 * n - 2) - 1) // (q - 1),
         "Bplus": (q ** (n - 1) - 1) * (q ** (n - 2) + 1) // (q - 1),
@@ -108,38 +96,28 @@ def closed_form_census(case: int, n: int, q: int, r: int, d: int) -> CensusRecor
     if case == 4:
         raise Case4NoClosedForm("case 4 census has no closed form; use bounds")
     check_admissible(n, r, d, case, buildable=False)
-    nu = _case_nu(n, r, d, case)
-    a_eigen = _int(2 * (_qp(q, nu) - 1) / (q - 1), "eigenvector point count")
-    base = (_qp(q, r - 1) - 1) / (q - 1)
-    if case == 1:
-        a_radical = _int(base + _qp(q, (r + d - 2) // 2), "radical point count")
-    elif case == 2:
-        a_radical = _int(base - _qp(q, (r + d - 2) // 2), "radical point count")
-    else:
-        a_radical = _int(base, "radical point count")
-    a = a_radical + a_eigen
+    a_eigen = _div(2 * (q ** _case_nu(n, r, d, case) - 1), q - 1, "eigenvector point count")
+    a_radical = _div(q ** (r - 1) - 1, q - 1, "radical point count")
+    t, big = r + d, q ** (2 * n - 1)
     if case in (1, 2):
-        s = (r + d) // 2
-        big = _qp(q, 2 * n - 1)
-        e1 = _qp(q, 2 * n - s - 1)
-        e2 = _qp(q, n + s - 1)
-        e3 = _qp(q, n - 1)
+        s = t // 2
+        e1, e2, e3 = q ** (2 * n - s - 1), q ** (n + s - 1), q ** (n - 1)
         if case == 1:
-            n_plus = _int((big + e1 + e2 - e3) / 2, "plus count")
-            n_minus = _int((big - e1 - e2 + e3) / 2, "minus count")
+            a_radical += q ** (s - 1)
+            n_plus = _div(big + e1 + e2 - e3, 2, "plus count")
+            n_minus = _div(big - e1 - e2 + e3, 2, "minus count")
         else:
-            n_plus = _int((big + e1 - e2 - e3) / 2, "plus count")
-            n_minus = _int((big - e1 + e2 + e3) / 2, "minus count")
-        n_zero = _int((big - 1) / (q - 1) - a, "zero count")
+            a_radical -= q ** (s - 1)
+            n_plus = _div(big + e1 - e2 - e3, 2, "plus count")
+            n_minus = _div(big - e1 + e2 + e3, 2, "minus count")
+        zeros = big - 1
     else:
-        s = (r + d - 1) // 2
-        n_zero = _int(
-            (_qp(q, 2 * n - 1) + _qp(q, n + s) - _qp(q, n + s - 1) - 1) / (q - 1) - a,
-            "zero count",
-        )
-        lead = (_qp(q, 2 * n - r - d) - _qp(q, n - (r + d + 1) // 2)) / 2
-        n_plus = _int(lead * (_qp(q, r + d - 1) + _qp(q, s)), "plus count")
-        n_minus = _int(lead * (_qp(q, r + d - 1) - _qp(q, s)), "minus count")
+        # t = r + d is odd, at most 2n + 1
+        e1, e2, e3 = q ** (2 * n - (t + 1) // 2), q ** (n + (t - 3) // 2), q ** (n - 1)
+        n_plus = _div(big + e1 - e2 - e3, 2, "plus count")
+        n_minus = _div(big - e1 - e2 + e3, 2, "minus count")
+        zeros = big + q ** (n + (t - 1) // 2) - q ** (n + (t - 3) // 2) - 1
+    n_zero = _div(zeros, q - 1, "zero count") - a_radical - a_eigen
     rec = CensusRecord(
         a_radical=a_radical,
         a_eigen=a_eigen,
@@ -168,9 +146,8 @@ def line_count_from_census(census: CensusRecord, n: int, q: int) -> int:
 
 
 def census_rewrite_sides(census: CensusRecord, n: int, q: int) -> tuple[int, int]:
-    """Both sides of the reduced line-count identity, as integers.  Every
-    power of q has a nonnegative exponent (n >= 2, which
-    line_count_from_census checks)."""
+    """Both sides of the reduced line-count identity (line_count_from_census
+    checks n >= 2)."""
     lhs = (q + 1) * line_count_from_census(census, n, q)
     delta = census.n_plus - census.n_minus
     top, sq = q ** (2 * n - 3), (q - 1) ** 2
@@ -199,14 +176,12 @@ def line_count_objective(n: int, q: int, r: int, s: int) -> int:
     if s % 2 or not (r + 1 <= s <= min(2 * r, 2 * n)):
         raise InadmissibleParams(f"s must be even in [r+1, min(2r, 2n)], got {s}")
     h = s // 2
-    return _int(
-        _qp(q, n - h + 1) + _qp(q, n - h) + _qp(q, h + 1) - _qp(q, h - 1) + _qp(q, r - 1),
-        "objective",
-    )
+    return q ** (n - h + 1) + q ** (n - h) + q ** (h + 1) - q ** (h - 1) + q ** (r - 1)
 
 
 def objective_grid_argmax(n: int, q: int) -> dict:
     """Scan the objective grid; the maximum sits at (2n-1, 2n)."""
+    _check_n(n)
     best = None
     arg = None
     for r in range(1, 2 * n, 2):
@@ -216,27 +191,15 @@ def objective_grid_argmax(n: int, q: int) -> dict:
             v = line_count_objective(n, q, r, s)
             if best is None or v > best:
                 best, arg = v, (r, s)
-    closed = _int(
-        _qp(q, 2 * n - 2) + _qp(q, n + 1) - _qp(q, n - 1) + q + 1, "objective max"
-    )
+    closed = q ** (2 * n - 2) + q ** (n + 1) - q ** (n - 1) + q + 1
     return {"argmax": arg, "value": best, "closed_value_at_corner": closed}
 
 
 def case1_identity_sides(n: int, q: int, r: int, d: int) -> tuple[int, int]:
     """Case-1 line count times (q+1)(q-1)^2 versus its objective expression."""
     lhs = case_line_count(1, n, q, r, d) * (q + 1) * (q - 1) ** 2
-    tail = (
-        _qp(q, 4 * n - 3)
-        - _qp(q, 2 * n - 1)
-        - _qp(q, 2 * n - 2)
-        + _qp(q, 2 * n - 3)
-        - _qp(q, 2 * n)
-        + 1
-    )
-    rhs = _int(
-        _qp(q, 2 * n - 3) * (q - 1) * line_count_objective(n, q, r, r + d) + tail,
-        "identity side",
-    )
+    tail = q ** (4 * n - 3) - q ** (2 * n - 1) - q ** (2 * n - 2) + q ** (2 * n - 3) - q ** (2 * n) + 1
+    rhs = q ** (2 * n - 3) * (q - 1) * line_count_objective(n, q, r, r + d) + tail
     return lhs, rhs
 
 
@@ -247,11 +210,11 @@ def max_singular_isotropic_lines(n: int, q: int) -> dict:
     d = 1; the record carries the closed value and the complement identity
     against the total line count.
     """
+    params = code_parameters(n, q)  # checks n >= 2
     num = (q ** (n - 1) - 1) * (
         q ** (3 * n - 2) + q ** (3 * n - 3) - q ** (3 * n - 4) + q ** (2 * n) - q ** (n - 1) - 1
     )
-    value = _int(Fraction(num, (q - 1) ** 2 * (q + 1)), "maximum line count")
-    params = code_parameters(n, q)
+    value = _div(num, (q - 1) ** 2 * (q + 1), "maximum line count")
     return {
         "value": value,
         "argmax": (2 * n - 1, 1),
@@ -262,55 +225,57 @@ def max_singular_isotropic_lines(n: int, q: int) -> dict:
 
 
 def case4_line_count_bound(n: int, q: int, r: int, s: int) -> int:
-    """Upper bound, times (q-1)^2 (q+1), for the case-4 line count at (r, s=r+d)."""
-    lead = (
-        _qp(q, n)
-        * (_qp(q, n - 1) - 1)
-        * (q - 1)
-        * (_qp(q, r - 3) + 2 * _qp(q, n - (s + 5) // 2))
-    )
+    """Upper bound, times (q-1)^2 (q+1), for the case-4 line count at (r, s=r+d).
+
+    Defined for n >= 2, odd r in [1, 2n-1] and odd s in [r, 2n-1].
+    """
+    _check_n(n)
+    if not (1 <= r <= 2 * n - 1) or r % 2 == 0:
+        raise InadmissibleParams(f"r must be odd in [1, {2*n-1}], got {r}")
+    if s % 2 == 0 or not (r <= s <= 2 * n - 1):
+        raise InadmissibleParams(f"s must be odd in [r, {2*n-1}], got {s}")
+    lead = (q ** (n - 1) - 1) * (q - 1) * (q ** (n + r - 3) + 2 * q ** (2 * n - (s + 5) // 2))
     tail = (
-        _qp(q, 4 * n - 3)
-        + _qp(q, 3 * n - 1)
-        - _qp(q, 3 * n - 2)
-        - 3 * _qp(q, 2 * n - 2)
-        + 2 * _qp(q, 2 * n - 3)
-        - _qp(q, 2 * n)
-        + 2 * _qp(q, n - 1)
-        - 2 * _qp(q, n - 2)
+        q ** (4 * n - 3)
+        + q ** (3 * n - 1)
+        - q ** (3 * n - 2)
+        - 3 * q ** (2 * n - 2)
+        + 2 * q ** (2 * n - 3)
+        - q ** (2 * n)
+        + 2 * q ** (n - 1)
+        - 2 * q ** (n - 2)
         + 1
     )
-    return _int(lead + tail, "case-4 bound")
+    return lead + tail
 
 
 def endpoint_bound_values(n: int, q: int) -> dict:
     """The two endpoint values of the case-4 bound in closed form."""
-    h1 = _int(
-        _qp(q, 4 * n - 3)
-        + _qp(q, 3 * n - 1)
-        - _qp(q, 3 * n - 2)
-        + 2 * _qp(q, 3 * n - 3)
-        - 2 * _qp(q, 3 * n - 4)
-        - 4 * _qp(q, 2 * n - 2)
-        + 3 * _qp(q, 2 * n - 3)
-        - _qp(q, 2 * n)
-        + _qp(q, n - 1)
-        - _qp(q, n - 2)
-        + 1,
-        "endpoint bound at r=1",
+    _check_n(n)
+    h1 = (
+        q ** (4 * n - 3)
+        + q ** (3 * n - 1)
+        - q ** (3 * n - 2)
+        + 2 * q ** (3 * n - 3)
+        - 2 * q ** (3 * n - 4)
+        - 4 * q ** (2 * n - 2)
+        + 3 * q ** (2 * n - 3)
+        - q ** (2 * n)
+        + q ** (n - 1)
+        - q ** (n - 2)
+        + 1
     )
-    h_top = _int(
-        _qp(q, 4 * n - 3)
-        + _qp(q, 4 * n - 4)
-        - _qp(q, 4 * n - 5)
-        + _qp(q, 3 * n - 1)
-        - _qp(q, 3 * n - 2)
-        - _qp(q, 3 * n - 3)
-        + _qp(q, 3 * n - 4)
-        - _qp(q, 2 * n - 2)
-        - _qp(q, 2 * n)
-        + 1,
-        "endpoint bound at r=2n-1",
+    h_top = (
+        q ** (4 * n - 3)
+        + q ** (4 * n - 4)
+        - q ** (4 * n - 5)
+        + q ** (3 * n - 1)
+        - q ** (3 * n - 2)
+        - q ** (3 * n - 3)
+        + q ** (3 * n - 4)
+        - q ** (2 * n - 2)
+        - q ** (2 * n)
+        + 1
     )
     return {"h1": h1, "h_top": h_top}
 
@@ -350,11 +315,8 @@ def case1_equation_counts(ctx: FieldCtx, n: int, r: int, d: int, beta: int = 1) 
     vecs2 = _all_vectors(ctx, width2)
     vecs2 = vecs2[vecs2[:, 0] != 0]
     vals2 = ctx.np_quad_eval(gram2, vecs2)
-    neg_squares = {ctx.neg(ctx.mul(a, a)) for a in range(1, q)}
-    negsq = np.zeros(q, dtype=bool)
-    for v in neg_squares:
-        negsq[v] = True
-    negsquare_count = int(negsq[vals2].sum())
+    # v = -a^2 for some nonzero a exactly when -v is a nonzero square
+    negsquare_count = int((ctx.np_is_square(ctx.np_neg(vals2)) & (vals2 != 0)).sum())
     return {
         "target_count": target_count,
         "target_closed": target_closed,
@@ -499,8 +461,7 @@ class FormTable:
     """
 
     def __init__(self, n: int, q: int, samples: int = 0, seed: int = 0, budget: int = DEFAULT_BUDGET):
-        if n < 2:
-            raise InadmissibleParams(f"need n >= 2, got {n}")
+        _check_n(n)
         _check_seed(seed)
         if samples < 0:
             raise InadmissibleParams(f"samples must be >= 0, got {samples}")

@@ -117,10 +117,9 @@ class FieldCtx:
             self._inv_table = np.array(
                 [0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64
             )
+        elements = np.arange(q, dtype=np.int64)
         sq = np.zeros(q, dtype=bool)
-        sq[0] = True
-        for a in range(1, q):
-            sq[self.mul(a, a)] = True
+        sq[self.np_mul(elements, elements)] = True
         self._square_mask = sq
         self.nonsquare_rep = int(np.flatnonzero(~sq)[0])
 
@@ -149,14 +148,10 @@ class FieldCtx:
     # ---- scalar arithmetic ----------------------------------------------
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        return int(self._neg_table[a])
+        return int(self.np_neg(a))
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        return int(self._mul_table[a, b])
+        return int(self.np_mul(a, b))
 
     def validate_element(self, a: int) -> int:
         if not isinstance(a, (int, np.integer)) or not 0 <= a < self.q:

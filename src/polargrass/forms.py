@@ -29,6 +29,11 @@ from .matrix import _check_range, determinants, inverse, kernel_bases, pivot_col
 CASES = (1, 2, 3, 4)
 
 
+def _check_n(n: int) -> None:
+    if n < 2:
+        raise InadmissibleParams(f"need n >= 2, got {n}")
+
+
 def check_admissible(n: int, r: int, d: int, case: int, *, buildable: bool = True) -> None:
     """Raise InadmissibleParams unless (r, d, case) is allowed for this n.
 
@@ -37,8 +42,7 @@ def check_admissible(n: int, r: int, d: int, case: int, *, buildable: bool = Tru
     the full parity grid 1 <= d <= min(r, 2n - r), the domain over which the
     case-2 count formula is compared during maximization.
     """
-    if n < 2:
-        raise InadmissibleParams(f"need n >= 2, got {n}")
+    _check_n(n)
     if case not in CASES:
         raise InadmissibleParams(f"case must be in {CASES}, got {case}")
     if not (1 <= r <= 2 * n - 1) or r % 2 == 0:

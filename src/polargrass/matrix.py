@@ -188,31 +188,26 @@ def eigen_nullities(ctx: FieldCtx, arr) -> np.ndarray:
 
 
 def rank_np(ctx: FieldCtx, arr: np.ndarray) -> int:
-    """Rank of a (possibly wide) int matrix, without a copy of all of it.
+    """Rank of a (possibly wide) matrix of field elements, without a copy
+    of all of it.
 
-    Over a prime field the entries are taken mod p; over an extension field
-    each entry must already be a field element.  The rows of the taller
-    orientation (a view) are split into `width` interleaved blocks (every
-    width-th row), and each block is reduced together with the reduced
-    basis of the blocks before it, so a working copy holds about as many
-    entries as the matrix has rows.  It stops once the rank reaches the
-    width, which a block sampled across the whole matrix usually does.
+    The rows of the taller orientation (a view) are split into `width`
+    interleaved blocks (every width-th row), and each block is reduced
+    together with the reduced basis of the blocks before it, so a working
+    copy holds about as many entries as the matrix has rows.  It stops once
+    the rank reaches the width, which a block sampled across the whole
+    matrix usually does.
     """
-    a = np.asarray(arr, dtype=np.int64)
+    a = _check_range(ctx, arr)
     if a.ndim != 2:
         raise DimensionMismatch("rank_np needs a 2-d array")
-    if ctx.e > 1:
-        _check_range(ctx, a)
     tall = a.T if a.shape[0] < a.shape[1] else a
     width = tall.shape[1]
     basis = tall[:0]
     for start in range(width):
         if len(basis) == width:
             break
-        block = tall[start :: width]
-        if ctx.e == 1:
-            block = block % ctx.p
-        red, pivots, _ = _eliminate(ctx, np.concatenate([basis, block]))
+        red, pivots, _ = _eliminate(ctx, np.concatenate([basis, tall[start :: width]]))
         basis = red[: pivots.sum()]
     return len(basis)
 

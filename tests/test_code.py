@@ -178,6 +178,13 @@ def test_form_from_message_length_check():
         form_from_message(F3, 5, [1, 0, 0])
 
 
+@pytest.mark.parametrize("q,bad", [(3, 3), (3, -1), (9, 9)])
+def test_form_from_message_rejects_non_elements(q, bad):
+    # a message entry outside F_q is refused, not reduced mod p
+    with pytest.raises(InadmissibleParams):
+        form_from_message(field_ctx(q), 5, [bad] + [0] * 9)
+
+
 # ---------------------------------------------------------
 # Weights
 # ---------------------------------------------------------

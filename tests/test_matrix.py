@@ -151,8 +151,9 @@ def test_rank_np_matches_rank():
 
 
 def test_rank_np_checks_entries():
-    # prime fields reduce any int mod p; extension fields need field elements
-    assert rank_np(F3, np.array([[-1, 4], [2, 1]])) == 1
+    # every field needs field elements; nothing is reduced mod p
+    with pytest.raises(InadmissibleParams):
+        rank_np(F3, np.array([[-1, 4], [2, 1]]))
     for bad in (-1, 9):
         arr = np.zeros((2, 3), dtype=np.int64)
         arr[1, 2] = bad

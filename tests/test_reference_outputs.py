@@ -34,3 +34,11 @@ def test_verify_all_matches_the_recorded_report(n, q):
     reports = run_checks(["all"], {"n": n, "q": q, "samples": 30, "seed": 1, "budget": 10**7})
     want = (DATA / f"verify_n{n}q{q}_s30_seed1.json").read_text(encoding="utf-8")
     assert json.dumps(reports, indent=2) + "\n" == want
+
+
+@pytest.mark.parametrize("n,q", [(8, 5), (30, 3)])
+def test_closed_form_maxima_match_the_recorded_report(n, q):
+    # recorded while the closed forms were evaluated in rational arithmetic
+    reports = run_checks(["grid-maxima", "case-maxima"], {"n": n, "q": q})
+    want = (DATA / f"maxima_n{n}q{q}.json").read_text(encoding="utf-8")
+    assert json.dumps(reports, indent=2) + "\n" == want
