@@ -31,8 +31,7 @@ from .matrix import format_matrix_text, parse_matrix_text
 
 
 def _add_field_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=int, required=True, help="base field order (odd prime power)")
-    p.add_argument("--e", type=int, default=1, help="extension degree; the field has order q**e")
+    p.add_argument("--q", type=int, required=True, help="field order (odd prime power)")
     p.add_argument("--n", type=int, required=True, help="rank parameter; the ambient dimension is 2n+1")
 
 
@@ -67,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("weight", help="weight of the codeword of a form file")
     w.add_argument("--q", type=int, default=None, help="expected field order; validated against the file")
-    w.add_argument("--e", type=int, default=1, help="extension degree for --q")
     w.add_argument("path", help="matrix text file holding the alternating form")
 
     s = sub.add_parser("search", help="random lower-weight search; JSON report")
@@ -76,12 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     s.add_argument("-o", "--output", metavar="PATH", help="witness file on counterexample (default witness.txt)")
     return parser
-
-
-def _field(args) -> FieldCtx:
-    if args.e < 1:
-        raise InadmissibleParams(f"extension degree must be >= 1, got {args.e}")
-    return FieldCtx(args.q**args.e)
 
 
 def _check_nonnegative(name: str, value: int) -> None:
@@ -112,8 +104,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_build(args) -> int:
-    ctx = _field(args)
-    code = build_code(standard_space(ctx, args.n))
+    code = build_code(standard_space(FieldCtx(args.q), args.n))
     if args.output:
         _emit(export_code(code, args.format), args.output)
     p = code.params
@@ -141,7 +132,7 @@ def _filter_entries(report: dict, args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    _field(args)
+    FieldCtx(args.q)
     _check_nonnegative("samples", args.samples)
     _check_nonnegative("seed", args.seed)
     budget = _budget(args)
@@ -152,7 +143,7 @@ def cmd_verify(args) -> int:
         raise InadmissibleParams("--case/--r/--d filters apply to census-all and equation-counts only")
     shared = {
         "n": args.n,
-        "q": args.q**args.e,
+        "q": args.q,
         "samples": args.samples,
         "seed": args.seed,
         "budget": budget,
@@ -172,7 +163,7 @@ def cmd_weight(args) -> int:
             text = fh.read()
     except OSError as ex:
         raise IoError(f"cannot read {args.path}: {ex}") from ex
-    ctx = FieldCtx(args.q**args.e) if args.q is not None else None
+    ctx = FieldCtx(args.q) if args.q is not None else None
     ctx, m = parse_matrix_text(text, ctx)
     dim = len(m)
     if dim < 5 or dim % 2 == 0:
@@ -192,7 +183,7 @@ def cmd_weight(args) -> int:
 
 
 def cmd_search(args) -> int:
-    ctx = _field(args)
+    ctx = FieldCtx(args.q)
     _check_nonnegative("samples", args.samples)
     _check_nonnegative("seed", args.seed)
     code = build_code(standard_space(ctx, args.n))

@@ -4,7 +4,8 @@ The code of the space qs has one column per totally singular line (its
 canonical wedge coordinates) and one row per coordinate pair i < j.  A
 message is therefore the strict upper triangle of an alternating matrix S,
 and the weight of its codeword counts the singular lines on which S does
-not vanish.
+not vanish.  Every codeword is evaluated by geometry._codewords, one
+product per block of lines.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .forms import (
 from .geometry import (
     LineSet,
     _blocks,
+    _codewords,
     _encode_rows,
     _pair_index,
     enumerate_singular_lines,
@@ -48,7 +50,6 @@ from .geometry import (
 from .matrix import _check_range, rank_np
 
 DEFAULT_BUDGET = 10**7
-EVAL_CHUNK_BYTES = 1 << 23  # float64 product block of one _weights_np chunk
 SCAN_TABLE_ROWS = 512  # low codewords the exhaustive scan's table aims for
 SCAN_BLOCK_BYTES = 1 << 21  # q N float32 per high part: sets the rows of one exhaustive-scan block
 
@@ -164,36 +165,21 @@ def form_from_message(ctx: FieldCtx, dim: int, message) -> AlternatingForm:
     return alternating_forms(ctx, _alternating_stack(ctx, dim, m[None]))[0]
 
 
-def _codeword_chunks(code: PolarCode, batch: np.ndarray):
-    """Codeword values over F_q of a batch of messages (rows), yielded in
-    row chunks of at most EVAL_CHUNK_BYTES of float64 each.
-
-    Over a prime field this is FieldCtx.np_matmul's float64 product, but
-    with G cast once per call and the values reduced in int32: through
-    np_matmul, which casts G for every chunk and reduces in int64, 1000
-    samples of `search` at (3,5) took 1.34-1.50 s against 0.64-0.69 s on
-    a 2-vCPU host.
-    """
-    ctx = code.ctx
-    rows = max(1, EVAL_CHUNK_BYTES // (8 * code.params.N))
-    if ctx.e == 1:
-        gmat = code.generator.astype(np.float64, order="C")  # G is a transposed view
-        batch = np.asarray(batch, dtype=np.int64) % ctx.p
-    for lo in range(0, len(batch), rows):
-        part = batch[lo : lo + rows]
-        if ctx.e == 1:
-            # entries below p keep every sum under K (p-1)^2 < 2^31, so the
-            # BLAS float64 product is exact and fits int32
-            yield (part.astype(np.float64) @ gmat).astype(np.int32) % ctx.p
-        else:
-            yield ctx.np_matmul(part, code.generator)
+def _codeword_values(code: PolarCode, batch: np.ndarray) -> np.ndarray:
+    """(B, N) codeword values of a batch of messages (rows)."""
+    out = np.empty((len(batch), code.params.N), dtype=np.int64)
+    for blk, vals in _codewords(code.ctx, code.generator.T, batch):
+        out[:, blk] = vals.T
+    return out
 
 
 def _weights_np(code: PolarCode, batch: np.ndarray) -> np.ndarray:
-    """Hamming weights of the codewords of a batch of messages (rows)."""
-    return np.concatenate(
-        [np.count_nonzero(vals, axis=1) for vals in _codeword_chunks(code, batch)]
-    ).astype(np.int64)
+    """Hamming weights of the codewords of a batch of messages (rows),
+    summed over the blocks of lines, so no (B, N) array is built."""
+    weights = np.zeros(len(batch), dtype=np.int64)
+    for _, vals in _codewords(code.ctx, code.generator.T, batch):
+        weights += np.count_nonzero(vals, axis=0)
+    return weights
 
 
 def codeword_from_form(code: PolarCode, af: AlternatingForm) -> Codeword:
@@ -205,7 +191,7 @@ def codeword_from_form(code: PolarCode, af: AlternatingForm) -> Codeword:
     msg = message_from_form(af)
     if not msg.any():
         raise ZeroMessage("zero form gives the zero codeword")
-    vals = next(_codeword_chunks(code, msg.reshape(1, -1)))[0].astype(np.int64)
+    vals = _codeword_values(code, msg[None])[0]
     return Codeword(values=vals, weight=int((vals != 0).sum()))
 
 
@@ -390,7 +376,7 @@ def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
     high_rows, low_rows = _agreement_tables(q)
     msgs = np.zeros((q**b, k), dtype=np.int64)
     msgs[:, a:] = np.arange(q**b)[:, None] // q ** np.arange(b - 1, -1, -1) % q
-    low = np.concatenate(list(_codeword_chunks(code, msgs)))
+    low = _codeword_values(code, msgs)
     best = int(np.count_nonzero(low[1:], axis=1).min()) if b else nn
     table = np.take(low_rows, low, axis=0).reshape(len(low), -1)
     del low
@@ -409,7 +395,7 @@ def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
         rows = len(high)
         msgs = np.zeros((rows, k), dtype=np.int64)
         msgs[:, :a] = high
-        vals = np.concatenate(list(_codeword_chunks(code, msgs)))
+        vals = _codeword_values(code, msgs)
         np.take(high_rows, vals, axis=0, out=feats[:rows], mode="clip")
         np.matmul(feats[:rows].reshape(rows, -1), table.T, out=agree[:rows])
         best = min(best, int((np.count_nonzero(vals, axis=1) - agree[:rows].max(axis=1)).min()))

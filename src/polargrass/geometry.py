@@ -8,15 +8,19 @@ and no dedup step is needed.  Lines are stored by those coordinates in
 ascending lexicographic order, together with the generator pair and the ids
 of their q+1 member points.
 
+The one codeword kernel, _codewords, evaluates a batch of messages on the
+lines' Plücker rows, one product per block of lines: the code's weights,
+its exhaustive scan and the isotropic-line masks all run through it.
+
 The per-form data of verify come from stacked kernels, each one pass per
 block of points or lines over all the forms on one space: the residue
 classes (_residue_stack), the isotropic-line masks (_isotropic_stack, the
-zero sets of the forms' codewords, from the lines' Plücker rows) and the
-line-type censuses (_line_type_stack, over the forms' residue rows).  A
-single-form function is the same kernel called on one form, followed by a
-read-off (_census, _mask, _tau) that turns the form's row into its census,
-line mask or tau values; counting's form table applies the same read-offs
-to the rows of all forms of a space.
+zero sets of the forms' codewords) and the line-type censuses
+(_line_type_stack, over the forms' residue rows).  A single-form function
+is the same kernel called on one form, followed by a read-off (_census,
+_mask, _tau) that turns the form's row into its census, line mask or tau
+values; counting's form table applies the same read-offs to the rows of
+all forms of a space.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, NotOnQuadric, TypeNotInTable
+from .field import FieldCtx
 from .forms import AlternatingForm, QuadraticSpace, check_memory, projective_points
 
 PAIR_BLOCK_ENTRIES = 1 << 20  # point pairs in one product block of enumerate_singular_lines
@@ -156,24 +161,13 @@ class LineSet:
     def members(self) -> np.ndarray:
         """(N, q+1) sorted point ids on each line."""
         if self._members is None:
-            qs = self.qs
-            ctx = qs.ctx
+            qs, ctx = self.qs, self.qs.ctx
             narrow = quadric_points(qs).astype(_wedge_dtype(ctx.q))
             v = narrow[self.gens[:, 0]]
             u = narrow[self.gens[:, 1]]
-            cols = [self.gens[:, 0]]
-            # u + lam v keeps the leading 1 of u, so it is already canonical.
-            # Over F_p it is u plus lam copies of v; over F_(p^e) the field
-            # element lam is no repeated sum, so it goes through the tables.
-            w = u.copy()
-            for lam in range(ctx.q):
-                if ctx.e > 1:
-                    w = ctx.np_add(u, ctx.np_mul(lam, v))
-                elif lam:
-                    w += v
-                    w -= ctx.p * (w >= ctx.p)
-                cols.append(_ids_for_rows(qs, w))
-            mem = np.stack(cols, axis=1)
+            # u + lam v keeps the leading 1 of u, so it is already canonical
+            cols = [_ids_for_rows(qs, ctx.np_add(u, ctx.np_mul(lam, v))) for lam in range(ctx.q)]
+            mem = np.stack([self.gens[:, 0]] + cols, axis=1)
             mem.sort(axis=1)
             self._members = mem
         return self._members
@@ -260,13 +254,10 @@ def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
     narrow = pts.astype(_wedge_dtype(ctx.q))
     u = narrow[ui]
     v = narrow[vi]
-    if ctx.e == 1:
-        pl = (u[:, iu] * v[:, ju] - u[:, ju] * v[:, iu]) % ctx.p
-    else:
-        # one column at a time, since the field's tables give int64
-        pl = np.empty((len(ui), k), dtype=narrow.dtype)
-        for c, (i, j) in enumerate(zip(iu, ju)):
-            pl[:, c] = ctx.np_sub(ctx.np_mul(u[:, i], v[:, j]), ctx.np_mul(u[:, j], v[:, i]))
+    # one column at a time, since an extension field's tables give int64
+    pl = np.empty((len(ui), k), dtype=narrow.dtype)
+    for c, (i, j) in enumerate(zip(iu, ju)):
+        pl[:, c] = ctx.np_sub(ctx.np_mul(u[:, i], v[:, j]), ctx.np_mul(u[:, j], v[:, i]))
     del narrow, u, v
     order = np.argsort(_encode_rows(ctx.q, pl), kind="stable")
     plucker = pl[order].astype(np.int64)
@@ -333,25 +324,37 @@ def empirical_census(qs: QuadraticSpace, af: AlternatingForm) -> CensusRecord:
 # ---- line census --------------------------------------------------------------
 
 
+def _codewords(ctx: FieldCtx, rows: np.ndarray, messages: np.ndarray):
+    """The codeword values of a (B, K) batch of messages on the (N, K)
+    rows of a generator (the Plücker rows of the lines), per block of
+    rows: yields (block, values), values the (rows in block, B) product
+    of those rows with the messages.
+
+    The messages are converted to the product's operand once per call.
+    Blocks are sized as in every stacked kernel: one row holds its K
+    entries in float64, the product and its int copy (K + 2B), and takes
+    K B multiply-adds.
+    """
+    k, nb = rows.shape[1], len(messages)
+    operand = ctx.np_operand(messages.T)
+    for blk in _blocks(len(rows), k + 2 * nb, k * nb):
+        yield blk, ctx.np_matmul(rows[blk], operand)
+
+
 def _isotropic_stack(qs: QuadraticSpace, afs) -> np.ndarray:
     """Per form of a list of B forms on qs and per singular line: whether
     the form vanishes on it, packed eight lines to a byte (np.packbits),
     (B, ceil(lines / 8)).
 
-    u^T S v = sum over i < j of S_ij (u_i v_j - u_j v_i), so per block of
-    lines one product of their Plücker rows with the stacked strict upper
-    triangles of S (the forms' messages) gives every value: the mask is the
-    zero set of each form's codeword.
+    u^T S v = sum over i < j of S_ij (u_i v_j - u_j v_i), so the values
+    on the lines are the codeword (_codewords) of the form's message, the
+    strict upper triangle of S: the mask is its zero set.
     """
-    ctx = qs.ctx
     plucker = enumerate_singular_lines(qs).plucker
     iu, ju = _pair_index(qs.dim)
-    upper = _stack(qs, afs)[:, iu, ju].T
-    k, nb = upper.shape
-    out = np.empty((nb, len(plucker)), dtype=bool)
-    # the float copy of the rows, the product and its int copy
-    for blk in _blocks(len(plucker), k + 2 * nb, k * nb):
-        out[:, blk] = (ctx.np_matmul(plucker[blk], upper) == 0).T
+    out = np.empty((len(afs), len(plucker)), dtype=bool)
+    for blk, vals in _codewords(qs.ctx, plucker, _stack(qs, afs)[:, iu, ju]):
+        out[:, blk] = (vals == 0).T
     return np.packbits(out, axis=1)
 
 

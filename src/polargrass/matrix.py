@@ -42,7 +42,11 @@ def _check_range(ctx: FieldCtx, arr) -> np.ndarray:
             return a.astype(np.int64, copy=False)
         if isinstance(arr, np.ndarray):
             raise InadmissibleParams(f"{int(a[bad][0])!r} is not an element of F_{ctx.q}")
-    for x in chain.from_iterable(arr) if a is None or a.ndim == 2 else a.flat:
+    if a is None or a.ndim == 2:
+        entries = chain.from_iterable(arr)
+    else:
+        entries = arr if a.ndim == 1 else a.flat
+    for x in entries:
         ctx.validate_element(x)
     if a is None:
         raise DimensionMismatch("ragged rows")

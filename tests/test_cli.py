@@ -41,7 +41,7 @@ def test_build_med(capsys):
 
 
 def test_build_extension_field(capsys):
-    rc, out, _ = run(capsys, "build", "--q", "3", "--e", "2", "--n", "2")
+    rc, out, _ = run(capsys, "build", "--q", "9", "--n", "2")
     assert rc == 0
     assert out == "820 10 648\n"
 
@@ -54,9 +54,11 @@ def test_build_rejects_bad_field(capsys, q):
 
 
 def test_build_rejects_bad_extension(capsys):
-    rc, _, err = run(capsys, "build", "--q", "3", "--e", "0", "--n", "2")
-    assert rc == 2
-    assert "error:" in err
+    # --q names the field order; there is no separate extension degree
+    with pytest.raises(SystemExit) as ex:
+        main(["build", "--q", "3", "--e", "2", "--n", "2"])
+    assert ex.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_build_writes_generator(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polargrass import code as code_module
+from polargrass import geometry
 from polargrass.code import (
     SCAN_BLOCK_BYTES,
     BudgetExceeded,
@@ -180,8 +181,9 @@ def test_form_from_message_length_check():
 
 @pytest.mark.parametrize("q,bad", [(3, 3), (3, -1), (9, 9)])
 def test_form_from_message_rejects_non_elements(q, bad):
-    # a message entry outside F_q is refused, not reduced mod p
-    with pytest.raises(InadmissibleParams):
+    # a message entry outside F_q is refused, not reduced mod p, and named
+    # as it was given in the list
+    with pytest.raises(InadmissibleParams, match=rf"^{bad} is not an element of F_{q}$"):
         form_from_message(field_ctx(q), 5, [bad] + [0] * 9)
 
 
@@ -582,7 +584,7 @@ def test_weights_chunked_match_one_block(monkeypatch, q, n):
     code = the_code(q, n)
     batch = random_messages(np.random.default_rng(q), q, code.params.K, 50)
     whole = _weights_np(code, batch)
-    monkeypatch.setattr(code_module, "EVAL_CHUNK_BYTES", 8 * code.params.N * 7)
+    monkeypatch.setattr(geometry, "BLAS_MADDS", code.params.K * len(batch) * 7)
     assert np.array_equal(_weights_np(code, batch), whole)
     dim = 2 * n + 1
     for msg, w in zip(batch[:5], whole[:5]):

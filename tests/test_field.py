@@ -1,4 +1,6 @@
 # tests/test_field.py
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,22 @@ def test_non_prime_power_rejected():
 def test_degree_cap():
     with pytest.raises(InadmissibleParams):
         field_ctx(3**5)
+
+
+def test_huge_order_is_refused_before_factoring():
+    # trial division up to q = 10^9 + 7 runs for minutes; the alarm fails
+    # the test instead of letting it hang
+    def hung(signum, frame):
+        raise TimeoutError("field_ctx(10**9 + 7) still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(InadmissibleParams, match=r"^field order 1000000007 > 2048$"):
+            field_ctx(10**9 + 7)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------
@@ -263,6 +281,34 @@ def test_np_matmul_matches_scalar_matmul(q):
             for k in range(3):
                 acc = add(ctx, acc, ctx.mul(int(a[i, k]), int(b[k, j])))
             assert c[i, j] == acc
+
+
+def python_matmul(p, a, b):
+    """a b mod p in Python ints, entry by entry."""
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in np.transpose(b)] for row in a]
+
+
+@pytest.mark.parametrize("inner,dtype", [(517, np.int32), (518, np.int64)])
+def test_np_matmul_reduces_exactly_at_the_int32_edge(inner, dtype):
+    # over F_2039 a sum of 517 products of p-1 is below 2^31 and one of 518
+    # is not: the largest sum reduced in int32 and the first in int64
+    p = 2039
+    ctx = field_ctx(p)
+    a = np.full((3, inner), p - 1)
+    b = np.full((inner, 2), p - 1)
+    c = ctx.np_matmul(a, b)
+    assert c.dtype == dtype
+    assert c.tolist() == python_matmul(p, a, b) == [[inner * (p - 1) ** 2 % p] * 2] * 3
+    # stacked operands: a stack against one matrix and against a stack
+    rng = np.random.default_rng(inner)
+    sa = rng.integers(p - 4, p, size=(2, 3, inner))
+    sb = rng.integers(p - 4, p, size=(2, inner, 2))
+    one = ctx.np_matmul(sa, b)
+    both = ctx.np_matmul(sa, sb)
+    assert one.dtype == both.dtype == dtype
+    for i in range(2):
+        assert one[i].tolist() == python_matmul(p, sa[i], b)
+        assert both[i].tolist() == python_matmul(p, sa[i], sb[i])
 
 
 def test_validate_element():

@@ -105,6 +105,11 @@ def random_antisymmetric(ctx, rng, n):
         (3, [[0, 1], [2, 4, 1]], InadmissibleParams, "4 is not an element of F_3"),
         (9, [[0, 9]], InadmissibleParams, "9 is not an element of F_9"),
         (9, [[0, -1]], InadmissibleParams, "-1 is not an element of F_9"),
+        # a 1-D list is walked as given, an ndarray's entry named as an int
+        (3, [0, 3], InadmissibleParams, "3 is not an element of F_3"),
+        (3, [-1, 0], InadmissibleParams, "-1 is not an element of F_3"),
+        (3, np.array([0, 3]), InadmissibleParams, "3 is not an element of F_3"),
+        (3, np.array([[0, 1], [3, 0]]), InadmissibleParams, "3 is not an element of F_3"),
     ],
 )
 def test_constructor_rejects_bad_rows(q, rows, exc, msg):
