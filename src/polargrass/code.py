@@ -416,9 +416,19 @@ def random_messages(rng: np.random.Generator, q: int, k: int, count: int) -> np.
 def random_alternating_forms(ctx: FieldCtx, dim: int, rng: np.random.Generator, count: int) -> list[AlternatingForm]:
     """count uniform nonzero alternating forms, each a uniform strict upper
     triangle, drawn one after another; their radicals come from one stacked
-    elimination."""
+    elimination.
+
+    One draw of all count rows takes the same values from rng as count
+    draws of one row.  Only a zero row, which one-row draws redraw at once,
+    sets them apart: then rng goes back to its state before the draw and
+    the rows are drawn one by one.
+    """
     k = dim * (dim - 1) // 2
-    msgs = np.array([random_messages(rng, ctx.q, k, 1)[0] for _ in range(count)], dtype=np.int64)
+    state = rng.bit_generator.state
+    msgs = rng.integers(0, ctx.q, size=(count, k), dtype=np.int64)
+    if not msgs.any(axis=1).all():
+        rng.bit_generator.state = state
+        msgs = np.array([random_messages(rng, ctx.q, k, 1)[0] for _ in range(count)], dtype=np.int64)
     return alternating_forms(ctx, _alternating_stack(ctx, dim, msgs.reshape(count, k)))
 
 

@@ -454,9 +454,10 @@ class FormTable:
     eigenvector-bound reads.  entries holds (case, form) for those, then
     `samples` seeded random forms, tagged case 0.  Each is built on first
     use, so a check that reads no forms runs at any n >= 2.
-    row(kernel, form) calls a stacked kernel once, on all entries, and
-    keeps the rows; types(form) does the same for the line-type census,
-    whose kernel reads the residue rows.  budget bounds the messages
+    rows(kernel) calls a stacked kernel once, on all entries, and keeps its
+    rows in the order of entries; row(kernel, form) is one form's row.
+    censuses, taus and line_types are read off the kernels' rows for all
+    entries at once, in one pass each.  budget bounds the messages
     min-distance-exact may scan.
     """
 
@@ -485,11 +486,11 @@ class FormTable:
         grams, alts = zip(*(forms._shape(qs.ctx, self.n, r, d, case) for case, r, d in shapes))
         a, _ = forms.isometries(qs, grams)
         afs = forms.alternating_forms(qs.ctx, qs.ctx.np_matmul(qs.ctx.np_matmul(a, alts), a.transpose(0, 2, 1)))
-        every = afs + self.sampled
-        splits = self._rows[forms._radical_splits] = dict(zip(map(id, every), forms._radical_splits(qs, every)))
-        for (case, r, d), af in zip(shapes, afs):
-            if tuple(splits[id(af)][:2]) != (r, d):
-                raise RadicalMismatch(f"case {case} shape ({r}, {d}) carried to {tuple(splits[id(af)][:2])}")
+        # the rows of every entry: these forms, then the sampled ones
+        splits = self._rows[forms._radical_splits] = forms._radical_splits(qs, afs + self.sampled)
+        for (case, r, d), split in zip(shapes, splits[:, :2].tolist()):
+            if tuple(split) != (r, d):
+                raise RadicalMismatch(f"case {case} shape ({r}, {d}) carried to {tuple(split)}")
         return [(*shape, af) for shape, af in zip(shapes, afs)]
 
     @cached_property
@@ -501,24 +502,41 @@ class FormTable:
         """The code of the standard space."""
         return build_code(self.space)
 
-    def row(self, kernel, af: AlternatingForm) -> np.ndarray:
-        """af's row of kernel(space, forms), forms being every entry."""
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return {id(af): i for i, (_, af) in enumerate(self.entries)}
+
+    def rows(self, kernel) -> np.ndarray:
+        """kernel(space, forms), forms being every entry, in their order."""
         if kernel not in self._rows:
-            afs = [f for _, f in self.entries]
-            self._rows[kernel] = dict(zip(map(id, afs), kernel(self.space, afs)))
-        return self._rows[kernel][id(af)]
+            self._rows[kernel] = kernel(self.space, [af for _, af in self.entries])
+        return self._rows[kernel]
+
+    def row(self, kernel, af: AlternatingForm) -> np.ndarray:
+        """af's row of rows(kernel)."""
+        return self.rows(kernel)[self._index[id(af)]]
+
+    @cached_property
+    def censuses(self) -> np.ndarray:
+        """(entries, 5) residue class counts, in CensusRecord's order."""
+        return geometry._census_stack(self.rows(geometry._residue_stack))
+
+    @cached_property
+    def taus(self) -> np.ndarray:
+        """(entries, points) tau values (see geometry._tau_stack)."""
+        return geometry._tau_stack(self.space, self.rows(geometry._isotropic_stack))
+
+    @cached_property
+    def line_types(self) -> np.ndarray:
+        """(entries, 5) numbers of lines of each type (see LINE_TYPE_NAMES)."""
+        return geometry._line_type_stack(self.space, self.rows(geometry._residue_stack))
 
     def census(self, af: AlternatingForm) -> CensusRecord:
-        return geometry._census(self.row(geometry._residue_stack, af))
+        return CensusRecord(*self.censuses[self._index[id(af)]].tolist())
 
     def types(self, af: AlternatingForm) -> dict[str, int]:
         """af's number of lines of each type (see LINE_TYPE_NAMES)."""
-        return dict(zip(geometry.LINE_TYPE_NAMES, self.row(self._line_types, af).tolist()))
-
-    def _line_types(self, qs: QuadraticSpace, afs) -> np.ndarray:
-        """The line-type censuses of afs, from their residue rows."""
-        codes = np.stack([self.row(geometry._residue_stack, af) for af in afs])
-        return geometry._line_type_stack(qs, codes)
+        return dict(zip(geometry.LINE_TYPE_NAMES, self.line_types[self._index[id(af)]].tolist()))
 
 
 def verify_census_all(table: FormTable) -> dict:
@@ -563,35 +581,36 @@ def verify_census_all(table: FormTable) -> dict:
 def verify_line_count_identity(table: FormTable) -> dict:
     """(q+1) f equals the weighted census sum and the reduced rewrite, and
     every singular point lies on as many isotropic lines (its tau value) as
-    the residue constant of its class, for canonical and random forms."""
+    the residue constant of its class, for canonical and random forms: one
+    array pass over all of them."""
     n, q = table.n, table.q
-    checked = 0
-    ok = True
-    first_bad = None
     c = residue_constants(n, q)
     # the residue constant of each class code: P_A, P_B, zero, plus, minus
     per_class = np.array([c["A0"], c["A0"], c["B0"], c["Bplus"], c["Bminus"]])
-    for _, af in table.entries:
-        mask = geometry._mask(table.space, table.row(geometry._isotropic_stack, af))  # lines admitted first
-        codes = table.row(geometry._residue_stack, af)
-        census = geometry._census(codes)
-        expected = per_class[codes]  # per point, the constant of its class
-        lhs = (q + 1) * int(mask.sum())
-        rhs = int(expected.sum())  # the census weighted by the constants
-        tau = geometry._tau(table.space, mask)
-        off = int((tau != expected).sum())
-        rw_lhs, rw_rhs = census_rewrite_sides(census, n, q)
-        good = lhs == rhs and off == 0 and rw_lhs == rw_rhs == lhs
-        if not good and first_bad is None:
-            first_bad = {"lhs": lhs, "rhs": rhs, "tau_sum": int(tau.sum()), "tau_mismatches": off}
-        ok &= good
-        checked += 1
+    packed = table.rows(geometry._isotropic_stack)  # lines admitted first
+    ones = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)  # per byte value
+    lhs = (q + 1) * ones[packed].sum(axis=1, dtype=np.int64)
+    rhs = table.censuses @ per_class  # the census weighted by the constants
+    tau = table.taus
+    # per point, the constant of its class, in tau's dtype, which holds A0
+    expected = per_class.astype(tau.dtype)[table.rows(geometry._residue_stack)]
+    off = np.count_nonzero(tau != expected, axis=1)
+    # the rewrite's sides, once per distinct census
+    censuses, which = np.unique(table.censuses, axis=0, return_inverse=True)
+    sides = [census_rewrite_sides(CensusRecord(*row), n, q) for row in censuses.tolist()]
+    rewrite_ok = np.array([rw_lhs == rw_rhs for rw_lhs, rw_rhs in sides], dtype=bool)[which]
+    rewrite_lhs = np.array([rw_lhs for rw_lhs, _ in sides], dtype=np.int64)[which]
+    good = (lhs == rhs) & (off == 0) & rewrite_ok & (rewrite_lhs == lhs)
+    first_bad = None
+    if not good.all():
+        i = int(np.argmin(good))
+        first_bad = {"lhs": int(lhs[i]), "rhs": int(rhs[i]), "tau_sum": int(tau[i].sum()), "tau_mismatches": int(off[i])}
     return _report(
         "line-count-identity",
         {"n": n, "q": q, "samples": table.samples, "seed": table.seed},
         "all identities agree",
-        first_bad if first_bad else f"{checked} forms agree",
-        ok,
+        first_bad if first_bad else f"{len(good)} forms agree",
+        bool(good.all()),
     )
 
 

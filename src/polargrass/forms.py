@@ -8,7 +8,8 @@ shapes (case 1..4); _shape builds a shape's basis-adapted Gram M and
 canonical S as arrays, standard_space and canonical_form wrap them in
 objects, and the classification helpers work for arbitrary forms.
 The radical splits of a list of forms on one space come from one stacked
-call, _radical_splits; radical_split is that call on one form.  Every
+call, _radical_splits, one elimination per step for all the forms;
+radical_split is that call on one form.  Every
 nondegenerate Gram matrix of dimension 2n+1 is isometric, up to a scalar,
 to the standard one; isometries finds such isometries for a stack.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import InadmissibleParams, PolargrassError, RadicalMismatch, RankDeficient, TooLarge
 from .field import FieldCtx
-from .matrix import _check_range, determinants, inverse, kernel_bases, pivot_columns
+from .matrix import _check_range, _kernel_stack, determinants, inverse, kernel_bases, pivot_columns
 
 CASES = (1, 2, 3, 4)
 
@@ -185,21 +186,29 @@ def standard_space(ctx: FieldCtx, n: int) -> QuadraticSpace:
     return QuadraticSpace(ctx, n, _shape(ctx, n, 2 * n - 1, 1, 1)[0])
 
 
+def _check_alternating(ctx: FieldCtx, arr, ndim: int) -> np.ndarray:
+    """arr as an int64 array, if it has ndim axes, its entries are elements
+    of F_q and its matrices (the last two axes) are alternating."""
+    a = _check_range(ctx, arr)
+    # s^T = -s; in odd characteristic this forces a zero diagonal
+    if a.ndim != ndim or not np.array_equal(a.swapaxes(-1, -2), ctx.np_neg(a)):
+        raise InadmissibleParams("matrix is not alternating")
+    return a
+
+
 class AlternatingForm:
     """Alternating bilinear form with its radical precomputed: s is the
     read-only matrix and radical the canonical (r, dim) basis of its kernel."""
 
-    def __init__(self, ctx: FieldCtx, s, *, radical: np.ndarray | None = None):
-        """radical, if given, must be kernel_bases(ctx, s)[0] (see
-        alternating_forms)."""
-        s = _check_range(ctx, s)
-        # s^T = -s; in odd characteristic this forces a zero diagonal
-        if s.ndim != 2 or not np.array_equal(s.T, ctx.np_neg(s)):
-            raise InadmissibleParams("matrix is not alternating")
+    def __init__(self, ctx: FieldCtx, s):
+        s = _check_alternating(ctx, s, 2)
+        self._fill(ctx, s, kernel_bases(ctx, s)[0])
+
+    def _fill(self, ctx: FieldCtx, s: np.ndarray, radical: np.ndarray) -> None:
         self.ctx = ctx
         self.s = _frozen(s)
         self.dim = len(s)
-        self.radical = _frozen(kernel_bases(ctx, s)[0] if radical is None else radical)
+        self.radical = _frozen(radical)
         self.r = len(self.radical)
 
     def __repr__(self) -> str:
@@ -207,10 +216,15 @@ class AlternatingForm:
 
 
 def alternating_forms(ctx: FieldCtx, arr) -> list[AlternatingForm]:
-    """One AlternatingForm per matrix of a (B, dim, dim) stack; the radicals
-    come from one stacked elimination."""
-    a = np.asarray(arr, dtype=np.int64)
-    return [AlternatingForm(ctx, m, radical=basis) for m, basis in zip(a, kernel_bases(ctx, a))]
+    """One AlternatingForm per matrix of a (B, dim, dim) stack, the stack
+    checked as a whole; the radicals come from one stacked elimination."""
+    a = _check_alternating(ctx, arr, 3)
+    out = []
+    for m, basis in zip(a, kernel_bases(ctx, a)):
+        af = AlternatingForm.__new__(AlternatingForm)
+        af._fill(ctx, m, basis)
+        out.append(af)
+    return out
 
 
 def canonical_form(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> tuple[QuadraticSpace, AlternatingForm]:
@@ -228,38 +242,46 @@ def canonical_form(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> tuple[Qu
 def _radical_splits(qs: QuadraticSpace, afs) -> np.ndarray:
     """(r, d, m) of each of a list of forms on qs, as in radical_split.
 
-    Forms with one radical dimension r, and then with one defect d, share
-    shapes, so each step below is one stacked elimination per (r, d) group:
-    the M-perp of the radical R, the radical D of M on R, the rows of D
-    extended to a basis of the perp (the added rows span an H0) and the
-    Witt index of M on H0.
+    Each step below is one stacked elimination over all the forms, each
+    form's matrices padded to the largest of the stack in a way that leaves
+    their kernel, determinant and pivot order as they are: the M-perp of
+    the radical R (its basis padded with zero rows), the radical D of M on
+    R (the Gram of R padded to diag(G, I)), the rows of D extended to a
+    basis of the perp (zero rows, so zero columns in the pivot pass; the
+    added rows span an H0), and the Witt index of M on H0 (diag(G, I)).
     """
     ctx, dim, gram = qs.ctx, qs.dim, qs.gram
     if any(af.dim != dim for af in afs):
         raise InadmissibleParams("form and space dimensions differ")
-    out = np.zeros((len(afs), 3), dtype=np.int64)
-    rs = np.array([af.r for af in afs])
-    for r in np.unique(rs):
-        group = np.flatnonzero(rs == r)
-        b_r = np.stack([afs[i].radical for i in group])
-        b_m = ctx.np_matmul(b_r, gram)
-        perps = kernel_bases(ctx, b_m)
-        d_bases = kernel_bases(ctx, ctx.np_matmul(b_m, b_r.transpose(0, 2, 1)))
-        ds = np.array([len(x) for x in d_bases])
-        for d in np.unique(ds):
-            sub = np.flatnonzero(ds == d)
-            h0 = np.stack([perps[j] for j in sub])
-            if d:
-                # extend D to a basis of the perp: the pivot columns of
-                # [D; perp]^T are the rows a greedy pass keeps, D first
-                d_vecs = ctx.np_matmul(np.stack([d_bases[j] for j in sub]), b_r[sub])
-                rows = np.concatenate([d_vecs, h0], axis=1)
-                keep = pivot_columns(ctx, rows.transpose(0, 2, 1))
-                h0 = rows[keep].reshape(len(sub), dim - r, dim)[:, d:]
-            gram_h0 = ctx.np_matmul(ctx.np_matmul(h0, gram), h0.transpose(0, 2, 1))
-            out[group[sub], 0], out[group[sub], 1] = r, d
-            out[group[sub], 2] = _witt_indices(ctx, gram_h0)
-    return out
+    rs = np.array([af.r for af in afs], dtype=np.int64)
+    b_r = np.zeros((len(afs), rs.max(), dim), dtype=np.int64)
+    # row j of form i's radical goes to b_r[i, j]
+    slot = np.arange(rs.sum()) - (np.cumsum(rs) - rs).repeat(rs)
+    b_r[np.arange(len(afs)).repeat(rs), slot] = np.concatenate([af.radical for af in afs])
+    b_m = ctx.np_matmul(b_r, gram)
+    perps, _ = _kernel_stack(ctx, b_m)
+    d_bases, ds = _kernel_stack(ctx, _pad_identity(ctx.np_matmul(b_m, b_r.transpose(0, 2, 1)), rs))
+    d_vecs = ctx.np_matmul(d_bases, b_r)
+    # extend D to a basis of the perp: the pivot columns of [D; perp]^T are
+    # the rows a greedy pass keeps, D first
+    keep = pivot_columns(ctx, np.concatenate([d_vecs, perps], axis=1).transpose(0, 2, 1))[:, d_vecs.shape[1] :]
+    ks = dim - rs - ds
+    kept = np.argsort(~keep, axis=1, kind="stable")[:, : ks.max()]
+    h0 = np.take_along_axis(perps, kept[:, :, None], axis=1)
+    h0[np.arange(h0.shape[1]) >= ks[:, None]] = 0
+    gram_h0 = _pad_identity(ctx.np_matmul(ctx.np_matmul(h0, gram), h0.transpose(0, 2, 1)), ks)
+    return np.stack([rs, ds, _witt_indices(ctx, gram_h0, ks)], axis=1)
+
+
+def _pad_identity(grams: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """grams, a (B, k, k) stack whose matrix i is G_i in its first sizes[i]
+    rows and columns and zero past them, with 1 put on the diagonal past
+    them, in place: diag(G_i, I), whose kernel is G_i's padded with zeros
+    and whose determinant is G_i's."""
+    pad = np.arange(grams.shape[-1]) >= sizes[:, None]
+    diag = np.arange(grams.shape[-1])
+    grams[:, diag, diag] = np.where(pad, 1, grams[:, diag, diag])
+    return grams
 
 
 def radical_split(qs: QuadraticSpace, af: AlternatingForm) -> dict:
@@ -279,18 +301,17 @@ def _split(qs: QuadraticSpace, row: np.ndarray) -> dict:
     return {"r": r, "d": d, "m": m}
 
 
-def _witt_indices(ctx: FieldCtx, grams: np.ndarray) -> np.ndarray:
+def _witt_indices(ctx: FieldCtx, grams: np.ndarray, sizes) -> np.ndarray:
     """Witt index of each nondegenerate symmetric Gram matrix of a (B, k, k)
-    stack over F_q, q odd, from one stacked elimination."""
-    k = grams.shape[-1]
+    stack over F_q, q odd, matrix i of dimension sizes[i] padded to
+    diag(G_i, I) (see _pad_identity), from one stacked elimination."""
     dets = determinants(ctx, grams)
     if (dets == 0).any():
         raise RankDeficient("Gram matrix is degenerate")
-    if k % 2 == 1:
-        return np.full(len(grams), (k - 1) // 2)
-    t = k // 2
-    sign = dets if t % 2 == 0 else ctx.np_neg(dets)
-    return np.where(ctx.np_is_square(sign), t, t - 1)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    t = sizes // 2
+    sign = np.where(t % 2 == 0, dets, ctx.np_neg(dets))
+    return np.where(sizes % 2 == 1, t, np.where(ctx.np_is_square(sign), t, t - 1))
 
 
 def _witt_bases(ctx: FieldCtx, grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,12 +15,13 @@ its exhaustive scan and the isotropic-line masks all run through it.
 The per-form data of verify come from stacked kernels, each one pass per
 block of points or lines over all the forms on one space: the residue
 classes (_residue_stack), the isotropic-line masks (_isotropic_stack, the
-zero sets of the forms' codewords) and the line-type censuses
-(_line_type_stack, over the forms' residue rows).  A single-form function
-is the same kernel called on one form, followed by a read-off (_census,
-_mask, _tau) that turns the form's row into its census, line mask or tau
-values; counting's form table applies the same read-offs to the rows of
-all forms of a space.
+zero sets of the forms' codewords), the tau values (_tau_stack, over the
+forms' masks), the censuses (_census_stack, over their residue rows) and
+the line-type censuses (_line_type_stack, over their residue rows).  A
+single-form function is the same kernel called on one form, followed by
+a read-off (_census, _mask, _tau) that turns the form's row into its
+census, line mask or tau values; counting's form table calls the kernels
+on the rows of all forms of a space.
 """
 
 from __future__ import annotations
@@ -154,6 +155,7 @@ class LineSet:
         self.plucker = plucker
         self.gens = gens
         self._members: np.ndarray | None = None
+        self._through: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.plucker)
@@ -171,6 +173,20 @@ class LineSet:
             mem.sort(axis=1)
             self._members = mem
         return self._members
+
+    def through(self) -> np.ndarray:
+        """(points, lines per point) ids of the lines through each singular
+        point, ascending, from one stable argsort of members(): every point
+        lies on the same number of lines.  The sort reads the point ids, and
+        the table holds the line ids, in the narrowest dtype that holds
+        them."""
+        if self._through is None:
+            mem = self.members()
+            npts = len(quadric_points(self.qs))
+            order = np.argsort(mem.ravel().astype(np.min_scalar_type(npts)), kind="stable")
+            order //= mem.shape[1]
+            self._through = order.astype(np.min_scalar_type(len(mem))).reshape(npts, len(order) // npts)
+        return self._through
 
 
 def singular_line_count(n: int, q: int) -> int:
@@ -310,10 +326,17 @@ def residue_classes(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     return _residue_stack(qs, [af])[0]
 
 
+def _census_stack(codes: np.ndarray) -> np.ndarray:
+    """The censuses (B, 5) of a (B, points) stack of residue rows, from one
+    bincount: the fields of CensusRecord are the counts of the codes 0,
+    ..., 4 in order."""
+    nb, width = len(codes), len(RESIDUE_NAMES)
+    return np.bincount((codes + width * np.arange(nb)[:, None]).ravel(), minlength=nb * width).reshape(nb, width)
+
+
 def _census(codes: np.ndarray) -> CensusRecord:
-    """The census of a form's residue class codes: the fields of
-    CensusRecord are the counts of the codes 0, ..., 4 in order."""
-    return CensusRecord(*(int(c) for c in np.bincount(codes, minlength=5)))
+    """The census of a form's residue class codes."""
+    return CensusRecord(*_census_stack(codes[None])[0].tolist())
 
 
 def empirical_census(qs: QuadraticSpace, af: AlternatingForm) -> CensusRecord:
@@ -369,16 +392,52 @@ def isotropic_line_count(qs: QuadraticSpace, af: AlternatingForm) -> int:
     return int(_mask(qs, _isotropic_stack(qs, [af])[0]).sum())
 
 
-def _tau(qs: QuadraticSpace, mask: np.ndarray) -> np.ndarray:
-    """Per singular point: how many of the lines in mask pass through it."""
-    mem = enumerate_singular_lines(qs).members()
-    return np.bincount(mem[mask].ravel(), minlength=len(quadric_points(qs))).astype(np.int64)
+def _tau_stack(qs: QuadraticSpace, packed: np.ndarray) -> np.ndarray:
+    """Per form of a (B, ceil(lines / 8)) stack of packed rows of
+    _isotropic_stack and per singular point: how many of the lines the form
+    vanishes on pass through the point, (B, points).
+
+    The masks are first turned line-major, still eight bits to a byte: row
+    l of that table holds line l's bit of every form.  Per block of points,
+    each column of LineSet.through gathers the rows of one line through
+    every point of the block, whose unpacked (points, B) bits are summed in
+    the narrowest unsigned dtype that holds the lines through a point,
+    (q^(2n-2) - 1)/(q - 1).  A gathered row serves all B forms, so the
+    Python steps do not grow with B, and the table is as small as the
+    packed rows.
+    """
+    ls = enumerate_singular_lines(qs)
+    through = ls.through()
+    nb, (npts, per_point) = len(packed), through.shape
+    width = -(-nb // 8)
+    by_line = np.empty((len(ls), width), dtype=np.uint8)
+    # per packed byte: eight lines unpacked, their transposed copy and packing
+    for blk in _blocks(packed.shape[1], 2 * nb + width):
+        bits = np.ascontiguousarray(np.unpackbits(packed[:, blk], axis=1).T)
+        lo = 8 * blk.start
+        by_line[lo : lo + len(bits)] = np.packbits(bits, axis=1)[: len(ls) - lo]
+    dtype = np.min_scalar_type(per_point)
+    out = np.empty((nb, npts), dtype=dtype)
+    # per point: the sum, a gathered row and its unpacked bits
+    for blk in _blocks(npts, -(-(nb * (1 + dtype.itemsize) + width) // 8)):
+        lines = through[blk]
+        total = np.zeros((len(lines), nb), dtype=dtype)
+        for col in lines.T:
+            total += np.unpackbits(by_line[col], axis=1, count=nb)
+        out[:, blk] = total.T
+    return out
+
+
+def _tau(qs: QuadraticSpace, packed: np.ndarray) -> np.ndarray:
+    """Per singular point, from a form's packed row of _isotropic_stack:
+    how many of the lines the form vanishes on pass through it."""
+    return _tau_stack(qs, packed[None])[0].astype(np.int64)
 
 
 def tau_values(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     """Per singular point: number of singular lines through it that the form
     kills entirely."""
-    return _tau(qs, _mask(qs, _isotropic_stack(qs, [af])[0]))
+    return _tau(qs, _isotropic_stack(qs, [af])[0])
 
 
 def _line_type_blocks(qs: QuadraticSpace, codes: np.ndarray):

@@ -6,8 +6,9 @@ and forms hold are read-only.  `_check_range` checks a matrix where it
 enters the package.  Every row reduction is one elimination, `_eliminate`,
 written with the `FieldCtx` array operations, so prime and extension
 fields share it.  It reduces one matrix or a stack of them in one pass:
-`determinants`, `pivot_columns`, `kernel_bases` and `eigen_nullities` are
-its stacked entry points, and `rref` and `inverse` its single-matrix ones.
+`determinants`, `pivot_columns`, `kernel_bases` (padded: `_kernel_stack`)
+and `eigen_nullities` are its stacked entry points, and `rref` and
+`inverse` its single-matrix ones.
 `rank_np` ranks a wide matrix block by block through it.  Kernel bases are
 canonical (reduced row echelon), so subspaces compare as arrays.
 """
@@ -151,29 +152,46 @@ def inverse(ctx: FieldCtx, arr) -> np.ndarray:
     return red[:, n:]
 
 
-def kernel_bases(ctx: FieldCtx, arr) -> list[np.ndarray]:
-    """Canonical (reduced row echelon) basis of the right null space of each
-    matrix of a stack (or of one matrix), from one elimination.
+def _kernel_stack(ctx: FieldCtx, arr) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical kernel bases of a (B, r, c) stack, padded: a (B, k, c)
+    array whose matrix i holds its basis in its first nullities[i] rows and
+    zeros below, k the largest nullity; and the (B,) nullities.  One
+    elimination, and no step per matrix.
 
     Reduce the matrices with their columns reversed.  The null vector of a
     free column j has its 1 at j and its other entries at pivot columns left
     of j, and is zero at every other free column.  Read back in the original
     column order, each vector therefore leads with that 1 and is zero at the
     other vectors' leading columns, so the vectors, by leading column, are
-    the canonical basis.
+    the canonical basis.  Row t of every matrix is built at once: its free
+    column and the pivot columns come from stable argsorts of the pivot
+    masks, and a matrix's pivot rows come first in its reduced form.
     """
     a = np.asarray(arr, dtype=np.int64)
-    nr, nc = a.shape[-2:]
+    nb, nr, nc = a.shape
     red, pivots, _ = _eliminate(ctx, a[..., ::-1])
-    out = []
-    for rd, pv in zip(red.reshape(-1, nr, nc), pivots.reshape(-1, nc)):
-        piv = np.flatnonzero(pv)
-        free = np.flatnonzero(~pv)[::-1]
-        vecs = np.zeros((len(free), nc), dtype=np.int64)
-        vecs[np.arange(len(free)), free] = 1
-        vecs[:, piv] = ctx.np_neg(rd[: len(piv)][:, free].T)
-        out.append(vecs[:, ::-1])
-    return out
+    nullity = nc - pivots.sum(axis=1)
+    k = int(nullity.max(initial=0))
+    # free columns by descending reversed index (ascending original index),
+    # then pivot columns ascending: a matrix's pivot j is its reduced row j
+    free = nc - 1 - np.argsort(pivots[:, ::-1], axis=1, kind="stable")[:, :k]
+    piv = np.argsort(~pivots, axis=1, kind="stable")[:, : min(nr, nc)]
+    vals = np.take_along_axis(red[:, : piv.shape[1]], free[:, None, :], axis=2)
+    vecs = np.zeros((nb, k, nc), dtype=np.int64)
+    np.put_along_axis(vecs, piv[:, None, :], ctx.np_neg(vals).transpose(0, 2, 1), axis=2)
+    np.put_along_axis(vecs, free[:, :, None], 1, axis=2)
+    vecs[np.arange(k) >= nullity[:, None]] = 0
+    return vecs[..., ::-1], nullity
+
+
+def kernel_bases(ctx: FieldCtx, arr) -> list[np.ndarray]:
+    """Canonical (reduced row echelon) basis of the right null space of each
+    matrix of a stack (or of one matrix), from one elimination
+    (_kernel_stack)."""
+    a = np.asarray(arr, dtype=np.int64)
+    nr, nc = a.shape[-2:]
+    vecs, nullity = _kernel_stack(ctx, a.reshape((math.prod(a.shape[:-2]), nr, nc)))
+    return [basis[:k] for basis, k in zip(vecs, nullity.tolist())]
 
 
 def eigen_nullities(ctx: FieldCtx, arr) -> np.ndarray:

@@ -235,6 +235,22 @@ def test_three_weight_paths_agree():
         assert w == weight_direct(code, af)
 
 
+@pytest.mark.parametrize("q,dim,seed", [(3, 7, 0), (5, 7, 1), (9, 5, 2), (3, 3, 0), (3, 3, 5)])
+def test_random_forms_are_drawn_as_one_row_at_a_time(q, dim, seed):
+    # The forms, and the generator's state after them, are those of count
+    # one-row draws with zero rows redrawn at once, whether the one draw of
+    # all rows is kept or (a zero row among them) given back.
+    ctx, k, count = field_ctx(q), dim * (dim - 1) // 2, 100
+    batched, one_by_one = np.random.default_rng(seed), np.random.default_rng(seed)
+    forms = random_alternating_forms(ctx, dim, batched, count)
+    want = [random_messages(one_by_one, q, k, 1)[0].tolist() for _ in range(count)]
+    assert [message_from_form(af).tolist() for af in forms] == want
+    assert batched.bit_generator.state == one_by_one.bit_generator.state
+    # at q = 3 and dim = 3 a row is zero with probability 1/27
+    zero_row = not np.random.default_rng(seed).integers(0, q, size=(count, k)).any(axis=1).all()
+    assert zero_row == (dim == 3)
+
+
 def test_first_coordinate_message():
     # the first message coordinate reads off the (0, 1) minor of each line
     code = the_code(3, 2)

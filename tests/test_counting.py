@@ -385,6 +385,28 @@ def test_line_count_identity_compares_tau_pointwise(monkeypatch):
     assert rep["observed"]["tau_mismatches"] > 0
 
 
+def test_a_tau_kernel_that_drops_a_line_is_a_mismatch(monkeypatch):
+    # The identity's lhs counts the isotropic lines off the masks, tau
+    # counts them through the points: a tau kernel that loses one line
+    # leaves the lhs as it is and moves the q+1 points of that line.
+    table = FormTable(3, 3, samples=10, seed=0)
+    packed = table.rows(geometry._isotropic_stack)
+    nlines = len(geometry.enumerate_singular_lines(table.space))
+    line = int(np.unpackbits(packed, axis=1, count=nlines).any(axis=0).argmax())
+    tau_stack = geometry._tau_stack
+
+    def dropped(qs, rows):
+        masks = np.unpackbits(rows, axis=1, count=nlines)
+        masks[:, line] = 0
+        return tau_stack(qs, np.packbits(masks, axis=1))
+
+    monkeypatch.setattr(geometry, "_tau_stack", dropped)
+    rep = verify_line_count_identity(table)
+    assert rep["status"] == "mismatch"
+    assert rep["observed"]["lhs"] == rep["observed"]["rhs"] == rep["observed"]["tau_sum"] + 4
+    assert rep["observed"]["tau_mismatches"] == 4
+
+
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (2, 5)])
 def test_verify_orbit_counts(n, q):
     assert verify_orbit_counts(FormTable(n, q))["status"] == "ok"
@@ -583,6 +605,7 @@ STACKED_KERNELS = [
     (geometry, "_residue_stack"),
     (geometry, "_isotropic_stack"),
     (geometry, "_line_type_stack"),  # over the residue rows, one per form
+    (geometry, "_tau_stack"),  # over the isotropic rows, one per form
     (counting, "_eigenvector_counts"),
     (forms, "_radical_splits"),
 ]
@@ -657,12 +680,14 @@ def test_run_checks_line_side_passes(monkeypatch):
     assert matmuls and set(matmuls) == {(k, k)}
 
 
-@pytest.mark.parametrize("n,q,most", [(2, 9, 1000), (3, 3, 60)])
+@pytest.mark.parametrize("n,q,most", [(2, 9, 1000), (3, 3, 12)])
 def test_run_checks_eliminations(monkeypatch, n, q, most):
     # Every row reduction is one call of matrix._eliminate.  ROADMAP item H
     # asks for at most 1,000 per run at (2,9).  At (3,3) all forms sit on
-    # one space, so each kind of per-form data is one stacked call: 29
-    # eliminations, where one space per shape took 141.
+    # one space, so each kind of per-form data is one stacked call, and
+    # each step of the radical splits one call over all forms: 12
+    # eliminations, where one call per radical shape took 29, and one space
+    # per shape 141.
     calls = []
     eliminate = matrix._eliminate
 

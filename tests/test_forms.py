@@ -376,7 +376,7 @@ def test_witt_index_of_block_grams(q):
     ctx = field_ctx(q)
     for t in (1, 2):
         for gram in (hyperbolic_gram(ctx, t), parabolic_gram(ctx, t), elliptic_gram(ctx, t)):
-            assert forms._witt_indices(ctx, gram[None]).tolist() == [t]
+            assert forms._witt_indices(ctx, gram[None], [len(gram)]).tolist() == [t]
     assert hyperbolic_gram(ctx, 2).shape == (4, 4)
     assert parabolic_gram(ctx, 2).shape == (5, 5)
     assert elliptic_gram(ctx, 2).shape == (6, 6)

@@ -10,6 +10,7 @@ from polargrass.forms import canonical_form
 from polargrass.matrix import (
     _check_range,
     _eliminate,
+    _kernel_stack,
     determinants,
     eigen_nullities,
     format_matrix_text,
@@ -396,6 +397,76 @@ def test_kernel_dimension_by_brute_force(fm):
     vecs = (np.arange(ctx.q**nc)[:, None] // ctx.q ** np.arange(nc)) % ctx.q
     zero = ~ctx.np_matmul(vecs, m.T).any(axis=1)
     assert ctx.q ** len(null_space(ctx, m)) == int(zero.sum())
+
+
+def loop_kernel_bases(ctx, arr):
+    """The kernel bases read off one elimination matrix by matrix: the
+    per-matrix loop that the stacked kernel_bases replaced, kept as its
+    oracle."""
+    a = np.asarray(arr, dtype=np.int64)
+    nr, nc = a.shape[-2:]
+    red, pivots, _ = _eliminate(ctx, a[..., ::-1])
+    out = []
+    for rd, pv in zip(red.reshape(-1, nr, nc), pivots.reshape(-1, nc)):
+        piv = np.flatnonzero(pv)
+        free = np.flatnonzero(~pv)[::-1]
+        vecs = np.zeros((len(free), nc), dtype=np.int64)
+        vecs[np.arange(len(free)), free] = 1
+        vecs[:, piv] = ctx.np_neg(rd[: len(piv)][:, free].T)
+        out.append(vecs[:, ::-1])
+    return out
+
+
+@st.composite
+def mixed_rank_stacks(draw):
+    """A stack over F_3, F_5 or F_9 of one shape, square or not, mixing
+    zero matrices, full-rank ones (a unit matrix in random columns) and
+    random products of every lower rank."""
+    ctx = FIELDS[draw(st.sampled_from([3, 5, 9]))]
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    short, long = min(nr, nc), max(nr, nc)
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "full", "product"]), min_size=1, max_size=6)):
+        if kind == "zero":
+            mats.append(np.zeros((nr, nc), dtype=np.int64))
+        elif kind == "full":
+            wide = np.concatenate([np.eye(short, dtype=np.int64), rng.integers(0, ctx.q, (short, long - short))], axis=1)
+            wide = wide[:, rng.permutation(long)]
+            mats.append(wide if nr <= nc else wide.T)
+        else:
+            k = int(rng.integers(1, short + 1))
+            mats.append(ctx.np_matmul(rng.integers(0, ctx.q, (nr, k)), rng.integers(0, ctx.q, (k, nc))))
+    return ctx, np.stack(mats)
+
+
+@given(mixed_rank_stacks())
+@settings(max_examples=150, deadline=None)
+def test_kernel_bases_match_the_per_matrix_loop(fs):
+    # the loop-free bases of a stack of mixed ranks are the ones the loop
+    # read off, matrix by matrix, and each spans the kernel; in the padded
+    # stack the rows past a matrix's nullity are zero
+    ctx, stack = fs
+    got, want = kernel_bases(ctx, stack), loop_kernel_bases(ctx, stack)
+    assert len(got) == len(want) == len(stack)
+    for a, g, w in zip(stack, got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+        assert len(g) == a.shape[1] - rank(ctx, a)
+        assert not ctx.np_matmul(a, g.T).any()
+    padded, nullity = _kernel_stack(ctx, stack)
+    assert nullity.tolist() == [len(g) for g in got]
+    assert all(not rows[k:].any() for rows, k in zip(padded, nullity))
+
+
+@pytest.mark.parametrize("shape,count", [((0, 3), 1), ((1, 0, 3), 1), ((3, 0), 1), ((2, 3, 0), 2), ((0, 0), 1), ((0, 4, 4), 0)])
+def test_kernel_bases_of_matrices_without_rows_or_columns(shape, count):
+    # the kernel of a 0 x c matrix is all of F_q^c, its canonical basis the
+    # c x c identity; an r x 0 matrix has an empty (0, 0) basis
+    nr, nc = shape[-2:]
+    want = np.eye(nc, dtype=np.int64) if nr == 0 else np.zeros((0, 0), dtype=np.int64)
+    bases = kernel_bases(F3, np.zeros(shape, dtype=np.int64))
+    assert len(bases) == count
+    assert all(basis.shape == want.shape and np.array_equal(basis, want) for basis in bases)
 
 
 # ---------------------------------------------------------

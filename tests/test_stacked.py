@@ -1,14 +1,14 @@
 # tests/test_stacked.py
 """The stacked per-form kernels against the per-form code they replaced.
 
-geometry's residue, isotropic-line and line-type kernels, counting's
+geometry's residue, isotropic-line, tau and line-type kernels, counting's
 eigenvector counts and forms' radical splits each evaluate a list of forms
 on one space in one call, in blocks of points, lines or forms (the
-line-type kernel takes the forms' residue rows); censuses and tau values
-are read off a form's rows, by the single-form functions and by counting's
-FormTable alike.  The reference_* functions below are the bodies
-that computed the same data one form at a time; they stay here only as
-oracles.
+line-type kernel takes the forms' residue rows, the tau kernel their
+isotropic rows); censuses are read off the residue rows, by the
+single-form functions and by counting's FormTable alike.  The reference_*
+functions below are the bodies that computed the same data one form at a
+time; they stay here only as oracles.
 """
 import tracemalloc
 
@@ -200,6 +200,7 @@ def test_stacked_kernels_match_per_form_references(case):
             mp.setattr(geometry, "PAIR_BLOCK_ENTRIES", bound)
         residue = geometry._residue_stack(qs, afs)
         iso = geometry._isotropic_stack(qs, afs)
+        tau = geometry._tau_stack(qs, iso)
         types = geometry._line_type_stack(qs, residue)
         eigen = counting._eigenvector_counts(qs, afs)
         splits = forms._radical_splits(qs, afs)
@@ -208,6 +209,7 @@ def test_stacked_kernels_match_per_form_references(case):
         assert np.unpackbits(iso[i], count=len(enumerate_singular_lines(qs))).tolist() == (
             reference_isotropic_mask(qs, af).astype(np.uint8).tolist()
         )
+        assert tau[i].tolist() == reference_tau_values(qs, af).tolist()
         assert dict(zip(LINE_TYPE_NAMES, types[i].tolist())) == reference_type_census(qs, af)
         assert eigen[i] == reference_eigenvector_count(qs, af)
         if af.r < qs.dim:
@@ -230,9 +232,10 @@ def test_run_rows_match_per_form_references(case):
         counts = np.bincount(reference_residue_classes(qs, af), minlength=5).tolist()
         census = table.census(af)
         assert [census.a_radical, census.a_eigen, census.n_zero, census.n_plus, census.n_minus] == counts
-        mask = geometry._mask(qs, table.row(geometry._isotropic_stack, af))
-        assert int(mask.sum()) == int(reference_isotropic_mask(qs, af).sum())
-        assert geometry._tau(qs, mask).tolist() == reference_tau_values(qs, af).tolist()
+        packed = table.row(geometry._isotropic_stack, af)
+        assert int(geometry._mask(qs, packed).sum()) == int(reference_isotropic_mask(qs, af).sum())
+        assert geometry._tau(qs, packed).tolist() == reference_tau_values(qs, af).tolist()
+        assert table.taus[afs.index(af)].tolist() == reference_tau_values(qs, af).tolist()
         assert table.types(af) == reference_type_census(qs, af)
         assert line_type_codes(qs, af).tolist() == reference_line_type_codes(qs, af).tolist()
         assert table.row(counting._eigenvector_counts, af) == reference_eigenvector_count(qs, af)
@@ -268,11 +271,11 @@ def test_per_form_functions_agree_inside_and_outside_a_run(monkeypatch, n, q):
             want = values(qs, af)
             inside[id(af)] = qs, af, want
             codes = table.row(geometry._residue_stack, af)
-            mask = geometry._mask(qs, table.row(geometry._isotropic_stack, af))
+            packed = table.row(geometry._isotropic_stack, af)
             assert codes.tolist() == want["classes"]
             assert table.census(af).as_tuple() == want["census"]
-            assert int(mask.sum()) == want["isotropic"]
-            assert geometry._tau(qs, mask).tolist() == want["tau"]
+            assert int(geometry._mask(qs, packed).sum()) == want["isotropic"]
+            assert geometry._tau(qs, packed).tolist() == want["tau"]
             assert table.types(af) == dict(zip(LINE_TYPE_NAMES, np.bincount(want["types"], minlength=5).tolist()))
             assert forms._split(qs, table.row(forms._radical_splits, af)) == want["split"]
             assert table.row(counting._eigenvector_counts, af) == want["eigen"]
@@ -302,6 +305,29 @@ def test_line_kernels_match_references_on_every_canonical_shape(n, q):
         assert mask.tolist() == reference_isotropic_mask(qs, af).tolist()
         assert line_type_codes(qs, af).tolist() == reference_line_type_codes(qs, af).tolist()
         assert dict(zip(LINE_TYPE_NAMES, types[i].tolist())) == reference_type_census(qs, af)
+
+
+@pytest.mark.parametrize("n,q", sorted(SPACES))
+def test_tau_and_radical_splits_match_references_on_every_canonical_shape(monkeypatch, n, q):
+    # One stack of the canonical forms carried onto the standard space,
+    # sampled forms and low-rank ones (rank 2, and the zero form): the tau
+    # values, in blocks of a few forms, and the radical splits, whose
+    # padding spans every radical and defect dimension of the stack.
+    qs = SPACES[n, q]
+    table = counting.FormTable(n, q, samples=5, seed=n * q)
+    table.space = qs
+    rng = np.random.default_rng(q)
+    low = alternating_forms(qs.ctx, np.stack([alternating(qs.ctx, rng, qs.dim, w) for w in (2, 2, 0)]))
+    afs = [af for *_, af in table.canonical] + table.sampled + low
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_ENTRIES", 1 << 10)
+    tau = geometry._tau_stack(qs, geometry._isotropic_stack(qs, afs))
+    splits = forms._radical_splits(qs, afs)
+    for i, af in enumerate(afs):
+        assert tau[i].tolist() == reference_tau_values(qs, af).tolist()
+        if af.r < qs.dim:
+            assert dict(zip("rdm", splits[i].tolist())) == reference_radical_split(qs, af)
+        else:
+            assert splits[i].tolist() == [qs.dim, 0, 0]
 
 
 def corrupted_classes(qs, af, line):
@@ -381,13 +407,15 @@ def test_stacked_kernels_stay_within_twice_a_single_form_peak():
     # largest single-form call, so stacking does not raise verify's peak.
     qs = SPACES[3, 3]
     afs = random_alternating_forms(qs.ctx, qs.dim, np.random.default_rng(0), 100)
-    enumerate_singular_lines(qs).members()
+    enumerate_singular_lines(qs).through()
     codes = geometry._residue_stack(qs, afs)
+    packed = geometry._isotropic_stack(qs, afs)
     # each kernel with its input for the 100 forms; the line types read
-    # the forms' residue rows
+    # the forms' residue rows, the tau values their isotropic rows
     kernels = [
         (geometry._residue_stack, afs),
         (geometry._isotropic_stack, afs),
+        (geometry._tau_stack, packed),
         (geometry._line_type_stack, codes),
         (counting._eigenvector_counts, afs),
         (forms._radical_splits, afs),
