@@ -18,10 +18,10 @@ classes (_residue_stack), the isotropic-line masks (_isotropic_stack, the
 zero sets of the forms' codewords), the tau values (_tau_stack, over the
 forms' masks), the censuses (_census_stack, over their residue rows) and
 the line-type censuses (_line_type_stack, over their residue rows).  A
-single-form function is the same kernel called on one form, followed by
-a read-off (_census, _mask, _tau) that turns the form's row into its
-census, line mask or tau values; counting's form table calls the kernels
-on the rows of all forms of a space.
+single-form function is the same kernels called on one form, followed,
+for a line mask or tau values, by a read-off (_mask, _tau) of the form's
+row; counting's form table calls the kernels on the rows of all forms of
+a space.
 """
 
 from __future__ import annotations
@@ -334,14 +334,9 @@ def _census_stack(codes: np.ndarray) -> np.ndarray:
     return np.bincount((codes + width * np.arange(nb)[:, None]).ravel(), minlength=nb * width).reshape(nb, width)
 
 
-def _census(codes: np.ndarray) -> CensusRecord:
-    """The census of a form's residue class codes."""
-    return CensusRecord(*_census_stack(codes[None])[0].tolist())
-
-
 def empirical_census(qs: QuadraticSpace, af: AlternatingForm) -> CensusRecord:
     """Count the residue classes by direct enumeration."""
-    return _census(residue_classes(qs, af))
+    return CensusRecord(*_census_stack(residue_classes(qs, af)[None])[0].tolist())
 
 
 # ---- line census --------------------------------------------------------------
