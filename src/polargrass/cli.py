@@ -117,8 +117,8 @@ def _filter_entries(report: dict, args) -> dict:
     if entries is None:
         return report
     kept = entries
-    if args.case is not None:
-        kept = [e for e in kept if e.get("case", args.case) == args.case]
+    if args.case is not None:  # equation-counts entries are all case 1
+        kept = [e for e in kept if e.get("case", 1) == args.case]
     if args.r is not None:
         kept = [e for e in kept if e["r"] == args.r]
     if args.d is not None:
@@ -127,6 +127,7 @@ def _filter_entries(report: dict, args) -> dict:
         raise InadmissibleParams("no census entry matches the --case/--r/--d filter")
     report = dict(report)
     report["entries"] = kept
+    report["observed"] = f"{len(kept)} shapes checked"
     report["status"] = "ok" if all(e["status"] == "ok" for e in kept) else "mismatch"
     return report
 

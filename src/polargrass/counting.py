@@ -11,7 +11,9 @@ FormTable on one space, the standard one: the canonical form of every
 shape, carried there by a checked isometry, the sampled forms, the points,
 lines and code of that space, and each form's residue classes, isotropic
 lines, line-type census, eigenvector count and radical split, each kind
-computed for all forms in one stacked kernel call.
+computed for all forms in one stacked kernel call and kept as a column in
+the order of the forms.  Each check over the forms is one array
+expression over those columns; only a failing row is read out.
 """
 
 from __future__ import annotations
@@ -410,7 +412,8 @@ def delta_bound_check(census: CensusRecord, n: int, q: int) -> dict:
     controls.  The inner bound is strictly below the outer one exactly when
     some point lies off the companion quadric; forms whose residues are all
     degenerate (n_plus = n_minus = 0) reach equality, so strictness is
-    reported separately rather than required.
+    reported separately rather than required.  The fields of census may be
+    ints or equal-length arrays, and so are those of the record.
     """
     delta = census.n_plus - census.n_minus
     w_count = census.a + census.n_zero
@@ -422,7 +425,7 @@ def delta_bound_check(census: CensusRecord, n: int, q: int) -> dict:
         "inner_bound": inner,
         "outer_bound": outer,
         "strict": inner < outer,
-        "ok": delta <= inner <= outer,
+        "ok": (delta <= inner) & (inner <= outer),
         "note": "imbalance read as n_plus - n_minus",
     }
 
@@ -444,21 +447,26 @@ def _report(check: str, params: dict, expected, observed, ok: bool, **extra) -> 
 
 class FormTable:
     """The forms that the checks of one run_checks call share, with their
-    per-form data, all on the standard space `space`, whose points are
-    admitted first.
+    per-form data as columns, all on the standard space `space`, whose
+    points are admitted first.
 
     canonical holds (case, r, d, form) for every buildable shape of cases
     1-4: its canonical form S on the shape's own Gram matrix, carried onto
     the space as A S A^T (forms.isometries), and checked to have radical
     (r, d) there by the radical splits of all entries, which
     eigenvector-bound reads.  entries holds (case, form) for those, then
-    `samples` seeded random forms, tagged case 0.  Each is built on first
-    use, so a check that reads no forms runs at any n >= 2.
-    rows(kernel) calls a stacked kernel once, on all entries, and keeps its
-    rows in the order of entries; row(kernel, form) is one form's row.
-    censuses, taus and line_types are read off the kernels' rows for all
-    entries at once, in one pass each.  budget bounds the messages
+    `samples` seeded random forms, tagged case 0, so canonical shape i is
+    entry i.  Each is built on first use, so a check that reads no forms
+    runs at any n >= 2.  Every column has one row per entry, in the order
+    of entries: rows(kernel) calls a stacked kernel once, on all entries;
+    cases, censuses, taus and line_types are read off the entries and the
+    kernels' rows in one pass each.  budget bounds the messages
     min-distance-exact may scan.
+
+    The checks multiply these columns by q, q+1 or a residue constant.
+    Every product is at most (q+1) N, the number of flags (point, line),
+    or q times the number of points, both far below 2^63 for any line set
+    that can be admitted.
     """
 
     def __init__(self, n: int, q: int, samples: int = 0, seed: int = 0, budget: int = DEFAULT_BUDGET):
@@ -502,19 +510,16 @@ class FormTable:
         """The code of the standard space."""
         return build_code(self.space)
 
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {id(af): i for i, (_, af) in enumerate(self.entries)}
-
     def rows(self, kernel) -> np.ndarray:
         """kernel(space, forms), forms being every entry, in their order."""
         if kernel not in self._rows:
             self._rows[kernel] = kernel(self.space, [af for _, af in self.entries])
         return self._rows[kernel]
 
-    def row(self, kernel, af: AlternatingForm) -> np.ndarray:
-        """af's row of rows(kernel)."""
-        return self.rows(kernel)[self._index[id(af)]]
+    @cached_property
+    def cases(self) -> np.ndarray:
+        """(entries,) case of each entry, 0 for a sampled form."""
+        return np.array([case for case, _ in self.entries])
 
     @cached_property
     def censuses(self) -> np.ndarray:
@@ -531,13 +536,6 @@ class FormTable:
         """(entries, 5) numbers of lines of each type (see LINE_TYPE_NAMES)."""
         return geometry._line_type_stack(self.space, self.rows(geometry._residue_stack))
 
-    def census(self, af: AlternatingForm) -> CensusRecord:
-        return CensusRecord(*self.censuses[self._index[id(af)]].tolist())
-
-    def types(self, af: AlternatingForm) -> dict[str, int]:
-        """af's number of lines of each type (see LINE_TYPE_NAMES)."""
-        return dict(zip(geometry.LINE_TYPE_NAMES, self.line_types[self._index[id(af)]].tolist()))
-
 
 def verify_census_all(table: FormTable) -> dict:
     """Empirical censuses equal the closed forms on every buildable shape
@@ -545,16 +543,12 @@ def verify_census_all(table: FormTable) -> dict:
     n, q = table.n, table.q
     entries = []
     ok = True
-    for case, r, d, af in table.canonical:
+    for i, (case, r, d, _) in enumerate(table.canonical):
         if case == 4:
             continue
-        emp = table.census(af)
+        emp = CensusRecord(*table.censuses[i].tolist())
         pred = closed_form_census(case, n, q, r, d)
-        match = (
-            emp.as_tuple() == pred.as_tuple()
-            and emp.a_radical == pred.a_radical
-            and emp.a_eigen == pred.a_eigen
-        )
+        match = emp == pred  # every field, the radical/eigen split too
         ok &= match
         entries.append(
             {
@@ -619,36 +613,29 @@ def verify_line_types(table: FormTable) -> dict:
     flag identities (hence the imbalance identity) hold."""
     n, q = table.n, table.q
     lpp = (q ** (2 * n - 2) - 1) // (q - 1)
-    ok = True
-    first_bad = None
-    checked = 0
-    for _, af in table.entries:
-        try:
-            types = table.types(af)
-        except TypeNotInTable as ex:
-            ok = False
-            first_bad = {"error": str(ex)}
-            break
-        census = table.census(af)
-        half_hi = (q + 1) // 2
-        half_lo = (q - 1) // 2
-        plus_flags = q * types["TPLUS"] + half_hi * types["TALPHA"] + half_lo * types["TBETA"]
-        minus_flags = q * types["TMINUS"] + half_hi * types["TALPHA"] + half_lo * types["TBETA"]
+    try:
+        _, t_plus, t_alpha, t_beta, t_minus = table.line_types.T
+    except TypeNotInTable as ex:
+        observed, ok = {"error": str(ex)}, False
+    else:
+        _, _, _, n_plus, n_minus = table.censuses.T
+        mixed = (q + 1) // 2 * t_alpha + (q - 1) // 2 * t_beta  # flags of a plus or a minus point
         good = (
-            census.n_plus * lpp == plus_flags
-            and census.n_minus * lpp == minus_flags
-            and (census.n_plus - census.n_minus) * lpp
-            == q * (types["TPLUS"] - types["TMINUS"])
+            (n_plus * lpp == q * t_plus + mixed)
+            & (n_minus * lpp == q * t_minus + mixed)
+            & ((n_plus - n_minus) * lpp == q * (t_plus - t_minus))
         )
-        if not good and first_bad is None:
-            first_bad = {"census": census.as_tuple(), "types": types}
-        ok &= good
-        checked += 1
+        ok = bool(good.all())
+        observed = f"{len(good)} forms agree"
+        if not ok:
+            i = int(np.argmin(good))
+            types = dict(zip(geometry.LINE_TYPE_NAMES, table.line_types[i].tolist()))
+            observed = {"census": CensusRecord(*table.censuses[i].tolist()).as_tuple(), "types": types}
     return _report(
         "line-type-census",
         {"n": n, "q": q, "samples": table.samples, "seed": table.seed},
         "five types and flag identities",
-        first_bad if first_bad else f"{checked} forms agree",
+        observed,
         ok,
     )
 
@@ -763,27 +750,21 @@ def verify_eigenvector_bound(table: FormTable) -> dict:
     Witt index of M over H0 (radical_split), with equality attained by the
     canonical shape with full-rank induced block."""
     n, q = table.n, table.q
-    ok = True
-    first_bad = None
-    equality_seen = False
-    checked = 0
-    for _, af in table.entries:
-        split = forms._split(table.space, table.row(forms._radical_splits, af))
-        count = int(table.row(_eigenvector_counts, af))
-        bound = 2 * (q ** split["m"] - 1)
-        rec = {"count": count, "m": split["m"], "r": split["r"], "d": split["d"], "bound": bound, "ok": count <= bound}
-        if not rec["ok"] and first_bad is None:
-            first_bad = rec
-        ok &= rec["ok"]
-        equality_seen |= rec["count"] == rec["bound"] and rec["bound"] > 0
-        checked += 1
-    ok &= equality_seen
+    splits, counts = table.rows(forms._radical_splits), table.rows(_eigenvector_counts)
+    bounds = 2 * (q ** splits[:, 2] - 1)
+    within = counts <= bounds
+    equality_seen = bool(((counts == bounds) & (bounds > 0)).any())
+    observed = f"{len(within)} forms within bound; equality seen: {equality_seen}"
+    if not within.all():
+        i = int(np.argmin(within))
+        split = forms._split(table.space, splits[i])
+        observed = {"count": int(counts[i]), **{k: split[k] for k in "mrd"}, "bound": int(bounds[i]), "ok": False}
     return _report(
         "eigenvector-bound",
         {"n": n, "q": q, "samples": table.samples, "seed": table.seed},
         "count <= 2(q^m - 1), equality attained",
-        first_bad if first_bad else f"{checked} forms within bound; equality seen: {equality_seen}",
-        ok,
+        observed,
+        bool(within.all()) and equality_seen,
     )
 
 
@@ -822,26 +803,17 @@ def verify_equation_counts(table: FormTable) -> dict:
 def verify_delta_bound(table: FormTable) -> dict:
     """Imbalance bound on canonical and random forms."""
     n, q = table.n, table.q
-    ok = True
-    first_bad = None
-    checked = 0
-    strict_fails_case1 = 0
-    for case, af in table.entries:
-        census = table.census(af)
-        rec = delta_bound_check(census, n, q)
-        if not rec["ok"] and first_bad is None:
-            first_bad = rec
-        ok &= rec["ok"]
-        if case == 1 and not rec["strict"]:
-            strict_fails_case1 += 1
-        checked += 1
-    ok &= strict_fails_case1 == 0
+    rec = delta_bound_check(CensusRecord(*table.censuses.T), n, q)
+    within = rec["ok"]
+    observed = f"{len(within)} forms within bound"
+    if not within.all():
+        observed = delta_bound_check(CensusRecord(*table.censuses[int(np.argmin(within))].tolist()), n, q)
     return _report(
         "delta-bound",
         {"n": n, "q": q, "samples": table.samples, "seed": table.seed},
         "imbalance within bound, strictly on case-1 shapes",
-        first_bad if first_bad else f"{checked} forms within bound",
-        ok,
+        observed,
+        bool(within.all() and rec["strict"][table.cases == 1].all()),
         note="imbalance read as n_plus - n_minus",
     )
 
@@ -868,10 +840,10 @@ def verify_canonical_weight(table: FormTable) -> dict:
     its census is the predicted one."""
     n, q = table.n, table.q
     # the shape of the standard space, which its isometry leaves as it is
-    af = next(af for case, r, _, af in table.canonical if (case, r) == (1, 2 * n - 1))
+    i, af = next((i, af) for i, (case, r, _, af) in enumerate(table.canonical) if (case, r) == (1, 2 * n - 1))
     code = table.code
     w = codeword_from_form(code, af).weight
-    census = table.census(af)
+    census = CensusRecord(*table.censuses[i].tolist())
     pred = closed_form_census(1, n, q, 2 * n - 1, 1)
     ok = w == code.params.d_claimed and census.as_tuple() == pred.as_tuple()
     return _report(

@@ -18,10 +18,8 @@ classes (_residue_stack), the isotropic-line masks (_isotropic_stack, the
 zero sets of the forms' codewords), the tau values (_tau_stack, over the
 forms' masks), the censuses (_census_stack, over their residue rows) and
 the line-type censuses (_line_type_stack, over their residue rows).  A
-single-form function is the same kernels called on one form, followed,
-for a line mask or tau values, by a read-off (_mask, _tau) of the form's
-row; counting's form table calls the kernels on the rows of all forms of
-a space.
+single-form function is the same kernels called on a stack of one form;
+counting's form table calls them on all forms of a space.
 """
 
 from __future__ import annotations
@@ -376,15 +374,10 @@ def _isotropic_stack(qs: QuadraticSpace, afs) -> np.ndarray:
     return np.packbits(out, axis=1)
 
 
-def _mask(qs: QuadraticSpace, packed: np.ndarray) -> np.ndarray:
-    """Per singular line, from a form's packed row of _isotropic_stack:
-    whether the form vanishes on it."""
-    return np.unpackbits(packed, count=len(enumerate_singular_lines(qs))).view(bool)
-
-
 def isotropic_line_count(qs: QuadraticSpace, af: AlternatingForm) -> int:
-    """Number of totally singular lines on which the form vanishes."""
-    return int(_mask(qs, _isotropic_stack(qs, [af])[0]).sum())
+    """Number of totally singular lines on which the form vanishes: the
+    popcount of its packed row, whose pad bits are zero."""
+    return int(np.unpackbits(_isotropic_stack(qs, [af])).sum())
 
 
 def _tau_stack(qs: QuadraticSpace, packed: np.ndarray) -> np.ndarray:
@@ -423,16 +416,10 @@ def _tau_stack(qs: QuadraticSpace, packed: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tau(qs: QuadraticSpace, packed: np.ndarray) -> np.ndarray:
-    """Per singular point, from a form's packed row of _isotropic_stack:
-    how many of the lines the form vanishes on pass through it."""
-    return _tau_stack(qs, packed[None])[0].astype(np.int64)
-
-
 def tau_values(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     """Per singular point: number of singular lines through it that the form
     kills entirely."""
-    return _tau(qs, _isotropic_stack(qs, [af])[0])
+    return _tau_stack(qs, _isotropic_stack(qs, [af]))[0].astype(np.int64)
 
 
 def _line_type_blocks(qs: QuadraticSpace, codes: np.ndarray):

@@ -122,6 +122,35 @@ def test_verify_filter_no_match(capsys):
     assert "no census entry" in err
 
 
+@pytest.mark.parametrize("case", ["2", "3", "4"])
+def test_verify_equation_counts_are_case_1_entries(capsys, case):
+    # equation-counts entries carry no case key: all are case-1 shapes
+    rc, _, err = run(capsys, "verify", "--q", "3", "--n", "2", "--check", "equation-counts", "--case", case)
+    assert rc == 2
+    assert "no census entry matches" in err
+    rc, out, _ = run(capsys, "verify", "--q", "3", "--n", "2", "--check", "equation-counts", "--case", "1")
+    assert rc == 0
+    assert len(json.loads(out)[0]["entries"]) == 4
+
+
+@pytest.mark.parametrize(
+    "check,flags,kept",
+    [
+        ("census-all", ["--r", "3"], 4),
+        ("census-all", ["--case", "3"], 3),
+        ("census-all", [], 6),
+        ("equation-counts", ["--r", "1"], 2),
+        ("equation-counts", [], 4),
+    ],
+)
+def test_verify_filtered_report_counts_the_kept_entries(capsys, check, flags, kept):
+    rc, out, _ = run(capsys, "verify", "--q", "3", "--n", "2", "--check", check, *flags)
+    assert rc == 0
+    report = json.loads(out)[0]
+    assert len(report["entries"]) == kept
+    assert report["observed"] == f"{kept} shapes checked"
+
+
 def test_verify_filter_wrong_check(capsys):
     rc, _, err = run(
         capsys,

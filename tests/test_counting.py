@@ -435,6 +435,99 @@ def test_verify_delta_bound():
     assert verify_delta_bound(FormTable(3, 3, samples=10, seed=0))["status"] == "ok"
 
 
+def test_line_type_census_records_the_first_entry_off_a_flag_identity(monkeypatch):
+    # Two entries gain a TPLUS line: the flag identities fail on both, and
+    # the record holds the census and line types of the first of them.
+    table = FormTable(2, 3, samples=6, seed=0)
+    first = len(table.canonical) + 1
+    stack = geometry._line_type_stack
+
+    def corrupted(qs, codes):
+        types = stack(qs, codes)
+        types[[first, first + 1], geometry.LINE_TPLUS] += 1
+        return types
+
+    monkeypatch.setattr(geometry, "_line_type_stack", corrupted)
+    af = table.entries[first][1]
+    types = np.bincount(geometry.line_type_codes(table.space, af), minlength=5)
+    types[geometry.LINE_TPLUS] += 1
+    rep = verify_line_types(table)
+    assert rep["status"] == "mismatch"
+    assert rep["observed"] == {
+        "census": empirical_census(table.space, af).as_tuple(),
+        "types": dict(zip(geometry.LINE_TYPE_NAMES, types.tolist())),
+    }
+
+
+def test_eigenvector_bound_records_the_first_count_above_its_bound(monkeypatch):
+    table = FormTable(3, 3, samples=10, seed=0)
+    first = len(table.canonical) + 3
+    split = radical_split(table.space, table.entries[first][1])
+    bound = 2 * (3 ** split["m"] - 1)
+    counts = counting._eigenvector_counts
+
+    def raised(qs, afs):
+        out = counts(qs, afs)
+        out[first] = bound + 1
+        out[first + 2] = 10**6
+        return out
+
+    monkeypatch.setattr(counting, "_eigenvector_counts", raised)
+    rep = verify_eigenvector_bound(table)
+    assert rep["status"] == "mismatch"
+    assert list(rep["observed"].items()) == [
+        ("count", bound + 1), ("m", split["m"]), ("r", split["r"]), ("d", split["d"]), ("bound", bound), ("ok", False),
+    ]
+
+
+def test_eigenvector_bound_needs_equality_somewhere(monkeypatch):
+    # counts of 0 are within every bound but meet none above 0
+    monkeypatch.setattr(counting, "_eigenvector_counts", lambda qs, afs: np.zeros(len(afs), dtype=np.int64))
+    table = FormTable(3, 3, samples=10, seed=0)
+    rep = verify_eigenvector_bound(table)
+    assert rep["status"] == "mismatch"
+    assert rep["observed"] == f"{len(table.entries)} forms within bound; equality seen: False"
+
+
+def test_delta_bound_needs_strictness_on_case_1_shapes(monkeypatch):
+    # The first case-1 shape's plus and minus points moved to the zero
+    # class: its imbalance 0 is within the bound, which is now an equality.
+    table = FormTable(3, 3, samples=10, seed=0)
+    assert table.entries[0][0] == 1
+    stack = geometry._census_stack
+
+    def flattened(codes):
+        out = stack(codes)
+        out[0, 2] += out[0, 3] + out[0, 4]
+        out[0, 3:] = 0
+        return out
+
+    monkeypatch.setattr(geometry, "_census_stack", flattened)
+    rep = verify_delta_bound(table)
+    assert rep["status"] == "mismatch"
+    assert rep["observed"] == f"{len(table.entries)} forms within bound"
+
+
+def test_delta_bound_records_the_first_entry_out_of_bound(monkeypatch):
+    table = FormTable(3, 3, samples=10, seed=0)
+    first, points = len(table.canonical) + 4, (3**6 - 1) // 2
+    stack = geometry._census_stack
+
+    def unbalanced(codes):
+        out = stack(codes)
+        out[first] = [0, 0, 0, points, 0]
+        out[first + 1] = [0, 0, 1, points - 1, 0]
+        return out
+
+    monkeypatch.setattr(geometry, "_census_stack", unbalanced)
+    rep = verify_delta_bound(table)
+    assert rep["status"] == "mismatch"
+    assert list(rep["observed"].items()) == [
+        ("delta", points), ("w_points", 0), ("inner_bound", 0), ("outer_bound", 3 * points),
+        ("strict", True), ("ok", False), ("note", "imbalance read as n_plus - n_minus"),
+    ]
+
+
 def test_verify_min_distance():
     rep = verify_min_distance_exact(FormTable(2, 3))
     assert rep["status"] == "ok" and rep["observed"] == 18

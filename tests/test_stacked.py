@@ -23,6 +23,7 @@ from polargrass.errors import InadmissibleParams, TypeNotInTable
 from polargrass.field import FieldCtx, field_ctx
 from polargrass.forms import alternating_forms, radical_split, standard_space
 from polargrass.geometry import (
+    CensusRecord,
     LINE_T0,
     LINE_TALPHA,
     LINE_TBETA,
@@ -221,25 +222,24 @@ def test_stacked_kernels_match_per_form_references(case):
 @given(stacks(max_forms=8))
 @settings(max_examples=25, deadline=None)
 def test_run_rows_match_per_form_references(case):
-    # A form table computes the rows of every form on the space at the first
-    # request; each form must read back its own row through the read-offs.
+    # A form table computes the columns of every form on the space at the
+    # first request; row i of each column is entry i's.
     qs, afs, _ = case
     table = counting.FormTable(qs.n, qs.ctx.q)
     table.space = qs  # in place of the standard space
     table.entries = [(0, af) for af in afs]  # in place of the canonical and sampled forms
-    for af in reversed(afs):
-        assert table.row(geometry._residue_stack, af).tolist() == reference_residue_classes(qs, af).tolist()
+    for i, af in reversed(list(enumerate(afs))):
+        assert table.rows(geometry._residue_stack)[i].tolist() == reference_residue_classes(qs, af).tolist()
         counts = np.bincount(reference_residue_classes(qs, af), minlength=5).tolist()
-        census = table.census(af)
-        assert [census.a_radical, census.a_eigen, census.n_zero, census.n_plus, census.n_minus] == counts
-        packed = table.row(geometry._isotropic_stack, af)
-        assert int(geometry._mask(qs, packed).sum()) == int(reference_isotropic_mask(qs, af).sum())
-        assert geometry._tau(qs, packed).tolist() == reference_tau_values(qs, af).tolist()
-        assert table.taus[afs.index(af)].tolist() == reference_tau_values(qs, af).tolist()
-        assert table.types(af) == reference_type_census(qs, af)
+        assert table.censuses[i].tolist() == counts
+        packed = table.rows(geometry._isotropic_stack)[i]
+        assert int(np.unpackbits(packed).sum()) == int(reference_isotropic_mask(qs, af).sum())
+        assert geometry._tau_stack(qs, packed[None])[0].tolist() == reference_tau_values(qs, af).tolist()
+        assert table.taus[i].tolist() == reference_tau_values(qs, af).tolist()
+        assert dict(zip(LINE_TYPE_NAMES, table.line_types[i].tolist())) == reference_type_census(qs, af)
         assert line_type_codes(qs, af).tolist() == reference_line_type_codes(qs, af).tolist()
-        assert table.row(counting._eigenvector_counts, af) == reference_eigenvector_count(qs, af)
-        split = table.row(forms._radical_splits, af)
+        assert table.rows(counting._eigenvector_counts)[i] == reference_eigenvector_count(qs, af)
+        split = table.rows(forms._radical_splits)[i]
         if af.r < qs.dim:
             assert forms._split(qs, split) == reference_radical_split(qs, af)
         else:
@@ -267,18 +267,18 @@ def test_per_form_functions_agree_inside_and_outside_a_run(monkeypatch, n, q):
 
     def probe(table):
         qs = table.space
-        for _, af in table.entries:
+        for i, (_, af) in enumerate(table.entries):
             want = values(qs, af)
             inside[id(af)] = qs, af, want
-            codes = table.row(geometry._residue_stack, af)
-            packed = table.row(geometry._isotropic_stack, af)
+            codes = table.rows(geometry._residue_stack)[i]
+            packed = table.rows(geometry._isotropic_stack)[i]
             assert codes.tolist() == want["classes"]
-            assert table.census(af).as_tuple() == want["census"]
-            assert int(geometry._mask(qs, packed).sum()) == want["isotropic"]
-            assert geometry._tau(qs, packed).tolist() == want["tau"]
-            assert table.types(af) == dict(zip(LINE_TYPE_NAMES, np.bincount(want["types"], minlength=5).tolist()))
-            assert forms._split(qs, table.row(forms._radical_splits, af)) == want["split"]
-            assert table.row(counting._eigenvector_counts, af) == want["eigen"]
+            assert CensusRecord(*table.censuses[i].tolist()).as_tuple() == want["census"]
+            assert int(np.unpackbits(packed).sum()) == want["isotropic"]
+            assert geometry._tau_stack(qs, packed[None])[0].tolist() == want["tau"]
+            assert table.line_types[i].tolist() == np.bincount(want["types"], minlength=5).tolist()
+            assert forms._split(qs, table.rows(forms._radical_splits)[i]) == want["split"]
+            assert table.rows(counting._eigenvector_counts)[i] == want["eigen"]
         return {"check": "probe", "status": "ok"}
 
     monkeypatch.setitem(counting.CHECKS, "probe", probe)
@@ -301,7 +301,7 @@ def test_line_kernels_match_references_on_every_canonical_shape(n, q):
     iso = geometry._isotropic_stack(qs, afs)
     types = geometry._line_type_stack(qs, geometry._residue_stack(qs, afs))
     for i, af in enumerate(afs):
-        mask = geometry._mask(qs, iso[i])
+        mask = np.unpackbits(iso[i], count=len(enumerate_singular_lines(qs))).astype(bool)
         assert mask.tolist() == reference_isotropic_mask(qs, af).tolist()
         assert line_type_codes(qs, af).tolist() == reference_line_type_codes(qs, af).tolist()
         assert dict(zip(LINE_TYPE_NAMES, types[i].tolist())) == reference_type_census(qs, af)
