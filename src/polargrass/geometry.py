@@ -14,11 +14,13 @@ its exhaustive scan and the isotropic-line masks all run through it.
 
 The per-form data of verify come from stacked kernels, each one pass per
 block of points or lines over all the forms on one space: the residue
-classes (_residue_stack), the isotropic-line masks (_isotropic_stack, the
-zero sets of the forms' codewords), the tau values (_tau_stack, over the
-forms' masks), the censuses (_census_stack, over their residue rows) and
-the line-type censuses (_line_type_stack, over their residue rows).  A
-single-form function is the same kernels called on a stack of one form;
+classes (_residue_stack, two products per block of points, x = p S^T M^-1
+and w' = p T p^T from the points' pair table), the isotropic-line masks
+(_isotropic_stack, the zero sets of the forms' codewords), the tau values
+(_tau_stack, over the forms' masks), the censuses (_census_stack, over
+their residue rows) and the line-type censuses (_line_type_stack, a
+histogram of the key sums of the lines' points, over their residue rows).
+A single-form function is the same kernels called on a stack of one form;
 counting's form table calls them on all forms of a space.
 """
 
@@ -67,10 +69,11 @@ def _blocks(rows: int, per_row: int, madds: int = 1) -> list[slice]:
 
 
 @lru_cache(maxsize=None)
-def _pair_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coordinate pairs i < j in lex order: the columns of a Plücker
-    row and the entries of a message."""
-    iu, ju = np.triu_indices(dim, 1)
+def _pair_index(dim: int, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate pairs i < j in lex order, the columns of a Plücker
+    row and the entries of a message; with k = 0 the pairs i <= j, the
+    columns of a pair table."""
+    iu, ju = np.triu_indices(dim, k)
     iu.setflags(write=False)
     ju.setflags(write=False)
     return iu, ju
@@ -286,36 +289,57 @@ def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
 # ---- residue classes ----------------------------------------------------------
 
 
-def _residue_stack(qs: QuadraticSpace, afs) -> np.ndarray:
-    """Residue class codes (B, points) of a list of B forms on qs.
+def _residue_blocks(qs: QuadraticSpace, afs):
+    """Per block of points in order, (block, p, x, w'): the block's points
+    p (int32), x = p S^T M^-1 as (points, dim, B) and w' = x M x^T as
+    (points, B), for a list of B forms on qs.
 
-    Per block of points one product with [S_1^T ... S_B^T | S_1^T M^-1 ...
-    S_B^T M^-1] gives sp = p S^T and x = sp M^-1 for every form.  x M = sp,
-    so x M x^T = rowsum(sp * x) needs no second product.
+    Each block takes two products for all the forms.  x comes from the
+    stacked S^T M^-1, over dim B columns.  w' = p T p^T with T = S^T M^-1
+    S, which is symmetric, so w' comes from the block's pair table (p_i
+    p_j over i <= j, dim(dim+1)/2 columns) times the coefficients of every
+    T (T_ii, and 2 T_ij off the diagonal), computed once per call.  The
+    pair table is built per block, never for all points.
     """
     ctx = qs.ctx
-    pts = quadric_points(qs)
-    st = _stack(qs, afs).transpose(0, 2, 1)
-    nb, dim = len(st), qs.dim
-    both = np.concatenate([st, ctx.np_matmul(st, qs.gram_inv)])
-    w = both.transpose(1, 0, 2).reshape(dim, 2 * nb * dim)
-    lead = (pts != 0).argmax(axis=1)
-    out = np.empty((nb, len(pts)), dtype=np.int8)
-    # the product, its int copy, sp * x and the masks
-    for blk in _blocks(len(pts), 6 * nb * dim, 2 * nb * dim * dim):
-        p = pts[blk]
-        prod = ctx.np_matmul(p, w).reshape(len(p), 2, nb, dim)
-        sp, x = prod[:, 0], prod[:, 1]
-        a_mask = ~sp.any(axis=2)
-        coef = x[np.arange(len(p)), :, lead[blk]]  # x at the point's leading 1
-        b_mask = ~a_mask & (x == ctx.np_mul(coef[:, :, None], p[:, None, :])).all(axis=2)
-        wprime = ctx.np_rowsum(ctx.np_mul(sp, x))
-        plus = ctx.np_is_square(ctx.np_mul(np.int64(qs.disc_sign), wprime))
-        out[:, blk] = np.select(
-            [a_mask, b_mask, wprime == 0, plus],
-            [RESIDUE_P_A, RESIDUE_P_B, RESIDUE_ZERO, RESIDUE_PLUS],
-            RESIDUE_MINUS,
-        ).T
+    s = _stack(qs, afs)
+    nb, dim = len(s), qs.dim
+    smi = ctx.np_matmul(s.transpose(0, 2, 1), qs.gram_inv)  # S^T M^-1
+    iu, ju = _pair_index(dim, 0)
+    t = ctx.np_matmul(smi, s)[:, iu, ju]
+    w_x = ctx.np_operand(smi.transpose(1, 2, 0).reshape(dim, dim * nb))
+    w_t = ctx.np_operand(np.where(iu == ju, t, ctx.np_add(t, t)).T)
+    narrow = quadric_points(qs).astype(np.int32)  # so that c p stays in x's int32 over a prime field
+    # the x product, its int copy and c p; the pair table, its product and
+    # that product's int copy
+    for blk in _blocks(len(narrow), 3 * nb * dim + len(iu) + 2 * nb, nb * dim * dim):
+        p = narrow[blk]
+        x = ctx.np_matmul(p, w_x).reshape(len(p), dim, nb)
+        yield blk, p, x, ctx.np_matmul(ctx.np_mul(p[:, iu], p[:, ju]), w_t)
+
+
+def _residue_stack(qs: QuadraticSpace, afs) -> np.ndarray:
+    """Residue class codes (B, points) of a list of B forms on qs, from
+    the blocks of _residue_blocks.
+
+    A point is in P_A or P_B exactly when x = c p, where c is x at the
+    point's leading 1.  As M is invertible, x = 0 exactly when p S^T = 0,
+    so c = 0 puts the point in P_A and c != 0 in P_B.  Both classes have
+    w' = 0: x is 0 on P_A and c p on P_B, where p M p^T = 0 as p is
+    singular.  Every other point's class is read off w'.
+    """
+    ctx = qs.ctx
+    values = np.arange(ctx.q)
+    by_value = np.where(
+        ctx.np_is_square(ctx.np_mul(np.int64(qs.disc_sign), values)), RESIDUE_PLUS, RESIDUE_MINUS
+    ).astype(np.int8)
+    by_value[0] = RESIDUE_ZERO
+    out = np.empty((len(afs), len(quadric_points(qs))), dtype=np.int8)
+    for blk, p, x, wprime in _residue_blocks(qs, afs):
+        c = x[np.arange(len(p)), (p != 0).argmax(axis=1)]  # (points, B)
+        on_p = (x == ctx.np_mul(c[:, None, :], p[:, :, None])).all(axis=1)
+        # on P_A and P_B the code is c != 0: RESIDUE_P_A is 0, RESIDUE_P_B 1
+        out[:, blk] = np.where(on_p, c != 0, by_value.take(wprime)).T
     return out
 
 
@@ -422,20 +446,9 @@ def tau_values(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     return _tau_stack(qs, _isotropic_stack(qs, [af]))[0].astype(np.int64)
 
 
-def _line_type_blocks(qs: QuadraticSpace, codes: np.ndarray):
-    """Per block of lines in order, the (lines, B) type codes of a (B,
-    points) stack of residue rows.
-
-    Each point gets a key, q+2 for a plus point, 1 for a minus point and 0
-    otherwise, so the key sum of a line's q+1 points is (q+2) n_plus +
-    n_minus.  As n_plus + n_minus <= q+1, the sum fixes the pattern
-    (n_plus, n_W, n_minus), and one table of (q+2)^2 entries maps it to
-    the type.  A line whose pattern is in no type raises TypeNotInTable in
-    the first block that holds one, naming the first form with such a line
-    there and that form's first such line.
-    """
-    q = qs.ctx.q
-    base = q + 2
+def _type_keys(q: int) -> np.ndarray:
+    """The key sum (q+2) n_plus + n_minus of each line type's pattern
+    (n_plus, n_W, n_minus), in the order of LINE_TYPE_NAMES."""
     patterns = {
         LINE_T0: (0, q + 1, 0),
         LINE_TPLUS: (q, 1, 0),
@@ -443,43 +456,92 @@ def _line_type_blocks(qs: QuadraticSpace, codes: np.ndarray):
         LINE_TBETA: ((q - 1) // 2, 2, (q - 1) // 2),
         LINE_TMINUS: (0, 1, q),
     }
-    table = np.full(base * base, -1, dtype=np.int8)
-    for code, (cp, _, cm) in patterns.items():
-        table[base * cp + cm] = code
+    return np.array([(q + 2) * n_plus + n_minus for _, (n_plus, _, n_minus) in sorted(patterns.items())])
+
+
+def _form_chunks(q: int, nb: int) -> list[slice]:
+    """Chunks of a stack of nb forms whose histograms of the (q+2)^2
+    key-sum patterns of _line_type_blocks stay within a block (_blocks)."""
+    return _blocks(nb, (q + 2) ** 2)
+
+
+def _line_type_blocks(qs: QuadraticSpace, codes: np.ndarray):
+    """Per block of lines in order, (block, sums): the (lines, B) key sums
+    of a (B, points) stack of residue rows.
+
+    Each point gets a key, q+2 for a plus point, 1 for a minus point and 0
+    otherwise, so the key sum of a line's q+1 points is (q+2) n_plus +
+    n_minus.  As n_plus + n_minus <= q+1, the sum fixes the pattern
+    (n_plus, n_W, n_minus) and lies below (q+2)^2.  Form b's sums are
+    offset by (q+2)^2 times its place in its chunk (_form_chunks), carried
+    by the keys of the lines' first points, so that one bincount counts
+    the patterns of a whole chunk.
+    """
+    q = qs.ctx.q
     key = np.zeros(len(RESIDUE_NAMES), dtype=np.int32)
-    key[RESIDUE_PLUS], key[RESIDUE_MINUS] = base, 1
+    key[RESIDUE_PLUS], key[RESIDUE_MINUS] = q + 2, 1
     keys = key[codes.T]  # (points, B): a member id gathers one row
+    first = keys.copy()
+    for chunk in _form_chunks(q, len(codes)):
+        first[:, chunk] += (q + 2) ** 2 * np.arange(first[:, chunk].shape[1], dtype=np.int32)
     mem = enumerate_singular_lines(qs).members()
-    # the key sum, a gathered column, the types and the mask
-    for blk in _blocks(len(mem), 3 * keys.shape[1]):
+    # the key sum and a gathered column, and the sums the bincount copies
+    for blk in _blocks(len(mem), 3 * len(codes)):
         cols = mem[blk]
-        total = keys[cols[:, 0]]
+        total = first[cols[:, 0]]
         for c in range(1, q + 1):
             total += keys[cols[:, c]]
-        types = table[total]
-        bad = types < 0
-        if bad.any():
-            form = int(bad.any(axis=0).argmax())
-            line = int(bad[:, form].argmax())
-            n_plus, n_minus = divmod(int(total[line, form]), base)
-            raise TypeNotInTable(
-                f"line {blk.start + line} has pattern (n+, nW, n-) = "
-                f"({n_plus}, {q + 1 - n_plus - n_minus}, {n_minus})"
-            )
-        yield types
+        yield blk, total
+
+
+def _no_type(q: int, blk: slice, total: np.ndarray):
+    """Raise TypeNotInTable for a block of key sums of _line_type_blocks
+    that holds a line whose pattern is in no type, naming the first form
+    with such a line there and that form's first such line."""
+    pattern = total % (q + 2) ** 2
+    bad = ~np.isin(pattern, _type_keys(q))
+    form = int(bad.any(axis=0).argmax())
+    line = int(bad[:, form].argmax())
+    n_plus, n_minus = divmod(int(pattern[line, form]), q + 2)
+    raise TypeNotInTable(
+        f"line {blk.start + line} has pattern (n+, nW, n-) = ({n_plus}, {q + 1 - n_plus - n_minus}, {n_minus})"
+    )
 
 
 def _line_type_stack(qs: QuadraticSpace, codes: np.ndarray) -> np.ndarray:
     """Line-type census (B, 5) of a (B, points) stack of residue rows: per
-    form, the number of lines of each type (see LINE_TYPE_NAMES)."""
-    nb = len(codes)
+    form, the number of lines of each type (see LINE_TYPE_NAMES).
+
+    Per block of lines, the key sums of each chunk of forms are bincounted
+    into a per-form histogram of the (q+2)^2 patterns, whose five type
+    columns are added to the census.  A chunk whose typed lines fall short
+    of its sums holds a line of no type, and raises TypeNotInTable there
+    (see _no_type), so the first block that holds one is the one named.
+    """
+    q, nb = qs.ctx.q, len(codes)
+    size = (q + 2) ** 2
+    typed = _type_keys(q)
+    chunks = _form_chunks(q, nb)
     census = np.zeros((nb, len(LINE_TYPE_NAMES)), dtype=np.int64)
-    offsets = len(LINE_TYPE_NAMES) * np.arange(nb)
-    for types in _line_type_blocks(qs, codes):
-        census += np.bincount((types + offsets).ravel(), minlength=census.size).reshape(census.shape)
+    for blk, total in _line_type_blocks(qs, codes):
+        for chunk in chunks:
+            part = total[:, chunk]
+            counts = np.bincount(part.ravel(), minlength=part.shape[1] * size).reshape(-1, size)[:, typed]
+            if counts.sum() < part.size:
+                _no_type(q, blk, part)
+            census[chunk] += counts
     return census
 
 
 def line_type_codes(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     """Type code per line from the residue classes of its points."""
-    return np.concatenate([types[:, 0] for types in _line_type_blocks(qs, residue_classes(qs, af)[None])])
+    q = qs.ctx.q
+    table = np.full((q + 2) ** 2, -1, dtype=np.int8)
+    table[_type_keys(q)] = np.arange(len(LINE_TYPE_NAMES))
+    out = []
+    for blk, total in _line_type_blocks(qs, residue_classes(qs, af)[None]):
+        types = table[total[:, 0]]
+        if (types < 0).any():
+            _no_type(q, blk, total)
+        out.append(types)
+    return np.concatenate(out)

@@ -773,6 +773,54 @@ def test_run_checks_line_side_passes(monkeypatch):
     assert matmuls and set(matmuls) == {(k, k)}
 
 
+def test_run_checks_residue_side_passes(monkeypatch):
+    # One run at (3,3): the residue kernel makes two stacked products per
+    # call (S^T M^-1 and T = S^T M^-1 S) and two per block of points, the
+    # x product (inner dimension dim) and the pair-table product (inner
+    # dimension dim(dim+1)/2), whose blocks cover the points once; it never
+    # sums rows with np_rowsum.
+    dim, npts = 7, 364
+    calls, inside, products, rowsums = [], [], [], []
+    kernel = geometry._residue_stack
+
+    def residue_stack(qs, afs):
+        geometry.quadric_points(qs)  # the points' own products and sums
+        calls.append(len(afs))
+        inside.append(len(afs))
+        try:
+            return kernel(qs, afs)
+        finally:
+            inside.pop()
+
+    product, rowsum = FieldCtx.np_matmul, FieldCtx.np_rowsum
+
+    def matmul(ctx, a, b):
+        if inside:
+            products.append((np.shape(a), np.shape(b)))
+        return product(ctx, a, b)
+
+    def rows(ctx, a):
+        if inside:
+            rowsums.append(np.shape(a))
+        return rowsum(ctx, a)
+
+    monkeypatch.setattr(geometry, "_residue_stack", residue_stack)
+    monkeypatch.setattr(FieldCtx, "np_matmul", matmul)
+    monkeypatch.setattr(FieldCtx, "np_rowsum", rows)
+    reports = run_checks(["census-all", "line-type-census"], {"n": 3, "q": 3, "samples": 100, "seed": 0})
+    assert [r["status"] for r in reports] == ["ok", "ok"]
+    nb = len(FormTable(3, 3).canonical) + 100
+    assert calls == [nb]
+    assert not rowsums
+    assert [len(a) for a, _ in products[:2]] == [3, 3]
+    blocks = products[2:]
+    assert blocks and len(blocks) % 2 == 0
+    for (xa, xb), (ta, tb) in zip(blocks[::2], blocks[1::2]):
+        assert (xa[1], xb) == (dim, (dim, dim * nb))
+        assert ta == (xa[0], dim * (dim + 1) // 2) and tb == (dim * (dim + 1) // 2, nb)
+    assert sum(xa[0] for xa, _ in blocks[::2]) == npts
+
+
 @pytest.mark.parametrize("n,q,most", [(2, 9, 1000), (3, 3, 12)])
 def test_run_checks_eliminations(monkeypatch, n, q, most):
     # Every row reduction is one call of matrix._eliminate.  ROADMAP item H

@@ -330,18 +330,64 @@ def test_tau_and_radical_splits_match_references_on_every_canonical_shape(monkey
             assert splits[i].tolist() == [qs.dim, 0, 0]
 
 
+def test_residue_classes_match_the_reference_at_q27():
+    # Over F_27 (e = 3) both products of the residue kernel are table
+    # products: every canonical shape and a few low-rank forms, one stack.
+    table = counting.FormTable(2, 27)
+    qs = table.space
+    rng = np.random.default_rng(27)
+    low = alternating_forms(qs.ctx, np.stack([alternating(qs.ctx, rng, qs.dim, w) for w in (2, 2, 4, 0)]))
+    afs = [af for *_, af in table.canonical] + low
+    codes = geometry._residue_stack(qs, afs)
+    for i, af in enumerate(afs):
+        assert codes[i].tolist() == reference_residue_classes(qs, af).tolist()
+
+
+RESIDUE_SPACES = {q: SPACES.get((2, q)) or standard_space(field_ctx(q), 2) for q in (3, 5, 9, 27)}
+
+
+@given(
+    st.sampled_from(sorted(RESIDUE_SPACES)),
+    st.lists(st.sampled_from([5, 5, 4, 2, 0]), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 1 << 14]),
+)
+@settings(max_examples=30, deadline=None)
+def test_pair_table_values_are_the_quadric_values_of_x(q, widths, seed, bound):
+    # Per block of points, x is p S^T M^-1 and the pair-table w' equals
+    # x M x^T evaluated directly; every P_A and P_B point has w' = 0.
+    qs = RESIDUE_SPACES[q]
+    ctx = qs.ctx
+    rng = np.random.default_rng(seed)
+    afs = alternating_forms(ctx, np.stack([alternating(ctx, rng, qs.dim, w) for w in widths]))
+    with pytest.MonkeyPatch.context() as mp:
+        if bound is not None:
+            mp.setattr(geometry, "PAIR_BLOCK_ENTRIES", bound)
+        codes = geometry._residue_stack(qs, afs)
+        blocks = list(geometry._residue_blocks(qs, afs))
+    pts = quadric_points(qs)
+    assert [i for blk, *_ in blocks for i in range(len(pts))[blk]] == list(range(len(pts)))
+    for blk, p, x, wprime in blocks:
+        assert p.tolist() == pts[blk].tolist()
+        for b, af in enumerate(afs):
+            assert x[:, :, b].tolist() == ctx.np_matmul(ctx.np_matmul(p, af.s.T), qs.gram_inv).tolist()
+            assert wprime[:, b].tolist() == ctx.np_quad_eval(qs.gram, x[:, :, b]).tolist()
+        on_p = np.isin(codes[:, blk].T, [RESIDUE_P_A, RESIDUE_P_B])
+        assert (wprime[on_p] == 0).all()
+
+
 def corrupted_classes(qs, af, line):
     """af's residue classes with one point of the given line moved to the
     plus class, or from it to the minus class, so that the line matches no
-    type; and the reference message naming the first line that then
-    matches none."""
+    type; the first line that then matches none, and the reference message
+    naming it."""
     codes = reference_residue_classes(qs, af).copy()
     point = enumerate_singular_lines(qs).members()[line, 0]
     codes[point] = RESIDUE_MINUS if codes[point] == RESIDUE_PLUS else RESIDUE_PLUS
     types, patterns = reference_line_types(qs, codes)
     bad = int(np.flatnonzero(types < 0)[0])
     assert bad <= line
-    return codes, "line {} has pattern (n+, nW, n-) = ({}, {}, {})".format(bad, *patterns[bad].tolist())
+    return codes, bad, "line {} has pattern (n+, nW, n-) = ({}, {}, {})".format(bad, *patterns[bad].tolist())
 
 
 @pytest.mark.parametrize("n,q,line", [(2, 3, 17), (3, 3, 2000), (2, 9, 500)])
@@ -350,7 +396,7 @@ def test_a_line_of_no_type_is_named(monkeypatch, n, q, line):
     # the first line that matches no type, whatever block it falls in.
     qs = SPACES[n, q]
     afs = random_alternating_forms(qs.ctx, qs.dim, np.random.default_rng(line), 3)
-    codes, message = corrupted_classes(qs, afs[1], line)
+    codes, _, message = corrupted_classes(qs, afs[1], line)
     monkeypatch.setattr(geometry, "PAIR_BLOCK_ENTRIES", 1 << 12)
     with monkeypatch.context() as mp:
         mp.setattr(geometry, "residue_classes", lambda qs_, af: codes)
@@ -373,6 +419,30 @@ def test_a_line_of_no_type_is_named(monkeypatch, n, q, line):
     assert rep["observed"] == {"error": message}
 
 
+@pytest.mark.parametrize("bound", [1 << 12, 1 << 9])
+def test_the_first_block_with_a_line_of_no_type_is_named(monkeypatch, bound):
+    # Two corrupted residue rows, forms 0 and 2, whose first untyped lines
+    # fall in different blocks of lines: the census names form 2's line,
+    # which lies in the earlier block, although form 0 comes first; also
+    # when each form's histogram is a chunk of its own (the smaller bound).
+    qs = SPACES[3, 3]
+    afs = random_alternating_forms(qs.ctx, qs.dim, np.random.default_rng(5), 3)
+    late_codes, late, late_message = corrupted_classes(qs, afs[0], 3000)
+    early_codes, early, message = corrupted_classes(qs, afs[2], 100)
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_ENTRIES", bound)
+    blocks = geometry._blocks(len(enumerate_singular_lines(qs)), 3 * len(afs))
+    block_of = {line: next(i for i, b in enumerate(blocks) if b.start <= line < b.stop) for line in (early, late)}
+    assert block_of[early] < block_of[late]
+    codes = geometry._residue_stack(qs, afs)
+    codes[0], codes[2] = late_codes, early_codes
+    with pytest.raises(TypeNotInTable) as caught:
+        geometry._line_type_stack(qs, codes)
+    assert str(caught.value) == message
+    with pytest.raises(TypeNotInTable) as caught:
+        geometry._line_type_stack(qs, codes[[0]])
+    assert str(caught.value) == late_message
+
+
 @pytest.mark.parametrize("rows,per_row,madds", [(5, 3, 0), (5, 0, 0), (7, 1 << 30, 10**9), (1000, 3, 7), (0, 3, 1)])
 def test_blocks_cover_all_rows(rows, per_row, madds):
     # a zero or an oversized per-row cost still gives blocks of one row at least
@@ -384,21 +454,25 @@ def test_blocks_cover_all_rows(rows, per_row, madds):
 def test_stacked_products_stay_on_the_calling_thread(monkeypatch):
     # OpenBLAS runs a product of at most 10^6 multiply-adds on the calling
     # thread; the residue and isotropic kernels keep every product within
-    # that, also for more forms than verify's default of 101 on a space.
+    # that, also for more forms than verify's default of 101 on a space:
+    # the residue kernel's x products (inner dimension dim) and pair-table
+    # products (dim(dim+1)/2), the isotropic kernel's Plücker products.
     qs = SPACES[3, 3]
     afs = random_alternating_forms(qs.ctx, qs.dim, np.random.default_rng(0), 300)
-    madds = []
+    madds = {}
     product = FieldCtx.np_matmul
 
     def spy(ctx, a, b):
-        madds.append(np.size(a) * np.shape(b)[-1])
+        madds.setdefault(np.shape(a)[-1], []).append(np.size(a) * np.shape(b)[-1])
         return product(ctx, a, b)
 
     monkeypatch.setattr(FieldCtx, "np_matmul", spy)
     codes = geometry._residue_stack(qs, afs)
     geometry._isotropic_stack(qs, afs)
     geometry._line_type_stack(qs, codes)
-    assert madds and max(madds) <= 10**6
+    dim = qs.dim
+    assert {dim, dim * (dim + 1) // 2, dim * (dim - 1) // 2} <= set(madds)
+    assert max(max(m) for m in madds.values()) <= 10**6
 
 
 def test_stacked_kernels_stay_within_twice_a_single_form_peak():
