@@ -68,7 +68,6 @@ from .forms import (
     admissible_pairs,
     canonical_form,
     check_admissible,
-    orbit_counts,
     projective_points,
     radical_split,
     standard_space,
@@ -79,6 +78,7 @@ from .geometry import (
     empirical_census,
     enumerate_singular_lines,
     isotropic_line_count,
+    orbit_counts,
     quadric_points,
     residue_classes,
     tau_values,

@@ -32,7 +32,6 @@ from .forms import (
     alternating_forms,
     canonical_form,
     check_memory,
-    point_bytes,
     projective_block,
     standard_space,
     _check_n,
@@ -45,6 +44,7 @@ from .geometry import (
     _pair_index,
     enumerate_singular_lines,
     line_bytes,
+    quadric_point_bytes,
     singular_line_count,
 )
 from .matrix import _check_range, rank_np
@@ -77,12 +77,12 @@ def code_parameters(n: int, q: int) -> CodeParams:
 def memory_estimate(n: int, q: int) -> float:
     """Upper bound on the peak bytes build_code reaches for (n, q).
 
-    The points of PG(2n, q) (point_bytes; the term also covers the singular
-    points and their small arrays, which stay), plus the larger of the line
-    enumerator's peak (line_bytes) and the rank check's: per line the int64
-    plucker row (G is a view of it), the generator pair and seven int64 of
-    rank_np's blocks of G (its reduced and working copies and the two
-    products of an elimination step).  The enumerator's temporaries are
+    The singular points of Q(2n, q) (quadric_point_bytes, the peak of
+    their pass; the points and their small arrays stay), plus the larger of
+    the line enumerator's peak (line_bytes) and the rank check's: per line
+    the int64 plucker row (G is a view of it), the generator pair and seven
+    int64 of rank_np's blocks of G (its reduced and working copies and the
+    two products of an elimination step).  The enumerator's temporaries are
     freed before G is built, so the two peaks do not add.  N is at least
     q^(4n-5), so past 2^100 it is inf and a huge n costs no big-integer
     power.
@@ -90,7 +90,7 @@ def memory_estimate(n: int, q: int) -> float:
     if (4 * n - 5) * math.log2(q) > 100:
         return math.inf
     p = code_parameters(n, q)
-    return point_bytes(q, 2 * n + 1) + max(line_bytes(n, q), p.N * (8 * p.K + 72))
+    return quadric_point_bytes(n, q) + max(line_bytes(n, q), p.N * (8 * p.K + 72))
 
 
 class PolarCode:

@@ -13,7 +13,10 @@ lines and code of that space, and each form's residue classes, isotropic
 lines, line-type census, eigenvector count and radical split, each kind
 computed for all forms in one stacked kernel call and kept as a column in
 the order of the forms.  Each check over the forms is one array
-expression over those columns; only a failing row is read out.
+expression over those columns; only a failing row is read out.  The
+empirical point counts (orbits, even sections, equation counts) are read
+off histograms of a quadratic form's values from geometry's one blocked
+pass over a projective space.
 """
 
 from __future__ import annotations
@@ -50,18 +53,15 @@ from .forms import (
     QuadraticSpace,
     admissible_pairs,
     check_admissible,
-    check_memory,
     elliptic_gram,
     hyperbolic_gram,
-    orbit_counts,
-    point_bytes,
-    projective_points,
+    parabolic_gram,
     standard_space,
     _case_nu,
     _check_n,
 )
 from . import geometry
-from .geometry import CensusRecord
+from .geometry import CensusRecord, orbit_counts
 from .matrix import eigen_nullities
 
 
@@ -120,30 +120,17 @@ def closed_form_census(case: int, n: int, q: int, r: int, d: int) -> CensusRecor
         n_minus = _div(big - e1 - e2 + e3, 2, "minus count")
         zeros = big + q ** (n + (t - 1) // 2) - q ** (n + (t - 3) // 2) - 1
     n_zero = _div(zeros, q - 1, "zero count") - a_radical - a_eigen
-    rec = CensusRecord(
-        a_radical=a_radical,
-        a_eigen=a_eigen,
-        n_zero=n_zero,
-        n_plus=n_plus,
-        n_minus=n_minus,
-    )
+    rec = CensusRecord(a_radical, a_eigen, n_zero, n_plus, n_minus)
     expected_total = (q ** (2 * n) - 1) // (q - 1)
     if rec.total != expected_total:
-        raise NonIntegerResult(
-            f"census total {rec.total} != quadric size {expected_total}"
-        )
+        raise NonIntegerResult(f"census total {rec.total} != quadric size {expected_total}")
     return rec
 
 
 def line_count_from_census(census: CensusRecord, n: int, q: int) -> int:
     """Isotropic singular line count implied by a census."""
     c = residue_constants(n, q)
-    tot = (
-        census.a * c["A0"]
-        + census.n_zero * c["B0"]
-        + census.n_plus * c["Bplus"]
-        + census.n_minus * c["Bminus"]
-    )
+    tot = census.a * c["A0"] + census.n_zero * c["B0"] + census.n_plus * c["Bplus"] + census.n_minus * c["Bminus"]
     return _div(tot, q + 1, "line count")
 
 
@@ -298,44 +285,30 @@ def case1_equation_counts(ctx: FieldCtx, n: int, r: int, d: int, beta: int = 1) 
     if beta == 0:
         raise InadmissibleParams("target beta must be nonzero")
     q = ctx.q
+    # each pass walks at most PG(2n-1, q), less than the points of Q(2n, q) take
+    geometry._admit_points(n, q)
     half = (r - d) // 2
-    width = 1 + (r - d)
-    gram = np.zeros((width, width), dtype=np.int64)
-    gram[0, 0] = 1
-    gram[1:, 1:] = hyperbolic_gram(ctx, half)
-    vecs = _all_vectors(ctx, width)
-    vals = ctx.np_quad_eval(gram, vecs)
-    target = ctx.mul(beta, beta)
-    target_count = int((vals == target).sum())
-    target_closed = q**half * (q**half + 1)
+    # F_q^w less 0 is F_q^* x PG(w-1, q), and Q(c p) = c^2 Q(p); the order
+    # of the coordinates, y last here, changes no count
+    hist = geometry._value_histogram(ctx, parabolic_gram(ctx, half))
+    c = np.arange(1, q)
+    target = ctx.np_mul(ctx.mul(beta, beta), ctx.np_inv(ctx.np_mul(c, c)))
 
     nu = _case_nu(n, r, d, 1)
     width2 = 1 + 2 * nu
     gram2 = np.zeros((width2, width2), dtype=np.int64)
     gram2[0, 0] = ctx.neg(1)
     gram2[1:, 1:] = hyperbolic_gram(ctx, nu)
-    vecs2 = _all_vectors(ctx, width2)
-    vecs2 = vecs2[vecs2[:, 0] != 0]
-    vals2 = ctx.np_quad_eval(gram2, vecs2)
-    # v = -a^2 for some nonzero a exactly when -v is a nonzero square
-    negsquare_count = int((ctx.np_is_square(ctx.np_neg(vals2)) & (vals2 != 0)).sum())
+    # the vectors with z != 0 are c (1, y), c != 0, the points from index
+    # (q^(w-1) - 1)/(q - 1) on times the q-1 scalars, and c^2 keeps the
+    # square class; v = -a^2 for some nonzero a exactly when -v is a
+    # nonzero square
+    hist2 = geometry._value_histogram(ctx, gram2, lo=(q ** (width2 - 1) - 1) // (q - 1))
     return {
-        "target_count": target_count,
-        "target_closed": target_closed,
-        "negsquare_count": negsquare_count,
+        "target_count": int(hist[target].sum()),
+        "target_closed": q**half * (q**half + 1),
+        "negsquare_count": (q - 1) * geometry._square_classes(ctx, hist2, ctx.neg(1))[0],
     }
-
-
-def _all_vectors(ctx: FieldCtx, width: int) -> np.ndarray:
-    """Every vector of F_q^width, in base-q order, admitted as four int64
-    arrays of vectors x width (see forms.point_bytes)."""
-    q = ctx.q
-    need = math.inf if width * math.log2(q) > 100 else 32 * width * q**width
-    check_memory(need, f"the vectors of F_{q}^{width}")
-    return (
-        np.arange(q**width, dtype=np.int64)[:, None]
-        // q ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    ) % q
 
 
 # ---- orbit count formulas -------------------------------------------------------
@@ -343,6 +316,7 @@ def _all_vectors(ctx: FieldCtx, width: int) -> np.ndarray:
 
 def kappa_closed(n: int, q: int) -> dict[str, int]:
     """Singular, internal and external point counts of the odd-dim space."""
+    _check_n(n, 0)
     return {
         "singular": (q ** (2 * n) - 1) // (q - 1),
         "internal": q**n * (q**n - 1) // 2,
@@ -352,6 +326,7 @@ def kappa_closed(n: int, q: int) -> dict[str, int]:
 
 def even_orbit_closed(t: int, q: int, kind: str) -> dict[str, int]:
     """Singular count and per-square-class orbit size in a 2t-dim space."""
+    _check_n(t, 1, "t")
     if kind == "hyperbolic":
         return {
             "singular": (q ** (t - 1) + 1) * (q**t - 1) // (q - 1),
@@ -366,22 +341,19 @@ def even_orbit_closed(t: int, q: int, kind: str) -> dict[str, int]:
 
 
 def even_orbit_empirical(ctx: FieldCtx, t: int, kind: str) -> dict[str, int]:
-    """Direct census of a 2t-dim hyperbolic or elliptic space."""
+    """Direct census of a 2t-dim hyperbolic or elliptic space, from the
+    histogram of Q's values over PG(2t-1, q)."""
+    _check_n(t, 1, "t")
+    geometry._admit_points(t, ctx.q)  # the pass walks PG(2t-1, q), less than Q(2t, q) takes
     if kind == "hyperbolic":
         gram = hyperbolic_gram(ctx, t)
     elif kind == "elliptic":
         gram = elliptic_gram(ctx, t - 1)
     else:
         raise InadmissibleParams(f"kind must be hyperbolic or elliptic, got {kind!r}")
-    pts = projective_points(ctx, 2 * t)
-    vals = ctx.np_quad_eval(gram, pts)
-    nonzero = vals != 0
-    sq = ctx.np_is_square(vals) & nonzero
-    return {
-        "singular": int((~nonzero).sum()),
-        "square": int(sq.sum()),
-        "nonsquare": int((nonzero & ~sq).sum()),
-    }
+    hist = geometry._value_histogram(ctx, gram)
+    square, nonsquare = geometry._square_classes(ctx, hist)
+    return {"singular": int(hist[0]), "square": square, "nonsquare": nonsquare}
 
 
 # ---- spectral bound -------------------------------------------------------------
@@ -393,7 +365,7 @@ def _eigenvector_counts(qs: QuadraticSpace, afs) -> np.ndarray:
     The q-1 shifts of every M^{-1} S of a block of forms are ranked in one
     elimination."""
     ctx, dim = qs.ctx, qs.dim
-    s = np.stack([af.s for af in afs])
+    s = forms._stack(qs, afs)
     out = np.empty(len(afs), dtype=np.int64)
     # the shifts and the elimination's working copy and products
     for blk in geometry._blocks(len(afs), 6 * (ctx.q - 1) * dim * dim):
@@ -434,15 +406,8 @@ def delta_bound_check(census: CensusRecord, n: int, q: int) -> dict:
 
 
 def _report(check: str, params: dict, expected, observed, ok: bool, **extra) -> dict:
-    rep = {
-        "check": check,
-        "params": params,
-        "expected": expected,
-        "observed": observed,
-        "status": "ok" if ok else "mismatch",
-    }
-    rep.update(extra)
-    return rep
+    status = "ok" if ok else "mismatch"
+    return {"check": check, "params": params, "expected": expected, "observed": observed, "status": status, **extra}
 
 
 class FormTable:
@@ -479,7 +444,7 @@ class FormTable:
 
     @cached_property
     def space(self) -> QuadraticSpace:
-        check_memory(point_bytes(self.q, 2 * self.n + 1), f"the points of PG({2 * self.n}, {self.q})")
+        geometry._admit_points(self.n, self.q)
         return standard_space(FieldCtx(self.q), self.n)
 
     @cached_property
@@ -550,16 +515,8 @@ def verify_census_all(table: FormTable) -> dict:
         pred = closed_form_census(case, n, q, r, d)
         match = emp == pred  # every field, the radical/eigen split too
         ok &= match
-        entries.append(
-            {
-                "case": case,
-                "r": r,
-                "d": d,
-                "expected": pred.as_tuple(),
-                "observed": emp.as_tuple(),
-                "status": "ok" if match else "mismatch",
-            }
-        )
+        entries.append({"case": case, "r": r, "d": d, "expected": pred.as_tuple(), "observed": emp.as_tuple(),
+                        "status": "ok" if match else "mismatch"})
     total = (q ** (2 * n) - 1) // (q - 1)
     return _report(
         "census-all",
@@ -779,17 +736,9 @@ def verify_equation_counts(table: FormTable) -> dict:
             rec = case1_equation_counts(ctx, n, r, d, beta=beta)
             good = rec["target_count"] == rec["target_closed"]
             ok &= good
-            entries.append(
-                {
-                    "r": r,
-                    "d": d,
-                    "beta": beta,
-                    "expected": rec["target_closed"],
-                    "observed": rec["target_count"],
-                    "negsquare_count": rec["negsquare_count"],
-                    "status": "ok" if good else "mismatch",
-                }
-            )
+            entries.append({"r": r, "d": d, "beta": beta, "expected": rec["target_closed"],
+                            "observed": rec["target_count"], "negsquare_count": rec["negsquare_count"],
+                            "status": "ok" if good else "mismatch"})
     return _report(
         "equation-counts",
         {"n": n, "q": q},
@@ -892,21 +841,12 @@ def run_checks(names, args: dict) -> list[dict]:
     out = []
     for name in names:
         if name not in CHECKS:
-            raise InadmissibleParams(
-                f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}"
-            )
+            raise InadmissibleParams(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
         try:
             out.append(CHECKS[name](table))
         except (InadmissibleParams, BudgetExceeded) as ex:
             if not expanded or isinstance(ex, TooLarge):
                 raise
-            out.append(
-                {
-                    "check": name,
-                    "params": {"n": table.n, "q": table.q},
-                    "expected": "not applicable at this scale",
-                    "observed": str(ex),
-                    "status": "skipped",
-                }
-            )
+            out.append({"check": name, "params": {"n": table.n, "q": table.q},
+                        "expected": "not applicable at this scale", "observed": str(ex), "status": "skipped"})
     return out

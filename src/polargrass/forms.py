@@ -12,6 +12,10 @@ call, _radical_splits, one elimination per step for all the forms;
 radical_split is that call on one form.  Every
 nondegenerate Gram matrix of dimension 2n+1 is isometric, up to a scalar,
 to the standard one; isometries finds such isometries for a stack.
+projective_block gives any run of the points of PG(dim-1, q) in canonical
+order, the blocks of the one value pass (geometry._point_values) that
+every point count of the package walks; projective_points, all of them at
+once, is left to the tests and the benchmark's trace.
 """
 
 from __future__ import annotations
@@ -23,16 +27,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InadmissibleParams, PolargrassError, RadicalMismatch, RankDeficient, TooLarge
+from .errors import DimensionMismatch, InadmissibleParams, PolargrassError, RadicalMismatch, RankDeficient, TooLarge
 from .field import FieldCtx
 from .matrix import _check_range, _kernel_stack, determinants, inverse, kernel_bases, pivot_columns
 
 CASES = (1, 2, 3, 4)
 
 
-def _check_n(n: int) -> None:
-    if n < 2:
-        raise InadmissibleParams(f"need n >= 2, got {n}")
+def _check_n(n: int, low: int = 2, name: str = "n") -> None:
+    if n < low:
+        raise InadmissibleParams(f"need {name} >= {low}, got {n}")
 
 
 def check_admissible(n: int, r: int, d: int, case: int, *, buildable: bool = True) -> None:
@@ -239,6 +243,13 @@ def canonical_form(ctx: FieldCtx, n: int, r: int, d: int, case: int) -> tuple[Qu
     return qs, af
 
 
+def _stack(qs: QuadraticSpace, afs) -> np.ndarray:
+    """The (B, dim, dim) matrices of a list of forms on qs."""
+    if any(af.dim != qs.dim for af in afs):
+        raise DimensionMismatch("form and space dimensions differ")
+    return np.stack([af.s for af in afs])
+
+
 def _radical_splits(qs: QuadraticSpace, afs) -> np.ndarray:
     """(r, d, m) of each of a list of forms on qs, as in radical_split.
 
@@ -251,8 +262,7 @@ def _radical_splits(qs: QuadraticSpace, afs) -> np.ndarray:
     added rows span an H0), and the Witt index of M on H0 (diag(G, I)).
     """
     ctx, dim, gram = qs.ctx, qs.dim, qs.gram
-    if any(af.dim != dim for af in afs):
-        raise InadmissibleParams("form and space dimensions differ")
+    _stack(qs, afs)  # raises DimensionMismatch for a form of another dimension
     rs = np.array([af.r for af in afs], dtype=np.int64)
     b_r = np.zeros((len(afs), rs.max(), dim), dtype=np.int64)
     # row j of form i's radical goes to b_r[i, j]
@@ -376,7 +386,7 @@ def isometries(qs: QuadraticSpace, grams) -> tuple[np.ndarray, np.ndarray]:
     return a, c
 
 
-# ---- projective enumeration and orbit counts ---------------------------------
+# ---- projective enumeration ---------------------------------------------------
 
 
 def _proc_kib(path: str, key: str) -> int | None:
@@ -446,25 +456,3 @@ def projective_points(ctx: FieldCtx, dim: int) -> np.ndarray:
     q = ctx.q
     check_memory(point_bytes(q, dim), f"the points of PG({dim - 1}, {q})")
     return projective_block(q, dim, 0, (q**dim - 1) // (q - 1))
-
-
-def orbit_counts(qs: QuadraticSpace) -> dict[str, int]:
-    """Point census of PG(2n, q) under the form: singular/internal/external
-    plus the square-class split of the nonsingular values."""
-    if "orbit_counts" in qs._cache:
-        return qs._cache["orbit_counts"]
-    ctx = qs.ctx
-    pts = projective_points(ctx, qs.dim)
-    vals = ctx.np_quad_eval(qs.gram, pts)
-    nonzero = vals != 0
-    sq = ctx.np_is_square(vals) & nonzero
-    ext = ctx.np_is_square(ctx.np_mul(np.int64(qs.disc_sign), vals)) & nonzero
-    out = {
-        "singular": int((~nonzero).sum()),
-        "internal": int((nonzero & ~ext).sum()),
-        "external": int(ext.sum()),
-        "eta_square": int(sq.sum()),
-        "eta_nonsquare": int((nonzero & ~sq).sum()),
-    }
-    qs._cache["orbit_counts"] = out
-    return out

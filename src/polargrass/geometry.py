@@ -1,7 +1,12 @@
 """Singular points and totally singular lines of the parabolic quadric.
 
 Points are canonical projective representatives (first nonzero coordinate 1)
-in ascending lexicographic order.  Each line is found once, from its
+in ascending lexicographic order.  Every point count walks one blocked
+pass, _point_values, which evaluates Q on PG(dim-1, q) block by block: the
+singular points keep each block's zeros and cache the histogram of Q's
+values, which orbit_counts reads, and the even sections and equation
+counts of counting read their own histograms (_value_histogram), so no
+whole projective space is built.  Each line is found once, from its
 reduced-row-echelon generator pair of points, so its wedge coordinates
 (entries x_i y_j - x_j y_i over index pairs i < j) already have a leading 1
 and no dedup step is needed.  Lines are stored by those coordinates in
@@ -34,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotOnQuadric, TypeNotInTable
 from .field import FieldCtx
-from .forms import AlternatingForm, QuadraticSpace, check_memory, projective_points
+from .forms import AlternatingForm, QuadraticSpace, _stack, check_memory, projective_block
 
 PAIR_BLOCK_ENTRIES = 1 << 20  # point pairs in one product block of enumerate_singular_lines
 BLAS_MADDS = 10**6  # multiply-adds of the largest product OpenBLAS runs on the calling thread
@@ -54,17 +59,22 @@ LINE_TMINUS = 4
 LINE_TYPE_NAMES = ("T0", "TPLUS", "TALPHA", "TBETA", "TMINUS")
 
 
-def _blocks(rows: int, per_row: int, madds: int = 1) -> list[slice]:
-    """Blocks of the rows (points, lines or forms) of a stacked kernel whose
-    arrays hold at most a sixteenth of PAIR_BLOCK_ENTRIES entries (512 KiB
-    of 8-byte entries) when one row needs per_row, and whose BLAS product
-    takes at most BLAS_MADDS multiply-adds when one row takes madds; a
-    block has one row at least.
+def _block_rows(per_row: int, madds: int = 1) -> int:
+    """The rows (points, lines or forms) of a block of a stacked kernel
+    whose arrays hold at most a sixteenth of PAIR_BLOCK_ENTRIES entries
+    (512 KiB of 8-byte entries) when one row needs per_row, and whose BLAS
+    product takes at most BLAS_MADDS multiply-adds when one row takes
+    madds; one at least.
 
     A product above BLAS_MADDS wakes OpenBLAS's other threads, and on a
     busy 2-vCPU host that wait took a scheduler tick (8 ms) per product.
     """
-    step = max(1, min((PAIR_BLOCK_ENTRIES >> 4) // max(1, per_row), BLAS_MADDS // max(1, madds)))
+    return max(1, min((PAIR_BLOCK_ENTRIES >> 4) // max(1, per_row), BLAS_MADDS // max(1, madds)))
+
+
+def _blocks(rows: int, per_row: int, madds: int = 1) -> list[slice]:
+    """The blocks of _block_rows rows that cover rows rows."""
+    step = _block_rows(per_row, madds)
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
@@ -77,13 +87,6 @@ def _pair_index(dim: int, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     iu.setflags(write=False)
     ju.setflags(write=False)
     return iu, ju
-
-
-def _stack(qs: QuadraticSpace, afs) -> np.ndarray:
-    """The (B, dim, dim) matrices of a list of forms on qs."""
-    if any(af.dim != qs.dim for af in afs):
-        raise DimensionMismatch("form and space dimensions differ")
-    return np.stack([af.s for af in afs])
 
 
 @dataclass
@@ -108,15 +111,83 @@ class CensusRecord:
         return (self.a, self.n_zero, self.n_plus, self.n_minus)
 
 
+def _point_values(ctx: FieldCtx, gram: np.ndarray, lo: int = 0):
+    """Per block of PG(dim-1, q), dim the size of gram, from point lo on in
+    the order of projective_points: (points, values), the block's points
+    and Q(p) = p M p^T on each.  A row holds about six int64 copies of its dim
+    coordinates (the digits, the float operand, the product and its int
+    copy, the row products) and takes dim^2 multiply-adds."""
+    q, dim = ctx.q, len(gram)
+    count, step = (q**dim - 1) // (q - 1), _block_rows(6 * dim, dim * dim)
+    for start in range(lo, count, step):
+        pts = projective_block(q, dim, start, min(start + step, count))
+        yield pts, ctx.np_quad_eval(gram, pts)
+
+
+def _value_histogram(ctx: FieldCtx, gram: np.ndarray, lo: int = 0, kept: list | None = None) -> np.ndarray:
+    """How many points of PG(dim-1, q) from point lo on take each value of
+    Q, (q,), from one pass of _point_values; each block's singular points
+    are appended to kept if it is given."""
+    hist = np.zeros(ctx.q, dtype=np.int64)
+    for pts, vals in _point_values(ctx, gram, lo):
+        hist += np.bincount(vals, minlength=ctx.q)
+        if kept is not None:
+            kept.append(pts[vals == 0])
+    return hist
+
+
+def _square_classes(ctx: FieldCtx, hist: np.ndarray, scale: int = 1) -> tuple[int, int]:
+    """(squares, nonsquares): how many of the points with a nonzero value
+    in a value histogram have scale times that value a square, and how many
+    do not."""
+    sq = ctx.np_is_square(ctx.np_mul(np.int64(scale), np.arange(1, ctx.q)))
+    return int(hist[1:][sq].sum()), int(hist[1:][~sq].sum())
+
+
+def quadric_point_bytes(n: int, q: int) -> float:
+    """Peak bytes quadric_points allocates for Q(2n, q): its (q^(2n) -
+    1)/(q - 1) int64 points of dimension 2n+1 twice, the pieces kept per
+    block of the pass and their concatenation, plus one block (512 KiB, see
+    _block_rows) and 256 bytes per block for its piece's array object.  The
+    count exceeds q^(2n-1), so past 2^100 it is inf, with no big-int power.
+    """
+    if (2 * n - 1) * math.log2(q) > 100:
+        return math.inf
+    dim, count = 2 * n + 1, (q ** (2 * n + 1) - 1) // (q - 1)
+    blocks = -(-count // _block_rows(6 * dim, dim * dim))
+    return 16 * dim * ((q ** (2 * n) - 1) // (q - 1)) + 8 * (PAIR_BLOCK_ENTRIES >> 4) + 256 * blocks
+
+
+def _admit_points(n: int, q: int) -> None:
+    """Raise TooLarge unless the singular points of Q(2n, q) fit."""
+    check_memory(quadric_point_bytes(n, q), f"the points of PG({2 * n}, {q})")
+
+
 def quadric_points(qs: QuadraticSpace) -> np.ndarray:
-    """Singular points, canonical representatives in ascending lex order."""
+    """Singular points, canonical representatives in ascending lex order,
+    kept per block of one pass over PG(2n, q) (_point_values), which also
+    caches the histogram of Q's values that orbit_counts reads."""
     if "points" not in qs._cache:
-        pts = projective_points(qs.ctx, qs.dim)
-        vals = qs.ctx.np_quad_eval(qs.gram, pts)
-        sel = pts[vals == 0].copy()
+        _admit_points(qs.n, qs.ctx.q)
+        kept: list = []
+        hist = _value_histogram(qs.ctx, qs.gram, kept=kept)
+        sel = np.concatenate(kept)
         sel.setflags(write=False)
+        qs._cache["values"] = hist
         qs._cache["points"] = sel
     return qs._cache["points"]
+
+
+def orbit_counts(qs: QuadraticSpace) -> dict[str, int]:
+    """Point census of PG(2n, q) under the form: singular/internal/external
+    (v is external when disc_sign Q(v) is a nonzero square) plus the square
+    classes of the nonzero values, off the histogram of quadric_points."""
+    quadric_points(qs)
+    hist = qs._cache["values"]
+    external, internal = _square_classes(qs.ctx, hist, qs.disc_sign)
+    square, nonsquare = _square_classes(qs.ctx, hist)
+    return {"singular": int(hist[0]), "internal": internal, "external": external,
+            "eta_square": square, "eta_nonsquare": nonsquare}
 
 
 def _encode_rows(q: int, rows: np.ndarray) -> np.ndarray:
@@ -390,10 +461,11 @@ def _isotropic_stack(qs: QuadraticSpace, afs) -> np.ndarray:
     on the lines are the codeword (_codewords) of the form's message, the
     strict upper triangle of S: the mask is its zero set.
     """
-    plucker = enumerate_singular_lines(qs).plucker
     iu, ju = _pair_index(qs.dim)
+    messages = _stack(qs, afs)[:, iu, ju]
+    plucker = enumerate_singular_lines(qs).plucker
     out = np.empty((len(afs), len(plucker)), dtype=bool)
-    for blk, vals in _codewords(qs.ctx, plucker, _stack(qs, afs)[:, iu, ju]):
+    for blk, vals in _codewords(qs.ctx, plucker, messages):
         out[:, blk] = (vals == 0).T
     return np.packbits(out, axis=1)
 

@@ -55,6 +55,7 @@ from polargrass.geometry import (
     enumerate_singular_lines,
     isotropic_line_count,
     line_bytes,
+    quadric_point_bytes,
     quadric_points,
 )
 from polargrass.matrix import rank_np
@@ -532,24 +533,30 @@ def test_negative_seed_is_inadmissible():
 
 
 def test_memory_estimate():
-    # the points of PG(2n, q) (four int64 arrays of points x dim), then the
-    # larger of the line enumerator's peak and the rank check's: per line
-    # the int64 plucker row (G is a view of it), the generator pair and
-    # seven int64 of rank_np's blocks.  The enumerator's peak is the larger of
-    # three int64 copies of its product block with two int64 ids per line,
-    # and per line two int16 wedge rows, the int64 plucker row and three
-    # int64 ids, plus 64 KiB.
+    # the singular points of Q(2n, q) twice (the pieces kept per block of
+    # their pass and their concatenation), one block of 512 KiB and 256
+    # bytes per block; then the larger of the line enumerator's peak and
+    # the rank check's: per line the int64 plucker row (G is a view of
+    # it), the generator pair and seven int64 of rank_np's blocks.  The
+    # enumerator's peak is the larger of three int64 copies of its product
+    # block with two int64 ids per line, and per line two int16 wedge rows,
+    # the int64 plucker row and three int64 ids, plus 64 KiB.
     block = 24 * PAIR_BLOCK_ENTRIES
     assert point_bytes(3, 5) == 32 * 5 * 121
+    # 121 points in one block of 2184 rows; 19531 in 13 blocks of 1560
+    assert quadric_point_bytes(2, 3) == 16 * 5 * 40 + 2**19 + 256
+    assert quadric_point_bytes(3, 5) == 16 * 7 * 3906 + 2**19 + 256 * 13
     assert line_bytes(2, 3) == block + 16 * 40
     assert line_bytes(3, 5) == 101556 * (4 * 21 + 8 * 21 + 24) + 2**16
-    assert memory_estimate(2, 3) == 32 * 5 * 121 + block + 16 * 40
-    assert memory_estimate(3, 5) == 32 * 7 * 19531 + line_bytes(3, 5) > 32 * 7 * 19531 + 101556 * (8 * 21 + 72)
+    assert memory_estimate(2, 3) == quadric_point_bytes(2, 3) + block + 16 * 40
+    assert memory_estimate(3, 5) == quadric_point_bytes(3, 5) + line_bytes(3, 5) > quadric_point_bytes(3, 5) + 101556 * (8 * 21 + 72)
     p = code_parameters(2, 125)
-    assert memory_estimate(2, 125) == point_bytes(125, 5) + p.N * (8 * p.K + 72) > point_bytes(125, 5) + line_bytes(2, 125)
+    assert memory_estimate(2, 125) == quadric_point_bytes(2, 125) + p.N * (8 * p.K + 72) > quadric_point_bytes(2, 125) + line_bytes(2, 125)
     p = code_parameters(5, 3)
     assert memory_estimate(5, 3) > 8 * p.N * p.K > 9 * 2**30
-    assert point_bytes(3, 199999) == memory_estimate(99999, 3) == line_bytes(99999, 3) == float("inf")
+    # the points of (4, 9) fit where all of PG(8, 9) did not
+    assert quadric_point_bytes(4, 9) < 2**30 < 12.9 * 2**30 < point_bytes(9, 9)
+    assert point_bytes(3, 199999) == quadric_point_bytes(99999, 3) == memory_estimate(99999, 3) == line_bytes(99999, 3) == float("inf")
     assert memory_estimate(10**12, 3) == float("inf")
 
 

@@ -19,12 +19,12 @@ from polargrass.forms import (
     canonical_form,
     elliptic_gram,
     hyperbolic_gram,
-    orbit_counts,
     parabolic_gram,
     projective_points,
     radical_split,
     standard_space,
 )
+from polargrass.geometry import orbit_counts
 from test_matrix import bilinear_value, det, rank
 from test_stacked import form_profile
 
