@@ -22,11 +22,11 @@ from .code import (
     form_from_message,
     min_distance_certified,
 )
-from .counting import CHECKS, run_checks
+from .counting import CHECKS, line_count_from_census, run_checks
 from .errors import CounterexampleFound, InadmissibleParams, IoError, PolargrassError
 from .field import FieldCtx
 from .forms import AlternatingForm, standard_space
-from .geometry import empirical_census, isotropic_line_count
+from .geometry import empirical_census
 from .matrix import format_matrix_text, parse_matrix_text
 
 
@@ -162,7 +162,7 @@ def cmd_weight(args) -> int:
     try:
         with open(args.path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         raise IoError(f"cannot read {args.path}: {ex}") from ex
     ctx = FieldCtx(args.q) if args.q is not None else None
     ctx, m = parse_matrix_text(text, ctx)
@@ -172,9 +172,10 @@ def cmd_weight(args) -> int:
     n = (dim - 1) // 2
     qs = standard_space(ctx, n)
     af = AlternatingForm(ctx, m)
-    f = isotropic_line_count(qs, af)
-    params = code_parameters(n, ctx.q)
+    # the census fixes the isotropic line count f by the reduced identity
     census = empirical_census(qs, af)
+    f = line_count_from_census(census, n, ctx.q)
+    params = code_parameters(n, ctx.q)
     print(f"weight {params.N - f} r {af.r}")
     print(
         f"census {census.a} {census.n_zero} {census.n_plus} {census.n_minus}"

@@ -494,7 +494,7 @@ class FormTable:
     @cached_property
     def taus(self) -> np.ndarray:
         """(entries, points) tau values (see geometry._tau_stack)."""
-        return geometry._tau_stack(self.space, self.rows(geometry._isotropic_stack))
+        return geometry._tau_stack(self.space, self.rows(geometry._isotropic_stack), len(self.entries))
 
     @cached_property
     def line_types(self) -> np.ndarray:
@@ -538,9 +538,10 @@ def verify_line_count_identity(table: FormTable) -> dict:
     c = residue_constants(n, q)
     # the residue constant of each class code: P_A, P_B, zero, plus, minus
     per_class = np.array([c["A0"], c["A0"], c["B0"], c["Bplus"], c["Bminus"]])
-    packed = table.rows(geometry._isotropic_stack)  # lines admitted first
-    ones = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)  # per byte value
-    lhs = (q + 1) * ones[packed].sum(axis=1, dtype=np.int64)
+    masks, nb = table.rows(geometry._isotropic_stack), len(table.entries)  # lines admitted first
+    lhs = np.zeros(nb, dtype=np.int64)
+    for blk in geometry._blocks(len(masks), nb):  # the forms' bits of a block of lines
+        lhs += (q + 1) * np.unpackbits(masks[blk], axis=1, count=nb).sum(axis=0, dtype=np.int64)
     rhs = table.censuses @ per_class  # the census weighted by the constants
     tau = table.taus
     # per point, the constant of its class, in tau's dtype, which holds A0

@@ -201,6 +201,13 @@ def _encode_rows(q: int, rows: np.ndarray) -> np.ndarray:
     return key
 
 
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """The stable lex-order argsort of rows of field elements of any width:
+    a row's big-endian 2-byte words (q < 2^16) compare as the row does."""
+    words = np.ascontiguousarray(rows, dtype=">u2")
+    return np.argsort(words.view(np.dtype((np.void, words.shape[1] * 2))).ravel(), kind="stable")
+
+
 def _ids_for_rows(qs: QuadraticSpace, rows: np.ndarray) -> np.ndarray:
     """Ids of canonical rows of singular points, found among the points'
     keys, which each space caches."""
@@ -347,7 +354,7 @@ def enumerate_singular_lines(qs: QuadraticSpace) -> LineSet:
     for c, (i, j) in enumerate(zip(iu, ju)):
         pl[:, c] = ctx.np_sub(ctx.np_mul(u[:, i], v[:, j]), ctx.np_mul(u[:, j], v[:, i]))
     del narrow, u, v
-    order = np.argsort(_encode_rows(ctx.q, pl), kind="stable")
+    order = _lex_order(pl)
     plucker = pl[order].astype(np.int64)
     del pl
     gens = np.stack([vi[order], ui[order]], axis=1).astype(np.int64, copy=False)
@@ -453,9 +460,10 @@ def _codewords(ctx: FieldCtx, rows: np.ndarray, messages: np.ndarray):
 
 
 def _isotropic_stack(qs: QuadraticSpace, afs) -> np.ndarray:
-    """Per form of a list of B forms on qs and per singular line: whether
-    the form vanishes on it, packed eight lines to a byte (np.packbits),
-    (B, ceil(lines / 8)).
+    """Per singular line and per form of a list of B forms on qs: whether
+    the form vanishes on the line, packed eight forms to a byte
+    (np.packbits), (lines, ceil(B / 8)); row l holds line l's bit of every
+    form.
 
     u^T S v = sum over i < j of S_ij (u_i v_j - u_j v_i), so the values
     on the lines are the codeword (_codewords) of the form's message, the
@@ -464,50 +472,39 @@ def _isotropic_stack(qs: QuadraticSpace, afs) -> np.ndarray:
     iu, ju = _pair_index(qs.dim)
     messages = _stack(qs, afs)[:, iu, ju]
     plucker = enumerate_singular_lines(qs).plucker
-    out = np.empty((len(afs), len(plucker)), dtype=bool)
+    out = np.empty((len(plucker), -(-len(afs) // 8)), dtype=np.uint8)
     for blk, vals in _codewords(qs.ctx, plucker, messages):
-        out[:, blk] = (vals == 0).T
-    return np.packbits(out, axis=1)
+        out[blk] = np.packbits(vals == 0, axis=1)
+    return out
 
 
 def isotropic_line_count(qs: QuadraticSpace, af: AlternatingForm) -> int:
     """Number of totally singular lines on which the form vanishes: the
-    popcount of its packed row, whose pad bits are zero."""
-    return int(np.unpackbits(_isotropic_stack(qs, [af])).sum())
+    nonzero bytes of its one-form table of _isotropic_stack."""
+    return int(np.count_nonzero(_isotropic_stack(qs, [af])))
 
 
-def _tau_stack(qs: QuadraticSpace, packed: np.ndarray) -> np.ndarray:
-    """Per form of a (B, ceil(lines / 8)) stack of packed rows of
-    _isotropic_stack and per singular point: how many of the lines the form
-    vanishes on pass through the point, (B, points).
+def _tau_stack(qs: QuadraticSpace, masks: np.ndarray, nb: int) -> np.ndarray:
+    """Per form of a table of _isotropic_stack over nb forms and per
+    singular point: how many of the lines the form vanishes on pass through
+    the point, (nb, points).
 
-    The masks are first turned line-major, still eight bits to a byte: row
-    l of that table holds line l's bit of every form.  Per block of points,
-    each column of LineSet.through gathers the rows of one line through
-    every point of the block, whose unpacked (points, B) bits are summed in
-    the narrowest unsigned dtype that holds the lines through a point,
-    (q^(2n-2) - 1)/(q - 1).  A gathered row serves all B forms, so the
-    Python steps do not grow with B, and the table is as small as the
-    packed rows.
+    Per block of points, each column of LineSet.through gathers the rows
+    of one line through every point of the block, whose unpacked (points,
+    nb) bits are summed in the narrowest unsigned dtype that holds the
+    lines through a point, (q^(2n-2) - 1)/(q - 1).  A gathered row serves
+    all nb forms, so the Python steps do not grow with nb.
     """
-    ls = enumerate_singular_lines(qs)
-    through = ls.through()
-    nb, (npts, per_point) = len(packed), through.shape
-    width = -(-nb // 8)
-    by_line = np.empty((len(ls), width), dtype=np.uint8)
-    # per packed byte: eight lines unpacked, their transposed copy and packing
-    for blk in _blocks(packed.shape[1], 2 * nb + width):
-        bits = np.ascontiguousarray(np.unpackbits(packed[:, blk], axis=1).T)
-        lo = 8 * blk.start
-        by_line[lo : lo + len(bits)] = np.packbits(bits, axis=1)[: len(ls) - lo]
+    through = enumerate_singular_lines(qs).through()
+    npts, per_point = through.shape
     dtype = np.min_scalar_type(per_point)
     out = np.empty((nb, npts), dtype=dtype)
     # per point: the sum, a gathered row and its unpacked bits
-    for blk in _blocks(npts, -(-(nb * (1 + dtype.itemsize) + width) // 8)):
+    for blk in _blocks(npts, -(-(nb * (1 + dtype.itemsize) + masks.shape[1]) // 8)):
         lines = through[blk]
         total = np.zeros((len(lines), nb), dtype=dtype)
         for col in lines.T:
-            total += np.unpackbits(by_line[col], axis=1, count=nb)
+            total += np.unpackbits(masks[col], axis=1, count=nb)
         out[:, blk] = total.T
     return out
 
@@ -515,7 +512,7 @@ def _tau_stack(qs: QuadraticSpace, packed: np.ndarray) -> np.ndarray:
 def tau_values(qs: QuadraticSpace, af: AlternatingForm) -> np.ndarray:
     """Per singular point: number of singular lines through it that the form
     kills entirely."""
-    return _tau_stack(qs, _isotropic_stack(qs, [af]))[0].astype(np.int64)
+    return _tau_stack(qs, _isotropic_stack(qs, [af]), 1)[0].astype(np.int64)
 
 
 def _type_keys(q: int) -> np.ndarray:

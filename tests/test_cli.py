@@ -7,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import polargrass
+from polargrass import forms
 from polargrass.cli import main
 from polargrass.counting import CHECKS
 from polargrass.field import field_ctx
@@ -44,6 +47,12 @@ def test_build_extension_field(capsys):
     rc, out, _ = run(capsys, "build", "--q", "9", "--n", "2")
     assert rc == 0
     assert out == "820 10 648\n"
+
+
+def test_build_wider_than_an_integer_key(capsys):
+    # q^K = 79^10 >= 2^62: the lines are ordered with no integer key
+    rc, out, _ = run(capsys, "build", "--q", "79", "--n", "2")
+    assert (rc, out) == (0, "499360 10 486798\n")
 
 
 @pytest.mark.parametrize("q", ["4", "12", "1"])
@@ -293,6 +302,53 @@ def test_weight_transported_form(tmp_path, capsys):
     assert lines[1] == "census 42 160 90 72 lines_on_quadric 1480 of 3640"
 
 
+def test_weight_of_an_11x11_form(tmp_path, capsys):
+    # its 24,209,680 lines would not fit in memory; its census does
+    path = write_form(tmp_path, "canon5.txt", canonical_form(F3, 5, 9, 1, 1)[1])
+    rc, out, _ = run(capsys, "weight", path)
+    assert rc == 0
+    assert out == "weight 14171760 r 9\ncensus 3361 6480 19683 0 lines_on_quadric 10037920 of 24209680\n"
+
+
+@st.composite
+def weight_files(draw):
+    """Random bytes, or the bytes of a matrix file near a valid form file:
+    a dim x dim alternating form, dim 3 to 13, over a field or a bad
+    order, now and then with an entry out of range or off the alternating
+    pattern, a broken header or a byte that is not UTF-8."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    dim = draw(st.integers(1, 6).map(lambda k: 2 * k + 1) | st.integers(3, 13))
+    q = draw(st.sampled_from([3, 3, 3, 5, 9, 4, 1, 2049]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.integers(0, max(q, 2), (dim, dim)), 1)
+    m = field_ctx(q).np_sub(upper, upper.T) if q in (3, 5, 9) else upper
+    if draw(st.integers(0, 3)) == 0:
+        m[rng.integers(dim), rng.integers(dim)] = draw(st.integers(-1, q))
+    header = f"{dim} {dim} {q}"
+    if draw(st.integers(0, 3)) == 0:
+        header = draw(st.sampled_from([f"{dim + 1} {dim} {q}", f"{dim} {dim}", f"{dim} x {q}", f"-{dim} {dim} {q}", ""]))
+    data = "\n".join([header] + [" ".join(map(str, row)) for row in m.tolist()]).encode()
+    if draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+@given(weight_files())
+@example(b"\xff\xfe\x00")
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_weight_on_any_file_exits_cleanly(tmp_path, capsys, monkeypatch, data):
+    # 16 MiB available, so no example builds more than a small space
+    proc_kib = forms._proc_kib
+    monkeypatch.setattr(forms, "_proc_kib", lambda path, key: 16 << 10 if key == "MemAvailable" else proc_kib(path, key))
+    path = tmp_path / "form.txt"
+    path.write_bytes(data)
+    rc, _, err = run(capsys, "weight", str(path))
+    assert rc in (0, 2, 3)
+    assert rc == 0 or err.startswith("error: ")
+
+
 def test_weight_rejects_non_alternating(tmp_path, capsys):
     path = tmp_path / "sym.txt"
     path.write_text(format_matrix_text(3, np.eye(5, dtype=np.int64)))
@@ -407,11 +463,12 @@ def test_too_large_parameters_rejected(argv, what):
 
 
 def test_weight_too_large_rejected(tmp_path):
-    path = tmp_path / "form13.txt"
-    path.write_text(format_matrix_text(3, np.zeros((13, 13), dtype=np.int64)))
+    # weight builds no lines, so its only refusal is at the points
+    path = tmp_path / "form17.txt"
+    path.write_text(format_matrix_text(3, np.zeros((17, 17), dtype=np.int64)))
     res = run_rlimited("weight", str(path))
     assert res.returncode == 2
-    assert res.stderr.startswith("error: the singular lines of Q(12, 3) needs at least ")
+    assert res.stderr.startswith("error: the points of PG(16, 3) needs at least ")
 
 
 def test_admitted_parameters_run_under_rlimit():

@@ -390,15 +390,13 @@ def test_a_tau_kernel_that_drops_a_line_is_a_mismatch(monkeypatch):
     # counts them through the points: a tau kernel that loses one line
     # leaves the lhs as it is and moves the q+1 points of that line.
     table = FormTable(3, 3, samples=10, seed=0)
-    packed = table.rows(geometry._isotropic_stack)
-    nlines = len(geometry.enumerate_singular_lines(table.space))
-    line = int(np.unpackbits(packed, axis=1, count=nlines).any(axis=0).argmax())
+    line = int(table.rows(geometry._isotropic_stack).any(axis=1).argmax())
     tau_stack = geometry._tau_stack
 
-    def dropped(qs, rows):
-        masks = np.unpackbits(rows, axis=1, count=nlines)
-        masks[:, line] = 0
-        return tau_stack(qs, np.packbits(masks, axis=1))
+    def dropped(qs, masks, nb):
+        masks = masks.copy()
+        masks[line] = 0
+        return tau_stack(qs, masks, nb)
 
     monkeypatch.setattr(geometry, "_tau_stack", dropped)
     rep = verify_line_count_identity(table)
@@ -698,7 +696,7 @@ STACKED_KERNELS = [
     (geometry, "_residue_stack"),
     (geometry, "_isotropic_stack"),
     (geometry, "_line_type_stack"),  # over the residue rows, one per form
-    (geometry, "_tau_stack"),  # over the isotropic rows, one per form
+    (geometry, "_tau_stack"),  # over the isotropic masks, one column per form
     (counting, "_eigenvector_counts"),
     (forms, "_radical_splits"),
 ]
@@ -712,9 +710,11 @@ def test_run_checks_computes_each_form_once(monkeypatch, n, q):
     computed = {}
 
     def counted(name, fn):
-        def spy(qs, afs):
-            computed[name].append([(qs, af) for af in afs])  # held, so the ids stay distinct
-            return fn(qs, afs)
+        def spy(qs, afs, *nb):
+            # the tau kernel's forms are the columns of the masks it takes
+            held = [(afs, j) for j in range(nb[0])] if nb else [(af, None) for af in afs]
+            computed[name].append([(qs, af, j) for af, j in held])  # held, so the ids stay distinct
+            return fn(qs, afs, *nb)
 
         return spy
 
@@ -724,7 +724,7 @@ def test_run_checks_computes_each_form_once(monkeypatch, n, q):
     samples = 5
     run_checks(["all"], {"n": n, "q": q, "samples": samples, "seed": 0, "budget": 10**5})
     for name, calls in computed.items():
-        keys = [(id(qs), id(af)) for call in calls for qs, af in call]
+        keys = [(id(qs), id(af), j) for call in calls for qs, af, j in call]
         assert keys and len(keys) == len(set(keys)), name
         assert max(len(call) for call in calls) >= samples, name
 

@@ -1,8 +1,12 @@
 # tests/test_geometry.py
 import tracemalloc
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polargrass import geometry
 from polargrass.code import random_alternating_forms
@@ -101,6 +105,40 @@ def test_lines_are_deduped_and_sorted():
     for row in ls.plucker:
         v = row.tolist()
         assert v[next(i for i, x in enumerate(v) if x)] == 1
+
+
+@st.composite
+def wide_rows(draw):
+    """Rows of field elements with q^K >= 2^62, too wide for one int64
+    key, in the wedge dtype of q: drawn from a few distinct rows, so that
+    ties and shared prefixes are common."""
+    q = draw(st.sampled_from([79, 81, 2039]))
+    k = draw(st.integers(math.ceil(62 / math.log2(q)), 55))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.integers(0, q, (draw(st.integers(1, 8)), k))
+    distinct[:, : draw(st.integers(0, k))] = distinct[0, 0]
+    return distinct[rng.integers(0, len(distinct), draw(st.integers(1, 40)))].astype(geometry._wedge_dtype(q))
+
+
+@given(wide_rows())
+@settings(max_examples=100, deadline=None)
+def test_lex_order_of_rows_too_wide_for_a_key(rows):
+    order = geometry._lex_order(rows)
+    assert order.tolist() == sorted(range(len(rows)), key=lambda i: tuple(rows[i].tolist()))
+
+
+def old_line_key(q, rows):
+    """The base-q int64 key the lines were once sorted by."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        key = key * q + col
+    return key
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (2, 9)])
+def test_lines_in_the_order_of_the_old_key(n, q):
+    plucker = enumerate_singular_lines(standard_space(field_ctx(q), n)).plucker
+    assert (np.diff(old_line_key(q, plucker)) > 0).all()
 
 
 def test_every_line_point_is_singular():

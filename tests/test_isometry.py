@@ -35,9 +35,10 @@ def native_data(ctx, n, case, r, d):
 def carried_data(table, i):
     """The same data of entry i, a carried form, read from row i of the
     form table's columns on the standard space."""
+    masks = table.rows(geometry._isotropic_stack)
     return {
         "census": tuple(table.censuses[i].tolist()),
-        "isotropic": int(np.unpackbits(table.rows(geometry._isotropic_stack)[i]).sum()),
+        "isotropic": int(np.unpackbits(masks, axis=1, count=len(table.entries))[:, i].sum()),
         "types": table.line_types[i].tolist(),
         "split": forms._split(table.space, table.rows(forms._radical_splits)[i]),
         "eigen": int(table.rows(counting._eigenvector_counts)[i]),

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from polargrass import geometry
 from polargrass.cli import main
 from polargrass.counting import run_checks
 
@@ -42,3 +43,26 @@ def test_closed_form_maxima_match_the_recorded_report(n, q):
     reports = run_checks(["grid-maxima", "case-maxima"], {"n": n, "q": q})
     want = (DATA / f"maxima_n{n}q{q}.json").read_text(encoding="utf-8")
     assert json.dumps(reports, indent=2) + "\n" == want
+
+
+WEIGHT = sorted((DATA / "weight").glob("*.txt"))
+
+
+@pytest.mark.parametrize("path", WEIGHT, ids=[p.stem for p in WEIGHT])
+def test_weight_matches_the_recorded_stdout(monkeypatch, capsys, path):
+    # recorded while weight counted its lines by enumerating them: fixtures
+    # of test_cli, seeded random forms, low-rank forms A^T J A and the
+    # canonical form of every shape at (3,3) carried to the standard space.
+    # Now no line is enumerated and no codeword evaluated.
+    def unused(*args):
+        raise AssertionError("weight enumerated lines or codewords")
+
+    monkeypatch.setattr(geometry, "enumerate_singular_lines", unused)
+    monkeypatch.setattr(geometry, "_codewords", unused)
+    assert main(["weight", str(path)]) == 0
+    assert capsys.readouterr().out == path.with_suffix(".out").read_text(encoding="utf-8")
+
+
+def test_weight_records_cover_every_kind():
+    kinds = {p.stem.split("_")[0] for p in WEIGHT}
+    assert len(WEIGHT) >= 30 and kinds == {"fixture", "random", "lowrank", "carried"}

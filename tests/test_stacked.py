@@ -162,6 +162,13 @@ def reference_radical_split(qs, af):
     return {"r": r, "d": d, "m": reference_witt_index(ctx, ctx.np_matmul(ctx.np_matmul(h, qs.gram), h.T))}
 
 
+def popcounts(masks, nb):
+    """Per form of a table of _isotropic_stack over nb forms: the set bits
+    of its column, one bit plane of the bytes at a time."""
+    planes = [(masks >> (7 - b) & 1).sum(axis=0) for b in range(8)]
+    return np.stack(planes, axis=1).ravel()[:nb]
+
+
 # ---- stacks of forms -------------------------------------------------------------
 
 
@@ -201,13 +208,13 @@ def test_stacked_kernels_match_per_form_references(case):
             mp.setattr(geometry, "PAIR_BLOCK_ENTRIES", bound)
         residue = geometry._residue_stack(qs, afs)
         iso = geometry._isotropic_stack(qs, afs)
-        tau = geometry._tau_stack(qs, iso)
+        tau = geometry._tau_stack(qs, iso, len(afs))
         types = geometry._line_type_stack(qs, residue)
         eigen = counting._eigenvector_counts(qs, afs)
         splits = forms._radical_splits(qs, afs)
     for i, af in enumerate(afs):
         assert residue[i].tolist() == reference_residue_classes(qs, af).tolist()
-        assert np.unpackbits(iso[i], count=len(enumerate_singular_lines(qs))).tolist() == (
+        assert np.unpackbits(iso, axis=1, count=len(afs))[:, i].tolist() == (
             reference_isotropic_mask(qs, af).astype(np.uint8).tolist()
         )
         assert tau[i].tolist() == reference_tau_values(qs, af).tolist()
@@ -232,9 +239,9 @@ def test_run_rows_match_per_form_references(case):
         assert table.rows(geometry._residue_stack)[i].tolist() == reference_residue_classes(qs, af).tolist()
         counts = np.bincount(reference_residue_classes(qs, af), minlength=5).tolist()
         assert table.censuses[i].tolist() == counts
-        packed = table.rows(geometry._isotropic_stack)[i]
-        assert int(np.unpackbits(packed).sum()) == int(reference_isotropic_mask(qs, af).sum())
-        assert geometry._tau_stack(qs, packed[None])[0].tolist() == reference_tau_values(qs, af).tolist()
+        masks = table.rows(geometry._isotropic_stack)
+        assert popcounts(masks, len(afs))[i] == int(reference_isotropic_mask(qs, af).sum())
+        assert geometry._tau_stack(qs, masks, len(afs))[i].tolist() == reference_tau_values(qs, af).tolist()
         assert table.taus[i].tolist() == reference_tau_values(qs, af).tolist()
         assert dict(zip(LINE_TYPE_NAMES, table.line_types[i].tolist())) == reference_type_census(qs, af)
         assert line_type_codes(qs, af).tolist() == reference_line_type_codes(qs, af).tolist()
@@ -271,11 +278,11 @@ def test_per_form_functions_agree_inside_and_outside_a_run(monkeypatch, n, q):
             want = values(qs, af)
             inside[id(af)] = qs, af, want
             codes = table.rows(geometry._residue_stack)[i]
-            packed = table.rows(geometry._isotropic_stack)[i]
+            masks, nb = table.rows(geometry._isotropic_stack), len(table.entries)
             assert codes.tolist() == want["classes"]
             assert CensusRecord(*table.censuses[i].tolist()).as_tuple() == want["census"]
-            assert int(np.unpackbits(packed).sum()) == want["isotropic"]
-            assert geometry._tau_stack(qs, packed[None])[0].tolist() == want["tau"]
+            assert popcounts(masks, nb)[i] == want["isotropic"]
+            assert geometry._tau_stack(qs, masks, nb)[i].tolist() == want["tau"]
             assert table.line_types[i].tolist() == np.bincount(want["types"], minlength=5).tolist()
             assert forms._split(qs, table.rows(forms._radical_splits)[i]) == want["split"]
             assert table.rows(counting._eigenvector_counts)[i] == want["eigen"]
@@ -301,7 +308,7 @@ def test_line_kernels_match_references_on_every_canonical_shape(n, q):
     iso = geometry._isotropic_stack(qs, afs)
     types = geometry._line_type_stack(qs, geometry._residue_stack(qs, afs))
     for i, af in enumerate(afs):
-        mask = np.unpackbits(iso[i], count=len(enumerate_singular_lines(qs))).astype(bool)
+        mask = np.unpackbits(iso, axis=1, count=len(afs))[:, i].astype(bool)
         assert mask.tolist() == reference_isotropic_mask(qs, af).tolist()
         assert line_type_codes(qs, af).tolist() == reference_line_type_codes(qs, af).tolist()
         assert dict(zip(LINE_TYPE_NAMES, types[i].tolist())) == reference_type_census(qs, af)
@@ -320,7 +327,7 @@ def test_tau_and_radical_splits_match_references_on_every_canonical_shape(monkey
     low = alternating_forms(qs.ctx, np.stack([alternating(qs.ctx, rng, qs.dim, w) for w in (2, 2, 0)]))
     afs = [af for *_, af in table.canonical] + table.sampled + low
     monkeypatch.setattr(geometry, "PAIR_BLOCK_ENTRIES", 1 << 10)
-    tau = geometry._tau_stack(qs, geometry._isotropic_stack(qs, afs))
+    tau = geometry._tau_stack(qs, geometry._isotropic_stack(qs, afs), len(afs))
     splits = forms._radical_splits(qs, afs)
     for i, af in enumerate(afs):
         assert tau[i].tolist() == reference_tau_values(qs, af).tolist()
@@ -328,6 +335,26 @@ def test_tau_and_radical_splits_match_references_on_every_canonical_shape(monkey
             assert dict(zip("rdm", splits[i].tolist())) == reference_radical_split(qs, af)
         else:
             assert splits[i].tolist() == [qs.dim, 0, 0]
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (2, 9), (3, 5)])
+def test_census_line_counts_match_the_isotropic_masks(n, q):
+    # weight reads f off the census through the reduced identity; here
+    # that count equals the popcount of each form's isotropic mask, on
+    # every canonical shape carried to the standard space, low-rank forms
+    # (random forms almost always have r = 1) and random ones, 1,000 in
+    # all, one stacked call per kernel.
+    table = counting.FormTable(n, q)
+    qs = table.space
+    rng = np.random.default_rng(n * q)
+    widths = [w for w in range(0, qs.dim, 2) for _ in range(50)]
+    afs = [af for *_, af in table.canonical]
+    afs += alternating_forms(qs.ctx, np.stack([alternating(qs.ctx, rng, qs.dim, w) for w in widths]))
+    afs += random_alternating_forms(qs.ctx, qs.dim, rng, 1000 - len(afs))
+    censuses = geometry._census_stack(geometry._residue_stack(qs, afs))
+    lines = popcounts(geometry._isotropic_stack(qs, afs), len(afs))
+    assert len(afs) == 1000 and {af.r for af in afs} >= set(range(1, qs.dim + 1, 2))
+    assert [counting.line_count_from_census(CensusRecord(*row), n, q) for row in censuses.tolist()] == lines.tolist()
 
 
 def test_residue_classes_match_the_reference_at_q27():
@@ -483,16 +510,20 @@ def test_stacked_kernels_stay_within_twice_a_single_form_peak():
     afs = random_alternating_forms(qs.ctx, qs.dim, np.random.default_rng(0), 100)
     enumerate_singular_lines(qs).through()
     codes = geometry._residue_stack(qs, afs)
-    packed = geometry._isotropic_stack(qs, afs)
-    # each kernel with its input for the 100 forms; the line types read
-    # the forms' residue rows, the tau values their isotropic rows
+
+    def tau_stack(qs_, masks):
+        return geometry._tau_stack(qs_, masks[0], masks[1])
+
+    # each kernel with its input for the 100 forms and for the first; the
+    # line types read the forms' residue rows, the tau values their
+    # isotropic masks and the number of forms
     kernels = [
-        (geometry._residue_stack, afs),
-        (geometry._isotropic_stack, afs),
-        (geometry._tau_stack, packed),
-        (geometry._line_type_stack, codes),
-        (counting._eigenvector_counts, afs),
-        (forms._radical_splits, afs),
+        (geometry._residue_stack, afs, afs[:1]),
+        (geometry._isotropic_stack, afs, afs[:1]),
+        (tau_stack, (geometry._isotropic_stack(qs, afs), 100), (geometry._isotropic_stack(qs, afs[:1]), 1)),
+        (geometry._line_type_stack, codes, codes[:1]),
+        (counting._eigenvector_counts, afs, afs[:1]),
+        (forms._radical_splits, afs, afs[:1]),
     ]
 
     def peak(fn, forms_):
@@ -503,9 +534,9 @@ def test_stacked_kernels_stay_within_twice_a_single_form_peak():
         finally:
             tracemalloc.stop()
 
-    for fn, arg in kernels:  # warm up
+    for fn, arg, one in kernels:  # warm up
         fn(qs, arg)
-        fn(qs, arg[:1])
-    single = max(peak(fn, arg[:1])[0] for fn, arg in kernels)
-    stacked = max(p - out for p, out in (peak(fn, arg) for fn, arg in kernels))
+        fn(qs, one)
+    single = max(peak(fn, one)[0] for fn, _, one in kernels)
+    stacked = max(p - out for p, out in (peak(fn, arg) for fn, arg, _ in kernels))
     assert stacked <= 2 * single
