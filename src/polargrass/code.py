@@ -50,8 +50,14 @@ from .geometry import (
 from .matrix import _check_range, rank_np
 
 DEFAULT_BUDGET = 10**7
-SCAN_TABLE_ROWS = 512  # low codewords the exhaustive scan's table aims for
-SCAN_BLOCK_BYTES = 1 << 21  # q N float32 per high part: sets the rows of one exhaustive-scan block
+# The exhaustive scan (min_distance_exact) splits a message into a high and
+# a low part.  SCAN_TABLE_ROWS is the number of low parts its table aims
+# for: the low width b is the smallest with q^b >= SCAN_TABLE_ROWS, so the
+# GEMM of each block runs near BLAS speed.  SCAN_BLOCK_BYTES bounds the
+# per-high-part arrays of one block of the scan, and 16 of it bound the
+# float32 table, past which b is lowered.
+SCAN_TABLE_ROWS = 512
+SCAN_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -334,21 +340,58 @@ def _filled(blocks, rows: int):
         yield np.concatenate(pending)
 
 
+def _low_groups(ctx: FieldCtx, low: np.ndarray):
+    """The columns g of a (b, N) low generator, grouped by the point of
+    PG(b-1, q) they span: g = c g~ with g~ led by 1.
+
+    Returns (order, points, group, scale).  order lists the nonzero columns
+    sorted by g~, then the zero columns; points holds the distinct g~ as
+    rows, (P, b), in lex order; group and scale give, per nonzero column in
+    that order, the row of its g~ in points and its c.
+    """
+    nonzero = low.any(axis=0)
+    cols = low.T[nonzero]
+    lead = np.argmax(cols != 0, axis=1) if len(cols) else np.zeros(0, dtype=np.intp)
+    scale = cols[np.arange(len(cols)), lead]
+    unit = ctx.np_mul(ctx.np_inv(scale)[:, None], cols)
+    _, first, group = np.unique(_encode_rows(ctx.q, unit), return_index=True, return_inverse=True)
+    by_point = np.argsort(group, kind="stable")
+    order = np.concatenate([np.flatnonzero(nonzero)[by_point], np.flatnonzero(~nonzero)])
+    return order, unit[first], group[by_point], scale[by_point]
+
+
+def _scan_row_bytes(q: int, a: int, b: int, nn: int, lines: int, npts: int) -> int:
+    """Bytes of the arrays one high part adds to a block of
+    min_distance_exact, N = nn lines of which lines have a nonzero low
+    column, on npts points: its int64 row and float64 operand; its codeword
+    with the temporaries of the product, 24 bytes a line over either kind
+    of field; the int64 slot indices and slots; the int64 and float32
+    counts; the features; the products with the table."""
+    return 16 * a + 24 * nn + 16 * lines + 12 * npts * q + 4 * npts * (q - 1) + 4 * q**b
+
+
 def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
     """Scan every nonzero message up to scaling and symmetry; exact minimum
     weight.
 
     Split a message into its high part h, the first a = K - b coordinates,
-    and its low part l, the last b.  The codeword of (h, -l) vanishes exactly
-    where h . G_high equals l . G_low.  With the agreement features of
-    _agreement_tables, N(q-1) wide, its weight is the weight of h . G_high
-    less a dot product, and one float32 GEMM of the features of a block of h
-    codewords against the table of every low codeword gives those dot
-    products for the whole block (exact, since each is at most N < 2^24 in
-    absolute value).  As l runs over F_q^b so does -l, and every projective
-    message is either (h, l) with h a canonical projective point of F_q^a,
-    or (0, l) with l != 0, whose weights are the nonzero rows of the low
-    table itself.
+    and its low part l, the last b.  The codeword of (h, -l) vanishes on a
+    line exactly where the value x of h . G_high equals l . g, g the line's
+    low generator column.  Write each nonzero g as c g~ with g~ led by 1
+    (_low_groups): x = l . g exactly when x / c = l . g~, so the lines of
+    one of the P points g~ share every low value z = l . g~.  With the
+    agreement features of _agreement_tables, [x = y] = [x = 0] + high[x] .
+    low[y], the weight of (h, -l) is nnz(x) less the sum over the points g~
+    of (counts @ high) . low[z], counts[v] the lines of g~ with x / c = v;
+    a line with g = 0 agrees only where x = 0 and adds nothing.  Per block
+    of high parts, each line's count slot, point q + x / c, is gathered
+    from a per-line table, the slots are bincounted into the counts, and
+    one float32 GEMM of the P(q-1) features against the one-hot low[z] of
+    every l in F_q^b gives those sums for the whole block (exact, since
+    every partial sum is an integer of magnitude at most N < 2^24).  As l
+    runs over F_q^b so does -l, and every projective message is either
+    (h, l) with h a canonical projective point of F_q^a, or (0, l) with
+    l != 0, whose weight is the number of lines whose point has z != 0.
 
     Only one h per orbit of H x F_q^* is scanned, H the certified diagonal
     characters of _diagonal_characters: each chi in H keeps every weight,
@@ -358,48 +401,55 @@ def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
     (h, l) for all l is the same for h and chi . h, and for h and c h.  The
     minimum over one h per orbit (_orbit_representatives), each against the
     full table, is then the minimum over every message.
+
+    b is the smallest width whose q^b low parts reach SCAN_TABLE_ROWS, so
+    each GEMM is wide enough to run near BLAS speed, lowered while the
+    table's q^b P(q-1) float32 exceed 16 SCAN_BLOCK_BYTES.  A block holds
+    as many high parts as the bytes of all its per-row arrays allow within
+    SCAN_BLOCK_BYTES: arrays past glibc's mmap threshold are faulted in
+    afresh on every call.
     """
     check_scan_budget(code.params, budget)
+    ctx = code.ctx
     q, k, nn = code.params.q, code.params.K, code.params.N
     if nn >= 1 << 24:
         raise DimensionMismatch(f"length {nn} is too long for exact float32 counts")
-    # low part: the smallest b whose table reaches SCAN_TABLE_ROWS rows, so
-    # each GEMM is wide enough to run near BLAS speed, then lowered while
-    # q^b q N float32 exceed 16 blocks (32 MiB), which bounds the table at
-    # large q N
+    # first, so that the certification's blocks are freed before the table
+    # is built
+    chars = _diagonal_characters(code)
     b = 0
     while b < k - 1 and q**b < SCAN_TABLE_ROWS:
         b += 1
-    while b > 0 and q**b * q * nn * 4 > 16 * SCAN_BLOCK_BYTES:
+    while True:
+        order, points, group, scale = _low_groups(ctx, code.generator[k - b :])
+        if b == 0 or 4 * q**b * len(points) * (q - 1) <= 16 * SCAN_BLOCK_BYTES:
+            break
         b -= 1
-    a = k - b
+    a, npts, lines = k - b, len(points), len(group)
     high_rows, low_rows = _agreement_tables(q)
-    msgs = np.zeros((q**b, k), dtype=np.int64)
-    msgs[:, a:] = np.arange(q**b)[:, None] // q ** np.arange(b - 1, -1, -1) % q
-    low = _codeword_values(code, msgs)
-    best = int(np.count_nonzero(low[1:], axis=1).min()) if b else nn
-    table = np.take(low_rows, low, axis=0).reshape(len(low), -1)
-    del low
-    step = max(1, SCAN_BLOCK_BYTES // (4 * q * nn))
-    count = (q**a - 1) // (q - 1)
-    # One feature block and one product block, filled in place for every
-    # block of high parts: a fresh pair per block cost about a quarter of the
-    # (2,5) scan in page faults on a 2-vCPU host.  The take's mode is clip
-    # because raise buffers out; the values are field elements, so nothing
-    # is clipped.  A block's codewords are dropped before the next block's
-    # are built.
-    feats = np.empty((min(step, count), nn, q - 1), dtype=np.float32)
-    agree = np.empty((min(step, count), len(table)), dtype=np.float32)
-    reps = _orbit_representatives(code.ctx, _diagonal_characters(code)[:, :a])
-    for high in _filled(reps, step):
+    digits = np.arange(q**b)[:, None] // q ** np.arange(b - 1, -1, -1) % q
+    # z[l, p] = l . g~_p; at b = 0 the one empty low part is built here,
+    # since an extension field's np_matmul shapes an empty inner product wrong
+    z = ctx.np_matmul(digits, points.T) if b else np.zeros((1, 0), dtype=np.int64)
+    best = int(((z[1:] != 0) @ np.bincount(group, minlength=npts)).min()) if b else nn
+    table = np.take(low_rows, z, axis=0).reshape(len(z), npts * (q - 1))
+    del z
+    # slots[j q + x] is the count slot of line j (in order) where h . G_high
+    # takes the value x
+    slots = (group[:, None] * q + ctx.np_mul(np.arange(q), ctx.np_inv(scale)[:, None])).ravel()
+    base = q * np.arange(lines)
+    gh = ctx.np_operand(code.generator[:a, order])
+    step = max(1, SCAN_BLOCK_BYTES // _scan_row_bytes(q, a, b, nn, lines, npts))
+    offsets = npts * q * np.arange(step)[:, None]
+    for high in _filled(_orbit_representatives(ctx, chars[:, :a]), step):
         rows = len(high)
-        msgs = np.zeros((rows, k), dtype=np.int64)
-        msgs[:, :a] = high
-        vals = _codeword_values(code, msgs)
-        np.take(high_rows, vals, axis=0, out=feats[:rows], mode="clip")
-        np.matmul(feats[:rows].reshape(rows, -1), table.T, out=agree[:rows])
-        best = min(best, int((np.count_nonzero(vals, axis=1) - agree[:rows].max(axis=1)).min()))
-        del vals
+        x = ctx.np_matmul(high, gh)
+        slot = np.take(slots, x[:, :lines] + base)
+        slot += offsets[:rows]
+        counts = np.bincount(slot.ravel(), minlength=rows * npts * q).astype(np.float32)
+        feats = (counts.reshape(-1, q) @ high_rows).reshape(rows, npts * (q - 1))
+        agree = feats @ table.T
+        best = min(best, int((np.count_nonzero(x, axis=1) - agree.max(axis=1)).min()))
     return best
 
 

@@ -1,7 +1,7 @@
 # tests/test_code.py
 import json
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, product
@@ -296,6 +296,13 @@ def test_min_distance_exact_q5():
     assert min_distance_exact(code) == 100 == code.params.d_claimed
 
 
+@pytest.mark.slow
+def test_min_distance_exact_q11():
+    # (11^10 - 1)/10 = 2,593,742,460 projective messages
+    code = standard_code(field_ctx(11), 2)
+    assert min_distance_exact(code, budget=3 * 10**9) == 1210 == code.params.d_claimed
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
 def test_agreement_tables_count_equal_values(q):
     # [x = y] = [x = 0] + high[x] . low[y] for every (x, y) in F_q^2
@@ -306,25 +313,49 @@ def test_agreement_tables_count_equal_values(q):
     assert np.array_equal(is_zero + high @ low.T, np.eye(q))
 
 
-def test_min_distance_exact_peak_memory():
-    # The scan holds one float32 feature table of the q^b low codewords, one
-    # float32 feature block of high parts and one product block, and one
-    # codeword block: a block's messages and their float64 and int32
-    # codewords, under 16 bytes per codeword entry.  At (2,5) b = 4, since
-    # 5^4 = 625 is the first power to reach SCAN_TABLE_ROWS.
-    code = the_code(5, 2)
-    q, nn, b = 5, code.params.N, 4
-    rows = SCAN_BLOCK_BYTES // (4 * q * nn)
-    width = nn * (q - 1)
-    bound = 4 * q**b * width + 4 * rows * width + 4 * rows * q**b + 16 * rows * nn
-    min_distance_exact(code)
+def traced_peak(run):
+    """The peak bytes tracemalloc sees during run(), and its result."""
     tracemalloc.start()
     try:
-        assert min_distance_exact(code) == 100
-        peak = tracemalloc.get_traced_memory()[1]
+        out = run()
+        return tracemalloc.get_traced_memory()[1], out
     finally:
         tracemalloc.stop()
-    assert peak <= bound
+
+
+def projective_column_count(ctx, cols):
+    """The points of projective space spanned by the nonzero columns of a
+    matrix."""
+    nonzero = cols[:, cols.any(axis=0)]
+    return len(np.unique(ctx.np_normalize_rows(nonzero.T), axis=0))
+
+
+def test_min_distance_exact_peak_memory():
+    # The certification of the characters runs first and frees its blocks.
+    # Then the scan holds the float32 table, q^b rows of P(q-1) one-hot
+    # features, P the points spanned by the nonzero low columns (30 at
+    # (2,5), 54 at (2,9)); the q^b P low products it is built from, in
+    # float64, int32 and two int32 mod temporaries, and the int64 digits
+    # of every low part; per line its place in the order, group, scale,
+    # slot base, q slots and float64 high column, all 8 bytes; one block's
+    # per-row arrays, within SCAN_BLOCK_BYTES; and the last block of the
+    # orbit representatives, within their own peak.  The N(q-1)-wide
+    # table of one feature per line and value is 1.6 MB at (2,5) and
+    # 19 MB at (2,9), past this bound.  b = 4 at (2,5) and 3 at (2,9):
+    # 5^4 = 625 and 9^3 = 729 are the first powers to reach
+    # SCAN_TABLE_ROWS.
+    for q, b in [(5, 4), (9, 3)]:
+        code = the_code(q, 2)
+        k, nn = code.params.K, code.params.N
+        npts = projective_column_count(code.ctx, code.generator[k - b :])
+        certify, chars = traced_peak(lambda: code_module._diagonal_characters(code))
+        reps, _ = traced_peak(lambda: deque(code_module._orbit_representatives(code.ctx, chars[:, : k - b]), 0))
+        table = 4 * q**b * npts * (q - 1)
+        low = q**b * (20 * npts + 8 * b)
+        per_line = 8 * nn * (4 + q + k - b)
+        peak, d = traced_peak(lambda: min_distance_exact(code, budget=10**9))
+        assert peak <= max(certify, table + low + per_line + SCAN_BLOCK_BYTES + reps)
+        assert d == code.params.d_claimed
 
 
 def test_min_distance_budget():
@@ -366,9 +397,14 @@ def leading_rows_code(q, r):
 
 
 def small_scan_blocks(monkeypatch, code):
-    """A table of at most q rows and one high part per block."""
-    monkeypatch.setattr(code_module, "SCAN_TABLE_ROWS", code.params.q)
-    monkeypatch.setattr(code_module, "SCAN_BLOCK_BYTES", 4 * code.params.q * code.params.N)
+    """A table of at most q rows and one high part per block: the block
+    bytes are those of one high part at b = 1, which has at most one point,
+    and 16 of them hold that table."""
+    q, k, nn = code.params.q, code.params.K, code.params.N
+    lines = int(np.count_nonzero(code.generator[-1]))
+    row = code_module._scan_row_bytes(q, k - 1, 1, nn, lines, int(lines > 0))
+    monkeypatch.setattr(code_module, "SCAN_TABLE_ROWS", q)
+    monkeypatch.setattr(code_module, "SCAN_BLOCK_BYTES", row)
 
 
 @pytest.mark.parametrize("q,r", [(3, 7), (5, 5), (7, 6), (9, 4), (27, 3)])
@@ -398,6 +434,46 @@ def matmul_min_distance(code):
 @settings(max_examples=80, deadline=None)
 def test_min_distance_exact_random_generators(q, k, nn, seed, small_blocks):
     gmat = np.random.default_rng(seed).integers(0, q, size=(k, nn))
+    code = generator_code(q, gmat)
+    with pytest.MonkeyPatch.context() as mp:
+        if small_blocks:
+            small_scan_blocks(mp, code)
+        assert min_distance_exact(code) == matmul_min_distance(code)
+
+
+@st.composite
+def grouped_generators(draw):
+    """(q, generator) over F_q with a uniform first row and other rows
+    whose columns are scaled copies of a few base columns (some of them
+    zero) with mixed scalars, all zero, scaled copies of one column, or
+    scaled distinct points.  Every split the scan can choose has b <= K - 1,
+    so its low columns keep that shape, save that distinct points may
+    meet once cut to their last b rows."""
+    q = draw(st.sampled_from([3, 5, 7, 9, 25]))
+    k = draw(st.integers(2, 4 if q == 25 else 5))
+    kind = draw(st.sampled_from(["scaled", "zero", "one group", "distinct"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ctx = field_ctx(q)
+    if kind == "distinct":
+        points = projective_points(ctx, k - 1)
+        cols = points[rng.permutation(len(points))[: draw(st.integers(1, min(40, len(points))))]]
+    else:
+        bases = rng.integers(0, q, size=({"scaled": draw(st.integers(2, 4)), "zero": 1, "one group": 1}[kind], k - 1))
+        if kind == "zero" or draw(st.booleans()):
+            bases[0] = 0
+        if kind == "one group":
+            bases[0, draw(st.integers(0, k - 2))] = draw(st.integers(1, q - 1))
+        cols = bases[rng.integers(0, len(bases), size=draw(st.integers(1, 40)))]
+    gmat = np.empty((k, len(cols)), dtype=np.int64)
+    gmat[0] = rng.integers(0, q, size=len(cols))
+    gmat[1:] = ctx.np_mul(cols, rng.integers(1, q, size=len(cols))[:, None]).T
+    return q, gmat
+
+
+@given(drawn=grouped_generators(), small_blocks=st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_min_distance_exact_grouped_low_columns(drawn, small_blocks):
+    q, gmat = drawn
     code = generator_code(q, gmat)
     with pytest.MonkeyPatch.context() as mp:
         if small_blocks:
