@@ -4,8 +4,9 @@ The code of the space qs has one column per totally singular line (its
 canonical wedge coordinates) and one row per coordinate pair i < j.  A
 message is therefore the strict upper triangle of an alternating matrix S,
 and the weight of its codeword counts the singular lines on which S does
-not vanish.  Every codeword is evaluated by geometry._codewords, one
-product per block of lines.
+not vanish.  Codewords and weights are evaluated by geometry._codewords,
+one product per block of lines; only the exhaustive scan multiplies its
+high parts against its own reordered generator.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .forms import (
     alternating_forms,
     canonical_form,
     check_memory,
-    projective_block,
     standard_space,
     _check_n,
 )
@@ -171,14 +171,6 @@ def form_from_message(ctx: FieldCtx, dim: int, message) -> AlternatingForm:
     return alternating_forms(ctx, _alternating_stack(ctx, dim, m[None]))[0]
 
 
-def _codeword_values(code: PolarCode, batch: np.ndarray) -> np.ndarray:
-    """(B, N) codeword values of a batch of messages (rows)."""
-    out = np.empty((len(batch), code.params.N), dtype=np.int64)
-    for blk, vals in _codewords(code.ctx, code.generator.T, batch):
-        out[:, blk] = vals.T
-    return out
-
-
 def _weights_np(code: PolarCode, batch: np.ndarray) -> np.ndarray:
     """Hamming weights of the codewords of a batch of messages (rows),
     summed over the blocks of lines, so no (B, N) array is built."""
@@ -197,7 +189,9 @@ def codeword_from_form(code: PolarCode, af: AlternatingForm) -> Codeword:
     msg = message_from_form(af)
     if not msg.any():
         raise ZeroMessage("zero form gives the zero codeword")
-    vals = _codeword_values(code, msg[None])[0]
+    vals = np.empty(code.params.N, dtype=np.int64)
+    for blk, part in _codewords(code.ctx, code.generator.T, msg[None]):
+        vals[blk] = part[:, 0]
     return Codeword(values=vals, weight=int((vals != 0).sum()))
 
 
@@ -290,17 +284,14 @@ def _orbit_representatives(ctx: FieldCtx, chars: np.ndarray):
     tail is a smaller integer.  These are the orbit-minimum points, exactly
     one per orbit.  The tails of every ratio row are one float64 product of
     the one-hot digits of a block of t (w(q-1) wide) with a per-lead table,
-    exact since q^w < q^K < 2^53 (_diagonal_characters).  A first digit v
-    that some ratio lowers (r v < v as integers) never starts a least
-    tail, so only the tails of the other first digits are formed.  With one
-    character every point is kept.
+    exact while q^w < 2^53: a nontrivial group has q^K < 2^53
+    (_diagonal_characters), and the trivial group's scan reaches such a w
+    only after 2^53 points.  A first digit v that some ratio lowers (r v <
+    v as integers) never starts a least tail, so only the tails of the
+    other first digits are formed.  With one character every point is
+    kept, in projective_block order.
     """
     q, a = ctx.q, chars.shape[1]
-    if len(chars) == 1:
-        count = (q**a - 1) // (q - 1)
-        for sl in _blocks(count, a):
-            yield projective_block(q, a, sl.start, min(sl.stop, count))
-        return
     onehot = np.eye(q, q - 1, -1)
     field = np.arange(q)
     yield np.eye(1, a, a - 1, dtype=np.int64)  # w = 0: the last unit vector
@@ -428,10 +419,8 @@ def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
     a, npts, lines = k - b, len(points), len(group)
     high_rows, low_rows = _agreement_tables(q)
     digits = np.arange(q**b)[:, None] // q ** np.arange(b - 1, -1, -1) % q
-    # z[l, p] = l . g~_p; at b = 0 the one empty low part is built here,
-    # since an extension field's np_matmul shapes an empty inner product wrong
-    z = ctx.np_matmul(digits, points.T) if b else np.zeros((1, 0), dtype=np.int64)
-    best = int(((z[1:] != 0) @ np.bincount(group, minlength=npts)).min()) if b else nn
+    z = ctx.np_matmul(digits, points.T)  # z[l, p] = l . g~_p
+    best = int(((z[1:] != 0) @ np.bincount(group, minlength=npts)).min(initial=nn))
     table = np.take(low_rows, z, axis=0).reshape(len(z), npts * (q - 1))
     del z
     # slots[j q + x] is the count slot of line j (in order) where h . G_high
@@ -471,9 +460,12 @@ def random_alternating_forms(ctx: FieldCtx, dim: int, rng: np.random.Generator, 
     One draw of all count rows takes the same values from rng as count
     draws of one row.  Only a zero row, which one-row draws redraw at once,
     sets them apart: then rng goes back to its state before the draw and
-    the rows are drawn one by one.
+    the rows are drawn one by one.  The draw is admitted first: the
+    messages and eight (count, dim, dim) int64 stacks cover the peak that
+    tracemalloc measures at dim 5 to 11.
     """
     k = dim * (dim - 1) // 2
+    check_memory(8 * count * (k + 8 * dim * dim), f"{count} random forms of dimension {dim}")
     state = rng.bit_generator.state
     msgs = rng.integers(0, ctx.q, size=(count, k), dtype=np.int64)
     if not msgs.any(axis=1).all():

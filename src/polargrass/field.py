@@ -208,12 +208,16 @@ class FieldCtx:
         product of C-ordered operands with at most 10^6 multiply-adds on
         the calling thread (see geometry._blocks).  Over an extension field
         an int64 table product.
+
+        For operands of two axes or more the result has np.matmul's shape,
+        also when an axis is empty.
         """
         a, b = self.np_operand(a), self.np_operand(b)
         if self.e == 1:
             wide = a.shape[-1] * (self.p - 1) ** 2 >= 1 << 31
             return self._mod((a @ b).astype(np.int64 if wide else np.int32))
-        acc = np.zeros(np.broadcast_shapes(a[..., :1].shape, b[..., :1, :].shape)[:-1] + (b.shape[-1],), dtype=np.int64)
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+        acc = np.zeros(shape, dtype=np.int64)
         for k in range(a.shape[-1]):
             acc = self._add_table[acc, self._mul_table[a[..., k, None], b[..., k, None, :]]]
         return acc

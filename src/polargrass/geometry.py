@@ -14,8 +14,10 @@ ascending lexicographic order, together with the generator pair and the ids
 of their q+1 member points.
 
 The one codeword kernel, _codewords, evaluates a batch of messages on the
-lines' Plücker rows, one product per block of lines: the code's weights,
-its exhaustive scan and the isotropic-line masks all run through it.
+lines' Plücker rows, one product per block of lines: the code's codewords
+and weights and the isotropic-line masks run through it.  The exhaustive
+scan (code.min_distance_exact) is the one exception: it multiplies its
+high parts against its own reordered generator rows.
 
 The per-form data of verify come from stacked kernels, each one pass per
 block of points or lines over all the forms on one space: the residue
@@ -528,12 +530,6 @@ def _type_keys(q: int) -> np.ndarray:
     return np.array([(q + 2) * n_plus + n_minus for _, (n_plus, _, n_minus) in sorted(patterns.items())])
 
 
-def _form_chunks(q: int, nb: int) -> list[slice]:
-    """Chunks of a stack of nb forms whose histograms of the (q+2)^2
-    key-sum patterns of _line_type_blocks stay within a block (_blocks)."""
-    return _blocks(nb, (q + 2) ** 2)
-
-
 def _line_type_blocks(qs: QuadraticSpace, codes: np.ndarray):
     """Per block of lines in order, (block, sums): the (lines, B) key sums
     of a (B, points) stack of residue rows.
@@ -541,23 +537,17 @@ def _line_type_blocks(qs: QuadraticSpace, codes: np.ndarray):
     Each point gets a key, q+2 for a plus point, 1 for a minus point and 0
     otherwise, so the key sum of a line's q+1 points is (q+2) n_plus +
     n_minus.  As n_plus + n_minus <= q+1, the sum fixes the pattern
-    (n_plus, n_W, n_minus) and lies below (q+2)^2.  Form b's sums are
-    offset by (q+2)^2 times its place in its chunk (_form_chunks), carried
-    by the keys of the lines' first points, so that one bincount counts
-    the patterns of a whole chunk.
+    (n_plus, n_W, n_minus) and lies below (q+2)^2.
     """
     q = qs.ctx.q
     key = np.zeros(len(RESIDUE_NAMES), dtype=np.int32)
     key[RESIDUE_PLUS], key[RESIDUE_MINUS] = q + 2, 1
     keys = key[codes.T]  # (points, B): a member id gathers one row
-    first = keys.copy()
-    for chunk in _form_chunks(q, len(codes)):
-        first[:, chunk] += (q + 2) ** 2 * np.arange(first[:, chunk].shape[1], dtype=np.int32)
     mem = enumerate_singular_lines(qs).members()
     # the key sum and a gathered column, and the sums the bincount copies
     for blk in _blocks(len(mem), 3 * len(codes)):
         cols = mem[blk]
-        total = first[cols[:, 0]]
+        total = keys[cols[:, 0]]
         for c in range(1, q + 1):
             total += keys[cols[:, c]]
         yield blk, total
@@ -567,11 +557,10 @@ def _no_type(q: int, blk: slice, total: np.ndarray):
     """Raise TypeNotInTable for a block of key sums of _line_type_blocks
     that holds a line whose pattern is in no type, naming the first form
     with such a line there and that form's first such line."""
-    pattern = total % (q + 2) ** 2
-    bad = ~np.isin(pattern, _type_keys(q))
+    bad = ~np.isin(total, _type_keys(q))
     form = int(bad.any(axis=0).argmax())
     line = int(bad[:, form].argmax())
-    n_plus, n_minus = divmod(int(pattern[line, form]), q + 2)
+    n_plus, n_minus = divmod(int(total[line, form]), q + 2)
     raise TypeNotInTable(
         f"line {blk.start + line} has pattern (n+, nW, n-) = ({n_plus}, {q + 1 - n_plus - n_minus}, {n_minus})"
     )
@@ -581,21 +570,24 @@ def _line_type_stack(qs: QuadraticSpace, codes: np.ndarray) -> np.ndarray:
     """Line-type census (B, 5) of a (B, points) stack of residue rows: per
     form, the number of lines of each type (see LINE_TYPE_NAMES).
 
-    Per block of lines, the key sums of each chunk of forms are bincounted
-    into a per-form histogram of the (q+2)^2 patterns, whose five type
-    columns are added to the census.  A chunk whose typed lines fall short
-    of its sums holds a line of no type, and raises TypeNotInTable there
-    (see _no_type), so the first block that holds one is the one named.
+    Per block of lines, the key sums of each chunk of forms, whose
+    histograms of the (q+2)^2 patterns stay within a block (_blocks), are
+    bincounted into those histograms, form b's sums offset by (q+2)^2
+    times its place in the chunk; their five type columns are added to the
+    census.  A chunk whose typed lines fall short of its sums holds a line
+    of no type, and raises TypeNotInTable there (see _no_type), so the
+    first block that holds one is the one named.
     """
     q, nb = qs.ctx.q, len(codes)
     size = (q + 2) ** 2
     typed = _type_keys(q)
-    chunks = _form_chunks(q, nb)
+    chunks = _blocks(nb, size)
     census = np.zeros((nb, len(LINE_TYPE_NAMES)), dtype=np.int64)
     for blk, total in _line_type_blocks(qs, codes):
         for chunk in chunks:
             part = total[:, chunk]
-            counts = np.bincount(part.ravel(), minlength=part.shape[1] * size).reshape(-1, size)[:, typed]
+            sums = part + size * np.arange(part.shape[1], dtype=np.int32)
+            counts = np.bincount(sums.ravel(), minlength=part.shape[1] * size).reshape(-1, size)[:, typed]
             if counts.sum() < part.size:
                 _no_type(q, blk, part)
             census[chunk] += counts

@@ -237,6 +237,15 @@ def test_negative_samples(capsys, command):
     assert "samples" in err
 
 
+@pytest.mark.parametrize("samples", [2**63 - 1, 2**63, 10**20])
+def test_samples_past_memory_are_refused(capsys, samples):
+    # the draw of the sampled forms is admitted before numpy is asked for it
+    rc, _, err = run(capsys, "verify", "--q", "3", "--n", "2", "--samples", str(samples))
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv,env,what",
     [

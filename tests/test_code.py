@@ -46,6 +46,7 @@ from polargrass.field import field_ctx
 from polargrass.forms import (
     canonical_form,
     point_bytes,
+    projective_block,
     projective_points,
     standard_space,
 )
@@ -250,6 +251,16 @@ def test_random_forms_are_drawn_as_one_row_at_a_time(q, dim, seed):
     # at q = 3 and dim = 3 a row is zero with probability 1/27
     zero_row = not np.random.default_rng(seed).integers(0, q, size=(count, k)).any(axis=1).all()
     assert zero_row == (dim == 3)
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_random_forms_are_admitted_by_their_peak(monkeypatch, q):
+    # the admitted bytes cover the traced peak of the draw and its forms
+    needs = []
+    monkeypatch.setattr(code_module, "check_memory", lambda need, what: needs.append(need))
+    for dim in (5, 9):
+        peak, _ = traced_peak(lambda: random_alternating_forms(field_ctx(q), dim, np.random.default_rng(0), 10000))
+        assert peak <= needs[-1]
 
 
 def test_first_coordinate_message():
@@ -548,13 +559,18 @@ def orbit_keys(ctx, chars, points):
     return np.array([ctx.np_normalize_rows(ctx.np_mul(chi, points)) @ powers for chi in chars])
 
 
-# a = 4, 6 and 7 are the scan's high widths at (2,3), (2,5) and (2,9)
-@pytest.mark.parametrize("q,a", [(3, 1), (3, 2), (3, 4), (3, 7), (3, 10), (5, 6), (9, 7)])
-def test_orbit_representatives_cover_once(q, a):
+# a = 4, 6 and 7 are the scan's high widths at (2,3), (2,5) and (2,9); the
+# one-character cases walk the trivial group
+ORBIT_CASES = [(3, 1, False), (3, 2, False), (3, 4, False), (3, 7, False), (3, 10, False), (5, 6, False), (9, 7, False)]
+ORBIT_CASES += [(3, 4, True), (9, 3, True)]
+
+
+@pytest.mark.parametrize("q,a,one", ORBIT_CASES, ids=[f"{q}-{a}" + "-one-character" * one for q, a, one in ORBIT_CASES])
+def test_orbit_representatives_cover_once(q, a, one):
     # the orbits of the kept points under H x F_q^* are pairwise disjoint
     # and together are every point of PG(a-1, q)
     code = the_code(q, 2)
-    chars = code_module._diagonal_characters(code)[:, :a]
+    chars = np.ones((1, a), dtype=np.int64) if one else code_module._diagonal_characters(code)[:, :a]
     reps = np.vstack(list(code_module._orbit_representatives(code.ctx, chars)))
     keys = np.sort(orbit_keys(code.ctx, chars, reps), axis=0)
     orbits = keys[np.vstack([np.ones((1, len(reps)), bool), keys[1:] != keys[:-1]])]
@@ -562,7 +578,11 @@ def test_orbit_representatives_cover_once(q, a):
     # every key is that of a point of PG(a-1, q), so total distinct keys
     # are all of them
     assert len(orbits) == len(np.unique(orbits)) == total
-    assert len(reps) < total or a == 1
+    if one:
+        # the trivial group keeps every point, in projective_block order
+        assert np.array_equal(reps, projective_block(q, a, 0, total))
+    else:
+        assert len(reps) < total or a == 1
 
 
 def test_orbit_representatives_counts():

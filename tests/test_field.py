@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from polargrass.errors import EvenCharacteristic, InadmissibleParams, NotPrime, RankDeficient
 from polargrass.field import _poly_divmod, field_ctx
@@ -281,6 +282,28 @@ def test_np_matmul_matches_scalar_matmul(q):
             for k in range(3):
                 acc = add(ctx, acc, ctx.mul(int(a[i, k]), int(b[k, j])))
             assert c[i, j] == acc
+
+
+@given(
+    q=st.sampled_from([3, 5, 9, 25, 27]),
+    shapes=mutually_broadcastable_shapes(signature="(m,k),(k,n)->(m,n)", min_side=0, max_side=3, max_dims=2),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_np_matmul_has_the_shape_and_entries_of_a_field_product(q, shapes, data):
+    # np.matmul's shape, the broadcast batch axes then (m, n), also with an
+    # empty axis, and each entry the field sum of its k products
+    ctx = field_ctx(q)
+    a, b = (data.draw(arrays(np.int64, shape, elements=st.integers(0, q - 1))) for shape in shapes.input_shapes)
+    c = ctx.np_matmul(a, b)
+    assert c.shape == np.matmul(a, b).shape == shapes.result_shape
+    batch = c.shape[:-2]
+    a, b = np.broadcast_to(a, batch + a.shape[-2:]), np.broadcast_to(b, batch + b.shape[-2:])
+    for *stack, i, j in np.ndindex(c.shape):
+        acc = 0
+        for k in range(a.shape[-1]):
+            acc = add(ctx, acc, ctx.mul(int(a[(*stack, i, k)]), int(b[(*stack, k, j)])))
+        assert c[(*stack, i, j)] == acc
 
 
 def python_matmul(p, a, b):
