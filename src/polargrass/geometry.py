@@ -570,13 +570,13 @@ def _line_type_stack(qs: QuadraticSpace, codes: np.ndarray) -> np.ndarray:
     """Line-type census (B, 5) of a (B, points) stack of residue rows: per
     form, the number of lines of each type (see LINE_TYPE_NAMES).
 
-    Per block of lines, the key sums of each chunk of forms, whose
-    histograms of the (q+2)^2 patterns stay within a block (_blocks), are
-    bincounted into those histograms, form b's sums offset by (q+2)^2
-    times its place in the chunk; their five type columns are added to the
-    census.  A chunk whose typed lines fall short of its sums holds a line
-    of no type, and raises TypeNotInTable there (see _no_type), so the
-    first block that holds one is the one named.
+    Per block of lines, one bincount counts the patterns of a chunk of
+    forms: form b's key sums are offset by (q+2)^2 times its place in the
+    chunk, and a chunk's histograms stay within a block (_blocks).  Their
+    five type columns are added to the census.  A chunk whose typed lines
+    fall short of its sums holds a line of no type, and raises
+    TypeNotInTable there (see _no_type), so the first block that holds one
+    is the one named.
     """
     q, nb = qs.ctx.q, len(codes)
     size = (q + 2) ** 2
