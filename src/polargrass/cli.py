@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 verification mismatch or counterexample, 2 bad or
 inadmissible input (a malformed or negative POLAR_BUDGET, a negative
---samples, --seed or --budget, an (n, q) whose points, lines or code cannot
-fit in memory) or out of memory, 3 I/O failure.  Identical configurations
-(including the seed) produce byte-identical output.
+--samples, --seed or --budget, search --samples past the budget, an (n, q)
+whose points, lines or code cannot fit in memory) or out of memory, 3 I/O
+failure.  Identical configurations (including the seed) produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .code import (
     min_distance_certified,
 )
 from .counting import CHECKS, line_count_from_census, run_checks
-from .errors import CounterexampleFound, InadmissibleParams, IoError, PolargrassError
+from .errors import BudgetExceeded, CounterexampleFound, InadmissibleParams, IoError, PolargrassError
 from .field import FieldCtx
 from .forms import AlternatingForm, standard_space
 from .geometry import empirical_census
@@ -81,9 +82,10 @@ def _check_nonnegative(name: str, value: int) -> None:
         raise InadmissibleParams(f"{name} must be >= 0, got {value}")
 
 
-def _budget(args) -> int:
+def _budget(flag: int = DEFAULT_BUDGET) -> int:
+    """The work budget: POLAR_BUDGET if it is set, else flag."""
     name = "POLAR_BUDGET" if "POLAR_BUDGET" in os.environ else "budget"
-    raw = os.environ.get("POLAR_BUDGET", args.budget)
+    raw = os.environ.get("POLAR_BUDGET", flag)
     try:
         budget = int(raw)
     except ValueError:
@@ -136,7 +138,7 @@ def cmd_verify(args) -> int:
     FieldCtx(args.q)
     _check_nonnegative("samples", args.samples)
     _check_nonnegative("seed", args.seed)
-    budget = _budget(args)
+    budget = _budget(args.budget)
     names = args.check if args.check else ["all"]
     if any(x is not None for x in (args.case, args.r, args.d)) and not all(
         n in ("census-all", "equation-counts") for n in names
@@ -188,6 +190,9 @@ def cmd_search(args) -> int:
     ctx = FieldCtx(args.q)
     _check_nonnegative("samples", args.samples)
     _check_nonnegative("seed", args.seed)
+    budget = _budget()
+    if args.samples > budget:
+        raise BudgetExceeded(f"{args.samples} samples exceed the budget {budget}", bound=args.samples)
     code = build_code(standard_space(ctx, args.n))
     try:
         rec = min_distance_certified(code, samples=args.samples, seed=args.seed)

@@ -37,7 +37,9 @@ from .forms import (
     _check_n,
 )
 from .geometry import (
+    PAIR_BLOCK_ENTRIES,
     LineSet,
+    _block_rows,
     _blocks,
     _codewords,
     _encode_rows,
@@ -53,11 +55,9 @@ DEFAULT_BUDGET = 10**7
 # The exhaustive scan (min_distance_exact) splits a message into a high and
 # a low part.  SCAN_TABLE_ROWS is the number of low parts its table aims
 # for: the low width b is the smallest with q^b >= SCAN_TABLE_ROWS, so the
-# GEMM of each block runs near BLAS speed.  SCAN_BLOCK_BYTES bounds the
-# per-high-part arrays of one block of the scan, and 16 of it bound the
-# float32 table, past which b is lowered.
+# GEMM of each block runs near BLAS speed.  Its blocks of high parts are
+# sized by geometry._block_rows, as in every blocked kernel.
 SCAN_TABLE_ROWS = 512
-SCAN_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -395,10 +395,10 @@ def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
 
     b is the smallest width whose q^b low parts reach SCAN_TABLE_ROWS, so
     each GEMM is wide enough to run near BLAS speed, lowered while the
-    table's q^b P(q-1) float32 exceed 16 SCAN_BLOCK_BYTES.  A block holds
-    as many high parts as the bytes of all its per-row arrays allow within
-    SCAN_BLOCK_BYTES: arrays past glibc's mmap threshold are faulted in
-    afresh on every call.
+    table's q^b P(q-1) float32 entries exceed those of 16 blocks (4 MiB).
+    A block holds as many high parts as _block_rows allows for the 8-byte
+    entries of all their per-row arrays (_scan_row_bytes), with no cap on
+    multiply-adds, which would hold a block to 13 high parts at (2,5).
     """
     check_scan_budget(code.params, budget)
     ctx = code.ctx
@@ -413,7 +413,7 @@ def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
         b += 1
     while True:
         order, points, group, scale = _low_groups(ctx, code.generator[k - b :])
-        if b == 0 or 4 * q**b * len(points) * (q - 1) <= 16 * SCAN_BLOCK_BYTES:
+        if b == 0 or q**b * len(points) * (q - 1) <= 16 * (PAIR_BLOCK_ENTRIES >> 4):
             break
         b -= 1
     a, npts, lines = k - b, len(points), len(group)
@@ -428,7 +428,7 @@ def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
     slots = (group[:, None] * q + ctx.np_mul(np.arange(q), ctx.np_inv(scale)[:, None])).ravel()
     base = q * np.arange(lines)
     gh = ctx.np_operand(code.generator[:a, order])
-    step = max(1, SCAN_BLOCK_BYTES // _scan_row_bytes(q, a, b, nn, lines, npts))
+    step = _block_rows(-(-_scan_row_bytes(q, a, b, nn, lines, npts) // 8))
     offsets = npts * q * np.arange(step)[:, None]
     for high in _filled(_orbit_representatives(ctx, chars[:, :a]), step):
         rows = len(high)

@@ -20,33 +20,19 @@ MAX_EXT_DEGREE = 4
 MAX_ORDER = 2048
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _factor_prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e, p prime: the least divisor p >= 2 of q is
+    prime, so q is a prime power exactly when it is a power of p."""
     if q < 2:
         raise NotPrime(f"field order must be at least 2, got {q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1 or not _is_prime(p):
-                raise NotPrime(f"{q} is not a prime power")
-            return p, e
-    raise NotPrime(f"{q} is not a prime power")
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    e, m = 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise NotPrime(f"{q} is not a prime power")
+    return p, e
 
 
 def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import polargrass
-from polargrass import forms
+from polargrass import forms, geometry
 from polargrass.cli import main
+from polargrass.code import memory_estimate
 from polargrass.counting import CHECKS
 from polargrass.field import field_ctx
 from polargrass.forms import canonical_form
@@ -344,20 +346,6 @@ def weight_files(draw):
     return data
 
 
-@given(weight_files())
-@example(b"\xff\xfe\x00")
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_weight_on_any_file_exits_cleanly(tmp_path, capsys, monkeypatch, data):
-    # 16 MiB available, so no example builds more than a small space
-    proc_kib = forms._proc_kib
-    monkeypatch.setattr(forms, "_proc_kib", lambda path, key: 16 << 10 if key == "MemAvailable" else proc_kib(path, key))
-    path = tmp_path / "form.txt"
-    path.write_bytes(data)
-    rc, _, err = run(capsys, "weight", str(path))
-    assert rc in (0, 2, 3)
-    assert rc == 0 or err.startswith("error: ")
-
-
 def test_weight_rejects_non_alternating(tmp_path, capsys):
     path = tmp_path / "sym.txt"
     path.write_text(format_matrix_text(3, np.eye(5, dtype=np.int64)))
@@ -407,6 +395,25 @@ def test_search_same_seed_same_bytes(capsys):
     rc2, out2, _ = run(capsys, *args)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_search_samples_past_the_budget_are_refused(capsys, monkeypatch):
+    # 10^11 samples ran past a 20 s timeout; they are refused before the
+    # code is built, by the exhaustive scan's default budget
+    monkeypatch.delenv("POLAR_BUDGET", raising=False)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "search", "--q", "3", "--n", "2", "--samples", str(10**11))
+    assert time.perf_counter() - start < 1
+    assert (rc, out, err) == (2, "", "error: 100000000000 samples exceed the budget 10000000\n")
+
+
+@pytest.mark.parametrize("budget,rc", [("10", 2), ("100", 0)])
+def test_search_samples_within_polar_budget(capsys, monkeypatch, budget, rc):
+    monkeypatch.setenv("POLAR_BUDGET", budget)
+    got, out, err = run(capsys, "search", "--q", "3", "--n", "2", "--samples", "20")
+    assert got == rc
+    assert err == ("" if rc == 0 else "error: 20 samples exceed the budget 10\n")
+    assert rc == 2 or json.loads(out)["samples_checked"] == 20
 
 
 def test_search_out_of_memory(capsys, monkeypatch):
@@ -532,3 +539,125 @@ def test_every_check_runs_or_refuses_at_n_100(capsys, name):
     assert rc in (0, 2)
     assert "Traceback" not in err
     assert rc == 0 or err.startswith("error: ")
+
+
+# ---------------------------------------------------------
+# any command line
+# ---------------------------------------------------------
+NEGATIVE = [-1, -(2**63), -(2**64) - 1]
+HUGE = [2**63 - 1, 2**63, 2**64 + 1, 10**30]
+ODD_BUDGETS = ["", " ", "abc", "-1", "-0", "0", "10", " 100 ", "+7", "1e3", "0x10", "1_000", "1.5",
+               "٣", "9" * 5000, "10000000000"]
+
+
+def values(*small):
+    return st.sampled_from([*small, *NEGATIVE, *HUGE])
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, weight file bytes or None, POLAR_BUDGET or None); argv's
+    paths start with {tmp}.
+
+    Fields: every order but 3, 5 and 9 is refused, 2039 by memory.  Sizes:
+    n = 2, n <= 1 and negative n everywhere, and n past 2^63 for build and
+    search.  Samples: a few, or past every valid budget drawn, which is at
+    most 10^10.  POLAR_BUDGET is unset, malformed or small."""
+    command = draw(st.sampled_from(["build", "verify", "weight", "search"]))
+    field = ["--q", str(draw(st.sampled_from([3, 5, 9]) | st.sampled_from([0, 1, 2, 4, 12, 2039, 2187, *NEGATIVE, *HUGE])))]
+    sizes = [1, 0, *NEGATIVE] + (HUGE if command in ("build", "search") else [])
+    size = ["--n", str(draw(st.just(2) | st.sampled_from(sizes)))]
+    out = draw(st.sampled_from(["{tmp}/out.txt", "{tmp}/missing/out.txt"]))
+    opt = {}
+    if command == "build":
+        opt["--format"] = draw(st.sampled_from(["text", "json"]))
+        opt["-o"] = draw(st.none() | st.just(out))
+    elif command == "verify" and draw(st.booleans()):
+        opt["--samples"] = draw(st.none() | values(0, 1, 5))
+        opt["--seed"] = draw(st.none() | values(0, 7))
+        opt["--budget"] = draw(st.none() | values(0, 10, 10**7))
+        opt["--r"] = draw(st.none() | values(0, 1, 2))
+        opt["--d"] = draw(st.none() | values(0, 1))
+        opt["--case"] = draw(st.none() | st.sampled_from([1, 2, 3, 4]))
+    if command == "verify":
+        opt["-o"] = draw(st.none() | st.just(out))
+    elif command == "search":
+        opt["--samples"] = draw(values(0, 1, 20))
+        opt["--seed"] = draw(st.none() | values(0, 7))
+        opt["-o"] = out
+    argv = [command] + ([] if command == "weight" else field + size)
+    argv += [f"{name}={value}" for name, value in opt.items() if value is not None]
+    argv += [f"--check={name}" for name in draw(st.lists(st.sampled_from(["all", "nope", *CHECKS]), max_size=2))
+             if command == "verify"]
+    data = None
+    if command == "weight":
+        argv += draw(st.sampled_from([[], field]))
+        data = draw(weight_files())
+        argv.append(draw(st.just("{tmp}/form.txt") | st.sampled_from(["{tmp}/missing.txt", "{tmp}"])))
+    return argv, data, draw(st.none() | st.sampled_from(ODD_BUDGETS))
+
+
+def available_64_mib(monkeypatch):
+    """64 MiB available to check_memory, so no admitted size is large."""
+    proc_kib = forms._proc_kib
+    monkeypatch.setattr(forms, "_proc_kib", lambda path, key: 64 << 10 if key == "MemAvailable" else proc_kib(path, key))
+
+
+@given(command_lines())
+@example((["weight", "{tmp}/form.txt"], b"\xff\xfe\x00", None))
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_main_on_any_command_line_exits_cleanly(tmp_path, capsys, monkeypatch, line):
+    # main returns 0, 2 (bad or refused input) or 3 (I/O), each refusal on
+    # stderr starting with "error: ", or 1 only with a witness file; no
+    # exception escapes.  Every size that would do real work is small.
+    argv, data, budget = line
+    available_64_mib(monkeypatch)
+    if budget is None:
+        monkeypatch.delenv("POLAR_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("POLAR_BUDGET", budget)
+    if data is not None:
+        (tmp_path / "form.txt").write_bytes(data)
+    witness = tmp_path / "out.txt"
+    witness.unlink(missing_ok=True)
+    rc, _, err = run(capsys, *[arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert rc in (0, 1, 2, 3)
+    assert rc != 1 or (argv[0] == "search" and witness.exists())
+    assert rc in (0, 1) or err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 27])
+@pytest.mark.parametrize("command", ["build", "search", "verify-points"])
+def test_a_refused_size_does_no_work(capsys, monkeypatch, command, n, q):
+    # With 64 MiB available, a size is refused before it reaches the points
+    # pass or the pairing of the singular lines, or it is admitted and
+    # reaches them: the code's estimate decides build and search, and the
+    # points' estimate a points check.
+    available_64_mib(monkeypatch)
+    monkeypatch.delenv("POLAR_BUDGET", raising=False)
+    reached = []
+
+    class Reached(Exception):
+        pass
+
+    def spy(name):
+        def stop(*args, **kwargs):
+            reached.append(name)
+            raise Reached
+
+        return stop
+
+    monkeypatch.setattr(geometry, "_point_values", spy("_point_values"))
+    monkeypatch.setattr(geometry, "_singular_pairs", spy("_singular_pairs"))
+    argv = {"build": ["build"], "search": ["search", "--samples=1"], "verify-points": ["verify", "--check=orbit-counts"]}
+    need = geometry.quadric_point_bytes(n, q) if command == "verify-points" else memory_estimate(n, q)
+    try:
+        rc, _, err = run(capsys, *argv[command], f"--q={q}", f"--n={n}")
+    except Reached:
+        rc = None
+    if need > 64 << 20:
+        assert (rc, reached) == (2, [])
+        assert err.startswith("error: ") and "needs at least" in err
+    else:
+        assert (rc, reached) == (None, ["_point_values"])

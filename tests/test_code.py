@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from polargrass import code as code_module
 from polargrass import geometry
 from polargrass.code import (
-    SCAN_BLOCK_BYTES,
     BudgetExceeded,
     PolarCode,
     _weights_np,
@@ -349,11 +348,11 @@ def test_min_distance_exact_peak_memory():
     # float64, int32 and two int32 mod temporaries, and the int64 digits
     # of every low part; per line its place in the order, group, scale,
     # slot base, q slots and float64 high column, all 8 bytes; one block's
-    # per-row arrays, within SCAN_BLOCK_BYTES; and the last block of the
-    # orbit representatives, within their own peak.  The N(q-1)-wide
-    # table of one feature per line and value is 1.6 MB at (2,5) and
-    # 19 MB at (2,9), past this bound.  b = 4 at (2,5) and 3 at (2,9):
-    # 5^4 = 625 and 9^3 = 729 are the first powers to reach
+    # per-row arrays, within the 512 KiB of a block (_block_rows); and the
+    # last block of the orbit representatives, within their own peak.  The
+    # N(q-1)-wide table of one feature per line and value is 1.6 MB at
+    # (2,5) and 19 MB at (2,9), past this bound.  b = 4 at (2,5) and 3 at
+    # (2,9): 5^4 = 625 and 9^3 = 729 are the first powers to reach
     # SCAN_TABLE_ROWS.
     for q, b in [(5, 4), (9, 3)]:
         code = the_code(q, 2)
@@ -365,7 +364,8 @@ def test_min_distance_exact_peak_memory():
         low = q**b * (20 * npts + 8 * b)
         per_line = 8 * nn * (4 + q + k - b)
         peak, d = traced_peak(lambda: min_distance_exact(code, budget=10**9))
-        assert peak <= max(certify, table + low + per_line + SCAN_BLOCK_BYTES + reps)
+        block = 8 * (geometry.PAIR_BLOCK_ENTRIES >> 4)
+        assert peak <= max(certify, table + low + per_line + block + reps)
         assert d == code.params.d_claimed
 
 
@@ -408,14 +408,13 @@ def leading_rows_code(q, r):
 
 
 def small_scan_blocks(monkeypatch, code):
-    """A table of at most q rows and one high part per block: the block
-    bytes are those of one high part at b = 1, which has at most one point,
-    and 16 of them hold that table."""
+    """A table of q rows and one high part per block: a block holds the
+    8-byte entries of one high part at b = 1, which has at most one point."""
     q, k, nn = code.params.q, code.params.K, code.params.N
     lines = int(np.count_nonzero(code.generator[-1]))
     row = code_module._scan_row_bytes(q, k - 1, 1, nn, lines, int(lines > 0))
     monkeypatch.setattr(code_module, "SCAN_TABLE_ROWS", q)
-    monkeypatch.setattr(code_module, "SCAN_BLOCK_BYTES", row)
+    monkeypatch.setattr(geometry, "PAIR_BLOCK_ENTRIES", 16 * -(-row // 8))
 
 
 @pytest.mark.parametrize("q,r", [(3, 7), (5, 5), (7, 6), (9, 4), (27, 3)])

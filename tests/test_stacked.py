@@ -314,6 +314,23 @@ def test_line_kernels_match_references_on_every_canonical_shape(n, q):
         assert dict(zip(LINE_TYPE_NAMES, types[i].tolist())) == reference_type_census(qs, af)
 
 
+def test_line_types_of_many_forms_match_references_at_q27():
+    # 78 random forms at (2,27): more than the 77 whose (q+2)^2 = 841 key
+    # sums would fit one block.  Every form's census from one stacked call
+    # matches the reference types of its residue row, and line_type_codes
+    # of the first and last form match the reference from their forms.
+    qs = standard_space(field_ctx(27), 2)
+    afs = random_alternating_forms(qs.ctx, qs.dim, np.random.default_rng(27), 78)
+    assert len(afs) > (geometry.PAIR_BLOCK_ENTRIES >> 4) // 29**2
+    residue = geometry._residue_stack(qs, afs)
+    types = geometry._line_type_stack(qs, residue)
+    for row, census in zip(residue, types):
+        codes = reference_line_types(qs, row)[0]
+        assert census.tolist() == np.bincount(codes, minlength=len(LINE_TYPE_NAMES)).tolist()
+    for af in (afs[0], afs[-1]):
+        assert line_type_codes(qs, af).tolist() == reference_line_type_codes(qs, af).tolist()
+
+
 @pytest.mark.parametrize("n,q", sorted(SPACES))
 def test_tau_and_radical_splits_match_references_on_every_canonical_shape(monkeypatch, n, q):
     # One stack of the canonical forms carried onto the standard space,
@@ -451,7 +468,7 @@ def test_the_first_block_with_a_line_of_no_type_is_named(monkeypatch, bound):
     # Two corrupted residue rows, forms 0 and 2, whose first untyped lines
     # fall in different blocks of lines: the census names form 2's line,
     # which lies in the earlier block, although form 0 comes first; also
-    # when each form's histogram is a chunk of its own (the smaller bound).
+    # when a block holds only a few lines (the smaller bound).
     qs = SPACES[3, 3]
     afs = random_alternating_forms(qs.ctx, qs.dim, np.random.default_rng(5), 3)
     late_codes, late, late_message = corrupted_classes(qs, afs[0], 3000)
