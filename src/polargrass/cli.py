@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--case", type=int, default=None, choices=(1, 2, 3, 4), help="restrict census entries to this case")
     v.add_argument("--samples", type=int, default=100, help="random forms per sampled check (default 100)")
     v.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    v.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="exhaustive-scan budget; POLAR_BUDGET overrides")
+    v.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="work budget of the exhaustive scan and the maxima checks; POLAR_BUDGET overrides")
     v.add_argument("-o", "--output", metavar="PATH", help="write the JSON report here instead of stdout")
 
     w = sub.add_parser("weight", help="weight of the codeword of a form file")

@@ -195,13 +195,18 @@ def codeword_from_form(code: PolarCode, af: AlternatingForm) -> Codeword:
     return Codeword(values=vals, weight=int((vals != 0).sum()))
 
 
-def check_scan_budget(params: CodeParams, budget: int) -> None:
-    """Raise BudgetExceeded if an exhaustive scan exceeds the budget.
+def check_scan_budget(q: int, k: int, budget: int) -> None:
+    """Raise BudgetExceeded if an exhaustive scan of a code of dimension k,
+    its (q^k - 1)/(q - 1) projective messages, exceeds the budget.
 
-    A count past 1000 bits is named as more than 10^k, k from its bit
-    length: str() refuses an int of over 4300 digits.
+    A count past 1000 bits is named as more than 10^j, j from its bit
+    length: str() refuses an int of over 4300 digits.  One past the budget
+    by over 2^20 bits, read off (k - 1) log2 q, is named as that quotient,
+    and q^k is not computed.
     """
-    total = (params.q**params.K - 1) // (params.q - 1)
+    if (k - 1) * math.log2(q) > 2**20 + budget.bit_length():
+        raise BudgetExceeded(f"({q}^{k} - 1)/({q} - 1) projective messages exceed the budget {budget}")
+    total = (q**k - 1) // (q - 1)
     if total > budget:
         bits = total.bit_length()
         count = total if bits <= 1000 else f"more than 10^{int((bits - 1) * math.log10(2))}"
@@ -400,7 +405,7 @@ def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
     entries of all their per-row arrays (_scan_row_bytes), with no cap on
     multiply-adds, which would hold a block to 13 high parts at (2,5).
     """
-    check_scan_budget(code.params, budget)
+    check_scan_budget(code.params.q, code.params.K, budget)
     ctx = code.ctx
     q, k, nn = code.params.q, code.params.K, code.params.N
     if nn >= 1 << 24:

@@ -535,6 +535,7 @@ def verify_line_count_identity(table: FormTable) -> dict:
     the residue constant of its class, for canonical and random forms: one
     array pass over all of them."""
     n, q = table.n, table.q
+    table.space  # admits the points before any power of q
     c = residue_constants(n, q)
     # the residue constant of each class code: P_A, P_B, zero, plus, minus
     per_class = np.array([c["A0"], c["A0"], c["B0"], c["Bplus"], c["Bminus"]])
@@ -570,6 +571,7 @@ def verify_line_types(table: FormTable) -> dict:
     """Every singular line matches one of the five types, and the per-class
     flag identities (hence the imbalance identity) hold."""
     n, q = table.n, table.q
+    table.space  # admits the points before any power of q
     lpp = (q ** (2 * n - 2) - 1) // (q - 1)
     try:
         _, t_plus, t_alpha, t_beta, t_minus = table.line_types.T
@@ -624,10 +626,20 @@ def verify_orbit_counts(table: FormTable) -> dict:
     )
 
 
+def _admit_maxima(table: FormTable) -> None:
+    """Raise BudgetExceeded if n^3 exceeds the work budget: a maxima check
+    evaluates about n^2 closed forms of O(n) digits each."""
+    work = table.n**3
+    if work > table.budget:
+        raise BudgetExceeded(f"the maxima at n = {table.n} take n^3 = {work} steps, past the budget {table.budget}",
+                             bound=work)
+
+
 def verify_grid_maxima(table: FormTable) -> dict:
     """The case-1 maximum: location, closed value, complement identity, the
     objective reduction, and domination of the other cases."""
     n, q = table.n, table.q
+    _admit_maxima(table)
     best = None
     arg = None
     identities_ok = True
@@ -678,6 +690,7 @@ def verify_case_maxima(table: FormTable) -> dict:
     n, q = table.n, table.q
     if n < 3:
         raise InadmissibleParams("case maxima are tabulated for n >= 3 only")
+    _admit_maxima(table)
     expected = {
         1: (2 * n - 1, 1),
         2: (1, 1) if n == 3 else (2 * n - 1, 1),
@@ -770,9 +783,9 @@ def verify_delta_bound(table: FormTable) -> dict:
 
 def verify_min_distance_exact(table: FormTable) -> dict:
     """Exhaustive minimum distance against the closed value, the budget
-    checked before the code is built."""
+    checked on K = n(2n+1) before the code or its parameters are built."""
     n, q = table.n, table.q
-    check_scan_budget(code_parameters(n, q), table.budget)
+    check_scan_budget(q, n * (2 * n + 1), table.budget)
     code = table.code
     d = min_distance_exact(code, budget=table.budget)
     ok = d == code.params.d_claimed

@@ -8,7 +8,7 @@ shapes (case 1..4); _shape builds a shape's basis-adapted Gram M and
 canonical S as arrays, standard_space and canonical_form wrap them in
 objects, and the classification helpers work for arbitrary forms.
 The radical splits of a list of forms on one space come from one stacked
-call, _radical_splits, one elimination per step for all the forms;
+call, _radical_splits, two eliminations for all the forms;
 radical_split is that call on one form.  Every
 nondegenerate Gram matrix of dimension 2n+1 is isometric, up to a scalar,
 to the standard one; isometries finds such isometries for a stack.
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InadmissibleParams, PolargrassError, RadicalMismatch, RankDeficient, TooLarge
 from .field import FieldCtx
-from .matrix import _check_range, _kernel_stack, determinants, inverse, kernel_bases, pivot_columns
+from .matrix import _check_range, determinants, inverse, kernel_bases, pivot_columns
 
 CASES = (1, 2, 3, 4)
 
@@ -118,7 +118,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 class QuadraticSpace:
     """Odd-dimensional space with a nondegenerate symmetric Gram matrix;
-    gram and gram_inv are read-only arrays."""
+    gram and gram_inv are read-only arrays, det is det(gram)."""
 
     def __init__(self, ctx: FieldCtx, n: int, gram):
         if n < 1:
@@ -129,16 +129,17 @@ class QuadraticSpace:
             raise InadmissibleParams(f"Gram matrix must be {dim}x{dim}")
         if not np.array_equal(gram, gram.T):
             raise InadmissibleParams("Gram matrix must be symmetric")
-        d = int(determinants(ctx, gram))
-        if d == 0:
+        det = int(determinants(ctx, gram))
+        if det == 0:
             raise RankDeficient("Gram matrix is degenerate")
         self.ctx = ctx
         self.n = n
         self.dim = dim
         self.gram = _frozen(gram)
         self.gram_inv = _frozen(inverse(ctx, gram))
+        self.det = det
         # (-1)^n det(M): a point v is external iff this times v M v^T is a square
-        self.disc_sign = ctx.neg(d) if n % 2 else d
+        self.disc_sign = ctx.neg(det) if n % 2 else det
         self._cache: dict = {}
 
     def __repr__(self) -> str:
@@ -251,55 +252,34 @@ def _stack(qs: QuadraticSpace, afs) -> np.ndarray:
 
 
 def _radical_splits(qs: QuadraticSpace, afs) -> np.ndarray:
-    """(r, d, m) of each of a list of forms on qs, as in radical_split.
+    """(r, d, m) of each of a list of forms on qs, as in radical_split,
+    from two stacked eliminations of the Grams G of the radicals R (zero
+    past each form's r): their pivot columns P, so d = r - rank G, and the
+    determinants of G[P, P] (the identity elsewhere).
 
-    Each step below is one stacked elimination over all the forms, each
-    form's matrices padded to the largest of the stack in a way that leaves
-    their kernel, determinant and pivot order as they are: the M-perp of
-    the radical R (its basis padded with zero rows), the radical D of M on
-    R (the Gram of R padded to diag(G, I)), the rows of D extended to a
-    basis of the perp (zero rows, so zero columns in the pivot pass; the
-    added rows span an H0), and the Witt index of M on H0 (diag(G, I)).
+    V = R' + H0 + d hyperbolic planes, orthogonally, where R' is spanned by
+    the radical rows at P: the pivot columns of a symmetric matrix make a
+    nonsingular G[P, P], so R' is a complement of D in R.  Hence disc H0 =
+    det M det G[P, P] (-1)^d, up to squares.  r and dim are odd, so an odd
+    d leaves H0 odd-dimensional, and m then does not read the sign.
     """
-    ctx, dim, gram = qs.ctx, qs.dim, qs.gram
+    ctx = qs.ctx
     _stack(qs, afs)  # raises DimensionMismatch for a form of another dimension
     rs = np.array([af.r for af in afs], dtype=np.int64)
-    b_r = np.zeros((len(afs), rs.max(), dim), dtype=np.int64)
+    b_r = np.zeros((len(afs), rs.max(), qs.dim), dtype=np.int64)
     # row j of form i's radical goes to b_r[i, j]
     slot = np.arange(rs.sum()) - (np.cumsum(rs) - rs).repeat(rs)
     b_r[np.arange(len(afs)).repeat(rs), slot] = np.concatenate([af.radical for af in afs])
-    b_m = ctx.np_matmul(b_r, gram)
-    perps, _ = _kernel_stack(ctx, b_m)
-    d_bases, ds = _kernel_stack(ctx, _pad_identity(ctx.np_matmul(b_m, b_r.transpose(0, 2, 1)), rs))
-    d_vecs = ctx.np_matmul(d_bases, b_r)
-    # extend D to a basis of the perp: the pivot columns of [D; perp]^T are
-    # the rows a greedy pass keeps, D first
-    keep = pivot_columns(ctx, np.concatenate([d_vecs, perps], axis=1).transpose(0, 2, 1))[:, d_vecs.shape[1] :]
-    ks = dim - rs - ds
-    kept = np.argsort(~keep, axis=1, kind="stable")[:, : ks.max()]
-    h0 = np.take_along_axis(perps, kept[:, :, None], axis=1)
-    h0[np.arange(h0.shape[1]) >= ks[:, None]] = 0
-    gram_h0 = _pad_identity(ctx.np_matmul(ctx.np_matmul(h0, gram), h0.transpose(0, 2, 1)), ks)
-    return np.stack([rs, ds, _witt_indices(ctx, gram_h0, ks)], axis=1)
-
-
-def _pad_identity(grams: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """grams, a (B, k, k) stack whose matrix i is G_i in its first sizes[i]
-    rows and columns and zero past them, with 1 put on the diagonal past
-    them, in place: diag(G_i, I), whose kernel is G_i's padded with zeros
-    and whose determinant is G_i's."""
-    pad = np.arange(grams.shape[-1]) >= sizes[:, None]
-    diag = np.arange(grams.shape[-1])
-    grams[:, diag, diag] = np.where(pad, 1, grams[:, diag, diag])
-    return grams
+    g = ctx.np_matmul(ctx.np_matmul(b_r, qs.gram), b_r.transpose(0, 2, 1))
+    p = pivot_columns(ctx, g)
+    ds = rs - p.sum(axis=1)
+    dets = determinants(ctx, np.where(p[:, :, None] & p[:, None, :], g, np.eye(g.shape[1], dtype=bool)))
+    return np.stack([rs, ds, _witt_indices(ctx, ctx.np_mul(qs.det, dets), qs.dim - rs - ds)], axis=1)
 
 
 def radical_split(qs: QuadraticSpace, af: AlternatingForm) -> dict:
-    """Radical data for an arbitrary form: r, d, and the Witt index over H0.
-
-    H0 is any complement of D inside the M-perp of R; its induced form is
-    nondegenerate, so the Witt index is basis independent.
-    """
+    """Radical data for an arbitrary form: r, d, and the Witt index m of M
+    on H0, any complement of D in the M-perp of R (see _radical_splits)."""
     return _split(qs, _radical_splits(qs, [af])[0])
 
 
@@ -311,16 +291,14 @@ def _split(qs: QuadraticSpace, row: np.ndarray) -> dict:
     return {"r": r, "d": d, "m": m}
 
 
-def _witt_indices(ctx: FieldCtx, grams: np.ndarray, sizes) -> np.ndarray:
-    """Witt index of each nondegenerate symmetric Gram matrix of a (B, k, k)
-    stack over F_q, q odd, matrix i of dimension sizes[i] padded to
-    diag(G_i, I) (see _pad_identity), from one stacked elimination."""
-    dets = determinants(ctx, grams)
-    if (dets == 0).any():
+def _witt_indices(ctx: FieldCtx, discs: np.ndarray, sizes) -> np.ndarray:
+    """Witt index of each nondegenerate symmetric form over F_q, q odd, of
+    dimension sizes[i] and discriminant discs[i] (up to squares)."""
+    if (discs == 0).any():
         raise RankDeficient("Gram matrix is degenerate")
     sizes = np.asarray(sizes, dtype=np.int64)
     t = sizes // 2
-    sign = np.where(t % 2 == 0, dets, ctx.np_neg(dets))
+    sign = np.where(t % 2 == 0, discs, ctx.np_neg(discs))
     return np.where(sizes % 2 == 1, t, np.where(ctx.np_is_square(sign), t, t - 1))
 
 

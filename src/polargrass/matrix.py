@@ -6,9 +6,8 @@ and forms hold are read-only.  `_check_range` checks a matrix where it
 enters the package.  Every row reduction is one elimination, `_eliminate`,
 written with the `FieldCtx` array operations, so prime and extension
 fields share it.  It reduces one matrix or a stack of them in one pass:
-`determinants`, `pivot_columns`, `kernel_bases` (padded: `_kernel_stack`)
-and `eigen_nullities` are its stacked entry points, and `rref` and
-`inverse` its single-matrix ones.
+`determinants`, `pivot_columns`, `kernel_bases` and `eigen_nullities` are
+its stacked entry points, and `rref` and `inverse` its single-matrix ones.
 `rank_np` ranks a wide matrix block by block through it.  Kernel bases are
 canonical (reduced row echelon), so subspaces compare as arrays.
 """
@@ -152,11 +151,10 @@ def inverse(ctx: FieldCtx, arr) -> np.ndarray:
     return red[:, n:]
 
 
-def _kernel_stack(ctx: FieldCtx, arr) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical kernel bases of a (B, r, c) stack, padded: a (B, k, c)
-    array whose matrix i holds its basis in its first nullities[i] rows and
-    zeros below, k the largest nullity; and the (B,) nullities.  One
-    elimination, and no step per matrix.
+def kernel_bases(ctx: FieldCtx, arr) -> list[np.ndarray]:
+    """Canonical (reduced row echelon) basis of the right null space of each
+    matrix of a stack (or of one matrix), from one elimination and no step
+    per matrix.
 
     Reduce the matrices with their columns reversed.  The null vector of a
     free column j has its 1 at j and its other entries at pivot columns left
@@ -168,8 +166,8 @@ def _kernel_stack(ctx: FieldCtx, arr) -> tuple[np.ndarray, np.ndarray]:
     masks, and a matrix's pivot rows come first in its reduced form.
     """
     a = np.asarray(arr, dtype=np.int64)
-    nb, nr, nc = a.shape
-    red, pivots, _ = _eliminate(ctx, a[..., ::-1])
+    nr, nc = a.shape[-2:]
+    red, pivots, _ = _eliminate(ctx, a.reshape((math.prod(a.shape[:-2]), nr, nc))[..., ::-1])
     nullity = nc - pivots.sum(axis=1)
     k = int(nullity.max(initial=0))
     # free columns by descending reversed index (ascending original index),
@@ -177,21 +175,10 @@ def _kernel_stack(ctx: FieldCtx, arr) -> tuple[np.ndarray, np.ndarray]:
     free = nc - 1 - np.argsort(pivots[:, ::-1], axis=1, kind="stable")[:, :k]
     piv = np.argsort(~pivots, axis=1, kind="stable")[:, : min(nr, nc)]
     vals = np.take_along_axis(red[:, : piv.shape[1]], free[:, None, :], axis=2)
-    vecs = np.zeros((nb, k, nc), dtype=np.int64)
+    vecs = np.zeros((len(red), k, nc), dtype=np.int64)
     np.put_along_axis(vecs, piv[:, None, :], ctx.np_neg(vals).transpose(0, 2, 1), axis=2)
     np.put_along_axis(vecs, free[:, :, None], 1, axis=2)
-    vecs[np.arange(k) >= nullity[:, None]] = 0
-    return vecs[..., ::-1], nullity
-
-
-def kernel_bases(ctx: FieldCtx, arr) -> list[np.ndarray]:
-    """Canonical (reduced row echelon) basis of the right null space of each
-    matrix of a stack (or of one matrix), from one elimination
-    (_kernel_stack)."""
-    a = np.asarray(arr, dtype=np.int64)
-    nr, nc = a.shape[-2:]
-    vecs, nullity = _kernel_stack(ctx, a.reshape((math.prod(a.shape[:-2]), nr, nc)))
-    return [basis[:k] for basis, k in zip(vecs, nullity.tolist())]
+    return [basis[:m] for basis, m in zip(vecs[..., ::-1], nullity.tolist())]
 
 
 def eigen_nullities(ctx: FieldCtx, arr) -> np.ndarray:

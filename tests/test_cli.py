@@ -439,7 +439,7 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def run_rlimited(*argv):
+def run_rlimited(*argv, script=RLIMITED_MAIN):
     """The CLI in a child process whose address space is capped at 1 GiB,
     so a wrongly admitted size fails there instead of filling the host.
     One BLAS thread keeps the child's address space independent of the
@@ -451,7 +451,7 @@ def run_rlimited(*argv):
         OMP_NUM_THREADS="1",
     )
     return subprocess.run(
-        [sys.executable, "-c", RLIMITED_MAIN, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, timeout=120, check=False,
     )
 
@@ -541,6 +541,28 @@ def test_every_check_runs_or_refuses_at_n_100(capsys, name):
     assert rc == 0 or err.startswith("error: ")
 
 
+TIMED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from polargrass.cli import main
+start = time.perf_counter()
+rc = main(sys.argv[1:])
+print(rc, time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize("name", ["line-count-identity", "line-type-census", "min-distance-exact", "grid-maxima",
+                                  "case-maxima"])
+def test_checks_at_n_2_63_are_refused_at_once(monkeypatch, name):
+    # these five computed a power of q with about 2^64 digits before any
+    # admission, and ran past a 5 s timeout; each now exits 2 within 1 s
+    monkeypatch.delenv("POLAR_BUDGET", raising=False)
+    res = run_rlimited("verify", "--q", "3", "--n", str(2**63), "--check", name, script=TIMED_MAIN)
+    rc, seconds = res.stdout.split()
+    assert rc == "2" and float(seconds) < 1
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
 # ---------------------------------------------------------
 # any command line
 # ---------------------------------------------------------
@@ -560,12 +582,11 @@ def command_lines(draw):
     paths start with {tmp}.
 
     Fields: every order but 3, 5 and 9 is refused, 2039 by memory.  Sizes:
-    n = 2, n <= 1 and negative n everywhere, and n past 2^63 for build and
-    search.  Samples: a few, or past every valid budget drawn, which is at
+    n = 2, n <= 1, negative n and n past 2^63 everywhere.  Samples: a few, or past every valid budget drawn, which is at
     most 10^10.  POLAR_BUDGET is unset, malformed or small."""
     command = draw(st.sampled_from(["build", "verify", "weight", "search"]))
     field = ["--q", str(draw(st.sampled_from([3, 5, 9]) | st.sampled_from([0, 1, 2, 4, 12, 2039, 2187, *NEGATIVE, *HUGE])))]
-    sizes = [1, 0, *NEGATIVE] + (HUGE if command in ("build", "search") else [])
+    sizes = [1, 0, *NEGATIVE, *HUGE]
     size = ["--n", str(draw(st.just(2) | st.sampled_from(sizes)))]
     out = draw(st.sampled_from(["{tmp}/out.txt", "{tmp}/missing/out.txt"]))
     opt = {}

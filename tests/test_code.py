@@ -378,10 +378,14 @@ def test_min_distance_budget():
         min_distance_exact(the_code(3, 2), budget=10)
     # (3^20100 - 1) / 2 has 9590 digits, past what str() converts
     with pytest.raises(BudgetExceeded, match="^more than 10\\^9589 projective messages exceed the budget 10$") as exc:
-        check_scan_budget(code_parameters(100, 3), 10)
+        check_scan_budget(3, code_parameters(100, 3).K, 10)
     assert exc.value.bound == (3**20100 - 1) // 2
     with pytest.raises(BudgetExceeded, match="^435848050 projective messages exceed the budget 10000000$"):
-        check_scan_budget(code_parameters(2, 9), 10**7)
+        check_scan_budget(9, code_parameters(2, 9).K, 10**7)
+    # past the budget by over 2^20 bits the power is never computed
+    k = 2**63 * (2**64 + 1)
+    with pytest.raises(BudgetExceeded, match=f"^\\(3\\^{k} - 1\\)/\\(3 - 1\\) projective messages exceed the budget 10$"):
+        check_scan_budget(3, k, 10)
 
 
 def brute_force_min_distance(code):

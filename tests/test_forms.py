@@ -3,19 +3,22 @@ import gc
 import os
 import resource
 import weakref
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polargrass import forms
+from polargrass import forms, matrix
+from polargrass.code import random_alternating_forms
 from polargrass.errors import InadmissibleParams, RadicalMismatch
 from polargrass.field import field_ctx
 from polargrass.forms import (
     AlternatingForm,
     QuadraticSpace,
     admissible_pairs,
+    alternating_forms,
     canonical_form,
     elliptic_gram,
     hyperbolic_gram,
@@ -25,6 +28,7 @@ from polargrass.forms import (
     standard_space,
 )
 from polargrass.geometry import orbit_counts
+from polargrass.matrix import determinants, kernel_bases, pivot_columns
 from test_matrix import bilinear_value, det, rank
 from test_stacked import form_profile
 
@@ -376,7 +380,7 @@ def test_witt_index_of_block_grams(q):
     ctx = field_ctx(q)
     for t in (1, 2):
         for gram in (hyperbolic_gram(ctx, t), parabolic_gram(ctx, t), elliptic_gram(ctx, t)):
-            assert forms._witt_indices(ctx, gram[None], [len(gram)]).tolist() == [t]
+            assert forms._witt_indices(ctx, determinants(ctx, gram[None]), [len(gram)]).tolist() == [t]
     assert hyperbolic_gram(ctx, 2).shape == (4, 4)
     assert parabolic_gram(ctx, 2).shape == (5, 5)
     assert elliptic_gram(ctx, 2).shape == (6, 6)
@@ -402,6 +406,118 @@ def test_radical_split_values():
     for (case, r, d), m in splits.items():
         qs, af = canonical_form(F3, 3, r, d, case)
         assert radical_split(qs, af) == {"r": r, "d": d, "m": m}
+
+
+# ---------------------------------------------------------
+# Radical splits against the four-step construction they replaced
+# ---------------------------------------------------------
+def padded_kernels(ctx, arr):
+    """The kernel bases of a (B, r, c) stack in a (B, k, c) array, each
+    padded with zero rows to the largest nullity k, and the nullities."""
+    bases = kernel_bases(ctx, arr)
+    out = np.zeros((len(bases), max(len(b) for b in bases), arr.shape[-1]), dtype=np.int64)
+    for i, basis in enumerate(bases):
+        out[i, : len(basis)] = basis
+    return out, np.array([len(b) for b in bases])
+
+
+def pad_identity(grams, sizes):
+    """diag(G_i, I) in place of the zero rows and columns past sizes[i]."""
+    diag = np.arange(grams.shape[-1])
+    grams[:, diag, diag] = np.where(diag >= sizes[:, None], 1, grams[:, diag, diag])
+    return grams
+
+
+def four_step_radical_splits(qs, afs):
+    """(r, d, m) of each form from four stacked eliminations: the M-perp of
+    the radical R, the radical D of M on R, the rows of D extended to a
+    basis of the perp (the added rows span an H0), and the Witt index of M
+    on H0 from its Gram's determinant.  The construction _radical_splits
+    replaced, kept as its oracle."""
+    ctx, dim, gram = qs.ctx, qs.dim, qs.gram
+    rs = np.array([af.r for af in afs])
+    b_r = np.zeros((len(afs), rs.max(), dim), dtype=np.int64)
+    for i, af in enumerate(afs):
+        b_r[i, : af.r] = af.radical
+    b_m = ctx.np_matmul(b_r, gram)
+    perps, _ = padded_kernels(ctx, b_m)
+    d_bases, ds = padded_kernels(ctx, pad_identity(ctx.np_matmul(b_m, b_r.transpose(0, 2, 1)), rs))
+    d_vecs = ctx.np_matmul(d_bases, b_r)
+    # the pivot columns of [D; perp]^T are the rows a greedy pass keeps, D first
+    keep = pivot_columns(ctx, np.concatenate([d_vecs, perps], axis=1).transpose(0, 2, 1))[:, d_vecs.shape[1] :]
+    ks = dim - rs - ds
+    kept = np.argsort(~keep, axis=1, kind="stable")[:, : ks.max()]
+    h0 = np.take_along_axis(perps, kept[:, :, None], axis=1)
+    h0[np.arange(h0.shape[1]) >= ks[:, None]] = 0
+    gram_h0 = pad_identity(ctx.np_matmul(ctx.np_matmul(h0, gram), h0.transpose(0, 2, 1)), ks)
+    return np.stack([rs, ds, forms._witt_indices(ctx, determinants(ctx, gram_h0), ks)], axis=1)
+
+
+def atja(ctx, rng, dim, rank):
+    """A^T J A for J the standard alternating matrix of size rank and a
+    random rank x dim A: a form of rank at most rank, mostly equal."""
+    h = rank // 2
+    j = np.zeros((rank, rank), dtype=np.int64)
+    j[np.arange(h), h + np.arange(h)] = 1
+    j[h + np.arange(h), np.arange(h)] = ctx.neg(1)
+    a = rng.integers(0, ctx.q, (rank, dim))
+    return ctx.np_matmul(ctx.np_matmul(a.T, j), a) if rank else np.zeros((dim, dim), dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def carried_shapes(n, q):
+    """(r, d) of every canonical shape, and its form carried onto the
+    standard space, as in FormTable.canonical, whose space would admit the
+    points first."""
+    ctx = field_ctx(q)
+    shapes = [(r, d, case) for case in forms.CASES for r, d in admissible_pairs(n, case)]
+    grams, alts = zip(*(forms._shape(ctx, n, r, d, case) for r, d, case in shapes))
+    a, _ = forms.isometries(standard_space(ctx, n), grams)
+    return [[r, d] for r, d, _ in shapes], ctx.np_matmul(ctx.np_matmul(a, alts), a.transpose(0, 2, 1))
+
+
+@given(
+    q=st.sampled_from([3, 5, 7, 9, 25, 27]),
+    n=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 2**32 - 1),
+    twisted=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_radical_splits_match_the_four_step_construction(q, n, seed, twisted):
+    # Random forms, A^T J A forms of every rank and every carried canonical
+    # shape, on the standard space or, twisted, on c B M B^T with c a
+    # nonsquare and B invertible, the forms carried along as B S B^T: the
+    # two-elimination splits equal the four-step ones, each carried shape
+    # keeps its (r, d), every G[P, P] is nonsingular, one call runs exactly
+    # two eliminations, and the zero form has no split.
+    ctx, rng = field_ctx(q), np.random.default_rng(seed)
+    qs = standard_space(ctx, n)
+    shapes, carried = carried_shapes(n, q)
+    mats = [af.s for af in random_alternating_forms(ctx, qs.dim, rng, 3)]
+    mats += [atja(ctx, rng, qs.dim, rank) for rank in range(0, qs.dim, 2)]
+    stack = np.concatenate([np.stack(mats), carried])
+    if twisted:
+        b = rng.integers(0, q, (qs.dim, qs.dim))
+        while det(ctx, b) == 0:
+            b = rng.integers(0, q, (qs.dim, qs.dim))
+        gram = ctx.np_mul(ctx.nonsquare_rep, ctx.np_matmul(ctx.np_matmul(b, qs.gram), b.T))
+        qs = QuadraticSpace(ctx, n, gram)
+        stack = ctx.np_matmul(ctx.np_matmul(b, stack), b.T)
+    afs = alternating_forms(ctx, stack)
+    calls = []
+    eliminate = matrix._eliminate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "_eliminate", lambda *a: calls.append(1) or eliminate(*a))
+        got = forms._radical_splits(qs, afs)
+    assert len(calls) == 2
+    assert np.array_equal(got, four_step_radical_splits(qs, afs))
+    assert got[len(afs) - len(shapes) :, :2].tolist() == shapes
+    for af in afs:
+        g = ctx.np_matmul(ctx.np_matmul(af.radical, qs.gram), af.radical.T)
+        p = np.flatnonzero(pivot_columns(ctx, g))
+        assert det(ctx, g[np.ix_(p, p)]) != 0
+    with pytest.raises(InadmissibleParams, match="zero form has no radical split"):
+        radical_split(qs, afs[3])  # A^T J A of rank 0
 
 
 # ---------------------------------------------------------

@@ -3,7 +3,8 @@
 caller in the package: a reference under src/ outside its own body and
 outside __init__.py.  The only names exempt are those the README quick start
 imports and those perfbench/ imports or traces, read as
-test_perfbench_names.py reads them.  A name nothing calls is library-only
+test_perfbench_names.py reads them.  Module-level private functions are
+held to the same rule with no exemption.  A name nothing calls is library-only
 API; delete it, and move it next to its test if a test uses it as an
 oracle.
 
@@ -33,6 +34,14 @@ def _public_definitions(tree):
         node.name: node
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def _private_functions(tree):
+    return {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_")
     }
 
 
@@ -84,15 +93,15 @@ def _global_loads(tree):
     return out
 
 
-def unreferenced_names():
-    """(module, name) of each public definition with no reference under
-    src/ outside its own body and __init__.py."""
+def unreferenced_names(definitions=_public_definitions):
+    """(module, name) of each definition (public ones by default) with no
+    reference under src/ outside its own body and __init__.py."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
-    defs = {(mod, name): node for mod, tree in trees.items() for name, node in _public_definitions(tree).items()}
+    defs = {(mod, name): node for mod, tree in trees.items() for name, node in definitions(tree).items()}
     used = set()
     for mod, tree in trees.items():
         # what each module-level name of this module refers to
-        alias = {name: (mod, name) for name in _public_definitions(tree)}
+        alias = {name: (mod, name) for name in definitions(tree)}
         modules = {}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -161,6 +170,12 @@ def test_every_public_name_has_a_caller():
     exempt = exempt_names()
     orphans = [f"{mod}.{name}" for mod, name in unreferenced_names() if name not in exempt]
     assert orphans == [], f"public names with no caller under src/: {orphans}"
+
+
+def test_every_private_function_has_a_caller():
+    # a helper a rewrite leaves behind fails here, with no exemption
+    orphans = [f"{mod}.{name}" for mod, name in unreferenced_names(_private_functions)]
+    assert orphans == [], f"private functions with no caller under src/: {orphans}"
 
 
 def test_scan_resolves_local_variables_by_scope():
