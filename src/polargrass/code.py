@@ -356,14 +356,15 @@ def _low_groups(ctx: FieldCtx, low: np.ndarray):
     return order, unit[first], group[by_point], scale[by_point]
 
 
-def _scan_row_bytes(q: int, a: int, b: int, nn: int, lines: int, npts: int) -> int:
+def _scan_row_bytes(q: int, b: int, shape: tuple[int, int], lines: int, npts: int) -> int:
     """Bytes of the arrays one high part adds to a block of
-    min_distance_exact, N = nn lines of which lines have a nonzero low
-    column, on npts points: its int64 row and float64 operand; its codeword
-    with the temporaries of the product, 24 bytes a line over either kind
-    of field; the int64 slot indices and slots; the int64 and float32
-    counts; the features; the products with the table."""
-    return 16 * a + 24 * nn + 16 * lines + 12 * npts * q + 4 * npts * (q - 1) + 4 * q**b
+    min_distance_exact, shape that of the converted high generator
+    (np_operand), lines of the N lines with a nonzero low column, on npts
+    points: its int64 row and float64 digits, 16 bytes a row of shape; its
+    codeword with the product's temporaries, 24 bytes a column; the int64
+    slot indices and slots; the int64 and float32 counts; the features; the
+    products with the table."""
+    return 16 * shape[0] + 24 * shape[1] + 16 * lines + 12 * npts * q + 4 * npts * (q - 1) + 4 * q**b
 
 
 def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
@@ -433,7 +434,7 @@ def min_distance_exact(code: PolarCode, budget: int = DEFAULT_BUDGET) -> int:
     slots = (group[:, None] * q + ctx.np_mul(np.arange(q), ctx.np_inv(scale)[:, None])).ravel()
     base = q * np.arange(lines)
     gh = ctx.np_operand(code.generator[:a, order])
-    step = _block_rows(-(-_scan_row_bytes(q, a, b, nn, lines, npts) // 8))
+    step = _block_rows(-(-_scan_row_bytes(q, b, gh.shape, lines, npts) // 8))
     offsets = npts * q * np.arange(step)[:, None]
     for high in _filled(_orbit_representatives(ctx, chars[:, :a]), step):
         rows = len(high)

@@ -627,12 +627,13 @@ def verify_orbit_counts(table: FormTable) -> dict:
 
 
 def _admit_maxima(table: FormTable) -> None:
-    """Raise BudgetExceeded if n^3 exceeds the work budget: a maxima check
-    evaluates about n^2 closed forms of O(n) digits each."""
-    work = table.n**3
+    """Raise BudgetExceeded if n^3 times the bits of q exceeds the work
+    budget: a maxima check evaluates about n^2 closed forms of O(n log q)
+    bits each, so one budget admits about the same time over every field."""
+    work = table.n**3 * table.q.bit_length()
     if work > table.budget:
-        raise BudgetExceeded(f"the maxima at n = {table.n} take n^3 = {work} steps, past the budget {table.budget}",
-                             bound=work)
+        raise BudgetExceeded(f"the maxima at n = {table.n} over F_{table.q} take n^3 * {table.q.bit_length()} = "
+                             f"{work} steps, past the budget {table.budget}", bound=work)
 
 
 def verify_grid_maxima(table: FormTable) -> dict:

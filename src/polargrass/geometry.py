@@ -306,8 +306,9 @@ def _singular_pairs(qs: QuadraticSpace, pts: np.ndarray) -> tuple[np.ndarray, np
     """The ids (u, v) of the reduced-row-echelon pairs of singular points
     that span totally singular lines (see enumerate_singular_lines).  For
     each lead b, products of the points v with lead b against the points u
-    with lead < b and u[b] = 0, in blocks of at most PAIR_BLOCK_ENTRIES
-    pairs, find them; the products and point tables are freed on return.
+    with lead < b and u[b] = 0 (converted once, np_operand), in blocks of
+    at most PAIR_BLOCK_ENTRIES product entries, find them; the products
+    and point tables are freed on return.
 
     These blocks are not _blocks': with its sixteenth of the entries and
     its cap on multiply-adds, `build --q 3 --n 4` took 0.38 s instead of
@@ -320,8 +321,8 @@ def _singular_pairs(qs: QuadraticSpace, pts: np.ndarray) -> tuple[np.ndarray, np
     for b in range(1, qs.dim):
         vs = np.flatnonzero(lead == b)
         us = np.flatnonzero((lead < b) & (pts[:, b] == 0))
-        ut = pts[us].T
-        step = max(1, PAIR_BLOCK_ENTRIES // max(1, len(us)))
+        ut = ctx.np_operand(pts[us].T)
+        step = max(1, PAIR_BLOCK_ENTRIES // max(1, ut.shape[1]))
         for lo in range(0, len(vs), step):
             block = vs[lo : lo + step]
             row, col = np.nonzero(ctx.np_matmul(pm[block], ut) == 0)
@@ -383,7 +384,9 @@ def _residue_blocks(qs: QuadraticSpace, afs):
     S, which is symmetric, so w' comes from the block's pair table (p_i
     p_j over i <= j, dim(dim+1)/2 columns) times the coefficients of every
     T (T_ii, and 2 T_ij off the diagonal), computed once per call.  The
-    pair table is built per block, never for all points.
+    pair table is built per block, never for all points.  Per point a
+    block holds, on the converted operands (np_operand), the x product,
+    its int copy and c p, the pair table, its product and its int copy.
     """
     ctx = qs.ctx
     s = _stack(qs, afs)
@@ -394,9 +397,7 @@ def _residue_blocks(qs: QuadraticSpace, afs):
     w_x = ctx.np_operand(smi.transpose(1, 2, 0).reshape(dim, dim * nb))
     w_t = ctx.np_operand(np.where(iu == ju, t, ctx.np_add(t, t)).T)
     narrow = quadric_points(qs).astype(np.int32)  # so that c p stays in x's int32 over a prime field
-    # the x product, its int copy and c p; the pair table, its product and
-    # that product's int copy
-    for blk in _blocks(len(narrow), 3 * nb * dim + len(iu) + 2 * nb, nb * dim * dim):
+    for blk in _blocks(len(narrow), 3 * w_x.shape[1] + w_t.shape[0] + 2 * w_t.shape[1], w_x.size):
         p = narrow[blk]
         x = ctx.np_matmul(p, w_x).reshape(len(p), dim, nb)
         yield blk, p, x, ctx.np_matmul(ctx.np_mul(p[:, iu], p[:, ju]), w_t)
@@ -454,14 +455,14 @@ def _codewords(ctx: FieldCtx, rows: np.ndarray, messages: np.ndarray):
     rows: yields (block, values), values the (rows in block, B) product
     of those rows with the messages.
 
-    The messages are converted to the product's operand once per call.
-    Blocks are sized as in every stacked kernel: one row holds its K
-    entries in float64, the product and its int copy (K + 2B), and takes
-    K B multiply-adds.
+    The messages are converted to the product's operand once per call,
+    (K', B') = (K, B) e over F_{p^e}.  Blocks are sized as in every
+    stacked kernel: one row holds its K' digits in float64, the product
+    and its int copy (K' + 2B'), and takes K' B' multiply-adds.
     """
-    k, nb = rows.shape[1], len(messages)
     operand = ctx.np_operand(messages.T)
-    for blk in _blocks(len(rows), k + 2 * nb, k * nb):
+    k, nb = operand.shape
+    for blk in _blocks(len(rows), k + 2 * nb, operand.size):
         yield blk, ctx.np_matmul(rows[blk], operand)
 
 

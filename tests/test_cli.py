@@ -532,6 +532,15 @@ def test_closed_form_checks_run_at_n_100(capsys):
     assert [(r["check"], r["status"]) for r in json.loads(out)] == [("grid-maxima", "ok"), ("case-maxima", "ok")]
 
 
+@pytest.mark.parametrize("check", ["grid-maxima", "case-maxima"])
+def test_maxima_past_the_budget_exit_2(monkeypatch, capsys, check):
+    # 126^3 steps times the 5 bits of 27 pass the default budget 10^7
+    monkeypatch.delenv("POLAR_BUDGET", raising=False)
+    rc, out, err = run(capsys, "verify", "--q", "27", "--n", "126", "--check", check)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: the maxima at n = 126 over F_27 take n^3 * 5 = 10001880 steps")
+
+
 @pytest.mark.parametrize("name", list(CHECKS))
 def test_every_check_runs_or_refuses_at_n_100(capsys, name):
     # a check either runs or is refused with exit 2, never with a traceback

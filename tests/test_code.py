@@ -414,9 +414,10 @@ def leading_rows_code(q, r):
 def small_scan_blocks(monkeypatch, code):
     """A table of q rows and one high part per block: a block holds the
     8-byte entries of one high part at b = 1, which has at most one point."""
-    q, k, nn = code.params.q, code.params.K, code.params.N
+    q, k = code.params.q, code.params.K
     lines = int(np.count_nonzero(code.generator[-1]))
-    row = code_module._scan_row_bytes(q, k - 1, 1, nn, lines, int(lines > 0))
+    shape = code.ctx.np_operand(code.generator[: k - 1]).shape
+    row = code_module._scan_row_bytes(q, 1, shape, lines, int(lines > 0))
     monkeypatch.setattr(code_module, "SCAN_TABLE_ROWS", q)
     monkeypatch.setattr(geometry, "PAIR_BLOCK_ENTRIES", 16 * -(-row // 8))
 

@@ -533,6 +533,16 @@ def test_verify_min_distance():
         verify_min_distance_exact(FormTable(3, 3))
 
 
+@pytest.mark.parametrize("q,admitted", [(3, 170), (27, 125)])
+def test_maxima_budget_weighs_the_bits_of_q(q, admitted):
+    # n^3 times the bits of q within the default budget 10^7: 170^3 * 2
+    # and 125^3 * 5 are admitted, and one n more is refused
+    counting._admit_maxima(FormTable(admitted, q))
+    with pytest.raises(BudgetExceeded, match=f"^the maxima at n = {admitted + 1} over F_{q} take ") as exc:
+        counting._admit_maxima(FormTable(admitted + 1, q))
+    assert exc.value.bound == (admitted + 1) ** 3 * q.bit_length() > 10**7
+
+
 @pytest.mark.parametrize("names", [["census-all"], ["all"]])
 def test_run_checks_negative_seed_is_inadmissible(names):
     with pytest.raises(InadmissibleParams, match="seed must be >= 0, got -1"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
+from hypothesis.extra.numpy import array_shapes, arrays, mutually_broadcastable_shapes
 
 from polargrass.errors import EvenCharacteristic, InadmissibleParams, NotPrime, RankDeficient
 from polargrass.field import _poly_divmod, field_ctx
@@ -285,7 +285,7 @@ def test_np_matmul_matches_scalar_matmul(q):
 
 
 @given(
-    q=st.sampled_from([3, 5, 9, 25, 27]),
+    q=st.sampled_from([3, 5, 9, 25, 27, 81, 343]),
     shapes=mutually_broadcastable_shapes(signature="(m,k),(k,n)->(m,n)", min_side=0, max_side=3, max_dims=2),
     data=st.data(),
 )
@@ -304,6 +304,61 @@ def test_np_matmul_has_the_shape_and_entries_of_a_field_product(q, shapes, data)
         for k in range(a.shape[-1]):
             acc = add(ctx, acc, ctx.mul(int(a[(*stack, i, k)]), int(b[(*stack, k, j)])))
         assert c[(*stack, i, j)] == acc
+
+
+def table_matmul(ctx, a, b):
+    """The extension-field product np_matmul made before it multiplied by
+    the regular representation: one add-table and one mul-table gather per
+    inner index, kept here as its oracle."""
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    acc = np.zeros(shape, dtype=np.int64)
+    for k in range(a.shape[-1]):
+        acc = ctx._add_table[acc, ctx._mul_table[a[..., k, None], b[..., k, None, :]]]
+    return acc
+
+
+EXTENSIONS = {q: field_ctx(q) for q in (9, 25, 27, 49, 81, 121, 125, 343, 625, 1331)}
+
+
+@given(
+    q=st.sampled_from(sorted(EXTENSIONS)),
+    batch=st.sampled_from([((), ()), ((3,), ()), ((), (2,)), ((2, 1), (3,)), ((0,), ()), ((), (2, 0))]),
+    m=st.integers(0, 4),
+    k=st.integers(0, 64),
+    n=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_np_matmul_matches_the_table_product(q, batch, m, k, n, seed):
+    # random stacks of every extension field up to inner dimension 64,
+    # broadcast batch axes and empty axes; b converted once by np_operand
+    # gives the same product
+    ctx = EXTENSIONS[q]
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, q, batch[0] + (m, k))
+    b = rng.integers(0, q, batch[1] + (k, n))
+    c = ctx.np_matmul(a, b)
+    assert c.dtype == np.int64
+    assert np.array_equal(c, table_matmul(ctx, a, b))
+    assert np.array_equal(ctx.np_matmul(a, ctx.np_operand(b)), c)
+
+
+@given(
+    q=st.sampled_from([3, 5, 9, 25, 27, 81, 343]),
+    shape=array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_np_rowsum_is_the_field_sum_of_each_row(q, shape, data):
+    ctx = EXTENSIONS.get(q) or field_ctx(q)
+    a = data.draw(arrays(np.int64, shape, elements=st.integers(0, q - 1)))
+    sums = ctx.np_rowsum(a)
+    assert sums.shape == shape[:-1]
+    for idx in np.ndindex(sums.shape):
+        acc = 0
+        for x in a[idx].tolist():
+            acc = add(ctx, acc, x)
+        assert sums[idx] == acc
 
 
 def python_matmul(p, a, b):

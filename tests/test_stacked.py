@@ -10,6 +10,7 @@ single-form functions and by counting's FormTable alike.  The reference_*
 functions below are the bodies that computed the same data one form at a
 time; they stay here only as oracles.
 """
+import math
 import tracemalloc
 
 import numpy as np
@@ -501,22 +502,32 @@ def test_stacked_products_stay_on_the_calling_thread(monkeypatch):
     # that, also for more forms than verify's default of 101 on a space:
     # the residue kernel's x products (inner dimension dim) and pair-table
     # products (dim(dim+1)/2), the isotropic kernel's Plücker products.
-    qs = SPACES[3, 3]
-    afs = random_alternating_forms(qs.ctx, qs.dim, np.random.default_rng(0), 300)
+    # Over F_{p^e} the BLAS product is e times wider on both sides: its
+    # multiply-adds are counted on the digits of a, (..., m, k e), and on
+    # b as np_operand converts it, (..., k e, n e).
     madds = {}
     product = FieldCtx.np_matmul
 
     def spy(ctx, a, b):
-        madds.setdefault(np.shape(a)[-1], []).append(np.size(a) * np.shape(b)[-1])
-        return product(ctx, a, b)
+        operand = ctx.np_operand(b)
+        batch = np.broadcast_shapes(np.shape(a)[:-2], operand.shape[:-2])
+        madds.setdefault(np.shape(a)[-1], []).append(
+            math.prod(batch) * np.shape(a)[-2] * operand.shape[-2] * operand.shape[-1]
+        )
+        return product(ctx, a, operand)
 
-    monkeypatch.setattr(FieldCtx, "np_matmul", spy)
-    codes = geometry._residue_stack(qs, afs)
-    geometry._isotropic_stack(qs, afs)
-    geometry._line_type_stack(qs, codes)
-    dim = qs.dim
-    assert {dim, dim * (dim + 1) // 2, dim * (dim - 1) // 2} <= set(madds)
-    assert max(max(m) for m in madds.values()) <= 10**6
+    for qs in (SPACES[3, 3], SPACES[2, 9], standard_space(field_ctx(27), 2)):
+        afs = random_alternating_forms(qs.ctx, qs.dim, np.random.default_rng(0), 300)
+        enumerate_singular_lines(qs)  # its pair products are not the kernels'
+        madds.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(FieldCtx, "np_matmul", spy)
+            codes = geometry._residue_stack(qs, afs)
+            geometry._isotropic_stack(qs, afs)
+            geometry._line_type_stack(qs, codes)
+        dim = qs.dim
+        assert {dim, dim * (dim + 1) // 2, dim * (dim - 1) // 2} <= set(madds), qs.ctx
+        assert max(max(m) for m in madds.values()) <= 10**6, qs.ctx
 
 
 def test_stacked_kernels_stay_within_twice_a_single_form_peak():
